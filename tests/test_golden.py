@@ -1,0 +1,68 @@
+"""Golden-output gate: small fixed sweeps must reproduce their committed
+CSVs byte for byte.
+
+Every simulated method runs on both static presets, the two estimated-
+channel methods on both quasi presets, and both theory curves on both
+static presets, each at n_c = 8, 6 and 4 (shaping at n_c = 6 is not
+dyadic, so it is the case most sensitive to a change in arithmetic
+order). A refactor that is meant to keep behaviour must leave these
+files untouched; a change that is meant to alter outputs regenerates
+them with
+
+    PYTHONPATH=src python3 tests/bless_golden.py
+"""
+
+import os
+
+import pytest
+
+import chaosmodem.harness as H
+
+GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+
+N_CS = (8, 6, 4)
+STATIC_GRID = (0.0, 3.0, 6.0, 9.0)
+QUASI_GRID = (3.0, 6.0, 9.0)
+THEORY_GRID = (-5.0, 0.0, 5.0, 10.0, 15.0, 20.0)
+SEED = 20260822
+
+# (kind, sweep entry point, methods, presets, config keywords)
+KINDS = {
+    "static": (H.run_static_sweep, H.SIM_METHODS, ("static2", "static3"),
+               dict(ebn0_grid=STATIC_GRID, n_data_bits=512, trials=4096)),
+    "quasi": (H.run_quasi_static, ("chaotic-subopt", "rrc-mmse"),
+              ("quasi2", "quasi3"),
+              dict(ebn0_grid=QUASI_GRID, n_data_bits=512, frames=6)),
+    "theory": (H.run_theory_curves, H.THEORY_METHODS, ("static2", "static3"),
+               dict(ebn0_grid=THEORY_GRID)),
+}
+
+CASES = tuple(f"{kind}_nc{n_c}" for kind in KINDS for n_c in N_CS)
+
+
+def golden_path(case: str) -> str:
+    return os.path.join(GOLDEN_DIR, case + ".csv")
+
+
+def case_records(case: str):
+    """All records of one case, in a fixed method-major order."""
+    kind, nc = case.split("_nc")
+    run, methods, presets, kw = KINDS[kind]
+    records = []
+    for method in methods:
+        for preset in presets:
+            cfg = H.ExperimentConfig(method=method, channel=preset,
+                                     n_c=int(nc), master_seed=SEED,
+                                     genie=method == "chaotic-opt", **kw)
+            records.extend(run(cfg) if kind == "theory" else run(cfg, jobs=1))
+    return records
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_golden_csv(case, tmp_path):
+    got = H.emit_csv(case_records(case), str(tmp_path / "got.csv"))
+    with open(got, "rb") as fh:
+        got_bytes = fh.read()
+    with open(golden_path(case), "rb") as fh:
+        want_bytes = fh.read()
+    assert got_bytes == want_bytes, f"{case} differs from {golden_path(case)}"
