@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .rxchain import ChannelEstimate, LsDesign, build_ls_design
+from .rxchain import ChannelEstimate
 
 DEFAULT_ROLLOFF = 0.25
 # A span of 8 leaves ~4e-3 relative ISI in the cascade at symbol lags,
@@ -140,51 +140,6 @@ def rrc_matched_filter(baseband, filt: RrcFilter) -> np.ndarray:
     the cascade peak of symbol m lands at sample (m + span) * n_c."""
     x = np.asarray(baseband, dtype=float)
     return np.convolve(x, filt.taps[::-1])
-
-
-def rrc_sync_template(train_syms, filt: RrcFilter) -> np.ndarray:
-    """Matched-filter output of the clean training rail, trimmed so index 0
-    is the symbol-0 cascade peak. Feed to frame_sync; the offset it returns
-    is then directly the first symbol sample in the received filtered
-    stream."""
-    y = rrc_matched_filter(rrc_shape(train_syms, filt.n_c, filt=filt), filt)
-    n_train = np.asarray(train_syms).size
-    start = filt.span * filt.n_c
-    return y[start : start + n_train * filt.n_c]
-
-
-def estimate_channel_rrc(y_syms, train_syms, filt: RrcFilter,
-                         max_delay: int = 3, lag_back: int = 6,
-                         design: Optional[LsDesign] = None,
-                         spur_threshold: float = 0.05) -> ChannelEstimate:
-    """Least-squares channel estimate from symbol-rate matched-filter
-    outputs over the training block.
-
-    Same two-stage structure as the chaotic-path estimator, but stage two
-    matches the raised-cosine cascade instead of the pulse autocorrelation;
-    since the cascade is Nyquist the fit is nearly diagonal, so this mostly
-    reads the path gains straight off the lag regression.
-    """
-    y = np.asarray(y_syms, dtype=float)
-    if design is None:
-        design = build_ls_design(train_syms, max_delay, lag_back)
-    obs = y[design.rows]
-    r_hat = design.pinv @ obs
-    resid = obs - design.design @ r_hat
-    dof = obs.size - design.lags.size
-    noise_var = float(np.dot(resid, resid)) / max(dof, 1)
-
-    cand = np.arange(max_delay + 1)
-    rel = design.lags[:, None] - cand[None, :]
-    reach = int(np.max(np.abs(rel)))
-    casc = filt.symbol_cascade(reach)
-    G = casc[rel + reach]
-    alpha, *_ = np.linalg.lstsq(G, r_hat, rcond=None)
-    keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
-    if spur_threshold > 0 and not np.all(keep):
-        alpha, *_ = np.linalg.lstsq(G[:, keep], r_hat, rcond=None)
-        cand = cand[keep]
-    return ChannelEstimate(tuple(float(c) for c in cand), alpha, noise_var)
 
 
 @dataclass(frozen=True)

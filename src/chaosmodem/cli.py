@@ -123,18 +123,8 @@ def _emit(records, args, default_name: str) -> None:
             print(f"wrote {path}")
 
 
-def _maybe_bench(config, args) -> None:
-    if not args.bench:
-        return
-    times = harness.bench_stages(config)
-    print("per-frame stage timing (ms):")
-    for stage, ms in sorted(times.items(), key=lambda kv: -kv[1]):
-        print(f"  {stage:<16}{ms:>9.2f}")
-
-
 def _cmd_sweep_static(args) -> int:
     config = _merged_config(args)
-    _maybe_bench(config, args)
     t0 = time.perf_counter()
     records = harness.run_static_sweep(config, jobs=args.jobs)
     elapsed = time.perf_counter() - t0
@@ -147,7 +137,6 @@ def _cmd_sweep_static(args) -> int:
 
 def _cmd_sweep_quasi(args) -> int:
     config = _merged_config(args)
-    _maybe_bench(config, args)
     stats: dict = {}
     t0 = time.perf_counter()
     records = harness.run_quasi_static(config, jobs=args.jobs, stats=stats)
@@ -248,8 +237,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="worker processes (default 1)")
     common.add_argument("--genie", action="store_true",
                         help="genie-aided decoding (chaotic-opt only)")
-    common.add_argument("--bench", action="store_true",
-                        help="print per-stage frame timing before the sweep")
     common.add_argument("--format", choices=("csv", "plotdata", "both"),
                         default="csv", help="report format (default csv)")
 

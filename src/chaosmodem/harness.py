@@ -11,17 +11,21 @@ waveform, runs it through the channel and the matched filter once, and
 matched-filters one unit-variance noise stream once; the grid points then
 reuse both via y = signal + sigma * noise. That makes BER curves smooth in
 Eb/N0 at a fraction of the naive cost.
+
+Both receivers are one linear modem: a rail is shaped at n_c samples per
+symbol, propagated, matched-filtered and sampled once per symbol. The
+chaotic and RRC chains differ only in their Pulse, so every sweep runs the
+same frame pipeline.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -84,6 +88,10 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not (isinstance(v, (int, np.integer)) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v}")
+        if not (isinstance(self.master_seed, (int, np.integer))
+                and self.master_seed >= 0):
+            raise ValueError(f"master_seed must be a non-negative integer, "
+                             f"got {self.master_seed}")
         if self.n_training_bits % 2 or self.n_data_bits % 2:
             raise ValueError("QPSK framing needs even bit counts")
         if not (isinstance(self.n_c, (int, np.integer)) and self.n_c >= 2):
@@ -147,36 +155,90 @@ def _ci95(bits: int, errors: int) -> float:
     return 1.96 * math.sqrt(p * (1.0 - p) / bits)
 
 
-@lru_cache(maxsize=None)
-def waveform_energy_per_bit(family: str, n_c: int) -> float:
-    """Expected sample-sum transmit energy per rail bit.
+# ---------------------------------------------------------------- pulse ----
 
-    Rail symbols are antipodal and independent, so the pulse cross terms
-    average to zero and the expectation is exactly one pulse energy per
-    symbol. Computing it from the pulse samples rather than a measured
-    stream keeps the Eb/N0 axis free of Monte Carlo calibration error.
+class Pulse:
+    """The pulse of one linear modem at n_c samples per symbol.
+
+    A rail is shaped with the known ``tail`` appended, propagated and
+    matched-filtered; symbol m then sits at output sample lead + m * n_c.
+    ``energy`` is the expected sample-sum transmit energy per rail bit:
+    antipodal independent symbols cancel the pulse cross terms on average,
+    so it is exactly one pulse energy, free of Monte Carlo error.
+    Subclasses supply ``synth`` (shaping without the tail), ``mf`` and
+    ``cascade`` (the shaping/matched-filter cascade at symbol lags).
     """
-    if family == "chaotic":
-        kernel = rx.matched_filter_taps(n_c).kernel
-        return float(np.dot(kernel, kernel))
+
+    def shape(self, rail) -> np.ndarray:
+        return self.synth(np.concatenate([rail, self.tail]))
+
+    def template(self, train) -> np.ndarray:
+        """Clean matched-filter output of a training rail shaped without
+        the tail, from its symbol 0 on. The offset frame_sync finds against
+        it is the symbol-0 sample of the received stream."""
+        return self.mf(self.synth(train))[
+            self.lead:self.lead + train.size * self.n_c]
+
+
+class _ChaoticPulse(Pulse):
+    def __init__(self, n_c: int):
+        self.n_c = n_c
+        self.params = WaveformParams()
+        self.mft = rx.matched_filter_taps(n_c, self.params)
+        self.lead = 0
+        self.tail = np.resize(np.array([1.0, -1.0]), self.params.n_p)
+        self.energy = float(np.dot(self.mft.kernel, self.mft.kernel))
+
+    def synth(self, symbols) -> np.ndarray:
+        return synth_waveform(symbols, self.n_c, self.params, strict=False)
+
+    def mf(self, stream) -> np.ndarray:
+        return rx.matched_filter(stream, self.mft)
+
+    def cascade(self, lags) -> np.ndarray:
+        return th.response_r(lags.astype(float))
+
+
+class _RrcPulse(Pulse):
+    def __init__(self, n_c: int):
+        self.n_c = n_c
+        self.filt = bl.rrc_taps(bl.DEFAULT_ROLLOFF, bl.DEFAULT_SPAN, n_c)
+        self.lead = self.filt.span * n_c
+        self.tail = np.empty(0)
+        self.energy = float(np.dot(self.filt.taps, self.filt.taps))
+
+    def synth(self, symbols) -> np.ndarray:
+        return bl.rrc_shape(symbols, self.n_c, filt=self.filt)
+
+    def mf(self, stream) -> np.ndarray:
+        return bl.rrc_matched_filter(stream, self.filt)
+
+    def cascade(self, lags) -> np.ndarray:
+        reach = int(np.max(np.abs(lags)))
+        return self.filt.symbol_cascade(reach)[lags + reach]
+
+
+@lru_cache(maxsize=None)
+def pulse_for(name: str, n_c: int) -> Pulse:
+    """The pulse of a method (chaotic-*, theory-*, rrc-*) or of a waveform
+    family ("chaotic", "rrc")."""
+    family = name.split("-")[0]
+    if family in ("chaotic", "theory"):
+        return _ChaoticPulse(n_c)
     if family == "rrc":
-        taps = bl.rrc_taps(bl.DEFAULT_ROLLOFF, bl.DEFAULT_SPAN, n_c).taps
-        return float(np.dot(taps, taps))
-    raise ValueError(f"unknown waveform family {family!r}")
+        return _RrcPulse(n_c)
+    raise ValueError(f"unknown waveform family {name!r}")
 
 
-def _family(method: str) -> str:
-    return "chaotic" if method.startswith(("chaotic", "theory")) else "rrc"
+def waveform_energy_per_bit(family: str, n_c: int) -> float:
+    """Expected sample-sum transmit energy per rail bit (see Pulse)."""
+    return pulse_for(family, n_c).energy
 
 
-def sigma_w_chaotic(sigma: float, n_c: int,
-                    params: Optional[WaveformParams] = None) -> float:
+def sigma_w_chaotic(sigma: float, n_c: int) -> float:
     """Noise standard deviation at the chaotic matched-filter output, from
     the realized (truncated) receive kernel rather than the ideal one."""
-    if params is None:
-        params = WaveformParams()
-    k = rx.matched_filter_taps(n_c, params).kernel
-    return sigma * math.sqrt(float(np.dot(k, k))) / n_c
+    return sigma * math.sqrt(waveform_energy_per_bit("chaotic", n_c)) / n_c
 
 
 def _frame_streams(master_seed: int, frame_idx: int):
@@ -186,115 +248,114 @@ def _frame_streams(master_seed: int, frame_idx: int):
             np.random.default_rng(noise))
 
 
-# ---------------------------------------------------------------- static ---
+# ---------------------------------------------------------------- frames ---
 
-class _StaticContext:
-    """Per-worker immutable state for known-channel static sweeps."""
+class _Context:
+    """Immutable per-sweep state. It is built in the parent before any
+    frame runs, so a config the pipeline cannot run fails there, and it is
+    installed as is in every worker."""
 
-    def __init__(self, config: ExperimentConfig):
+    def __init__(self, config: ExperimentConfig, quasi: bool):
         self.config = config
-        self.n_c = config.n_c
-        self.preset = ch.get_preset(config.channel)
-        if not isinstance(self.preset, ch.MultipathSpec):
-            raise ValueError("static sweep needs a static channel preset")
-        self.sigmas = np.array([
-            ch.calibrate_noise(db, waveform_energy_per_bit(
-                _family(config.method), config.n_c), config.n_c)
-            for db in config.ebn0_grid])
-        self.n_data_sym = config.n_data_bits // 2
-        self.estimate = rx.ChannelEstimate(
-            self.preset.delays, np.array(self.preset.gains), 0.0)
-        if _family(config.method) == "chaotic":
-            self.params = WaveformParams()
-            self.rparams = th.ResponseParams()
-            self.mft = rx.matched_filter_taps(config.n_c, self.params)
-            self.tail = np.resize(np.array([1.0, -1.0]), self.params.n_p)
-            self.offset = 0
-        else:
-            self.filt = bl.rrc_taps(bl.DEFAULT_ROLLOFF, bl.DEFAULT_SPAN,
-                                    config.n_c)
-            self.offset = self.filt.span * config.n_c
+        n_c = config.n_c
+        try:
+            self.pulse = pulse = pulse_for(config.method, n_c)
+        except ValueError as exc:
+            raise ValueError(f"n_c = {n_c} does not suit {config.method}: "
+                             f"{exc}") from None
+        self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy, n_c)
+                                for db in config.ebn0_grid])
+        self.rparams = th.ResponseParams()
+        self.channel = ch.get_preset(config.channel)
+        if quasi != isinstance(self.channel, ch.QuasiStaticModel):
+            kind = "quasi-static" if quasi else "static"
+            raise ValueError(f"this sweep needs a {kind} channel preset")
+        if not quasi:
+            delays, gains = self.channel.delays, np.array(self.channel.gains)
+            self.estimate = rx.ChannelEstimate(delays, gains, 0.0)
             # channel and noise level are known, so the equalizer of each
             # grid point is fixed across frames
-            self.eqs = [
-                bl.design_mmse(rx.ChannelEstimate(
-                    self.preset.delays, np.array(self.preset.gains),
-                    float(s * s)))
-                for s in self.sigmas]
-
-    def rail_to_symbols(self, rail, rng_noise):
-        """Shape, propagate, matched-filter one rail; return the clean
-        symbol-instant samples and the unit-noise symbol samples."""
-        n_c = self.n_c
-        if _family(self.config.method) == "chaotic":
-            x = synth_waveform(np.concatenate([rail, self.tail]), n_c,
-                               self.params, strict=False)
-            v = ch.propagate(x, self.preset, n_c)
-            y0 = rx.matched_filter(v, self.mft)
-            w = rng_noise.standard_normal(v.size)
-            w0 = rx.matched_filter(w, self.mft)
-        else:
-            x = bl.rrc_shape(rail, n_c, filt=self.filt)
-            v = ch.propagate(x, self.preset, n_c)
-            y0 = bl.rrc_matched_filter(v, self.filt)
-            w = rng_noise.standard_normal(v.size)
-            w0 = bl.rrc_matched_filter(w, self.filt)
-        n_sym = rail.size
-        s0 = rx.sample_symbols(y0, self.offset, n_c, n_sym)
-        sw = rx.sample_symbols(w0, self.offset, n_c, n_sym)
-        return s0, sw
+            self.eqs = [None] * len(self.sigmas)
+            if config.method == "rrc-mmse":
+                self.eqs = [bl.design_mmse(rx.ChannelEstimate(
+                    delays, gains, float(s * s))) for s in self.sigmas]
+            return
+        self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
+        self.t_i, self.t_q = tx.qpsk_map(tx.gen_training(self.layout))
+        self.n_sym = self.layout.total // 2
+        try:
+            self.design = rx.build_ls_design(np.stack([self.t_i, self.t_q]),
+                                             _MAX_DELAY, _LAG_BACK)
+        except ValueError as exc:
+            raise ValueError(f"n_training_bits = {config.n_training_bits} "
+                             f"cannot estimate the channel: {exc}") from None
+        lags = self.design.lags[:, None] - np.arange(_MAX_DELAY + 1)[None, :]
+        self.cascade = pulse.cascade(lags)
+        B = self.design.design @ self.cascade
+        self.proj = B @ np.linalg.pinv(B)
+        self.template = pulse.template(self.t_i)
+        self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
+                           + self.template.size)
 
 
-_CTX: Optional[object] = None
+_CTX: Optional[_Context] = None
 
 
-def _init_static(config: ExperimentConfig):
+def _install(ctx: _Context):
     global _CTX
-    _CTX = _StaticContext(config)
+    _CTX = ctx
 
 
-def _static_frame(frame_idx: int) -> Tuple[int, np.ndarray]:
-    ctx: _StaticContext = _CTX
+def _receive(ctx: _Context, rail, channel, pad: int, rng_noise):
+    """Matched-filter outputs of one rail, shaped, propagated and delayed by
+    ``pad`` samples, and of unit-variance noise over the same span."""
+    v = ch.propagate(ctx.pulse.shape(rail), channel, ctx.config.n_c)
+    sig = np.concatenate([np.zeros(pad), v])
+    return (ctx.pulse.mf(sig),
+            ctx.pulse.mf(rng_noise.standard_normal(sig.size)))
+
+
+def _count_errors(ctx: _Context, ys, sent, estimate, eq, n_train: int) -> int:
+    """Decide both rails at one grid point and count the rail decisions in
+    error past the first n_train (training) symbols. Error rate is counted
+    per rail decision: each rail carries one antipodal bit per symbol,
+    which is what the closed-form error probabilities describe."""
+    method = ctx.config.method
+    n_err = 0
+    for y, rail in zip(ys, sent):
+        if method == "chaotic-opt":
+            # genie: thresholds from the true symbols including the shaping
+            # tail, so every ISI term is cancelled exactly
+            full = np.concatenate([rail, ctx.pulse.tail])
+            theta = rx.threshold_optimal(full, estimate, ctx.rparams)
+            dec = rx.decide(y, theta[: y.size])
+        elif method == "chaotic-subopt":
+            dec = rx.decode_suboptimal(y, rail[:n_train], estimate,
+                                       ctx.rparams)
+        elif method == "rrc-mmse":
+            dec = rx.decide(bl.apply_equalizer(y, eq), 0.0)
+        else:
+            dec = rx.decide(y, 0.0)
+        n_err += int(np.count_nonzero(dec[n_train:] != rail[n_train:]))
+    return n_err
+
+
+# ---------------------------------------------------------------- static ---
+
+def _static_frame(frame_idx: int) -> np.ndarray:
+    ctx = _CTX
     cfg = ctx.config
     rng_content, _, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
-    i_syms, q_syms = tx.qpsk_map(bits)
-    rails = []
-    for rail in (i_syms, q_syms):
-        rails.append(ctx.rail_to_symbols(rail, rng_noise))
+    sent = tx.qpsk_map(bits)
+    rails = [[rx.sample_symbols(y, ctx.pulse.lead, cfg.n_c, rail.size)
+              for y in _receive(ctx, rail, ctx.channel, 0, rng_noise)]
+             for rail in sent]
     errors = np.zeros(len(cfg.ebn0_grid), dtype=np.int64)
     for p, sigma in enumerate(ctx.sigmas):
-        # error rate is counted per rail decision: each rail carries one
-        # antipodal bit per symbol, which is what the closed-form error
-        # probabilities describe
-        n_err = 0
-        for rail_syms, (s0, sw) in zip((i_syms, q_syms), rails):
-            y = s0 + sigma * sw
-            dec = _decode_static(ctx, p, y, rail_syms)
-            n_err += int(np.count_nonzero(dec != rail_syms))
-        errors[p] = n_err
-    return frame_idx, errors
-
-
-def _decode_static(ctx: _StaticContext, point: int, y: np.ndarray,
-                   true_rail: np.ndarray) -> np.ndarray:
-    method = ctx.config.method
-    if method == "chaotic-opt":
-        # genie: thresholds from the true symbols including the shaping
-        # tail, so every ISI term is cancelled exactly
-        full = np.concatenate([true_rail, ctx.tail])
-        theta = rx.threshold_optimal(full, ctx.estimate, ctx.rparams)
-        return rx.decide(y, theta[: y.size])
-    if method == "chaotic-subopt":
-        return rx.decode_suboptimal(y, np.empty(0), ctx.estimate,
-                                    ctx.rparams)
-    if method == "chaotic-zero":
-        return rx.decide(y, 0.0)
-    if method == "rrc-mmse":
-        return rx.decide(bl.apply_equalizer(y, ctx.eqs[point]), 0.0)
-    if method == "rrc-noeq":
-        return rx.decide(y, 0.0)
-    raise ValueError(f"method {method!r} is not simulated")
+        ys = [s0 + sigma * sw for s0, sw in rails]
+        errors[p] = _count_errors(ctx, ys, sent, ctx.estimate, ctx.eqs[p], 0)
+    return errors
 
 
 def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:
@@ -311,11 +372,8 @@ def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]
         raise ValueError("chaotic-opt needs genie=True: the optimal "
                          "threshold uses the transmitted symbols")
     n_frames = -(-config.trials // config.n_data_bits)
-    per_point = _map_frames(_static_frame, _init_static, config,
-                            range(n_frames), jobs)
-    errors = np.zeros(len(config.ebn0_grid), dtype=np.int64)
-    for _, e in per_point:
-        errors += e
+    errors = np.sum(_map_frames(_static_frame, _Context(config, quasi=False),
+                                n_frames, jobs), axis=0)
     total_bits = n_frames * config.n_data_bits
     return [BerRecord.from_counts(config.method, config.channel, db,
                                   total_bits, int(errors[p]))
@@ -324,107 +382,29 @@ def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]
 
 # ---------------------------------------------------------------- quasi ----
 
-class _QuasiContext:
-    """Per-worker immutable state for estimated-channel quasi sweeps."""
-
-    def __init__(self, config: ExperimentConfig):
-        self.config = config
-        n_c = self.n_c = config.n_c
-        model = ch.get_preset(config.channel)
-        if not isinstance(model, ch.QuasiStaticModel):
-            raise ValueError("quasi sweep needs a quasi-static channel preset")
-        self.model = model
-        self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
-        train_bits = tx.gen_training(self.layout)
-        self.t_i, self.t_q = tx.qpsk_map(train_bits)
-        self.n_train_sym = self.t_i.size
-        self.n_sym = self.layout.total // 2
-        self.sigmas = np.array([
-            ch.calibrate_noise(db, waveform_energy_per_bit(
-                _family(config.method), n_c), n_c)
-            for db in config.ebn0_grid])
-
-        d_i = rx.build_ls_design(self.t_i, _MAX_DELAY, _LAG_BACK)
-        d_q = rx.build_ls_design(self.t_q, _MAX_DELAY, _LAG_BACK)
-        self.rows = d_i.rows
-        self.lags = d_i.lags
-        self.design2 = np.vstack([d_i.design, d_q.design])
-        self.pinv2 = np.linalg.pinv(self.design2)
-        self.cand = np.arange(_MAX_DELAY + 1, dtype=float)
-
-        chaotic = _family(config.method) == "chaotic"
-        if chaotic:
-            self.params = WaveformParams()
-            self.rparams = th.ResponseParams()
-            self.mft = rx.matched_filter_taps(n_c, self.params)
-            self.tail = np.resize(np.array([1.0, -1.0]), self.params.n_p)
-            self.template = rx.matched_filter(
-                synth_waveform(self.t_i, n_c, self.params, strict=False),
-                self.mft)[: self.n_train_sym * n_c]
-            self.lead = 0
-            G = th.response_r(self.lags[:, None].astype(float),
-                              tau=self.cand[None, :])
-        else:
-            self.filt = bl.rrc_taps(bl.DEFAULT_ROLLOFF, bl.DEFAULT_SPAN, n_c)
-            self.template = bl.rrc_sync_template(self.t_i, self.filt)
-            self.lead = self.filt.span * n_c
-            rel = self.lags[:, None] - self.cand[None, :].astype(int)
-            reach = int(np.max(np.abs(rel)))
-            G = self.filt.symbol_cascade(reach)[rel.astype(int) + reach]
-        self.G = G
-        B = self.design2 @ G
-        self.proj = B @ np.linalg.pinv(B)
-        # delay candidates the canonical offset rule relies on: an offset
-        # early by one symbol shows up as every path delay shifted up by
-        # one, which still fits; an offset late by one needs delay -1 and
-        # leaves the training energy unexplained
-        self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + self.lead
-                           + self.template.size)
-
-    def shape_rail(self, rail):
-        if _family(self.config.method) == "chaotic":
-            return synth_waveform(np.concatenate([rail, self.tail]),
-                                  self.n_c, self.params, strict=False)
-        return bl.rrc_shape(rail, self.n_c, filt=self.filt)
-
-    def mf(self, stream):
-        if _family(self.config.method) == "chaotic":
-            return rx.matched_filter(stream, self.mft)
-        return bl.rrc_matched_filter(stream, self.filt)
-
-
-def _init_quasi(config: ExperimentConfig):
-    global _CTX
-    _CTX = _QuasiContext(config)
-
-
-def _pooled_obs(ctx: _QuasiContext, y_i, y_q, offset):
-    n, n_c = ctx.n_train_sym, ctx.n_c
-    end = offset + n * n_c
-    if offset < 0 or end > y_i.size:
-        return None
-    oi = y_i[offset:end:n_c][ctx.rows]
-    oq = y_q[offset:end:n_c][ctx.rows]
-    return np.concatenate([oi, oq])
-
-
-def _sync_offset(ctx: _QuasiContext, y_i, y_q):
+def _sync_offset(ctx: _Context, y_i, y_q):
     """Coarse correlation peak, snapped to the symbol grid and refined by
     the pooled path-model residual; returns (offset, obs) or None.
 
     Among grid candidates whose residual is within a factor two of the
-    best, the largest offset wins (see _QuasiContext notes). The winner
-    must still explain at least half of the observed training energy.
+    best, the largest offset wins: an offset early by one symbol shows up
+    as every path delay shifted up by one, which still fits; an offset
+    late by one needs delay -1 and leaves the training energy unexplained.
+    The winner must still explain at least half of the observed training
+    energy.
     """
+    n_c = ctx.config.n_c
     sl = slice(0, min(ctx.search_len, y_i.size))
     coarse = rx.frame_sync(y_i[sl], ctx.template).offset
-    base = int(round(coarse / ctx.n_c)) * ctx.n_c
+    base = int(round(coarse / n_c)) * n_c
+    rows, span = ctx.design.rows, ctx.t_i.size * n_c
     results = {}
     for step in _SYNC_GRID_STEPS:
-        o = base + step * ctx.n_c
-        obs = _pooled_obs(ctx, y_i, y_q, o)
-        if obs is None:
+        o = base + step * n_c
+        if o < 0 or o + span > y_i.size:
             continue
+        obs = np.concatenate([y_i[o:o + span:n_c][rows],
+                              y_q[o:o + span:n_c][rows]])
         resid = obs - ctx.proj @ obs
         results[o] = (float(np.dot(resid, resid)), obs)
     if not results:
@@ -438,49 +418,27 @@ def _sync_offset(ctx: _QuasiContext, y_i, y_q):
     return o, obs
 
 
-def _estimate_pooled(ctx: _QuasiContext, obs):
-    """Two-stage LS on the stacked rails at a fixed offset."""
-    r_hat = ctx.pinv2 @ obs
-    resid = obs - ctx.design2 @ r_hat
-    dof = obs.size - ctx.lags.size
-    noise_var = float(np.dot(resid, resid)) / max(dof, 1)
-    alpha, *_ = np.linalg.lstsq(ctx.G, r_hat, rcond=None)
-    keep = np.abs(alpha) >= 0.05 * np.max(np.abs(alpha))
-    cand = ctx.cand
-    if not np.all(keep):
-        alpha, *_ = np.linalg.lstsq(ctx.G[:, keep], r_hat, rcond=None)
-        cand = cand[keep]
-    return rx.ChannelEstimate(tuple(cand), alpha, noise_var)
-
-
 def _quasi_frame(frame_idx: int):
-    ctx: _QuasiContext = _CTX
+    ctx = _CTX
     cfg = ctx.config
-    n_c = ctx.n_c
+    n_c = cfg.n_c
     rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
     frame = tx.build_frame(bits, ctx.layout)
-    gamma = ch.draw_gamma(ctx.model, rng_chan)
+    gamma = ch.draw_gamma(ctx.channel, rng_chan)
     pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
-    spec = ch.MultipathSpec.from_gamma(gamma, ctx.model.delays)
-    true_offset = pad + ctx.lead
-
-    streams = []
-    for rail in (frame.i_syms, frame.q_syms):
-        x = ctx.shape_rail(rail)
-        v = ch.propagate(x, spec, n_c)
-        sig = np.concatenate([np.zeros(pad), v])
-        streams.append((ctx.mf(sig),
-                        ctx.mf(rng_noise.standard_normal(sig.size))))
+    spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+    true_offset = pad + ctx.pulse.lead
+    streams = [_receive(ctx, rail, spec, pad, rng_noise)
+               for rail in (frame.i_syms, frame.q_syms)]
 
     n_points = len(cfg.ebn0_grid)
     errors = np.zeros(n_points, dtype=np.int64)
     counted = np.zeros(n_points, dtype=np.int64)
     failures = np.zeros(n_points, dtype=np.int64)
     rms = np.full(n_points, np.nan)
-    true_dense = np.zeros(ctx.cand.size)
-    for d, g in zip(spec.delays, spec.gains):
-        true_dense[int(d)] = g
+    true_dense = np.zeros(_MAX_DELAY + 1)
+    true_dense[np.array(spec.delays, dtype=int)] = spec.gains
 
     for p, sigma in enumerate(ctx.sigmas):
         y_i = streams[0][0] + sigma * streams[0][1]
@@ -491,7 +449,7 @@ def _quasi_frame(frame_idx: int):
         if picked is not None:
             offset, obs = picked
             try:
-                est = _estimate_pooled(ctx, obs)
+                est = rx.estimate_channel_ls(obs, ctx.design, ctx.cascade)
             except np.linalg.LinAlgError:
                 est = None
             offset_ok = offset == true_offset
@@ -501,28 +459,16 @@ def _quasi_frame(frame_idx: int):
                 errors[p] = cfg.n_data_bits
                 counted[p] = cfg.n_data_bits
             continue
-        dense = np.zeros(ctx.cand.size)
-        for d, g in zip(est.delays, est.gains):
-            dense[int(d)] = g
+        dense = np.zeros(_MAX_DELAY + 1)
+        dense[np.array(est.delays, dtype=int)] = est.gains
         rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
-        eq = None
-        if cfg.method == "rrc-mmse":
-            eq = bl.design_mmse(est)
-        decs = []
-        for train, (s_mf, w_mf) in zip((ctx.t_i, ctx.t_q), streams):
-            y = rx.sample_symbols(s_mf + sigma * w_mf, offset, n_c, ctx.n_sym)
-            if eq is not None:
-                decs.append(rx.decide(bl.apply_equalizer(y, eq), 0.0))
-            else:
-                decs.append(rx.decode_suboptimal(y, train, est, ctx.rparams))
-        # rail-level error counting, matching the closed-form convention
-        nt = ctx.n_train_sym
-        n_err = 0
-        for dec, ref in zip(decs, (frame.i_syms, frame.q_syms)):
-            n_err += int(np.count_nonzero(dec[nt:] != ref[nt:]))
-        errors[p] = n_err
+        eq = bl.design_mmse(est) if cfg.method == "rrc-mmse" else None
+        ys = [rx.sample_symbols(s_mf + sigma * w_mf, offset, n_c, ctx.n_sym)
+              for s_mf, w_mf in streams]
+        errors[p] = _count_errors(ctx, ys, (frame.i_syms, frame.q_syms),
+                                  est, eq, ctx.t_i.size)
         counted[p] = cfg.n_data_bits
-    return frame_idx, errors, counted, failures, rms
+    return errors, counted, failures, rms
 
 
 def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
@@ -543,18 +489,11 @@ def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
             f"not {config.method!r}")
     if config.genie:
         raise ValueError("genie decoding is incompatible with channel estimation")
-    results = _map_frames(_quasi_frame, _init_quasi, config,
-                          range(config.frames), jobs)
-    n_points = len(config.ebn0_grid)
-    errors = np.zeros(n_points, dtype=np.int64)
-    counted = np.zeros(n_points, dtype=np.int64)
-    failures = np.zeros(n_points, dtype=np.int64)
-    rms_all = np.full((config.frames, n_points), np.nan)
-    for frame_idx, e, c, f, rms in results:
-        errors += e
-        counted += c
-        failures += f
-        rms_all[frame_idx] = rms
+    results = _map_frames(_quasi_frame, _Context(config, quasi=True),
+                          config.frames, jobs)
+    errors, counted, failures, rms_all = (np.array(r) for r in zip(*results))
+    errors, counted, failures = (np.sum(a, axis=0)
+                                 for a in (errors, counted, failures))
     if stats is not None:
         per_point = []
         for p, db in enumerate(config.ebn0_grid):
@@ -674,86 +613,13 @@ def emit_report(records: Sequence[BerRecord], format: str,
     raise ValueError(f"unknown report format {format!r}")
 
 
-# ---------------------------------------------------------------- bench ----
-
-def bench_stages(config: ExperimentConfig, n_frames: int = 3) -> Dict[str, float]:
-    """Rough per-frame wall-clock of the pipeline stages, in milliseconds.
-
-    The first frame runs untimed so one-time costs (imports, JIT warm-up,
-    cached tables) do not pollute the steady-state numbers.
-    """
-    chaotic = _family(config.method) == "chaotic"
-    is_static = isinstance(ch.get_preset(config.channel), ch.MultipathSpec)
-    times: Dict[str, float] = {}
-    warm = True
-
-    def clock(name, fn, *args, **kw):
-        t0 = time.perf_counter()
-        out = fn(*args, **kw)
-        if not warm:
-            times[name] = times.get(name, 0.0) + (time.perf_counter() - t0)
-        return out
-
-    if is_static:
-        ctx = _StaticContext(config)
-        spec = ctx.preset
-    else:
-        ctx = _QuasiContext(config)
-        spec = ch.MultipathSpec.from_gamma(0.6, ctx.model.delays)
-    for frame_idx in range(n_frames + 1):
-        warm = frame_idx == 0
-        rng_content, _, rng_noise = _frame_streams(config.master_seed, frame_idx)
-        bits = rng_content.integers(0, 2, config.n_data_bits)
-        i_syms, _ = tx.qpsk_map(bits)
-        if is_static:
-            if chaotic:
-                x = clock("shape", synth_waveform,
-                          np.concatenate([i_syms, ctx.tail]), config.n_c,
-                          ctx.params, strict=False)
-            else:
-                x = clock("shape", bl.rrc_shape, i_syms, config.n_c,
-                          filt=ctx.filt)
-            v = clock("channel", ch.propagate, x, spec, config.n_c)
-            if chaotic:
-                y = clock("matched_filter", rx.matched_filter, v, ctx.mft)
-            else:
-                y = clock("matched_filter", bl.rrc_matched_filter, v, ctx.filt)
-            ys = rx.sample_symbols(y, ctx.offset, config.n_c, i_syms.size)
-            clock("decode", _decode_static, ctx, 0,
-                  ys + ctx.sigmas[0] * rng_noise.standard_normal(ys.size),
-                  i_syms)
-        else:
-            frame = tx.build_frame(bits, ctx.layout)
-            pad = np.zeros(5 * config.n_c)
-            rails = []
-            for rail in (frame.i_syms, frame.q_syms):
-                x = clock("shape", ctx.shape_rail, rail)
-                v = clock("channel", ch.propagate, x, spec, config.n_c)
-                sig = np.concatenate([pad, v])
-                y0 = clock("matched_filter", ctx.mf, sig)
-                w0 = clock("matched_filter", ctx.mf,
-                           rng_noise.standard_normal(sig.size))
-                rails.append(y0 + ctx.sigmas[0] * w0)
-            y_i, y_q = rails
-            picked = clock("sync", _sync_offset, ctx, y_i, y_q)
-            if picked is not None:
-                est = clock("estimate", _estimate_pooled, ctx, picked[1])
-                ys = rx.sample_symbols(y_i, picked[0], config.n_c, ctx.n_sym)
-                if config.method == "rrc-mmse":
-                    eq = bl.design_mmse(est)
-                    clock("decode", bl.apply_equalizer, ys, eq)
-                else:
-                    clock("decode", rx.decode_suboptimal, ys, ctx.t_i, est,
-                          ctx.rparams)
-    return {k: 1000.0 * v / n_frames for k, v in times.items()}
-
-
-def _map_frames(worker, initializer, config, frame_indices, jobs):
-    frames = list(frame_indices)
-    if jobs <= 1:
-        initializer(config)
-        return [worker(i) for i in frames]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=initializer,
-                             initargs=(config,)) as pool:
-        chunk = max(1, len(frames) // (4 * jobs))
-        return list(pool.map(worker, frames, chunksize=chunk))
+def _map_frames(worker, ctx: _Context, n_frames: int, jobs: int):
+    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+        raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    if jobs == 1:
+        _install(ctx)
+        return [worker(i) for i in range(n_frames)]
+    with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
+                             initargs=(ctx,)) as pool:
+        chunk = max(1, n_frames // (4 * jobs))
+        return list(pool.map(worker, range(n_frames), chunksize=chunk))

@@ -21,9 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .theory import ResponseParams, composite_response, response_decay_radius, response_r
+from .theory import ResponseParams, composite_response, response_decay_radius
 from .txchain import CarrierConfig, RateConfig
-from .waveform import WaveformParams, _eval_basis_array, shaping_taps
+from .waveform import WaveformParams, _eval_basis_array
 
 try:
     from numba import njit as _njit
@@ -38,20 +38,12 @@ PULSE_HALF_BW_10DB = 1.187
 
 @dataclass(frozen=True)
 class MatchedFilterTaps:
-    """Polyphase receive taps: row f holds g on the grid points congruent
-    to f/n_c inside the support, in increasing-time order. Equivalently
-    (and tested): row f is the reversed shaping row for phase 1 - f/n_c.
-    """
+    """Receive FIR kernel k_j = g(j/n_c) = p(-j/n_c) for j in
+    [-(n_c-1), n_p*n_c], the time-reverse of the shaping taps."""
 
-    taps: np.ndarray
+    kernel: np.ndarray
     n_c: int
     params: WaveformParams
-
-    @property
-    def kernel(self) -> np.ndarray:
-        """Flat FIR kernel k_j = g(j/n_c) for j in [-(n_c-1), n_p*n_c]."""
-        j = np.arange(-(self.n_c - 1), self.params.n_p * self.n_c + 1)
-        return _eval_basis_array(-j / self.n_c, self.params.beta)
 
 
 def matched_filter_taps(n_c: int, params: Optional[WaveformParams] = None) -> MatchedFilterTaps:
@@ -59,13 +51,9 @@ def matched_filter_taps(n_c: int, params: Optional[WaveformParams] = None) -> Ma
         params = WaveformParams()
     if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
         raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
-    f = np.arange(n_c)
-    m = np.arange(params.n_p + 1)
-    # phase 0 spans t = 0..n_p; other phases start one period earlier
-    shift = np.where(f == 0, 0.0, 1.0)
-    tgrid = m[None, :] + f[:, None] / n_c - shift[:, None]
-    taps = _eval_basis_array(-tgrid, params.beta)
-    return MatchedFilterTaps(taps, int(n_c), params)
+    j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
+    return MatchedFilterTaps(_eval_basis_array(-j / n_c, params.beta),
+                             int(n_c), params)
 
 
 def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
@@ -204,6 +192,8 @@ class LsDesign:
     Stage one regresses symbol-rate observations on shifts of the training
     to recover the composite response on integer lags; the pseudoinverse
     is built once because the training never changes within an experiment.
+    A design over several rails stacks their regressions in rail order, so
+    one fit pools them.
     """
 
     pinv: np.ndarray
@@ -213,8 +203,10 @@ class LsDesign:
 
 
 def build_ls_design(train_syms, max_delay: int = 3, lag_back: int = 6) -> LsDesign:
-    s = np.asarray(train_syms, dtype=float)
-    n_t = s.size
+    """Design for one training rail, or for a 2-d array of equally long
+    rails (one per row) observed through the same channel."""
+    s = np.atleast_2d(np.asarray(train_syms, dtype=float))
+    n_t = s.shape[1]
     lags = np.arange(-lag_back, lag_back + max_delay + 1)
     n_unknown = lags.size
     lo, hi = lag_back + max_delay, n_t - lag_back
@@ -223,45 +215,38 @@ def build_ls_design(train_syms, max_delay: int = 3, lag_back: int = 6) -> LsDesi
             f"training of {n_t} symbols gives {hi - lo} usable rows; "
             f"need at least {4 * n_unknown} for {n_unknown} unknowns")
     rows_n = np.arange(lo, hi)
-    design = s[rows_n[:, None] - lags[None, :]]
+    design = s[:, rows_n[:, None] - lags[None, :]].reshape(-1, n_unknown)
     rank = np.linalg.matrix_rank(design)
     if rank < n_unknown:
         raise ValueError("training sequence is rank deficient for channel estimation")
     return LsDesign(np.linalg.pinv(design), slice(lo, hi), lags, design)
 
 
-def estimate_channel_ls(y_syms, train_syms, max_delay: int = 3,
-                        lag_back: int = 6,
-                        params: Optional[ResponseParams] = None,
-                        design: Optional[LsDesign] = None,
+def estimate_channel_ls(obs, design: LsDesign, cascade,
                         spur_threshold: float = 0.05) -> ChannelEstimate:
     """Two-stage least squares: composite response on integer lags first,
-    then per-path gains by matching the known pulse autocorrelation.
+    then per-path gains by matching the pulse's known cascade.
 
-    Candidate path delays are the integers 0..max_delay; paths below
-    ``spur_threshold`` of the strongest recovered gain are dropped and the
-    survivors refit. Residual power from stage one estimates the noise
-    variance at the matched-filter output.
+    ``obs`` holds the symbol-rate matched-filter outputs at ``design.rows``
+    of each rail, concatenated in the design's rail order. ``cascade[i, d]``
+    is the shaping/matched-filter cascade at symbol lag
+    ``design.lags[i] - d`` for candidate path delay d = 0, 1, ...; paths
+    below ``spur_threshold`` of the strongest recovered gain are dropped
+    and the survivors refit. Residual power from stage one estimates the
+    noise variance at the matched-filter output.
     """
-    if params is None:
-        params = ResponseParams()
-    y = np.asarray(y_syms, dtype=float)
-    if design is None:
-        design = build_ls_design(train_syms, max_delay, lag_back)
-    obs = y[design.rows]
+    obs = np.asarray(obs, dtype=float)
     r_hat = design.pinv @ obs
     resid = obs - design.design @ r_hat
     dof = obs.size - design.lags.size
     noise_var = float(np.dot(resid, resid)) / max(dof, 1)
 
-    cand = np.arange(max_delay + 1, dtype=float)
-    G = response_r(design.lags[:, None].astype(float), tau=cand[None, :],
-                   params=params)
-    alpha, *_ = np.linalg.lstsq(G, r_hat, rcond=None)
+    cand = np.arange(cascade.shape[1], dtype=float)
+    alpha, *_ = np.linalg.lstsq(cascade, r_hat, rcond=None)
     keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
     if spur_threshold > 0 and not np.all(keep):
-        alpha_kept, *_ = np.linalg.lstsq(G[:, keep], r_hat, rcond=None)
-        return ChannelEstimate(tuple(cand[keep]), alpha_kept, noise_var)
+        alpha, *_ = np.linalg.lstsq(cascade[:, keep], r_hat, rcond=None)
+        cand = cand[keep]
     return ChannelEstimate(tuple(cand), alpha, noise_var)
 
 

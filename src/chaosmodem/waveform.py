@@ -125,47 +125,32 @@ class BasisFunction:
         return eval_basis(t, self.params)
 
 
-def shaping_taps(n_c: int, params: WaveformParams | None = None) -> np.ndarray:
-    """Polyphase shaping coefficients, shape (n_c, n_p + 1).
-
-    Row f holds the taps for output phase f/n_c: tap n equals
-    p(f/n_c - n_p + n), so a symbol stream convolved phase by phase with
-    these rows reproduces the truncated superposition exactly.
-    """
-    if params is None:
-        params = WaveformParams()
-    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
-        raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
-    f = np.arange(n_c)[:, None] / n_c
-    n = np.arange(params.n_p + 1)[None, :]
-    return _eval_basis_array(f - params.n_p + n, params.beta)
-
-
 def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
                    strict: bool = True) -> np.ndarray:
     """Shape a bipolar symbol stream at n_c samples per symbol.
 
     Sample k (at t = k/n_c) is sum over m of s_m p(t - m), truncated to the
     current and next n_p symbols; symbols beyond the end of the stream are
-    taken as zero. With ``strict`` (the default) symbol values outside
-    {-1, +1} are rejected; tests exercise linearity on a wider alphabet.
+    taken as zero. The sum is an FIR over the zero-stuffed stream whose
+    taps are p on the grid -n_p <= t < 1. With ``strict`` (the default)
+    symbol values outside {-1, +1} are rejected; tests exercise linearity
+    on a wider alphabet.
     """
     if params is None:
         params = WaveformParams()
+    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
+        raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("symbols must be a non-empty 1-d sequence")
     if strict and not np.all(np.isin(s, (-1.0, 1.0))):
         bad = s[~np.isin(s, (-1.0, 1.0))][0]
         raise ValueError(f"symbol values must be -1 or +1, got {bad}")
-    taps = shaping_taps(n_c, params)
-    n_p = params.n_p
-    s_ext = np.concatenate([s, np.zeros(n_p)])
-    out = np.zeros((s.size, n_c))
-    for n in range(n_p + 1):
-        seg = s_ext[n_p - n:n_p - n + s.size]
-        out += seg[:, None] * taps[None, :, n]
-    return out.reshape(-1)
+    lead = params.n_p * n_c
+    taps = _eval_basis_array(np.arange(-lead, n_c) / n_c, params.beta)
+    up = np.zeros(s.size * n_c)
+    up[::n_c] = s
+    return np.convolve(up, taps)[lead:lead + up.size]
 
 
 @dataclass

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chaosmodem import baseline as bl
+from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import txchain as tx
 
@@ -97,11 +98,18 @@ def test_shape_filter_mismatch():
         bl.rrc_shape(np.ones((2, 2)), 8, filt=f)
 
 
+def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
+    design = rx.build_ls_design(train, max_delay=3)
+    cascade = pulse.cascade(design.lags[:, None] - np.arange(4)[None, :])
+    return rx.estimate_channel_ls(y[design.rows], design, cascade,
+                                  spur_threshold=spur_threshold)
+
+
 def test_sync_template_alignment():
     n_c = 8
     f = bl.rrc_taps(0.25, 16, n_c)
     train = tx.bpsk_map(tx.gen_training(tx.FrameLayout(64, 64), seed=3))
-    tpl = bl.rrc_sync_template(train, f)
+    tpl = H.pulse_for("rrc", n_c).template(train)
     assert tpl.size == train.size * n_c
     y = bl.rrc_matched_filter(bl.rrc_shape(train, n_c, filt=f), f)
     assert tpl[0] == y[16 * n_c]
@@ -120,7 +128,7 @@ def test_estimate_channel_noiseless():
     chan = x.copy()
     chan[n_c:] += 0.6 * x[:-n_c]
     y = rx.sample_symbols(bl.rrc_matched_filter(chan, f), 16 * n_c, n_c, syms.size)
-    est = bl.estimate_channel_rrc(y, train, f)
+    est = _rrc_estimate(y, train, H.pulse_for("rrc", n_c))
     assert est.delays == (0.0, 1.0)
     # accuracy is limited only by the cascade truncation floor
     assert np.max(np.abs(est.gains - [1.0, 0.6])) < 2e-3
@@ -133,11 +141,12 @@ def test_estimate_channel_drops_spurs():
     train = tx.bpsk_map(tx.gen_training(tx.FrameLayout(128, 128), seed=5))
     x = bl.rrc_shape(train, n_c, filt=f)
     y = rx.sample_symbols(bl.rrc_matched_filter(x, f), 16 * n_c, n_c, train.size)
-    est = bl.estimate_channel_rrc(y, train, f)
+    pulse = H.pulse_for("rrc", n_c)
+    est = _rrc_estimate(y, train, pulse)
     assert est.delays == (0.0,)
     assert abs(est.gains[0] - 1.0) < 2e-3
     # with the threshold off the small lags stay, but stay small
-    est_all = bl.estimate_channel_rrc(y, train, f, spur_threshold=0.0)
+    est_all = _rrc_estimate(y, train, pulse, spur_threshold=0.0)
     assert est_all.delays == (0.0, 1.0, 2.0, 3.0)
     assert np.max(np.abs(est_all.gains[1:])) < 5e-3
 

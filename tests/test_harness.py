@@ -274,13 +274,23 @@ def test_emit_report_dispatch(tmp_path):
         H.emit_report([], "csv", str(tmp_path / "e.csv"))
 
 
-def test_bench_stages_reports_pipeline():
-    t = H.bench_stages(H.ExperimentConfig(
-        method="chaotic-subopt", channel="static2", ebn0_grid=(6.0,),
-        master_seed=3), n_frames=1)
-    assert set(t) == {"shape", "channel", "matched_filter", "decode"}
-    t = H.bench_stages(H.ExperimentConfig(
-        method="rrc-mmse", channel="quasi2", ebn0_grid=(6.0,),
-        master_seed=3), n_frames=1)
-    assert {"sync", "estimate", "decode"} <= set(t)
-    assert all(v >= 0.0 for v in t.values())
+def test_negative_master_seed_rejected():
+    with pytest.raises(ValueError, match="master_seed"):
+        small_static(master_seed=-1)
+
+
+def test_jobs_below_one_rejected():
+    with pytest.raises(ValueError, match="jobs"):
+        H.run_static_sweep(small_static(), jobs=0)
+
+
+def test_rrc_infeasible_n_c_fails_before_the_pool():
+    # the truncated RRC cascade at n_c = 2 misses the Nyquist tolerance;
+    # that must surface as a config error, not a broken worker pool
+    with pytest.raises(ValueError, match="n_c"):
+        H.run_static_sweep(small_static(method="rrc-mmse", n_c=2), jobs=2)
+
+
+def test_short_training_fails_before_the_pool():
+    with pytest.raises(ValueError, match="n_training_bits"):
+        H.run_quasi_static(small_quasi(n_training_bits=32), jobs=2)

@@ -16,14 +16,7 @@ from oracles import RESPONSE_TABLE
 def test_matched_filter_tap_symmetry():
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
-    sh = wf.shaping_taps(n_c, params)
-    assert mft.taps.shape == (n_c, params.n_p + 1)
-    # phase f of the receive bank is the reversed shaping phase 1 - f/n_c;
-    # dyadic grids make the float arguments identical, so equality is exact
-    for f in range(n_c):
-        assert np.array_equal(mft.taps[f], sh[(n_c - f) % n_c][::-1])
-    kernel = mft.kernel
+    kernel = rx.matched_filter_taps(n_c, params).kernel
     assert kernel.size == n_c * (params.n_p + 1)
     j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
     assert np.array_equal(kernel, wf.eval_basis(-j / n_c))
@@ -227,6 +220,11 @@ def test_channel_estimate_validation():
         rx.ChannelEstimate((), np.array([]), 0.0)
 
 
+def _cascade(design, max_delay=3):
+    """Chaotic pulse cascade at each design lag minus each candidate delay."""
+    return th.response_r(design.lags[:, None] - np.arange(max_delay + 1.0))
+
+
 def test_ls_noiseless_two_path():
     params = wf.WaveformParams(n_p=16)
     n_c = 512
@@ -236,7 +234,8 @@ def test_ls_noiseless_two_path():
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    est = rx.estimate_channel_ls(ysym, syms, max_delay=3)
+    design = rx.build_ls_design(syms, max_delay=3)
+    est = rx.estimate_channel_ls(ysym[design.rows], design, _cascade(design))
     assert est.delays == (0.0, 1.0)
     true = np.array([1.0, math.exp(-0.6)])
     assert np.max(np.abs(est.gains - true) / true) < 1e-4
@@ -251,10 +250,12 @@ def test_ls_single_path_spurious_taps():
     x = wf.synth_waveform(syms, n_c, params)
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    raw = rx.estimate_channel_ls(ysym, syms, max_delay=3, spur_threshold=0.0)
+    design = rx.build_ls_design(syms, max_delay=3)
+    obs, cascade = ysym[design.rows], _cascade(design)
+    raw = rx.estimate_channel_ls(obs, design, cascade, spur_threshold=0.0)
     assert abs(raw.gains[0] - 1.0) < 0.02
     assert np.max(np.abs(raw.gains[1:])) < 0.02
-    est = rx.estimate_channel_ls(ysym, syms, max_delay=3)
+    est = rx.estimate_channel_ls(obs, design, cascade)
     assert est.delays == (0.0,)
 
 
@@ -267,6 +268,7 @@ def test_ls_noisy_gain_rms():
     spec = ch.get_preset("static2")
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(256, 2), seed=9)
     design = rx.build_ls_design(train, max_delay=3)
+    cascade = _cascade(design)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(10.0, e_b, n_c)
     true = np.array([1.0, math.exp(-0.6), 0.0, 0.0])
@@ -276,8 +278,8 @@ def test_ls_noisy_gain_rms():
         x = ch.propagate(wf.synth_waveform(train, n_c, params), spec, n_c)
         y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), mft)
         ysym = rx.sample_symbols(y, 0, n_c, train.size)
-        est = rx.estimate_channel_ls(ysym, train, max_delay=3,
-                                     design=design, spur_threshold=0.0)
+        est = rx.estimate_channel_ls(ysym[design.rows], design, cascade,
+                                     spur_threshold=0.0)
         sq_err.append(np.mean((est.gains - true) ** 2))
     assert math.sqrt(float(np.mean(sq_err))) < 0.05
 
@@ -290,6 +292,16 @@ def test_ls_preconditions():
     # constant training cannot separate the lags
     with pytest.raises(ValueError, match="rank deficient"):
         rx.build_ls_design(np.ones(256), max_delay=3)
+
+
+def test_ls_design_stacks_rails():
+    rng = np.random.default_rng(8)
+    a, b = rng.choice([-1.0, 1.0], (2, 128))
+    da, db = rx.build_ls_design(a), rx.build_ls_design(b)
+    both = rx.build_ls_design(np.stack([a, b]))
+    assert both.rows == da.rows
+    assert np.array_equal(both.lags, da.lags)
+    assert np.array_equal(both.design, np.vstack([da.design, db.design]))
 
 
 def test_threshold_optimal_brute_force():

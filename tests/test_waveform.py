@@ -80,19 +80,6 @@ def test_min_truncation_length():
         wf.min_truncation_length(rel_tol=0.0)
 
 
-def test_shaping_taps_layout():
-    params = wf.WaveformParams()
-    taps = wf.shaping_taps(8, params)
-    assert taps.shape == (8, params.n_p + 1)
-    # last column is the pulse over the current symbol period
-    assert taps[0, -1] == 0.5
-    assert abs(taps[4, -1] - (1.0 + 1.0 / math.sqrt(2.0))) < 1e-12
-    # first column is the deep tail
-    assert np.max(np.abs(taps[:, 0])) < 1e-3 * (1.0 + 1.0 / math.sqrt(2.0))
-    with pytest.raises(ValueError):
-        wf.shaping_taps(1, params)
-
-
 def test_synth_matches_truncated_double_sum():
     rng = np.random.default_rng(1234)
     params = wf.WaveformParams()
