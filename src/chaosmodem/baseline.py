@@ -114,19 +114,14 @@ def rrc_taps(rolloff: float, span: int, n_c: int) -> RrcFilter:
     return RrcFilter(a, int(span), int(n_c), h)
 
 
-def rrc_shape(symbols, n_c: int, rolloff: float = DEFAULT_ROLLOFF,
-              span: int = DEFAULT_SPAN,
-              filt: Optional[RrcFilter] = None) -> np.ndarray:
-    """Zero-stuff one rail to n_c samples per symbol and filter.
+def rrc_shape(symbols, filt: RrcFilter) -> np.ndarray:
+    """Zero-stuff one rail to the filter's n_c samples per symbol and
+    filter.
 
     Output length is (n_symbols + span) * n_c; the pulse of symbol m peaks
     at sample (m + span / 2) * n_c, which is the group delay the receive
     side undoes.
     """
-    if filt is None:
-        filt = rrc_taps(rolloff, span, n_c)
-    elif filt.n_c != n_c:
-        raise ValueError("filter was built for a different n_c")
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("symbols must be a nonempty 1-d array")
@@ -218,12 +213,3 @@ def apply_equalizer(symbols_rx, eq: MmseEqualizer) -> np.ndarray:
     full = np.convolve(y, eq.taps)
     return full[eq.delay : eq.delay + y.size]
 
-
-def mmse_equalize(symbols_rx, estimate: ChannelEstimate,
-                  length: int = DEFAULT_EQ_LENGTH,
-                  delay: int = DEFAULT_EQ_DELAY,
-                  noise_var: Optional[float] = None) -> np.ndarray:
-    """Design the MMSE equalizer for the given channel estimate and apply
-    it to one rail of symbol-rate matched-filter outputs."""
-    eq = design_mmse(estimate, length=length, delay=delay, noise_var=noise_var)
-    return apply_equalizer(symbols_rx, eq)

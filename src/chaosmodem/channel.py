@@ -1,4 +1,4 @@
-"""Multipath channel model: tapped delay line, AWGN, noise calibration.
+"""Multipath channel model: tapped delay line and noise calibration.
 
 Delays are expressed in symbol periods and must land on the receiver's
 sample grid (integer multiples of 1/n_c). Path gains follow a negative
@@ -9,17 +9,9 @@ damping coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
-
-SeedLike = Union[int, np.random.Generator, np.random.SeedSequence]
-
-
-def _as_rng(seed: SeedLike) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def gains_from_gamma(gamma: float, delays: Sequence[float]) -> np.ndarray:
@@ -83,22 +75,6 @@ class MultipathSpec:
 
 
 @dataclass(frozen=True)
-class NoiseSpec:
-    """Noise level, either a calibrated per-sample sigma or a raw Eb/N0."""
-
-    mode: str
-    value: float
-
-    def __post_init__(self):
-        if self.mode not in ("eb_n0_db", "sigma"):
-            raise ValueError(f"unknown noise mode {self.mode!r}")
-        if self.mode == "sigma" and self.value < 0:
-            raise ValueError(f"sigma must be non-negative, got {self.value}")
-        if not np.isfinite(self.value):
-            raise ValueError("noise value must be finite")
-
-
-@dataclass(frozen=True)
 class QuasiStaticModel:
     """Per-frame redraw of gamma over a uniform range; delay set fixed."""
 
@@ -127,20 +103,7 @@ def propagate(samples: np.ndarray, spec: MultipathSpec, n_c: int) -> np.ndarray:
     return out
 
 
-def add_awgn(samples: np.ndarray, noise: NoiseSpec, seed: SeedLike) -> np.ndarray:
-    """Add white Gaussian noise of the calibrated standard deviation."""
-    if noise.mode != "sigma":
-        raise ValueError(
-            "add_awgn needs a calibrated sigma; convert eb_n0_db via calibrate_noise"
-        )
-    x = np.asarray(samples, dtype=float)
-    if noise.value == 0.0:
-        return x.copy()
-    rng = _as_rng(seed)
-    return x + rng.normal(0.0, noise.value, size=x.shape)
-
-
-def calibrate_noise(eb_n0_db: float, waveform_energy_per_bit: float, n_c: int) -> float:
+def calibrate_noise(eb_n0_db: float, waveform_energy_per_bit: float) -> float:
     """Per-sample noise sigma for a target Eb/N0.
 
     ``waveform_energy_per_bit`` is the measured sample-sum energy of one
@@ -152,15 +115,12 @@ def calibrate_noise(eb_n0_db: float, waveform_energy_per_bit: float, n_c: int) -
         raise ValueError(
             f"energy per bit must be positive, got {waveform_energy_per_bit}"
         )
-    if n_c < 1:
-        raise ValueError(f"n_c must be a positive integer, got {n_c}")
     snr_lin = 10.0 ** (eb_n0_db / 10.0)
     return float(np.sqrt(waveform_energy_per_bit / (2.0 * snr_lin)))
 
 
-def draw_gamma(model: QuasiStaticModel, seed: SeedLike) -> float:
+def draw_gamma(model: QuasiStaticModel, rng: np.random.Generator) -> float:
     """One uniform draw of the damping coefficient (one per frame)."""
-    rng = _as_rng(seed)
     return float(rng.uniform(model.gamma_min, model.gamma_max))
 
 

@@ -208,7 +208,7 @@ class _RrcPulse(Pulse):
         self.energy = float(np.dot(self.filt.taps, self.filt.taps))
 
     def synth(self, symbols) -> np.ndarray:
-        return bl.rrc_shape(symbols, self.n_c, filt=self.filt)
+        return bl.rrc_shape(symbols, self.filt)
 
     def mf(self, stream) -> np.ndarray:
         return bl.rrc_matched_filter(stream, self.filt)
@@ -248,6 +248,19 @@ def _frame_streams(master_seed: int, frame_idx: int):
             np.random.default_rng(noise))
 
 
+def _preset(config: ExperimentConfig, quasi: bool, sweep: str):
+    """The config's channel preset, which must be quasi-static for a quasi
+    sweep and static otherwise."""
+    preset = ch.get_preset(config.channel)
+    if quasi != isinstance(preset, ch.QuasiStaticModel):
+        names = [*ch.QUASI_PRESETS, "quasi"] if quasi else [*ch.STATIC_PRESETS]
+        kind = "static" if quasi else "quasi-static"
+        raise ValueError(
+            f"channel = {config.channel!r} is {kind}; {sweep} needs "
+            f"{', '.join(names[:-1])} or {names[-1]}")
+    return preset
+
+
 # ---------------------------------------------------------------- frames ---
 
 class _Context:
@@ -263,13 +276,11 @@ class _Context:
         except ValueError as exc:
             raise ValueError(f"n_c = {n_c} does not suit {config.method}: "
                              f"{exc}") from None
-        self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy, n_c)
+        self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy)
                                 for db in config.ebn0_grid])
         self.rparams = th.ResponseParams()
-        self.channel = ch.get_preset(config.channel)
-        if quasi != isinstance(self.channel, ch.QuasiStaticModel):
-            kind = "quasi-static" if quasi else "static"
-            raise ValueError(f"this sweep needs a {kind} channel preset")
+        self.channel = _preset(config, quasi, "run_quasi_static" if quasi
+                               else "run_static_sweep")
         if not quasi:
             delays, gains = self.channel.delays, np.array(self.channel.gains)
             self.estimate = rx.ChannelEstimate(delays, gains, 0.0)
@@ -532,14 +543,12 @@ def run_theory_curves(config: ExperimentConfig) -> List[BerRecord]:
     measured receive-kernel energy)."""
     if config.method not in THEORY_METHODS:
         raise ValueError(f"run_theory_curves cannot run {config.method!r}")
-    preset = ch.get_preset(config.channel)
-    if not isinstance(preset, ch.MultipathSpec):
-        raise ValueError("theory curves need a static channel preset")
+    preset = _preset(config, False, "run_theory_curves")
     eb = waveform_energy_per_bit("chaotic", config.n_c)
     P = th.compute_signal_power(preset)
     records = []
     for db in config.ebn0_grid:
-        sigma = ch.calibrate_noise(db, eb, config.n_c)
+        sigma = ch.calibrate_noise(db, eb)
         sw = sigma_w_chaotic(sigma, config.n_c)
         if config.method == "theory-opt":
             ber = th.ber_optimal(P, sw)
@@ -600,17 +609,6 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
                          f"{r.bits} {r.errors} {r.channel}\n")
         paths.append(path)
     return paths
-
-
-def emit_report(records: Sequence[BerRecord], format: str,
-                out: str) -> List[str]:
-    """Write records as 'csv' (out is the file path) or 'plotdata' (out is
-    a directory; one file per method)."""
-    if format == "csv":
-        return [emit_csv(records, out)]
-    if format == "plotdata":
-        return emit_plotdata(records, out)
-    raise ValueError(f"unknown report format {format!r}")
 
 
 def _map_frames(worker, ctx: _Context, n_frames: int, jobs: int):

@@ -1,5 +1,5 @@
-"""Receiver chain: downconversion, matched filtering, synchronization,
-least-squares channel estimation, threshold decoding.
+"""Receiver chain: matched filtering, synchronization, least-squares
+channel estimation, threshold decoding.
 
 The matched filter correlates against the time-reverse g(t) = p(-t) of the
 transmit pulse, realized as a sample-rate FIR whose taps are g on the
@@ -17,23 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from .theory import ResponseParams, composite_response, response_decay_radius
-from .txchain import CarrierConfig, RateConfig
 from .waveform import WaveformParams, _eval_basis_array
-
-try:
-    from numba import njit as _njit
-    _HAVE_NUMBA = True
-except ImportError:
-    _HAVE_NUMBA = False
-
-# half-width of the shaped spectrum's 10 dB occupied band, in cycles per
-# symbol period, measured from the pulse spectrum on a dense FFT grid
-PULSE_HALF_BW_10DB = 1.187
 
 
 @dataclass(frozen=True)
@@ -69,45 +58,6 @@ def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
     n_c = taps.n_c
     full = np.convolve(x, taps.kernel)
     return full[n_c - 1:n_c - 1 + x.size + taps.params.n_p * n_c] / n_c
-
-
-def lowpass_taps(cutoff: float, n_taps: int = 65) -> np.ndarray:
-    """Linear-phase Hamming windowed-sinc low-pass, unit DC gain.
-
-    ``cutoff`` is in cycles per sample. Tap count must be odd so the
-    group delay lands on a whole sample and can be removed exactly.
-    """
-    if not 0.0 < cutoff < 0.5:
-        raise ValueError(f"cutoff must lie in (0, 0.5) cycles/sample, got {cutoff}")
-    if n_taps % 2 == 0 or n_taps < 3:
-        raise ValueError(f"tap count must be odd and >= 3, got {n_taps}")
-    m = np.arange(n_taps) - (n_taps - 1) / 2
-    h = 2.0 * cutoff * np.sinc(2.0 * cutoff * m)
-    h *= np.hamming(n_taps)
-    return h / h.sum()
-
-
-def downconvert(passband, carrier: CarrierConfig, rates: RateConfig,
-                lpf: Optional[np.ndarray] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Mix down with the transmitter's carrier and low-pass both rails.
-
-    y_i = LPF(2 y cos), y_q = LPF(2 y sin); the factor 2 restores unit
-    amplitude. The default filter cuts at 1.5x the shaped signal's 10 dB
-    occupied bandwidth.
-    """
-    y = np.asarray(passband, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("passband must be 1-d")
-    if lpf is None:
-        lpf = lowpass_taps(1.5 * (2.0 * PULSE_HALF_BW_10DB) / rates.n_c)
-    if lpf.size % 2 == 0:
-        raise ValueError("low-pass filter must have odd length")
-    w0 = 2.0 * math.pi * carrier.f_b / carrier.f_s
-    n = np.arange(y.size)
-    delay = (lpf.size - 1) // 2
-    i = np.convolve(2.0 * y * np.cos(w0 * n), lpf)[delay:delay + y.size]
-    q = np.convolve(2.0 * y * np.sin(w0 * n), lpf)[delay:delay + y.size]
-    return i, q
 
 
 @dataclass(frozen=True)
@@ -282,35 +232,6 @@ def decision_window(estimate) -> int:
     return 5 + int(math.ceil(max(estimate.delays)))
 
 
-@dataclass
-class ThresholdState:
-    """Ring of recent decisions feeding the causal threshold.
-
-    window[k-1] holds the decision for symbol n-k when the next symbol to
-    decode is n. Fresh states start from silence (zeros), matching a frame
-    with no symbols before it.
-    """
-
-    window: np.ndarray
-    estimate: ChannelEstimate
-    coeffs: np.ndarray
-
-    @classmethod
-    def fresh(cls, estimate: ChannelEstimate,
-              params: Optional[ResponseParams] = None) -> "ThresholdState":
-        w = decision_window(estimate)
-        return cls(np.zeros(w), estimate, isi_feedback_coeffs(estimate, w, params))
-
-    def push(self, symbol: float) -> None:
-        self.window[1:] = self.window[:-1]
-        self.window[0] = symbol
-
-
-def threshold_suboptimal(state: ThresholdState, n: Optional[int] = None) -> float:
-    """Causal threshold from the windowed past decisions."""
-    return float(np.dot(state.window, state.coeffs))
-
-
 def decide(y, theta):
     """Threshold decision; boundary goes to +1."""
     y_arr = np.asarray(y, dtype=float)
@@ -320,7 +241,7 @@ def decide(y, theta):
     return out
 
 
-def _dd_loop_py(y, out, coeffs, n_start):
+def _dd_loop(y, out, coeffs, n_start):
     w = coeffs.shape[0]
     for n in range(n_start, y.shape[0]):
         th = 0.0
@@ -329,12 +250,6 @@ def _dd_loop_py(y, out, coeffs, n_start):
             if m >= 0:
                 th += out[m] * coeffs[k - 1]
         out[n] = 1.0 if y[n] >= th else -1.0
-
-
-if _HAVE_NUMBA:
-    _dd_loop = _njit(cache=True)(_dd_loop_py)
-else:
-    _dd_loop = _dd_loop_py
 
 
 def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate,
@@ -356,12 +271,3 @@ def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate,
     _dd_loop(y, out, coeffs, train.size)
     return out
 
-
-def decode_genie(y_syms, true_syms, estimate: ChannelEstimate,
-                 params: Optional[ResponseParams] = None) -> np.ndarray:
-    """Decode against the optimal threshold built from the true symbols."""
-    y = np.asarray(y_syms, dtype=float)
-    s = np.asarray(true_syms, dtype=float)
-    if y.size != s.size:
-        raise ValueError("observation and true-symbol lengths differ")
-    return decide(y, threshold_optimal(s, estimate, params))

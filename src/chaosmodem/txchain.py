@@ -1,9 +1,9 @@
-"""Transmitter chain: framing, constellation mapping, shaping, upconversion.
+"""Transmitter chain: framing and constellation mapping.
 
-Bits are framed as training followed by payload, mapped to bipolar symbols
-(QPSK split across in-phase/quadrature rails, BPSK on the in-phase rail
-alone), shaped at n_c samples per symbol by either the chaotic pulse or a
-root-raised-cosine filter, and optionally mixed onto a digital carrier.
+Bits are framed as training followed by payload and mapped to bipolar
+symbols, QPSK split across in-phase/quadrature rails. Shaping at n_c
+samples per symbol belongs to the pulse of each modem (see
+``harness.pulse_for``).
 
 The QPSK table is q = 1 - 2*b1, i = 1 - 2*(b1 xor b2) for each consecutive
 bit pair (b1, b2); all four rows are pinned by tests.
@@ -11,40 +11,24 @@ bit pair (b1, b2); all four rows are pinned by tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .waveform import WaveformParams, synth_waveform
-
-TRAINING_KINDS = ("gold_sequence", "stored_pn")
 _DEFAULT_PN_SEED = 2026
-
-# preferred pair of degree-10 generators for the training sequence:
-# x^10 + x^3 + 1 and x^10 + x^8 + x^3 + x^2 + 1, both with all-ones fill
-_GOLD_FEEDBACK_A = (0, 3)
-_GOLD_FEEDBACK_B = (0, 2, 3, 8)
-_GOLD_DEGREE = 10
-_GOLD_PERIOD = 2 ** _GOLD_DEGREE - 1
 
 
 @dataclass(frozen=True)
 class FrameLayout:
     n_training: int
     n_data: int
-    training_kind: str = "stored_pn"
 
     def __post_init__(self):
         if not (isinstance(self.n_training, (int, np.integer)) and self.n_training > 0):
             raise ValueError(f"n_training must be a positive integer, got {self.n_training}")
         if not (isinstance(self.n_data, (int, np.integer)) and self.n_data > 0):
             raise ValueError(f"n_data must be a positive integer, got {self.n_data}")
-        if self.training_kind not in TRAINING_KINDS:
-            raise ValueError(
-                f"training_kind must be one of {TRAINING_KINDS}, got {self.training_kind!r}")
 
     @property
     def total(self) -> int:
@@ -53,11 +37,8 @@ class FrameLayout:
 
 @dataclass(frozen=True)
 class SymbolFrame:
-    """Mapped bipolar rails plus the layout they came from.
-
-    QPSK carries half the frame bits on each rail; BPSK puts every bit on
-    the in-phase rail and parks the quadrature rail at +1.
-    """
+    """Mapped bipolar rails plus the layout they came from; each rail
+    carries half the frame bits."""
 
     i_syms: np.ndarray
     q_syms: np.ndarray
@@ -73,42 +54,14 @@ class SymbolFrame:
         for rail in (i, q):
             if not np.all(np.isin(rail, (-1.0, 1.0))):
                 raise ValueError("symbol values must be -1 or +1")
-        if i.size not in (self.layout.total, self.layout.total // 2):
+        if 2 * i.size != self.layout.total:
             raise ValueError(
-                f"rail length {i.size} matches neither one bit per symbol "
-                f"({self.layout.total}) nor two ({self.layout.total // 2})")
+                f"rails of {i.size} symbols do not carry the layout's "
+                f"{self.layout.total} bits at two bits per symbol")
 
     @property
     def n_symbols(self) -> int:
         return int(self.i_syms.size)
-
-
-@dataclass(frozen=True)
-class CarrierConfig:
-    f_b: float
-    f_s: float
-
-    def __post_init__(self):
-        if not 0.0 < self.f_b < self.f_s / 2.0:
-            raise ValueError(
-                f"carrier must satisfy 0 < f_b < f_s/2, got f_b={self.f_b}, f_s={self.f_s}")
-
-
-@dataclass(frozen=True)
-class RateConfig:
-    r_b: float
-    n_c: int
-
-    def __post_init__(self):
-        if not self.r_b > 0:
-            raise ValueError(f"symbol rate must be positive, got {self.r_b}")
-        if not (isinstance(self.n_c, (int, np.integer)) and self.n_c >= 2):
-            raise ValueError(f"oversampling rate must be an integer >= 2, got {self.n_c}")
-
-    @property
-    def r_c(self) -> float:
-        """Sample rate of the shaped baseband."""
-        return self.r_b * self.n_c
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -132,147 +85,24 @@ def qpsk_map(bits) -> Tuple[np.ndarray, np.ndarray]:
     return i, q
 
 
-def qpsk_demap(i_syms, q_syms) -> np.ndarray:
-    i = np.asarray(i_syms, dtype=float)
-    q = np.asarray(q_syms, dtype=float)
-    if i.shape != q.shape or i.ndim != 1:
-        raise ValueError("i/q rails must be 1-d and equally long")
-    if not (np.all(np.isin(i, (-1.0, 1.0))) and np.all(np.isin(q, (-1.0, 1.0)))):
-        raise ValueError("symbol values must be -1 or +1")
-    b1 = ((1.0 - q) / 2.0).astype(np.int64)
-    b2 = b1 ^ ((1.0 - i) / 2.0).astype(np.int64)
-    out = np.empty(2 * i.size, dtype=np.int64)
-    out[0::2] = b1
-    out[1::2] = b2
-    return out
-
-
-def bpsk_map(bits) -> np.ndarray:
-    b = _check_bits(bits)
-    return 1.0 - 2.0 * b
-
-
-def bpsk_demap(syms) -> np.ndarray:
-    s = np.asarray(syms, dtype=float)
-    if s.ndim != 1 or s.size == 0:
-        raise ValueError("symbol sequence must be 1-d and non-empty")
-    if not np.all(np.isin(s, (-1.0, 1.0))):
-        raise ValueError("symbol values must be -1 or +1")
-    return ((1.0 - s) / 2.0).astype(np.int64)
-
-
-def _lfsr_sequence(feedback: tuple) -> np.ndarray:
-    """One period of a degree-10 LFSR from an all-ones fill.
-
-    State is kept oldest bit first; each step emits state[0] and shifts in
-    the XOR of the tapped positions.
-    """
-    state = [1] * _GOLD_DEGREE
-    out = np.empty(_GOLD_PERIOD, dtype=np.int64)
-    for k in range(_GOLD_PERIOD):
-        out[k] = state[0]
-        fb = 0
-        for i in feedback:
-            fb ^= state[i]
-        state = state[1:] + [fb]
-    return out
-
-
-@lru_cache(maxsize=1)
-def _gold_sequence() -> np.ndarray:
-    a = _lfsr_sequence(_GOLD_FEEDBACK_A)
-    b = _lfsr_sequence(_GOLD_FEEDBACK_B)
-    return a ^ b
-
-
-def gen_training(layout: FrameLayout, seed: Optional[int] = None,
-                 allow_truncation: bool = False) -> np.ndarray:
-    """Training bits for a frame.
-
-    gold_sequence: one period of the fixed preferred-pair Gold code
-    (length 1023); shorter frames must opt in to truncation explicitly.
-    stored_pn: a seeded balanced pseudo-noise pattern (exact half/half up
-    to one bit), reproducible from the seed alone.
-    """
+def gen_training(layout: FrameLayout, seed: Optional[int] = None) -> np.ndarray:
+    """Training bits for a frame: a seeded balanced pseudo-noise pattern
+    (exact half/half up to one bit), reproducible from the seed alone."""
     n = layout.n_training
-    if layout.training_kind == "gold_sequence":
-        if n > _GOLD_PERIOD:
-            raise ValueError(
-                f"gold training longer than one period ({_GOLD_PERIOD}) is unsupported")
-        if n < _GOLD_PERIOD and not allow_truncation:
-            raise ValueError(
-                f"gold training of length {n} truncates the {_GOLD_PERIOD}-chip "
-                "period; pass allow_truncation=True to accept that")
-        return _gold_sequence()[:n].copy()
     rng = np.random.default_rng(_DEFAULT_PN_SEED if seed is None else seed)
     bits = np.zeros(n, dtype=np.int64)
     bits[: n // 2] = 1
     return rng.permutation(bits)
 
 
-def build_frame(data_bits, layout: FrameLayout, modulation: str = "qpsk",
-                seed: Optional[int] = None,
-                allow_truncation: bool = False) -> SymbolFrame:
+def build_frame(data_bits, layout: FrameLayout,
+                seed: Optional[int] = None) -> SymbolFrame:
     """Assemble training + payload bits and map them onto symbol rails."""
     data = _check_bits(data_bits)
     if data.size != layout.n_data:
         raise ValueError(
             f"payload has {data.size} bits but the layout expects {layout.n_data}")
-    train = gen_training(layout, seed, allow_truncation)
-    bits = np.concatenate([train, data])
-    if modulation == "qpsk":
-        if layout.n_training % 2 or layout.n_data % 2:
-            raise ValueError("QPSK framing needs even training and data bit counts")
-        i, q = qpsk_map(bits)
-    elif modulation == "bpsk":
-        i = bpsk_map(bits)
-        q = np.ones_like(i)
-    else:
-        raise ValueError(f"unknown modulation {modulation!r}")
+    if layout.n_training % 2 or layout.n_data % 2:
+        raise ValueError("QPSK framing needs even training and data bit counts")
+    i, q = qpsk_map(np.concatenate([gen_training(layout, seed), data]))
     return SymbolFrame(i, q, layout)
-
-
-def _pad_symbols(syms: np.ndarray, n_pad: int) -> np.ndarray:
-    """Known alternating tail so the waveform past the last symbol is
-    fully determined; the receiver discards it."""
-    pad = np.resize(np.array([1.0, -1.0]), n_pad)
-    return np.concatenate([syms, pad])
-
-
-def shape(frame: SymbolFrame, rates: RateConfig, filter: str = "chaotic",
-          params: Optional[WaveformParams] = None,
-          rolloff: float = 0.25, span: int = 16) -> Tuple[np.ndarray, np.ndarray]:
-    """Shape both rails at n_c samples per symbol.
-
-    chaotic: each rail plus its alternating tail pad (n_p symbols) goes
-    through the superposition synthesis; output length is
-    (n_symbols + n_p) * n_c per rail.
-    rrc: rails are root-raised-cosine filtered; output length is
-    (n_symbols + span) * n_c with the peak of symbol m at sample
-    (m + span/2) * n_c.
-    """
-    n_c = rates.n_c
-    if filter == "chaotic":
-        if params is None:
-            params = WaveformParams()
-        i = synth_waveform(_pad_symbols(frame.i_syms, params.n_p), n_c, params)
-        q = synth_waveform(_pad_symbols(frame.q_syms, params.n_p), n_c, params)
-        return i, q
-    if filter == "rrc":
-        from .baseline import rrc_shape
-        i = rrc_shape(frame.i_syms, n_c, rolloff=rolloff, span=span)
-        q = rrc_shape(frame.q_syms, n_c, rolloff=rolloff, span=span)
-        return i, q
-    raise ValueError(f"unknown shaping filter {filter!r}")
-
-
-def upconvert(i_samples, q_samples, carrier: CarrierConfig) -> np.ndarray:
-    """Mix the rails onto the digital carrier:
-    x(n) = i(n) cos(w0 n) + q(n) sin(w0 n), w0 = 2 pi f_b / f_s."""
-    i = np.asarray(i_samples, dtype=float)
-    q = np.asarray(q_samples, dtype=float)
-    if i.shape != q.shape or i.ndim != 1:
-        raise ValueError("i/q sample blocks must be 1-d and equally long")
-    w0 = 2.0 * math.pi * carrier.f_b / carrier.f_s
-    n = np.arange(i.size)
-    return i * np.cos(w0 * n) + q * np.sin(w0 * n)

@@ -22,7 +22,7 @@ of the pulse peak.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -33,15 +33,6 @@ TWO_PI = 2.0 * math.pi
 
 _VALIDATION_GRID_STEP = 1.0 / 512.0
 _VALIDATION_T_MIN = -40.0
-
-
-def _basis_scalar_free(t: float, beta: float) -> float:
-    if t >= 1.0:
-        return 0.0
-    c = math.cos(TWO_PI * t) - (beta / TWO_PI) * math.sin(TWO_PI * t)
-    if t < 0.0:
-        return (1.0 - math.exp(-beta)) * math.exp(beta * t) * c
-    return 1.0 - math.exp(beta * (t - 1.0)) * c
 
 
 @lru_cache(maxsize=32)
@@ -108,21 +99,9 @@ def _eval_basis_array(t: np.ndarray, beta: float) -> np.ndarray:
 
 
 def eval_basis(t, params: WaveformParams | None = None):
-    """Transmit pulse p(t); scalar in, scalar out (arrays pass through)."""
-    beta = LN2 if params is None else params.beta
-    if np.isscalar(t) or np.ndim(t) == 0:
-        return _basis_scalar_free(float(t), beta)
-    return _eval_basis_array(np.asarray(t, dtype=float), beta)
-
-
-@dataclass(frozen=True)
-class BasisFunction:
-    """Callable pulse bound to a parameter set (picklable for workers)."""
-
-    params: WaveformParams = field(default_factory=WaveformParams)
-
-    def __call__(self, t):
-        return eval_basis(t, self.params)
+    """Transmit pulse p(t); a float for scalar input, else an array."""
+    p = _eval_basis_array(t, LN2 if params is None else params.beta)
+    return float(p) if p.ndim == 0 else p
 
 
 def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,

@@ -5,6 +5,8 @@ than imported from the package, so tests compare two separately derived
 computations.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 LN2 = float(np.log(2.0))
@@ -36,6 +38,35 @@ def brute_response(lags, step=1e-3, beta=LN2, support=40.0):
     if np.max(np.abs(lags * n - idx)) > 1e-6:
         raise ValueError("lags must be multiples of the grid step")
     return full[center + idx]
+
+
+@dataclass
+class ThresholdState:
+    """Ring of recent decisions feeding the causal threshold, one symbol at
+    a time: the reference the batch decision-feedback decoder must match.
+
+    window[k-1] holds the decision for symbol n-k when the next symbol to
+    decode is n. Fresh states start from silence (zeros), matching a frame
+    with no symbols before it. ``coeffs[k-1]`` is the composite response
+    at past lag k, over the same window length as the decoder.
+    """
+
+    window: np.ndarray
+    coeffs: np.ndarray
+
+    @classmethod
+    def fresh(cls, coeffs) -> "ThresholdState":
+        coeffs = np.asarray(coeffs, dtype=float)
+        return cls(np.zeros(coeffs.size), coeffs)
+
+    def push(self, symbol: float) -> None:
+        self.window[1:] = self.window[:-1]
+        self.window[0] = symbol
+
+
+def threshold_suboptimal(state: ThresholdState) -> float:
+    """Causal threshold from the windowed past decisions."""
+    return float(np.dot(state.window, state.coeffs))
 
 
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision

@@ -73,7 +73,7 @@ def test_shape_length_and_peaks():
     f = bl.rrc_taps(0.25, 16, n_c)
     s = np.zeros(12)
     s[3] = 1.0
-    x = bl.rrc_shape(s, n_c, filt=f)
+    x = bl.rrc_shape(s, f)
     assert x.size == (12 + 16) * n_c
     assert np.argmax(x) == (3 + 8) * n_c
     y = bl.rrc_matched_filter(x, f)
@@ -84,18 +84,18 @@ def test_shape_length_and_peaks():
     rng = np.random.default_rng(11)
     a = rng.choice([-1.0, 1.0], 40)
     b = rng.choice([-1.0, 1.0], 40)
-    xa = bl.rrc_shape(a, n_c, filt=f)
-    xb = bl.rrc_shape(b, n_c, filt=f)
-    xab = bl.rrc_shape(a + b, n_c, filt=f)
+    xa = bl.rrc_shape(a, f)
+    xb = bl.rrc_shape(b, f)
+    xab = bl.rrc_shape(a + b, f)
     assert np.max(np.abs(xab - xa - xb)) < 1e-12
 
 
 def test_shape_filter_mismatch():
     f = bl.rrc_taps(0.25, 16, 8)
     with pytest.raises(ValueError):
-        bl.rrc_shape(np.ones(4), 16, filt=f)
+        bl.rrc_shape(np.ones((2, 2)), f)
     with pytest.raises(ValueError):
-        bl.rrc_shape(np.ones((2, 2)), 8, filt=f)
+        bl.rrc_shape(np.ones(0), f)
 
 
 def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
@@ -108,10 +108,10 @@ def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
 def test_sync_template_alignment():
     n_c = 8
     f = bl.rrc_taps(0.25, 16, n_c)
-    train = tx.bpsk_map(tx.gen_training(tx.FrameLayout(64, 64), seed=3))
+    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(64, 64), seed=3)
     tpl = H.pulse_for("rrc", n_c).template(train)
     assert tpl.size == train.size * n_c
-    y = bl.rrc_matched_filter(bl.rrc_shape(train, n_c, filt=f), f)
+    y = bl.rrc_matched_filter(bl.rrc_shape(train, f), f)
     assert tpl[0] == y[16 * n_c]
     # symbol m of the template sits at m * n_c and carries its sign
     picks = tpl[np.arange(train.size) * n_c]
@@ -122,9 +122,9 @@ def test_estimate_channel_noiseless():
     n_c = 8
     f = bl.rrc_taps(0.25, 16, n_c)
     rng = np.random.default_rng(21)
-    train = tx.bpsk_map(tx.gen_training(tx.FrameLayout(128, 256), seed=5))
+    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 256), seed=5)
     syms = np.concatenate([train, rng.choice([-1.0, 1.0], 256)])
-    x = bl.rrc_shape(syms, n_c, filt=f)
+    x = bl.rrc_shape(syms, f)
     chan = x.copy()
     chan[n_c:] += 0.6 * x[:-n_c]
     y = rx.sample_symbols(bl.rrc_matched_filter(chan, f), 16 * n_c, n_c, syms.size)
@@ -138,8 +138,8 @@ def test_estimate_channel_noiseless():
 def test_estimate_channel_drops_spurs():
     n_c = 8
     f = bl.rrc_taps(0.25, 16, n_c)
-    train = tx.bpsk_map(tx.gen_training(tx.FrameLayout(128, 128), seed=5))
-    x = bl.rrc_shape(train, n_c, filt=f)
+    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=5)
+    x = bl.rrc_shape(train, f)
     y = rx.sample_symbols(bl.rrc_matched_filter(x, f), 16 * n_c, n_c, train.size)
     pulse = H.pulse_for("rrc", n_c)
     est = _rrc_estimate(y, train, pulse)
@@ -227,16 +227,3 @@ def test_mmse_errors():
     with pytest.raises(ValueError):
         bl.design_mmse(est, delay=40)
 
-
-def test_mmse_equalize_wrapper():
-    est = rx.ChannelEstimate((0.0, 1.0), np.array([1.0, 0.5]), 0.04)
-    rng = np.random.default_rng(3)
-    s = rng.choice([-1.0, 1.0], 500)
-    y = np.convolve(s, [1.0, 0.5])[: s.size] + rng.normal(0.0, 0.2, s.size)
-    direct = bl.mmse_equalize(y, est)
-    eq = bl.design_mmse(est)
-    assert np.array_equal(direct, bl.apply_equalizer(y, eq))
-    # and it actually cleans up the ISI: decisions beat the raw samples
-    raw_errs = np.count_nonzero(np.sign(y[20:-20]) != s[20:-20])
-    eq_errs = np.count_nonzero(np.sign(direct[20:-20]) != s[20:-20])
-    assert eq_errs < raw_errs

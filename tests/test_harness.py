@@ -110,7 +110,7 @@ def test_static_sweep_accounting():
 def test_static_sweep_method_gates():
     with pytest.raises(ValueError):
         H.run_static_sweep(small_static(method="theory-opt"), jobs=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="channel = 'quasi2' is quasi-static"):
         H.run_static_sweep(small_static(channel="quasi2"), jobs=1)
     with pytest.raises(ValueError):
         # the optimal threshold needs the transmitted symbols
@@ -165,8 +165,34 @@ def test_quasi_sweep_method_gates():
         with pytest.raises(ValueError):
             kw = {"genie": True} if bad == "chaotic-opt" else {}
             H.run_quasi_static(small_quasi(method=bad, **kw), jobs=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="channel = 'static2' is static"):
         H.run_quasi_static(small_quasi(channel="static2"), jobs=1)
+
+
+def test_quasi_failure_policy_separate_excludes_failed_frames():
+    # at these low Eb/N0 points some frames lose sync; the separate policy
+    # must drop exactly their payload bits (and the errors the pessimistic
+    # policy charges for them) and report the drop
+    runs = {}
+    for policy in ("pessimistic", "separate"):
+        stats = {}
+        cfg = small_quasi(channel="quasi3", ebn0_grid=(-4.0, -3.0, -2.0, -1.0),
+                          frames=20, n_data_bits=512, master_seed=3,
+                          failure_policy=policy)
+        runs[policy] = (H.run_quasi_static(cfg, jobs=1, stats=stats), stats)
+    pess, pess_stats = runs["pessimistic"]
+    sep, sep_stats = runs["separate"]
+    assert sep_stats["failure_policy"] == "separate"
+    failed = [row["failed_frames"] for row in pess_stats["per_point"]]
+    assert failed == [row["failed_frames"] for row in sep_stats["per_point"]]
+    assert sum(failed) > 0 and max(failed) < 20
+    for p, (a, b) in enumerate(zip(pess, sep)):
+        dropped = failed[p] * 512
+        assert a.bits == 20 * 512
+        assert b.bits == a.bits - dropped
+        assert b.errors == a.errors - dropped
+        assert pess_stats["per_point"][p]["excluded_bits"] == 0
+        assert sep_stats["per_point"][p]["excluded_bits"] == dropped
 
 
 def test_quasi_determinism_across_jobs():
@@ -203,7 +229,7 @@ def test_theory_curve_properties():
 
 
 def test_theory_requires_static_preset():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="channel = 'quasi2' is quasi-static"):
         H.run_theory_curves(H.ExperimentConfig(
             method="theory-opt", channel="quasi2", ebn0_grid=(6.0,)))
     with pytest.raises(ValueError):
@@ -230,6 +256,8 @@ def test_csv_one_record_two_lines(tmp_path):
     raw = open(path).read()
     assert raw.endswith("\n")
     assert len(raw.splitlines()) == 2
+    with pytest.raises(ValueError):
+        H.emit_csv([], str(tmp_path / "empty.csv"))
 
 
 def test_parse_csv_rejects_corruption(tmp_path):
@@ -260,18 +288,8 @@ def test_plotdata_layout(tmp_path):
         dbs = [float(ln.split()[0]) for ln in lines[1:]]
         assert dbs == sorted(dbs)
         assert len(dbs) == 3
-
-
-def test_emit_report_dispatch(tmp_path):
-    recs = [H.BerRecord.from_counts("rrc-mmse", "static2", 4.0, 100, 7)]
-    out = H.emit_report(recs, "csv", str(tmp_path / "rep.csv"))
-    assert os.path.exists(out[0])
-    out = H.emit_report(recs, "plotdata", str(tmp_path / "pd"))
-    assert all(os.path.exists(p) for p in out)
     with pytest.raises(ValueError):
-        H.emit_report(recs, "xlsx", str(tmp_path / "x"))
-    with pytest.raises(ValueError):
-        H.emit_report([], "csv", str(tmp_path / "e.csv"))
+        H.emit_plotdata([], str(tmp_path / "empty"))
 
 
 def test_negative_master_seed_rejected():

@@ -1,7 +1,6 @@
 """Pulse shape, synthesis, hybrid oscillator, and conjugacy checks."""
 
 import math
-import pickle
 
 import numpy as np
 import pytest
@@ -24,6 +23,9 @@ def test_basis_frozen_values():
     t = np.arange(-2.0, 1.0, 1e-4)
     vals = wf.eval_basis(t)
     assert abs(t[np.argmax(np.abs(vals))] - 0.5) < 1e-3
+    # a scalar comes back as a float from the same formula as the array
+    assert type(wf.eval_basis(-0.3)) is float
+    assert wf.eval_basis(-0.3) == wf.eval_basis(np.array([-0.3]))[0]
 
 
 def test_basis_matches_reference_grid():
@@ -237,9 +239,3 @@ def test_conjugacy_report():
     with pytest.raises(ValueError):
         wf.check_conjugacy(grid_step=5e-3)
 
-
-def test_basis_function_wrapper():
-    bf = wf.BasisFunction()
-    assert bf(0.25) == wf.eval_basis(0.25)
-    clone = pickle.loads(pickle.dumps(bf))
-    assert clone(0.25) == bf(0.25)
