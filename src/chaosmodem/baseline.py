@@ -32,6 +32,7 @@ class RrcFilter:
     """Unit-energy root-raised-cosine FIR, span symbol periods at n_c
     samples per symbol (span * n_c + 1 taps, symmetric about the center).
 
+    Build it with `rrc_taps`, which validates rolloff, span and n_c.
     Construction rejects span/rolloff combinations whose truncated
     shaper * matched-filter cascade leaves more than NYQUIST_TOL relative
     ISI at nonzero symbol lags, so a held instance is always Nyquist-clean
@@ -43,12 +44,6 @@ class RrcFilter:
     taps: np.ndarray
 
     def __post_init__(self):
-        if not 0.0 < self.rolloff <= 1.0:
-            raise ValueError("rolloff must be in (0, 1]")
-        if self.span != int(self.span) or self.span < 6 or self.span % 2:
-            raise ValueError("span must be an even integer >= 6")
-        if self.n_c != int(self.n_c) or self.n_c < 2:
-            raise ValueError("n_c must be an integer >= 2")
         if self.taps.shape != (self.span * self.n_c + 1,):
             raise ValueError("taps must have span * n_c + 1 coefficients")
         c = self.symbol_cascade(self.span)
@@ -93,6 +88,8 @@ def rrc_taps(rolloff: float, span: int, n_c: int) -> RrcFilter:
         raise ValueError("rolloff must be in (0, 1]")
     if span != int(span) or span < 6 or span % 2:
         raise ValueError("span must be an even integer >= 6")
+    if n_c != int(n_c) or n_c < 2:
+        raise ValueError("n_c must be an integer >= 2")
     a = float(rolloff)
     k = np.arange(-(span * n_c) // 2, (span * n_c) // 2 + 1)
     t = k / n_c

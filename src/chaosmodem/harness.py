@@ -278,7 +278,6 @@ class _Context:
                              f"{exc}") from None
         self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy)
                                 for db in config.ebn0_grid])
-        self.rparams = th.ResponseParams()
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
                                else "run_static_sweep")
         if not quasi:
@@ -338,11 +337,10 @@ def _count_errors(ctx: _Context, ys, sent, estimate, eq, n_train: int) -> int:
             # genie: thresholds from the true symbols including the shaping
             # tail, so every ISI term is cancelled exactly
             full = np.concatenate([rail, ctx.pulse.tail])
-            theta = rx.threshold_optimal(full, estimate, ctx.rparams)
+            theta = rx.threshold_optimal(full, estimate)
             dec = rx.decide(y, theta[: y.size])
         elif method == "chaotic-subopt":
-            dec = rx.decode_suboptimal(y, rail[:n_train], estimate,
-                                       ctx.rparams)
+            dec = rx.decode_suboptimal(y, rail[:n_train], estimate)
         elif method == "rrc-mmse":
             dec = rx.decide(bl.apply_equalizer(y, eq), 0.0)
         else:

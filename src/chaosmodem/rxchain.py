@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .theory import ResponseParams, composite_response, response_decay_radius
+from .theory import composite_response, response_decay_radius
 from .waveform import WaveformParams, _eval_basis_array
 
 
@@ -41,7 +41,7 @@ def matched_filter_taps(n_c: int, params: Optional[WaveformParams] = None) -> Ma
     if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
         raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
     j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
-    return MatchedFilterTaps(_eval_basis_array(-j / n_c, params.beta),
+    return MatchedFilterTaps(_eval_basis_array(-j / n_c),
                              int(n_c), params)
 
 
@@ -200,30 +200,25 @@ def estimate_channel_ls(obs, design: LsDesign, cascade,
     return ChannelEstimate(tuple(cand), alpha, noise_var)
 
 
-def threshold_optimal(symbols, estimate, params: Optional[ResponseParams] = None) -> np.ndarray:
+def threshold_optimal(symbols, estimate) -> np.ndarray:
     """Genie threshold: the full interference sum over every other symbol,
     past and future, through the estimated paths. Truncated where the
     pulse autocorrelation falls below 1e-9."""
-    if params is None:
-        params = ResponseParams()
     s = np.asarray(symbols, dtype=float)
-    radius = response_decay_radius(1e-9, params)
+    radius = response_decay_radius(1e-9)
     tau_max = int(math.ceil(max(estimate.delays)))
     d = np.arange(-radius, radius + tau_max + 1, dtype=float)
-    c = composite_response(d, estimate, params)
-    c0 = composite_response(0.0, estimate, params)
+    c = composite_response(d, estimate)
+    c0 = composite_response(0.0, estimate)
     full = np.convolve(s, c)
     theta = full[radius:radius + s.size] - s * c0
     return theta
 
 
-def isi_feedback_coeffs(estimate, window: int,
-                        params: Optional[ResponseParams] = None) -> np.ndarray:
+def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:
     """Composite response at past integer lags 1..window."""
-    if params is None:
-        params = ResponseParams()
     k = np.arange(1, window + 1, dtype=float)
-    return composite_response(k, estimate, params)
+    return composite_response(k, estimate)
 
 
 def decision_window(estimate) -> int:
@@ -252,8 +247,7 @@ def _dd_loop(y, out, coeffs, n_start):
         out[n] = 1.0 if y[n] >= th else -1.0
 
 
-def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate,
-                      params: Optional[ResponseParams] = None) -> np.ndarray:
+def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarray:
     """Decision-directed decoding of a frame.
 
     The known training symbols prime the feedback window; every later
@@ -265,7 +259,7 @@ def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate,
     if train.size > y.size:
         raise ValueError("training longer than the observed frame")
     w = decision_window(estimate)
-    coeffs = isi_feedback_coeffs(estimate, w, params)
+    coeffs = isi_feedback_coeffs(estimate, w)
     out = np.empty(y.size)
     out[:train.size] = train
     _dd_loop(y, out, coeffs, train.size)

@@ -5,8 +5,9 @@ correlation response r(t) = (p * g)(t), which has an exact two-branch
 closed form. Everything downstream (threshold construction, analytic BER
 for the optimal and the decision-feedback thresholds) is built from r.
 
-All closed forms assume omega = 2*pi; the damping exponent beta is free in
-(0, ln 2]. The derived constants are
+The oscillator is fixed at beta = ln 2 and omega = 2*pi (`waveform.BETA`,
+`waveform.OMEGA`), and the closed forms need omega = 2*pi. The derived
+module constants are
 
     A = (omega^2 - 3 beta^2) / (4 beta (omega^2 + beta^2))
     B = (3 omega^2 - beta^2) / (4 omega (omega^2 + beta^2))
@@ -18,107 +19,69 @@ and the response branches, with u = |t - tau| and D = exp(-beta u):
     u >= 1:  D (2 - e^-beta - e^beta) (A cos(omega u) + B sin(omega u))
 
 Both are validated against brute-force numerical convolution in the test
-suite; the peak is r(0) = 1 + A (2 - 2 e^-beta) ~ 1.3433 at beta = ln 2.
+suite; the peak is R_PEAK = r(0) = 1 + A (2 - 2 e^-beta) ~ 1.3433.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import MultipathSpec
+from .waveform import BETA, OMEGA
 
 _SQRT_PI = math.sqrt(math.pi)
 
-
-@dataclass(frozen=True)
-class ResponseParams:
-    """Constants of the closed-form response, derived from (beta, omega).
-
-    A and B are recomputed properties so they can never go stale relative
-    to beta; omega must be exactly 2*pi for the closed forms to hold.
-    """
-
-    beta: float = math.log(2.0)
-    omega: float = 2.0 * math.pi
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= math.log(2.0) + 1e-15:
-            raise ValueError(f"beta must lie in (0, ln 2], got {self.beta}")
-        if self.omega != 2.0 * math.pi:
-            raise ValueError("omega must be exactly 2*pi")
-
-    @property
-    def A(self) -> float:
-        w, b = self.omega, self.beta
-        return (w * w - 3.0 * b * b) / (4.0 * b * (w * w + b * b))
-
-    @property
-    def B(self) -> float:
-        w, b = self.omega, self.beta
-        return (3.0 * w * w - b * b) / (4.0 * w * (w * w + b * b))
-
-    @property
-    def r_peak(self) -> float:
-        """r(0) = 1 + A (2 - 2 e^-beta)."""
-        return 1.0 + self.A * (2.0 - 2.0 * math.exp(-self.beta))
+A = (OMEGA * OMEGA - 3.0 * BETA * BETA) / (4.0 * BETA * (OMEGA * OMEGA + BETA * BETA))
+B = (3.0 * OMEGA * OMEGA - BETA * BETA) / (4.0 * OMEGA * (OMEGA * OMEGA + BETA * BETA))
+R_PEAK = 1.0 + A * (2.0 - 2.0 * math.exp(-BETA))
 
 
-def response_r(t, tau: float = 0.0, alpha: float = 1.0,
-               params: ResponseParams | None = None):
+def response_r(t, tau: float = 0.0, alpha: float = 1.0):
     """Matched-filter cascade response alpha * r(t - tau).
 
     Accepts scalar or array ``t``; the response is even in (t - tau) and
     linear in the path gain alpha.
     """
-    if params is None:
-        params = ResponseParams()
-    b, w = params.beta, params.omega
-    A, B = params.A, params.B
     u = np.abs(np.asarray(t, dtype=float) - tau)
-    D = np.exp(-b * u)
-    eb = math.exp(-b)
-    co = np.cos(w * u)
-    si = np.sin(w * u)
+    D = np.exp(-BETA * u)
+    eb = math.exp(-BETA)
+    co = np.cos(OMEGA * u)
+    si = np.sin(OMEGA * u)
     small = (A * (D * (2.0 - eb) - eb / D) * co
              + B * (D * (2.0 - eb) + eb / D) * si
              + 1.0 - u)
-    large = D * (2.0 - eb - math.exp(b)) * (A * co + B * si)
+    large = D * (2.0 - eb - math.exp(BETA)) * (A * co + B * si)
     out = alpha * np.where(u >= 1.0, large, small)
     if np.isscalar(t) or np.ndim(t) == 0:
         return float(out)
     return out
 
 
-def composite_response(t, channel: MultipathSpec,
-                       params: ResponseParams | None = None):
+def composite_response(t, channel: MultipathSpec):
     """Sum of per-path responses: sum_l alpha_l r(t - tau_l)."""
     t = np.asarray(t, dtype=float)
     acc = np.zeros(t.shape)
     for tau, alpha in zip(channel.delays, channel.gains):
-        acc = acc + response_r(t, tau, alpha, params)
+        acc = acc + response_r(t, tau, alpha)
     if t.ndim == 0:
         return float(acc)
     return acc
 
 
-def response_decay_radius(tol: float, params: ResponseParams | None = None) -> int:
+def response_decay_radius(tol: float) -> int:
     """Smallest integer m >= 1 with the |t| >= 1 branch bounded below tol.
 
     |r(t)| <= e^{-beta |t|} |2 - e^-beta - e^beta| (|A| + |B|) for |t| >= 1,
     so the radius grows like log(1/tol)/beta.
     """
-    if params is None:
-        params = ResponseParams()
     if tol <= 0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    b = params.beta
-    coef = abs(2.0 - math.exp(-b) - math.exp(b)) * (abs(params.A) + abs(params.B))
+    coef = abs(2.0 - math.exp(-BETA) - math.exp(BETA)) * (abs(A) + abs(B))
     if coef <= tol:
         return 1
-    return max(1, math.ceil(math.log(coef / tol) / b))
+    return max(1, math.ceil(math.log(coef / tol) / BETA))
 
 
 def _erf_series(x: float) -> float:
@@ -196,69 +159,29 @@ def ber_optimal(P: float, sigma_w: float):
     return out
 
 
-def compute_signal_power(channel: MultipathSpec,
-                         params: ResponseParams | None = None) -> float:
+def compute_signal_power(channel: MultipathSpec) -> float:
     """Decision-point signal coefficient P = sum_l alpha_l r(tau_l)."""
-    if params is None:
-        params = ResponseParams()
-    return float(sum(response_r(0.0, tau, alpha, params)
+    return float(sum(response_r(0.0, tau, alpha)
                      for tau, alpha in zip(channel.delays, channel.gains)))
 
 
-def compute_isi_constant(channel: MultipathSpec,
-                         params: ResponseParams | None = None) -> float:
+def compute_isi_constant(channel: MultipathSpec) -> float:
     """Residual-ISI constant K of the future-symbol tail.
 
     K = sum_l alpha_l (2 - e^-beta - e^beta) e^{-beta tau_l}
         (A cos(omega tau_l) + B sin(omega tau_l)).
 
-    The leading factor is negative for beta = ln 2; consumers take |K|.
+    The leading factor is negative; consumers take |K|.
     """
-    if params is None:
-        params = ResponseParams()
-    b, w = params.beta, params.omega
-    lead = 2.0 - math.exp(-b) - math.exp(b)
+    lead = 2.0 - math.exp(-BETA) - math.exp(BETA)
     k = 0.0
     for tau, alpha in zip(channel.delays, channel.gains):
-        k += alpha * lead * math.exp(-b * tau) * (
-            params.A * math.cos(w * tau) + params.B * math.sin(w * tau))
+        k += alpha * lead * math.exp(-BETA * tau) * (
+            A * math.cos(OMEGA * tau) + B * math.sin(OMEGA * tau))
     return float(k)
 
 
-@dataclass(frozen=True)
-class BerInputs:
-    """Inputs of the decision-feedback BER formula with derived arguments.
-
-    z1/z2 are the integration limits of the uniform residual-ISI average:
-    z_{1,2} = (P +- |K|/(e^beta - 1)) / sqrt(2 sigma_w^2).
-    """
-
-    P: float
-    sigma_w: float
-    K: float
-    beta: float = math.log(2.0)
-
-    def __post_init__(self):
-        if self.P <= 0:
-            raise ValueError(f"P must be positive, got {self.P}")
-        if self.sigma_w <= 0:
-            raise ValueError(f"sigma_w must be positive, got {self.sigma_w}")
-
-    @property
-    def isi_halfwidth(self) -> float:
-        return abs(self.K) / (math.exp(self.beta) - 1.0)
-
-    @property
-    def z1(self) -> float:
-        return (self.P + self.isi_halfwidth) / (math.sqrt(2.0) * self.sigma_w)
-
-    @property
-    def z2(self) -> float:
-        return (self.P - self.isi_halfwidth) / (math.sqrt(2.0) * self.sigma_w)
-
-
-def ber_suboptimal(channel: MultipathSpec, sigma_w: float,
-                   params: ResponseParams | None = None) -> float:
+def ber_suboptimal(channel: MultipathSpec, sigma_w: float) -> float:
     """Error rate of the past-only decision-feedback threshold.
 
     Averages the optimal-threshold error over the uniform residual ISI of
@@ -267,20 +190,23 @@ def ber_suboptimal(channel: MultipathSpec, sigma_w: float,
         sqrt(2 s^2) (e^beta - 1) / (4 |K|) *
         [ z1 erfc(z1) - z2 erfc(z2) - e^{-z1^2}/sqrt(pi) + e^{-z2^2}/sqrt(pi) ]
 
+    with the limits z_{1,2} = (P +- |K|/(e^beta - 1)) / sqrt(2 s^2) of the
+    uniform residual-ISI average. The signal coefficient P must be positive.
     For |K| < 1e-8 the 0/0 limit is taken analytically and the optimal
     formula is returned.
     """
-    if params is None:
-        params = ResponseParams()
     if sigma_w <= 0:
         raise ValueError("sigma_w must be positive")
-    P = compute_signal_power(channel, params)
-    K = compute_isi_constant(channel, params)
+    P = compute_signal_power(channel)
+    if P <= 0:
+        raise ValueError(f"P must be positive, got {P}")
+    K = compute_isi_constant(channel)
     if abs(K) < 1e-8:
         return float(ber_optimal(P, sigma_w))
-    inp = BerInputs(P, sigma_w, K, params.beta)
-    z1, z2 = inp.z1, inp.z2
+    halfwidth = abs(K) / (math.exp(BETA) - 1.0)
+    z1 = (P + halfwidth) / (math.sqrt(2.0) * sigma_w)
+    z2 = (P - halfwidth) / (math.sqrt(2.0) * sigma_w)
     s = math.sqrt(2.0) * sigma_w
     bracket = (z1 * _erfc_scalar(z1) - z2 * _erfc_scalar(z2)
                - math.exp(-z1 * z1) / _SQRT_PI + math.exp(-z2 * z2) / _SQRT_PI)
-    return float(s * (math.exp(params.beta) - 1.0) / (4.0 * abs(K)) * bracket)
+    return float(s * (math.exp(BETA) - 1.0) / (4.0 * abs(K)) * bracket)

@@ -7,15 +7,16 @@ branches
     0 <= t < 1:  1 - e^{beta (t - 1)} (cos omega t - (beta/omega) sin omega t)
     t >= 1:      0
 
-with omega = 2*pi. A bipolar symbol stream s_m shaped by p superposes into
+with beta = ln 2 and omega = 2*pi fixed (BETA and OMEGA below; every
+closed form in `theory` is derived from the same two). A bipolar symbol stream s_m shaped by p superposes into
 x(t) = sum_m s_m p(t - m); the same waveform is generated by a self-excited
 second-order oscillator whose drive sign latches at derivative zero
 crossings, and `simulate_hybrid` integrates that oscillator directly so the
 two constructions can be compared without shared code paths.
 
 Because p(t) is nonzero for all t < 1, synthesis must truncate its left
-tail; the truncation length n_p is part of WaveformParams and is validated
-against the pulse envelope so discarded mass stays below one part in 10^3
+tail; the truncation length n_p is the one field of WaveformParams and is
+validated against the pulse envelope so discarded mass stays below one part in 10^3
 of the pulse peak.
 """
 
@@ -28,18 +29,18 @@ from typing import Optional
 
 import numpy as np
 
-LN2 = math.log(2.0)
-TWO_PI = 2.0 * math.pi
+BETA = math.log(2.0)
+OMEGA = 2.0 * math.pi
 
 _VALIDATION_GRID_STEP = 1.0 / 512.0
 _VALIDATION_T_MIN = -40.0
 
 
 @lru_cache(maxsize=32)
-def _tail_peak_ratio(beta: float, n_p: int) -> float:
+def _tail_peak_ratio(n_p: int) -> float:
     """max |p(t)| over the grid t < -n_p, relative to the global peak."""
     grid = np.arange(_VALIDATION_T_MIN, 1.0, _VALIDATION_GRID_STEP)
-    vals = np.abs(_eval_basis_array(grid, beta))
+    vals = np.abs(_eval_basis_array(grid))
     peak = float(vals.max())
     tail = vals[grid < -float(n_p)]
     if tail.size == 0:
@@ -47,42 +48,36 @@ def _tail_peak_ratio(beta: float, n_p: int) -> float:
     return float(tail.max()) / peak
 
 
-def min_truncation_length(beta: float = LN2, rel_tol: float = 1e-3) -> int:
+def min_truncation_length(rel_tol: float = 1e-3) -> int:
     """Smallest truncation length whose discarded tail stays below
     ``rel_tol`` times the pulse peak (grid-measured)."""
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
     for n_p in range(1, 64):
-        if _tail_peak_ratio(beta, n_p) < rel_tol:
+        if _tail_peak_ratio(n_p) < rel_tol:
             return n_p
-    raise ValueError(f"no admissible truncation length below 64 for beta={beta}")
+    raise ValueError(f"no admissible truncation length below 64 for rel_tol={rel_tol}")
 
 
 @dataclass(frozen=True)
 class WaveformParams:
-    """Oscillator constants and the synthesis truncation length.
+    """The synthesis truncation length n_p, in symbol periods.
 
     ``n_p`` defaults to the shortest length passing the 10^-3 tail rule
-    (9 symbol periods at beta = ln 2). An explicit shorter value is
-    rejected rather than silently degrading the synthesis.
+    (9 symbol periods). An explicit shorter value is rejected rather than
+    silently degrading the synthesis.
     """
 
-    beta: float = LN2
-    omega: float = TWO_PI
     n_p: Optional[int] = None
 
     def __post_init__(self):
-        if not 0.0 < self.beta <= LN2 + 1e-15:
-            raise ValueError(f"beta must lie in (0, ln 2], got {self.beta}")
-        if self.omega != TWO_PI:
-            raise ValueError("omega must be exactly 2*pi")
         if self.n_p is None:
-            object.__setattr__(self, "n_p", min_truncation_length(self.beta))
+            object.__setattr__(self, "n_p", min_truncation_length())
         if not (isinstance(self.n_p, (int, np.integer)) and self.n_p >= 1):
             raise ValueError(f"n_p must be a positive integer, got {self.n_p}")
-        ratio = _tail_peak_ratio(self.beta, int(self.n_p))
+        ratio = _tail_peak_ratio(int(self.n_p))
         if ratio >= 1e-3:
-            need = min_truncation_length(self.beta)
+            need = min_truncation_length()
             raise ValueError(
                 f"n_p={self.n_p} leaves a truncated tail at {ratio:.1e} of the "
                 f"pulse peak (limit 1e-3); use n_p >= {need}"
@@ -90,17 +85,17 @@ class WaveformParams:
         object.__setattr__(self, "n_p", int(self.n_p))
 
 
-def _eval_basis_array(t: np.ndarray, beta: float) -> np.ndarray:
+def _eval_basis_array(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float)
-    c = np.cos(TWO_PI * t) - (beta / TWO_PI) * np.sin(TWO_PI * t)
-    left = (1.0 - math.exp(-beta)) * np.exp(beta * t) * c
-    mid = 1.0 - np.exp(beta * (t - 1.0)) * c
+    c = np.cos(OMEGA * t) - (BETA / OMEGA) * np.sin(OMEGA * t)
+    left = (1.0 - math.exp(-BETA)) * np.exp(BETA * t) * c
+    mid = 1.0 - np.exp(BETA * (t - 1.0)) * c
     return np.where(t >= 1.0, 0.0, np.where(t < 0.0, left, mid))
 
 
-def eval_basis(t, params: WaveformParams | None = None):
+def eval_basis(t):
     """Transmit pulse p(t); a float for scalar input, else an array."""
-    p = _eval_basis_array(t, LN2 if params is None else params.beta)
+    p = _eval_basis_array(t)
     return float(p) if p.ndim == 0 else p
 
 
@@ -126,7 +121,7 @@ def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
         bad = s[~np.isin(s, (-1.0, 1.0))][0]
         raise ValueError(f"symbol values must be -1 or +1, got {bad}")
     lead = params.n_p * n_c
-    taps = _eval_basis_array(np.arange(-lead, n_c) / n_c, params.beta)
+    taps = _eval_basis_array(np.arange(-lead, n_c) / n_c)
     up = np.zeros(s.size * n_c)
     up[::n_c] = s
     return np.convolve(up, taps)[lead:lead + up.size]
@@ -153,9 +148,9 @@ class HybridTrajectory:
     event_x: np.ndarray
 
 
-def _rk4_step(x, v, s, h, beta, om2):
+def _rk4_step(x, v, s, h, om2):
     def f(xx, vv):
-        return vv, 2.0 * beta * vv - om2 * (xx - s)
+        return vv, 2.0 * BETA * vv - om2 * (xx - s)
 
     k1x, k1v = f(x, v)
     k2x, k2v = f(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
@@ -165,8 +160,8 @@ def _rk4_step(x, v, s, h, beta, om2):
             v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
 
 
-def simulate_hybrid(x0: float, xdot0: float, duration: float, dt: float = 1e-3,
-                    params: WaveformParams | None = None) -> HybridTrajectory:
+def simulate_hybrid(x0: float, xdot0: float, duration: float,
+                    dt: float = 1e-3) -> HybridTrajectory:
     """Integrate the self-excited oscillator with guard latching.
 
     The drive sign s holds its value between derivative zero crossings;
@@ -175,14 +170,11 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float, dt: float = 1e-3,
     code with the superposition synthesis, which is the point: the two are
     compared in tests as independent constructions of the same waveform.
     """
-    if params is None:
-        params = WaveformParams()
     if dt > 1e-3:
         raise ValueError(f"dt must be <= 1e-3 symbol periods, got {dt}")
     if duration < 1:
         raise ValueError(f"duration must be >= 1 symbol period, got {duration}")
-    beta = params.beta
-    om2 = params.omega ** 2 + beta ** 2
+    om2 = OMEGA ** 2 + BETA ** 2
 
     s = 1.0 if x0 == 0.0 else math.copysign(1.0, x0)
     t, x, v = 0.0, float(x0), float(xdot0)
@@ -191,7 +183,7 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float, dt: float = 1e-3,
 
     while t < duration - 1e-12:
         h = min(dt, duration - t)
-        x1, v1 = _rk4_step(x, v, s, h, beta, om2)
+        x1, v1 = _rk4_step(x, v, s, h, om2)
         # a fresh crossing, not sign chatter from the event just handled
         # (genuine events are at least half a period apart)
         if v * v1 < 0.0 and (not ev_t or t - ev_t[-1] > 0.25):
@@ -199,7 +191,7 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float, dt: float = 1e-3,
             lo, hi = 0.0, h
             for _ in range(80):
                 midh = 0.5 * (lo + hi)
-                xm, vm = _rk4_step(x, v, s, midh, beta, om2)
+                xm, vm = _rk4_step(x, v, s, midh, om2)
                 if v * vm < 0.0:
                     hi = midh
                 else:
@@ -211,7 +203,7 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float, dt: float = 1e-3,
                     f"guard crossing near t={t + lo:.6f} did not bracket within dt"
                 )
             he = 0.5 * (lo + hi)
-            xe, ve = _rk4_step(x, v, s, he, beta, om2)
+            xe, ve = _rk4_step(x, v, s, he, om2)
             t, x, v = t + he, xe, ve
             ev_t.append(t)
             ev_x.append(x)
@@ -258,8 +250,7 @@ class ConjugacyReport:
     cond3: bool
 
 
-def check_conjugacy(params: WaveformParams | None = None,
-                    grid_step: float = 1e-4) -> ConjugacyReport:
+def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
     """Evaluate the three conjugacy conditions on a uniform grid.
 
     cond1: waveforms of distinct symbol sequences differ except on an
@@ -272,16 +263,13 @@ def check_conjugacy(params: WaveformParams | None = None,
     window int_{-8}^{0} |p|, so a symbol's own period dominates what leaks
     ahead of it.
     """
-    if params is None:
-        params = WaveformParams()
     if grid_step > 1e-3:
         raise ValueError(f"grid_step must be <= 1e-3, got {grid_step}")
-    beta = params.beta
 
     def abs_p(lo, hi):
         n = int(round((hi - lo) / grid_step))
         t = lo + np.arange(n + 1) * grid_step
-        return t, np.abs(_eval_basis_array(t, beta))
+        return t, np.abs(_eval_basis_array(t))
 
     t_in, v_in = abs_p(-1.0, 1.0)
     integral_inside = 2.0 * float(np.trapezoid(v_in, dx=grid_step))
@@ -289,8 +277,8 @@ def check_conjugacy(params: WaveformParams | None = None,
     integral_outside = float(np.trapezoid(v_out, dx=grid_step))
 
     t_env = np.arange(_VALIDATION_T_MIN, 1.0, grid_step)
-    margin = 5.0 * np.exp(-beta * np.abs(t_env)) - 2.0 * np.abs(
-        _eval_basis_array(t_env, beta))
+    margin = 5.0 * np.exp(-BETA * np.abs(t_env)) - 2.0 * np.abs(
+        _eval_basis_array(t_env))
     cond2_margin = float(margin.min())
 
     rng = np.random.default_rng(20211)
@@ -305,8 +293,7 @@ def check_conjugacy(params: WaveformParams | None = None,
         # the pulse vanishes one period past each symbol, so the waveforms
         # can only differ left of the last flipped position
         t_grid = np.arange(0.0, flips.max() + 1.0, grid_step * 10)
-        diff = np.abs(_superpose(a, t_grid, params)
-                      - _superpose(b, t_grid, params))
+        diff = np.abs(_superpose(a, t_grid) - _superpose(b, t_grid))
         # distinct almost everywhere: equality only near isolated zeros
         if np.mean(diff < 1e-9) > 0.02 or diff.max() < 1e-6:
             cond1 = False
@@ -315,10 +302,9 @@ def check_conjugacy(params: WaveformParams | None = None,
                            integral_inside > integral_outside)
 
 
-def _superpose(symbols: np.ndarray, t: np.ndarray,
-               params: WaveformParams) -> np.ndarray:
+def _superpose(symbols: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Direct evaluation of sum_m s_m p(t - m) at arbitrary times."""
     acc = np.zeros_like(t, dtype=float)
     for m, sm in enumerate(symbols):
-        acc += sm * _eval_basis_array(t - m, params.beta)
+        acc += sm * _eval_basis_array(t - m)
     return acc

@@ -37,6 +37,8 @@ def test_taps_validation():
         bl.rrc_taps(0.25, 15, 8)
     with pytest.raises(ValueError):
         bl.rrc_taps(0.25, 4, 8)
+    with pytest.raises(ValueError, match="n_c must be an integer >= 2"):
+        bl.rrc_taps(0.25, 16, 0)
     # rolloff 1 is a legal boundary
     f = bl.rrc_taps(1.0, 16, 8)
     assert abs(float(np.dot(f.taps, f.taps)) - 1.0) < 1e-6

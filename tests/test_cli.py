@@ -4,10 +4,12 @@ subcommand wiring through main()."""
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chaosmodem
 from chaosmodem import cli, harness
 
 
@@ -227,8 +229,13 @@ def test_main_bad_config_key(tmp_path, capsys):
 
 
 def test_console_entry_point_runs():
+    # the child does not inherit pytest's sys.path, so hand it the
+    # directory the package was imported from
+    src = str(Path(chaosmodem.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "chaosmodem.cli", "check-conjugacy"],
-        capture_output=True, text=True, timeout=120)
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
     assert "bounded-tail condition" in proc.stdout

@@ -3,6 +3,7 @@
 import math
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,7 +144,7 @@ def test_static_determinism_across_jobs(tmp_path):
     assert a == b
     pa = H.emit_csv(a, str(tmp_path / "a.csv"))
     pb = H.emit_csv(b, str(tmp_path / "b.csv"))
-    assert open(pa, "rb").read() == open(pb, "rb").read()
+    assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_quasi_sweep_stats_and_accounting():
@@ -245,7 +246,7 @@ def test_csv_round_trip(tmp_path):
                 ebn0_grid=(4.0, 8.0))))
     path = H.emit_csv(recs, str(tmp_path / "r.csv"))
     assert H.parse_csv(path) == recs
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "method,channel,ebn0_db,bits,errors,ber,ci95"
     assert len(lines) == 1 + len(recs)
 
@@ -253,7 +254,7 @@ def test_csv_round_trip(tmp_path):
 def test_csv_one_record_two_lines(tmp_path):
     rec = H.BerRecord.from_counts("rrc-noeq", "static3", 2.0, 512, 50)
     path = H.emit_csv([rec], str(tmp_path / "one.csv"))
-    raw = open(path).read()
+    raw = Path(path).read_text()
     assert raw.endswith("\n")
     assert len(raw.splitlines()) == 2
     with pytest.raises(ValueError):
@@ -263,7 +264,7 @@ def test_csv_one_record_two_lines(tmp_path):
 def test_parse_csv_rejects_corruption(tmp_path):
     rec = H.BerRecord.from_counts("rrc-noeq", "static3", 2.0, 512, 50)
     path = H.emit_csv([rec], str(tmp_path / "one.csv"))
-    good = open(path).read()
+    good = Path(path).read_text()
     bad1 = tmp_path / "bad1.csv"
     bad1.write_text(good.replace("ci95", "ci"))
     with pytest.raises(ValueError):
@@ -283,7 +284,7 @@ def test_plotdata_layout(tmp_path):
     assert sorted(os.path.basename(p) for p in paths) == [
         "chaotic-opt.dat", "rrc-mmse.dat"]
     for p in paths:
-        lines = open(p).read().splitlines()
+        lines = Path(p).read_text().splitlines()
         assert lines[0].startswith("#")
         dbs = [float(ln.split()[0]) for ln in lines[1:]]
         assert dbs == sorted(dbs)

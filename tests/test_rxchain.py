@@ -263,11 +263,10 @@ def test_ls_design_stacks_rails():
 
 
 def test_threshold_optimal_brute_force():
-    params = th.ResponseParams()
     est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     syms = np.array([-1.0, -1.0, 1.0, -1.0, -1.0])
-    theta = rx.threshold_optimal(syms, est, params)
-    radius = th.response_decay_radius(1e-9, params)
+    theta = rx.threshold_optimal(syms, est)
+    radius = th.response_decay_radius(1e-9)
     for n in range(syms.size):
         brute = sum(syms[m] * th.response_r(float(n - m))
                     for m in range(syms.size) if m != n)
@@ -278,28 +277,26 @@ def test_threshold_optimal_brute_force():
 
 
 def test_threshold_optimal_symmetry_and_constant():
-    params = th.ResponseParams()
     spec = ch.get_preset("static2")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     ones = np.ones(80)
-    theta = rx.threshold_optimal(ones, est, params)
+    theta = rx.threshold_optimal(ones, est)
     mid = theta[35:45]
     assert np.max(np.abs(mid - mid[0])) < 1e-9
     rng = np.random.default_rng(15)
     s = rng.choice([-1.0, 1.0], 60)
-    assert np.max(np.abs(rx.threshold_optimal(-s, est, params)
-                         + rx.threshold_optimal(s, est, params))) < 1e-12
+    assert np.max(np.abs(rx.threshold_optimal(-s, est)
+                         + rx.threshold_optimal(s, est))) < 1e-12
 
 
 def test_threshold_suboptimal_past_half_split():
-    params = th.ResponseParams()
     spec = ch.get_preset("static3")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     w = rx.decision_window(est)
     assert w == 5 + 2
     rng = np.random.default_rng(33)
     past = rng.choice([-1.0, 1.0], w)
-    state = ThresholdState.fresh(rx.isi_feedback_coeffs(est, w, params))
+    state = ThresholdState.fresh(rx.isi_feedback_coeffs(est, w))
     for sym in past[::-1]:
         state.push(sym)
     theta = threshold_suboptimal(state)
@@ -310,11 +307,10 @@ def test_threshold_suboptimal_past_half_split():
 
 
 def test_threshold_suboptimal_zero_mean():
-    params = th.ResponseParams()
     est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     rng = np.random.default_rng(88)
     w = rx.decision_window(est)
-    coeffs = rx.isi_feedback_coeffs(est, w, params)
+    coeffs = rx.isi_feedback_coeffs(est, w)
     draws = rng.choice([-1.0, 1.0], size=(20_000, w))
     thetas = draws @ coeffs
     assert abs(float(np.mean(thetas))) < 3.0 * float(np.std(thetas)) / math.sqrt(20_000)
@@ -324,12 +320,11 @@ def test_threshold_window_extension_bound():
     # the fixed window leaves a geometric tail; doubling the window moves
     # the threshold by at most twice the first omitted coefficient (which
     # is far larger than 1e-6, so the window length genuinely matters)
-    params = th.ResponseParams()
     spec = ch.get_preset("static2")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     w = rx.decision_window(est)
     long_w = 2 * w
-    coeffs = rx.isi_feedback_coeffs(est, long_w, params)
+    coeffs = rx.isi_feedback_coeffs(est, long_w)
     rng = np.random.default_rng(44)
     bound = 2.0 * abs(coeffs[w])
     assert bound > 1e-6

@@ -12,21 +12,12 @@ from oracles import BER_SUB_TABLE, ERFC_TABLE, PRESET_P_K, RESPONSE_TABLE, brute
 
 
 def test_response_constants_match_definitions():
-    p = theory.ResponseParams()
-    w, b = p.omega, p.beta
-    assert abs(p.A - 0.3433) < 1e-4
-    assert p.A == (w * w - 3 * b * b) / (4 * b * (w * w + b * b))
-    assert p.B == (3 * w * w - b * b) / (4 * w * (w * w + b * b))
-    assert abs(p.r_peak - 1.3433) < 1e-4
-
-
-def test_response_params_validation():
-    with pytest.raises(ValueError):
-        theory.ResponseParams(beta=0.0)
-    with pytest.raises(ValueError):
-        theory.ResponseParams(beta=0.8)
-    with pytest.raises(ValueError):
-        theory.ResponseParams(omega=6.28)
+    w, b = 2 * math.pi, math.log(2.0)
+    assert abs(theory.A - 0.3433) < 1e-4
+    assert theory.A == (w * w - 3 * b * b) / (4 * b * (w * w + b * b))
+    assert theory.B == (3 * w * w - b * b) / (4 * w * (w * w + b * b))
+    assert theory.R_PEAK == 1 + theory.A * (2 - 2 * math.exp(-b))
+    assert abs(theory.R_PEAK - 1.3433) < 1e-4
 
 
 def test_response_frozen_values():
@@ -124,7 +115,7 @@ def test_preset_power_and_isi_constants():
 
 
 def test_ber_suboptimal_frozen_values():
-    r0 = theory.ResponseParams().r_peak
+    r0 = theory.R_PEAK
     for (name, db), want in BER_SUB_TABLE.items():
         ch = STATIC_PRESETS[name]
         sigma_w = r0 / math.sqrt(2.0 * 10 ** (db / 10))
@@ -133,7 +124,7 @@ def test_ber_suboptimal_frozen_values():
 
 
 def test_ber_suboptimal_dominates_optimal():
-    r0 = theory.ResponseParams().r_peak
+    r0 = theory.R_PEAK
     for name in ("static2", "static3"):
         ch = STATIC_PRESETS[name]
         P = theory.compute_signal_power(ch)
@@ -146,7 +137,7 @@ def test_ber_suboptimal_dominates_optimal():
 
 
 def test_ber_curves_monotone_in_ebn0():
-    r0 = theory.ResponseParams().r_peak
+    r0 = theory.R_PEAK
     ch = STATIC_PRESETS["static2"]
     P = theory.compute_signal_power(ch)
     db = np.arange(0.0, 14.25, 0.25)
@@ -184,12 +175,9 @@ def test_ber_suboptimal_small_isi_limit():
     assert diffs[1] < diffs[0] / 50
 
 
-def test_ber_inputs_derived_arguments():
-    inp = theory.BerInputs(P=1.3, sigma_w=0.4, K=-0.2)
-    assert inp.z1 > inp.z2
-    spread = 2 * abs(inp.K) / ((math.exp(inp.beta) - 1) * math.sqrt(2) * inp.sigma_w)
-    assert abs((inp.z1 - inp.z2) - spread) < 1e-14
-    with pytest.raises(ValueError):
-        theory.BerInputs(P=-1.0, sigma_w=0.4, K=0.1)
-    with pytest.raises(ValueError):
-        theory.BerInputs(P=1.0, sigma_w=0.0, K=0.1)
+def test_ber_suboptimal_rejects_bad_inputs():
+    # both paths inverted: the decision-point signal P is negative
+    with pytest.raises(ValueError, match="P must be positive"):
+        theory.ber_suboptimal(MultipathSpec((0.0, 1.0), (-1.0, -0.5)), 0.4)
+    with pytest.raises(ValueError, match="sigma_w must be positive"):
+        theory.ber_suboptimal(STATIC_PRESETS["static2"], 0.0)
