@@ -80,7 +80,7 @@ def test_erfc_against_reference_table():
         got = theory.erfc(x)
         assert abs(got - want) < 1e-10, f"erfc({x}) = {got}, expected {want}"
         if want != 0.0 and abs(x) <= 10:
-            assert abs(got - want) / want < 1e-12
+            assert abs(got - want) / want < 1e-14
 
 
 def test_erfc_reflection_identity():
