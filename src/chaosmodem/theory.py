@@ -148,10 +148,10 @@ def ber_suboptimal(channel: MultipathSpec, sigma_w: float) -> float:
     K = compute_isi_constant(channel)
     if abs(K) < 1e-8:
         return float(ber_optimal(P, sigma_w))
-    halfwidth = abs(K) / (math.exp(BETA) - 1.0)
-    z1 = (P + halfwidth) / (math.sqrt(2.0) * sigma_w)
-    z2 = (P - halfwidth) / (math.sqrt(2.0) * sigma_w)
     s = math.sqrt(2.0) * sigma_w
+    halfwidth = abs(K) / (math.exp(BETA) - 1.0)
+    z1 = (P + halfwidth) / s
+    z2 = (P - halfwidth) / s
     bracket = (z1 * math.erfc(z1) - z2 * math.erfc(z2)
                - math.exp(-z1 * z1) / _SQRT_PI + math.exp(-z2 * z2) / _SQRT_PI)
     return float(s * (math.exp(BETA) - 1.0) / (4.0 * abs(K)) * bracket)

@@ -7,17 +7,18 @@ branches
     0 <= t < 1:  1 - e^{beta (t - 1)} (cos omega t - (beta/omega) sin omega t)
     t >= 1:      0
 
-with beta = ln 2 and omega = 2*pi fixed (BETA and OMEGA below; every
-closed form in `theory` is derived from the same two). A bipolar symbol stream s_m shaped by p superposes into
-x(t) = sum_m s_m p(t - m); the same waveform is generated by a self-excited
-second-order oscillator whose drive sign latches at derivative zero
-crossings, and `simulate_hybrid` integrates that oscillator directly so the
-two constructions can be compared without shared code paths.
+with beta = ln 2 and omega = 2*pi fixed as BETA and OMEGA; the closed
+forms in `theory` are derived from the same two. A bipolar symbol stream
+s_m shaped by p superposes into x(t) = sum_m s_m p(t - m); the same
+waveform is generated by a self-excited second-order oscillator whose
+drive sign latches at derivative zero crossings, and `simulate_hybrid`
+integrates that oscillator directly so the two constructions can be
+compared without shared code paths.
 
 Because p(t) is nonzero for all t < 1, synthesis must truncate its left
 tail; the truncation length n_p is the one field of WaveformParams and is
-validated against the pulse envelope so discarded mass stays below one part in 10^3
-of the pulse peak.
+validated against the pulse envelope so discarded mass stays below one
+part in 10^3 of the pulse peak.
 """
 
 from __future__ import annotations
