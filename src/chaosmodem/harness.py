@@ -325,28 +325,37 @@ def _receive(ctx: _Context, rail, channel, pad: int, rng_noise):
             ctx.pulse.mf(rng_noise.standard_normal(sig.size)))
 
 
-def _count_errors(ctx: _Context, ys, sent, estimate, eq, n_train: int) -> int:
-    """Decide both rails at one grid point and count the rail decisions in
-    error past the first n_train (training) symbols. Error rate is counted
-    per rail decision: each rail carries one antipodal bit per symbol,
-    which is what the closed-form error probabilities describe."""
+def _count_errors(ctx: _Context, ys, sent, estimate, eqs, n_train: int):
+    """Decide both rails at every grid point and count, per point, the rail
+    decisions in error past the first n_train (training) symbols.
+
+    ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
+    ``sent`` the two transmitted rails, shape (2, n); ``eqs`` has one
+    equalizer (or None) per point. The decision-feedback decoder takes
+    every point and rail as one batch. Error rate is counted per rail
+    decision: each rail carries one antipodal bit per symbol, which is
+    what the closed-form error probabilities describe."""
     method = ctx.config.method
-    n_err = 0
-    for y, rail in zip(ys, sent):
-        if method == "chaotic-opt":
-            # genie: thresholds from the true symbols including the shaping
-            # tail, so every ISI term is cancelled exactly
-            full = np.concatenate([rail, ctx.pulse.tail])
-            theta = rx.threshold_optimal(full, estimate)
-            dec = rx.decide(y, theta[: y.size])
-        elif method == "chaotic-subopt":
-            dec = rx.decode_suboptimal(y, rail[:n_train], estimate)
-        elif method == "rrc-mmse":
-            dec = rx.decide(bl.apply_equalizer(y, eq), 0.0)
-        else:
-            dec = rx.decide(y, 0.0)
-        n_err += int(np.count_nonzero(dec[n_train:] != rail[n_train:]))
-    return n_err
+    if method == "chaotic-subopt":
+        train = np.tile(sent[:, :n_train], (ys.shape[0], 1))
+        dec = rx.decode_suboptimal(ys.reshape(-1, ys.shape[-1]), train,
+                                   estimate).reshape(ys.shape)
+    else:
+        dec = np.empty_like(ys)
+        for p, eq in enumerate(eqs):
+            for r, (y, rail) in enumerate(zip(ys[p], sent)):
+                if method == "chaotic-opt":
+                    # genie: thresholds from the true symbols including the
+                    # shaping tail, so every ISI term is cancelled exactly
+                    full = np.concatenate([rail, ctx.pulse.tail])
+                    theta = rx.threshold_optimal(full, estimate)
+                    dec[p, r] = rx.decide(y, theta[: y.size])
+                elif method == "rrc-mmse":
+                    dec[p, r] = rx.decide(bl.apply_equalizer(y, eq), 0.0)
+                else:
+                    dec[p, r] = rx.decide(y, 0.0)
+    return np.count_nonzero(dec[..., n_train:] != sent[:, n_train:],
+                            axis=(1, 2))
 
 
 # ---------------------------------------------------------------- static ---
@@ -356,15 +365,13 @@ def _static_frame(frame_idx: int) -> np.ndarray:
     cfg = ctx.config
     rng_content, _, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
-    sent = tx.qpsk_map(bits)
-    rails = [[rx.sample_symbols(y, ctx.pulse.lead, cfg.n_c, rail.size)
-              for y in _receive(ctx, rail, ctx.channel, 0, rng_noise)]
-             for rail in sent]
-    errors = np.zeros(len(cfg.ebn0_grid), dtype=np.int64)
-    for p, sigma in enumerate(ctx.sigmas):
-        ys = [s0 + sigma * sw for s0, sw in rails]
-        errors[p] = _count_errors(ctx, ys, sent, ctx.estimate, ctx.eqs[p], 0)
-    return errors
+    sent = np.stack(tx.qpsk_map(bits))
+    # axes: rail, signal or unit noise, symbol
+    rails = np.array([[rx.sample_symbols(y, ctx.pulse.lead, cfg.n_c, rail.size)
+                       for y in _receive(ctx, rail, ctx.channel, 0, rng_noise)]
+                      for rail in sent])
+    ys = rails[:, 0] + ctx.sigmas[:, None, None] * rails[:, 1]
+    return _count_errors(ctx, ys, sent, ctx.estimate, ctx.eqs, 0)
 
 
 def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:
@@ -434,12 +441,12 @@ def _quasi_frame(frame_idx: int):
     rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
     frame = tx.build_frame(bits, ctx.layout)
+    sent = np.stack([frame.i_syms, frame.q_syms])
     gamma = ch.draw_gamma(ctx.channel, rng_chan)
     pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
     spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
     true_offset = pad + ctx.pulse.lead
-    streams = [_receive(ctx, rail, spec, pad, rng_noise)
-               for rail in (frame.i_syms, frame.q_syms)]
+    streams = [_receive(ctx, rail, spec, pad, rng_noise) for rail in sent]
 
     n_points = len(cfg.ebn0_grid)
     errors = np.zeros(n_points, dtype=np.int64)
@@ -472,10 +479,10 @@ def _quasi_frame(frame_idx: int):
         dense[np.array(est.delays, dtype=int)] = est.gains
         rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
         eq = bl.design_mmse(est) if cfg.method == "rrc-mmse" else None
-        ys = [rx.sample_symbols(s_mf + sigma * w_mf, offset, n_c, ctx.n_sym)
-              for s_mf, w_mf in streams]
-        errors[p] = _count_errors(ctx, ys, (frame.i_syms, frame.q_syms),
-                                  est, eq, ctx.t_i.size)
+        ys = np.array([[rx.sample_symbols(s_mf + sigma * w_mf, offset, n_c,
+                                          ctx.n_sym)
+                        for s_mf, w_mf in streams]])
+        errors[p] = _count_errors(ctx, ys, sent, est, [eq], ctx.t_i.size)[0]
         counted[p] = cfg.n_data_bits
     return errors, counted, failures, rms
 

@@ -236,32 +236,64 @@ def decide(y, theta):
     return out
 
 
-def _dd_loop(y, out, coeffs, n_start):
-    w = coeffs.shape[0]
-    for n in range(n_start, y.shape[0]):
-        th = 0.0
-        for k in range(1, w + 1):
-            m = n - k
-            if m >= 0:
-                th += out[m] * coeffs[k - 1]
-        out[n] = 1.0 if y[n] >= th else -1.0
-
-
 def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarray:
-    """Decision-directed decoding of a frame.
+    """Decision-directed decoding of one frame or of a batch of frames.
 
-    The known training symbols prime the feedback window; every later
-    decision feeds back into the thresholds for the symbols after it.
-    Returns the full bipolar decision sequence (training region echoed).
+    ``y_syms`` is one frame's symbol-rate observations, shape (n,), or one
+    frame per row, shape (B, n). ``train_syms`` is the known training
+    prefix, shape (n_train,) and shared by every row, or shape
+    (B, n_train) with one row per frame; its row count must match. The
+    prefix primes the feedback window, and every later decision feeds back
+    into the thresholds of the symbols after it: symbol n decides +1 when
+    ``y[n] >= sum_{k=1..w} c_k d[n-k]`` (a tie goes to +1), where c_k is
+    the composite response at past lag k, w is ``decision_window`` and
+    decisions before the frame count as zero. Returns the bipolar
+    decisions in the shape of ``y_syms``, training region echoed.
+
+    The causal recursion has exactly one solution, which is found here by
+    Jacobi iteration over whole arrays rather than one symbol at a time:
+    start from the signs of y, and on each pass recompute every threshold
+    from the previous pass's decisions. A pass decides the first symbol it
+    changes from final decisions only, so every symbol up to and including
+    the first change is final and the next pass starts after it; a pass
+    that changes nothing has reached the solution. The thresholds are
+    accumulated over k = 1..w from 0.0 in the recursion's own order, so
+    they are bitwise equal to it and the decisions are exact, not an
+    approximation.
+
+    A few passes suffice when the own-symbol gain exceeds the summed
+    feedback magnitudes, as on every channel preset. In the worst case,
+    when y carries no signal (for example y == 0), each pass finalizes one
+    symbol and decoding takes n - n_train passes.
     """
     y = np.asarray(y_syms, dtype=float)
     train = np.asarray(train_syms, dtype=float)
-    if train.size > y.size:
+    if y.ndim not in (1, 2) or train.ndim not in (1, 2):
+        raise ValueError("observations and training must be 1-d or 2-d")
+    rows = np.atleast_2d(y)
+    n_rows, n = rows.shape
+    if train.ndim == 2 and train.shape[0] != n_rows:
+        raise ValueError(f"{train.shape[0]} training rows for {n_rows} "
+                         f"observation rows")
+    n_train = train.shape[-1]
+    if n_train > n:
         raise ValueError("training longer than the observed frame")
     w = decision_window(estimate)
     coeffs = isi_feedback_coeffs(estimate, w)
-    out = np.empty(y.size)
-    out[:train.size] = train
-    _dd_loop(y, out, coeffs, train.size)
-    return out
-
+    # column w + m holds the decision for symbol m; the w zero columns
+    # before the frame add nothing to a threshold
+    d = np.zeros((n_rows, w + n))
+    d[:, w:w + n_train] = train
+    d[:, w + n_train:] = np.where(rows[:, n_train:] >= 0.0, 1.0, -1.0)
+    start = n_train
+    while start < n:
+        theta = np.zeros((n_rows, n - start))
+        for k in range(1, w + 1):
+            theta += d[:, w + start - k:w + n - k] * coeffs[k - 1]
+        new = np.where(rows[:, start:] >= theta, 1.0, -1.0)
+        changed = np.flatnonzero((new != d[:, w + start:]).any(axis=0))
+        if changed.size == 0:
+            break
+        d[:, w + start:] = new
+        start += int(changed[0]) + 1
+    return d[:, w:].reshape(y.shape)

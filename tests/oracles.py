@@ -69,6 +69,27 @@ def threshold_suboptimal(state: ThresholdState) -> float:
     return float(np.dot(state.window, state.coeffs))
 
 
+def dd_loop(y, out, coeffs, n_start):
+    """The causal decision-feedback recursion, one symbol and one feedback
+    tap at a time: the plain-loop reference for the batch decoder.
+
+    Fills ``out[n_start:]`` in place from the decisions before each symbol
+    (``out[:n_start]`` holds the training) and returns the thresholds it
+    compared against; symbols before the frame are skipped.
+    """
+    w = coeffs.shape[0]
+    thetas = np.zeros(y.shape[0])
+    for n in range(n_start, y.shape[0]):
+        th = 0.0
+        for k in range(1, w + 1):
+            m = n - k
+            if m >= 0:
+                th += out[m] * coeffs[k - 1]
+        thetas[n] = th
+        out[n] = 1.0 if y[n] >= th else -1.0
+    return thetas
+
+
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision
 # series evaluation, frozen).
 ERFC_TABLE = {

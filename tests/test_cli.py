@@ -215,6 +215,16 @@ def test_main_check_conjugacy_passes(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
+def test_main_selftest_passes(capsys):
+    # a chaotic-subopt static sweep against the closed form, and a quasi
+    # sweep at one and two workers
+    rc = cli.main(["selftest"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "[FAIL]" not in out
+    assert out.splitlines()[-1] == "no failures"
+
+
 def test_main_missing_config_file(tmp_path, capsys):
     rc = cli.main(["sweep-static", "--config", str(tmp_path / "nope.cfg")])
     err = capsys.readouterr().err

@@ -12,7 +12,8 @@ from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
 from chaosmodem import txchain as tx
 from chaosmodem import waveform as wf
-from oracles import RESPONSE_TABLE, ThresholdState, threshold_suboptimal
+from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop,
+                     threshold_suboptimal)
 
 
 def test_matched_filter_tap_symmetry():
@@ -397,3 +398,65 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     assert np.array_equal(fast[:n_train], syms[:n_train])
     with pytest.raises(ValueError):
         rx.decode_suboptimal(ysym[:10], syms[:64], est)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(preset=st.sampled_from(["static2", "static3"]),
+       n_rows=st.integers(1, 6),
+       n=st.integers(1, 90),
+       train_frac=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
+       shared=st.booleans(),
+       kind=st.sampled_from(["noise", "ties", "zeros"]),
+       scale=st.floats(0.05, 3.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
+                                              shared, kind, scale, seed):
+    # a (B, n) call decides every row exactly as the plain per-symbol loop
+    # does: no training, shared or per-row training, exact ties (which go
+    # to +1) and the signal-free y == 0 case where each pass settles only
+    # one more symbol
+    spec = ch.get_preset(preset)
+    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
+    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+    rng = np.random.default_rng(seed)
+    n_train = int(train_frac * n)
+    want = rng.choice([-1.0, 1.0], (n_rows, n))
+    if shared:
+        want[:, :n_train] = want[0, :n_train]
+    if kind == "noise":
+        y = scale * rng.standard_normal((n_rows, n))
+    elif kind == "zeros":
+        y = np.zeros((n_rows, n))
+    else:
+        # y equal to the loop's own threshold wherever a decision of +1 is
+        # forced, far from it elsewhere
+        tie = rng.random((n_rows, n)) < 0.5
+        want[:, n_train:][tie[:, n_train:]] = 1.0
+        y = 1e3 * want
+        for b in range(n_rows):
+            thetas = dd_loop(y[b], want[b].copy(), coeffs, n_train)
+            y[b, tie[b]] = thetas[tie[b]]
+    train = want[0, :n_train] if shared else want[:, :n_train]
+    fast = rx.decode_suboptimal(y, train, est)
+    assert fast.shape == y.shape
+    for b in range(n_rows):
+        slow = np.empty(n)
+        slow[:n_train] = want[b, :n_train]
+        dd_loop(y[b], slow, coeffs, n_train)
+        assert np.array_equal(fast[b], slow)
+        if kind == "ties":
+            assert np.array_equal(slow, want[b])
+    assert np.array_equal(rx.decode_suboptimal(y[0], want[0, :n_train], est),
+                          fast[0])
+
+
+def test_decode_suboptimal_rejects_mismatched_rows():
+    spec = ch.get_preset("static2")
+    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
+    y = np.zeros((4, 20))
+    with pytest.raises(ValueError, match="3 training rows for 4"):
+        rx.decode_suboptimal(y, np.ones((3, 5)), est)
+    with pytest.raises(ValueError, match="training longer"):
+        rx.decode_suboptimal(y, np.ones((4, 21)), est)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        rx.decode_suboptimal(np.zeros((2, 2, 5)), np.ones(2), est)
