@@ -58,10 +58,6 @@ class MultipathSpec:
         return cls(tuple(float(x) for x in delays),
                    tuple(gains_from_gamma(gamma, delays)), gamma)
 
-    @property
-    def tau_max(self) -> float:
-        return self.delays[-1]
-
     def delay_samples(self, n_c: int) -> np.ndarray:
         """Delays as sample counts; rejects delays off the 1/n_c grid."""
         scaled = np.asarray(self.delays) * n_c

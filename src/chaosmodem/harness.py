@@ -6,16 +6,20 @@ child streams (payload bits, channel draw, noise), so a sweep is
 reproducible bit for bit at any worker count: per-frame error counts are
 integers and summation commutes.
 
-Common random numbers across the Eb/N0 grid: each frame synthesizes its
-waveform, runs it through the channel and the matched filter once, and
-matched-filters one unit-variance noise stream once; the grid points then
-reuse both via y = signal + sigma * noise. That makes BER curves smooth in
-Eb/N0 at a fraction of the naive cost.
+Common random numbers across the Eb/N0 grid: each frame computes the
+matched-filter outputs of its rails and of one unit-variance noise draw
+per rail once; the grid points then reuse both via y = signal + sigma *
+noise. That makes BER curves smooth in Eb/N0 at a fraction of the naive
+cost.
 
 Both receivers are one linear modem: a rail is shaped at n_c samples per
 symbol, propagated, matched-filtered and sampled once per symbol. The
 chaotic and RRC chains differ only in their Pulse, so every sweep runs the
-same frame pipeline.
+same frame pipeline. A quasi-static frame runs it at full rate to find
+its timing. A static frame computes only the samples the decoder reads:
+the sweep context sends unit symbols through the waveform path once for
+the response at symbol lags, and the matched filter reads the frame's
+noise at the symbol instants only.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ _PAD_SYMBOLS = (2, 20)
 _SYNC_GRID_STEPS = (-2, -1, 0, 1)
 _MAX_DELAY = 3
 _LAG_BACK = 6
+# long enough to hold the whole response to a unit symbol in its middle
+_PROBE_SYMBOLS = 96
 
 
 @dataclass(frozen=True)
@@ -78,24 +84,29 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}")
         ch.get_preset(self.channel)
-        grid = tuple(float(g) for g in self.ebn0_grid)
-        if not grid:
-            raise ValueError("ebn0_grid must not be empty")
+        try:
+            grid = tuple(float(g) for g in self.ebn0_grid)
+        except (TypeError, ValueError):
+            grid = ()
+        if not grid or isinstance(self.ebn0_grid, str):
+            raise ValueError(f"ebn0_grid must be a non-empty sequence of "
+                             f"numbers, got {self.ebn0_grid!r}")
         if not all(np.isfinite(grid)):
             raise ValueError("ebn0_grid values must be finite")
         object.__setattr__(self, "ebn0_grid", grid)
         for name in ("n_training_bits", "n_data_bits", "trials", "frames"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, np.integer)) and v > 0):
+            if not (_is_int(v) and v > 0):
                 raise ValueError(f"{name} must be a positive integer, got {v}")
-        if not (isinstance(self.master_seed, (int, np.integer))
-                and self.master_seed >= 0):
+        if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ValueError(f"master_seed must be a non-negative integer, "
                              f"got {self.master_seed}")
         if self.n_training_bits % 2 or self.n_data_bits % 2:
             raise ValueError("QPSK framing needs even bit counts")
-        if not (isinstance(self.n_c, (int, np.integer)) and self.n_c >= 2):
+        if not (_is_int(self.n_c) and self.n_c >= 2):
             raise ValueError(f"n_c must be an integer >= 2, got {self.n_c}")
+        if not isinstance(self.genie, bool):
+            raise ValueError(f"genie must be True or False, got {self.genie!r}")
         if self.genie and self.method != "chaotic-opt":
             raise ValueError("genie decoding exists only for chaotic-opt")
         if self.failure_policy not in ("pessimistic", "separate"):
@@ -148,6 +159,10 @@ class BerRecord:
     def analytic(cls, method: str, channel: str, ebn0_db: float,
                  ber: float) -> "BerRecord":
         return cls(method, channel, float(ebn0_db), 0, 0, float(ber), 0.0)
+
+
+def _is_int(v) -> bool:  # bools are ints to Python, but never a count
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _ci95(bits: int, errors: int) -> float:
@@ -230,17 +245,6 @@ def pulse_for(name: str, n_c: int) -> Pulse:
     raise ValueError(f"unknown waveform family {name!r}")
 
 
-def waveform_energy_per_bit(family: str, n_c: int) -> float:
-    """Expected sample-sum transmit energy per rail bit (see Pulse)."""
-    return pulse_for(family, n_c).energy
-
-
-def sigma_w_chaotic(sigma: float, n_c: int) -> float:
-    """Noise standard deviation at the chaotic matched-filter output, from
-    the realized (truncated) receive kernel rather than the ideal one."""
-    return sigma * math.sqrt(waveform_energy_per_bit("chaotic", n_c)) / n_c
-
-
 def _frame_streams(master_seed: int, frame_idx: int):
     ss = np.random.SeedSequence([master_seed, frame_idx])
     content, chan, noise = ss.spawn(3)
@@ -289,6 +293,9 @@ class _Context:
             if config.method == "rrc-mmse":
                 self.eqs = [bl.design_mmse(rx.ChannelEstimate(
                     delays, gains, float(s * s))) for s in self.sigmas]
+            if config.method == "chaotic-opt":
+                self.genie = rx.genie_response(self.estimate)
+            self._probe_static(config.n_data_bits // 2)
             return
         self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
         self.t_i, self.t_q = tx.qpsk_map(tx.gen_training(self.layout))
@@ -306,6 +313,54 @@ class _Context:
         self.template = pulse.template(self.t_i)
         self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                            + self.template.size)
+
+    def _probe_static(self, n: int):
+        """Derive the symbol-rate path of static frames of n-symbol rails
+        from unit symbols pushed through the real waveform path in a short
+        probe frame. The path is linear and time-invariant but for shaping
+        dropping the waveform before t = 0: the signal samples of a rail and
+        its tail are their convolution with ``h_sym`` (``h_lag`` taps precede
+        the symbol) plus ``edge``, the real response to each early unit
+        symbol minus that convolution. Noise is read through ``mf_kernel``,
+        the matched filter's impulse response reversed."""
+        pulse, n_c = self.pulse, self.config.n_c
+
+        def probe(symbols):
+            v = ch.propagate(pulse.synth(symbols), self.channel, n_c)
+            return rx.sample_symbols(pulse.mf(v), pulse.lead, n_c,
+                                     symbols.size), v.size
+
+        unit = np.eye(_PROBE_SYMBOLS)
+        mid = _PROBE_SYMBOLS // 2
+        y, size = probe(unit[mid])
+        first, last = np.flatnonzero(y)[[0, -1]]
+        self.h_sym, self.h_lag = y[first:last + 1], mid - first
+        rows = slice(self.h_lag, self.h_lag + last - mid + 1)
+        self.edge = np.stack([probe(e)[0][:rows.stop - rows.start]
+                              - np.convolve(e, self.h_sym)[rows]
+                              for e in unit[:self.h_lag + 1]], axis=1)
+        # shaping emits n_c samples per symbol, tail included
+        self.noise_size = size + (n + pulse.tail.size - _PROBE_SYMBOLS) * n_c
+        g = pulse.mf(np.eye(1, size, size // 2)[0])  # impulse at size // 2
+        first, last = np.flatnonzero(g)[[0, -1]]
+        self.mf_kernel = g[first:last + 1][::-1]
+        # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
+        self.mf_pad = (last - size // 2, size // 2 - first)
+
+    def sampled_frame(self, sent, rng_noise):
+        """Symbol-rate matched-filter outputs of the rails ``sent`` and of one
+        unit-variance noise draw per rail: the samples ``_receive`` yields."""
+        n_c, lead, n = self.config.n_c, self.pulse.lead, sent.shape[1]
+        ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
+        sig = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n]
+                        for s in ext])
+        edge = self.edge[:n, :ext.shape[1]]
+        sig[:, :edge.shape[0]] += ext[:, :edge.shape[1]] @ edge.T
+        w = np.pad([rng_noise.standard_normal(self.noise_size) for _ in sent],
+                   ((0, 0), self.mf_pad))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            w, self.mf_kernel.size, axis=1)[:, lead:lead + n * n_c:n_c]
+        return sig, np.einsum("rmk,k->rm", windows, self.mf_kernel)
 
 
 _CTX: Optional[_Context] = None
@@ -332,28 +387,27 @@ def _count_errors(ctx: _Context, ys, sent, estimate, eqs, n_train: int):
     ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
     ``sent`` the two transmitted rails, shape (2, n); ``eqs`` has one
     equalizer (or None) per point. The decision-feedback decoder takes
-    every point and rail as one batch. Error rate is counted per rail
-    decision: each rail carries one antipodal bit per symbol, which is
-    what the closed-form error probabilities describe."""
+    every point and rail as one batch; the genie thresholds are computed
+    once per rail and shared by every point. Error rate is counted per
+    rail decision: each rail carries one antipodal bit per symbol, which
+    is what the closed-form error probabilities describe."""
     method = ctx.config.method
     if method == "chaotic-subopt":
         train = np.tile(sent[:, :n_train], (ys.shape[0], 1))
         dec = rx.decode_suboptimal(ys.reshape(-1, ys.shape[-1]), train,
                                    estimate).reshape(ys.shape)
+    elif method == "chaotic-opt":
+        # genie: thresholds from the true symbols including the shaping tail
+        # cancel every ISI term exactly; every grid point shares them
+        theta = [rx.threshold_optimal(np.concatenate([rail, ctx.pulse.tail]),
+                                      estimate, ctx.genie)[:rail.size]
+                 for rail in sent]
+        dec = rx.decide(ys, np.array(theta))
+    elif method == "rrc-mmse":
+        dec = rx.decide(np.array([[bl.apply_equalizer(y, eq) for y in yp]
+                                  for yp, eq in zip(ys, eqs)]), 0.0)
     else:
-        dec = np.empty_like(ys)
-        for p, eq in enumerate(eqs):
-            for r, (y, rail) in enumerate(zip(ys[p], sent)):
-                if method == "chaotic-opt":
-                    # genie: thresholds from the true symbols including the
-                    # shaping tail, so every ISI term is cancelled exactly
-                    full = np.concatenate([rail, ctx.pulse.tail])
-                    theta = rx.threshold_optimal(full, estimate)
-                    dec[p, r] = rx.decide(y, theta[: y.size])
-                elif method == "rrc-mmse":
-                    dec[p, r] = rx.decide(bl.apply_equalizer(y, eq), 0.0)
-                else:
-                    dec[p, r] = rx.decide(y, 0.0)
+        dec = rx.decide(ys, 0.0)
     return np.count_nonzero(dec[..., n_train:] != sent[:, n_train:],
                             axis=(1, 2))
 
@@ -366,11 +420,8 @@ def _static_frame(frame_idx: int) -> np.ndarray:
     rng_content, _, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
     sent = np.stack(tx.qpsk_map(bits))
-    # axes: rail, signal or unit noise, symbol
-    rails = np.array([[rx.sample_symbols(y, ctx.pulse.lead, cfg.n_c, rail.size)
-                       for y in _receive(ctx, rail, ctx.channel, 0, rng_noise)]
-                      for rail in sent])
-    ys = rails[:, 0] + ctx.sigmas[:, None, None] * rails[:, 1]
+    sig, noise = ctx.sampled_frame(sent, rng_noise)
+    ys = sig + ctx.sigmas[:, None, None] * noise
     return _count_errors(ctx, ys, sent, ctx.estimate, ctx.eqs, 0)
 
 
@@ -549,12 +600,13 @@ def run_theory_curves(config: ExperimentConfig) -> List[BerRecord]:
     if config.method not in THEORY_METHODS:
         raise ValueError(f"run_theory_curves cannot run {config.method!r}")
     preset = _preset(config, False, "run_theory_curves")
-    eb = waveform_energy_per_bit("chaotic", config.n_c)
+    eb = pulse_for("chaotic", config.n_c).energy
     P = th.compute_signal_power(preset)
     records = []
     for db in config.ebn0_grid:
         sigma = ch.calibrate_noise(db, eb)
-        sw = sigma_w_chaotic(sigma, config.n_c)
+        # matched-filter noise deviation through the realized receive kernel
+        sw = sigma * math.sqrt(eb) / config.n_c
         if config.method == "theory-opt":
             ber = th.ber_optimal(P, sw)
         else:
@@ -617,7 +669,7 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
 
 
 def _map_frames(worker, ctx: _Context, n_frames: int, jobs: int):
-    if not (isinstance(jobs, (int, np.integer)) and jobs >= 1):
+    if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     if jobs == 1:
         _install(ctx)

@@ -130,10 +130,6 @@ class ChannelEstimate:
         if not (np.isfinite(self.noise_var) and self.noise_var >= 0):
             raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
 
-    @property
-    def tau_max(self) -> float:
-        return self.delays[-1]
-
 
 @dataclass(frozen=True)
 class LsDesign:
@@ -200,19 +196,24 @@ def estimate_channel_ls(obs, design: LsDesign, cascade,
     return ChannelEstimate(tuple(cand), alpha, noise_var)
 
 
-def threshold_optimal(symbols, estimate) -> np.ndarray:
-    """Genie threshold: the full interference sum over every other symbol,
-    past and future, through the estimated paths. Truncated where the
-    pulse autocorrelation falls below 1e-9."""
-    s = np.asarray(symbols, dtype=float)
+def genie_response(estimate):
+    """The composite response ``threshold_optimal`` sums over, at lags
+    -radius..radius + tau_max, and at lag 0; it depends on the channel only."""
     radius = response_decay_radius(1e-9)
     tau_max = int(math.ceil(max(estimate.delays)))
     d = np.arange(-radius, radius + tau_max + 1, dtype=float)
-    c = composite_response(d, estimate)
-    c0 = composite_response(0.0, estimate)
-    full = np.convolve(s, c)
-    theta = full[radius:radius + s.size] - s * c0
-    return theta
+    return composite_response(d, estimate), composite_response(0.0, estimate)
+
+
+def threshold_optimal(symbols, estimate, response=None) -> np.ndarray:
+    """Genie threshold: the full interference sum over every other symbol,
+    past and future, through the estimated paths. Truncated where the
+    pulse autocorrelation falls below 1e-9. Pass ``genie_response(estimate)``
+    as ``response`` to reuse it across calls."""
+    s = np.asarray(symbols, dtype=float)
+    c, c0 = genie_response(estimate) if response is None else response
+    radius = response_decay_radius(1e-9)
+    return np.convolve(s, c)[radius:radius + s.size] - s * c0
 
 
 def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:

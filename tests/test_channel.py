@@ -28,7 +28,6 @@ def test_multipath_spec_validation():
     spec = MultipathSpec.from_gamma(0.6, (0.0, 1.0))
     assert spec.gamma == 0.6
     assert np.array_equal(spec.gains, gains_from_gamma(0.6, spec.delays))
-    assert spec.tau_max == 1.0
     with pytest.raises(ValueError):
         MultipathSpec((1.0, 2.0), (1.0, 0.5))          # first delay not 0
     with pytest.raises(ValueError):

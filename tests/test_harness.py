@@ -13,6 +13,7 @@ sys.path.insert(0, os.path.dirname(__file__))
 from oracles import BER_SUB_TABLE  # noqa: E402
 
 import chaosmodem.harness as H  # noqa: E402
+import chaosmodem.rxchain as rx  # noqa: E402
 
 
 def small_static(method="chaotic-subopt", channel="static2", **kw):
@@ -50,6 +51,16 @@ def test_config_validation():
         small_static(n_c=1)
     with pytest.raises(ValueError):
         small_static(failure_policy="ignore")
+    # bools are ints to Python, but never a count, a rate or a seed
+    for key in ("trials", "n_c", "n_training_bits", "n_data_bits", "frames",
+                "master_seed"):
+        with pytest.raises(ValueError, match=key):
+            small_static(**{key: True})
+    with pytest.raises(ValueError, match="genie"):
+        small_static(method="chaotic-opt", genie=1)
+    for grid in (("a",), 5.0, "5", (None,)):
+        with pytest.raises(ValueError, match="ebn0_grid"):
+            small_static(ebn0_grid=grid)
 
 
 def test_genie_only_for_optimal():
@@ -75,19 +86,16 @@ def test_ber_record_consistency():
 
 
 def test_energy_per_bit():
-    eb = H.waveform_energy_per_bit("chaotic", 8)
+    eb = H.pulse_for("chaotic", 8).energy
     assert abs(eb - 8 * 1.3433272444) / eb < 1e-4
-    assert abs(H.waveform_energy_per_bit("rrc", 8) - 1.0) < 1e-12
+    assert abs(H.pulse_for("rrc", 8).energy - 1.0) < 1e-12
     with pytest.raises(ValueError):
-        H.waveform_energy_per_bit("ofdm", 8)
-
-
-def test_sigma_w_scales_linearly():
-    a = H.sigma_w_chaotic(0.5, 8)
-    b = H.sigma_w_chaotic(1.0, 8)
-    assert abs(b - 2 * a) < 1e-12
-    # matched filter of unit-variance samples: sigma_w = sqrt(K)/n_c
-    assert abs(b - math.sqrt(H.waveform_energy_per_bit("chaotic", 8)) / 8) < 1e-12
+        H.pulse_for("ofdm", 8)
+    # the receive kernel the static frames read unit noise through has
+    # energy E / n_c^2, so the theory curves' sigma_w = sigma sqrt(E) / n_c
+    ctx = H._Context(small_static(), quasi=False)
+    kernel = ctx.mf_kernel
+    assert abs(np.dot(kernel, kernel) - eb / 64) < 1e-12
 
 
 def test_frame_streams_reproducible_and_distinct():
@@ -106,6 +114,57 @@ def test_static_sweep_accounting():
         assert r.bits == 20000  # ceil(20000/2000) frames x 2000 bits
         assert 0 <= r.errors <= r.bits
     assert recs[0].errors > recs[1].errors
+
+
+@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
+                                         for n in (2, 3, 4, 6, 8)])
+def test_sampled_frame_matches_waveform_path(family, n_c):
+    # the static frame computes only the symbol-rate samples; they must be
+    # the samples of the full-rate waveform path, down to rounding, on
+    # every preset and frame length, frames shorter than the start-edge
+    # block included, and the noise generator must be left where the
+    # waveform path leaves it
+    method = "chaotic-subopt" if family == "chaotic" else "rrc-noeq"
+    for channel in ("static2", "static3"):
+        for n_bits in (8, 64, 3840):
+            cfg = small_static(method=method, channel=channel, n_c=n_c,
+                               n_data_bits=n_bits, trials=n_bits)
+            try:
+                ctx = H._Context(cfg, quasi=False)
+            except ValueError:
+                assert family == "rrc" and n_c == 2  # RRC misses Nyquist
+                continue
+            assert n_bits > 8 or n_bits // 2 < ctx.edge.shape[0]
+            rails = np.random.default_rng(n_bits).integers(0, 2, (2, n_bits // 2))
+            sent = 1.0 - 2.0 * rails
+            fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+            sig, noise = ctx.sampled_frame(sent, fast)
+            ref = np.array([[rx.sample_symbols(y, ctx.pulse.lead, n_c, rail.size)
+                             for y in H._receive(ctx, rail, ctx.channel, 0, slow)]
+                            for rail in sent])
+            assert np.max(np.abs(sig - ref[:, 0])) < 1e-12
+            assert np.max(np.abs(noise - ref[:, 1])) < 1e-12
+            assert fast.standard_normal() == slow.standard_normal()
+
+
+def test_genie_response_once_per_sweep(monkeypatch):
+    # chaotic-opt thresholds come from the rails and the known channel, so
+    # the composite response is evaluated per sweep, not per frame or point
+    calls = []
+    real = rx.composite_response
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(rx, "composite_response", counted)
+    counts = []
+    for frames in (2, 6):
+        calls.clear()
+        H.run_static_sweep(small_static(method="chaotic-opt", genie=True,
+                                        trials=frames * 2000), jobs=1)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_static_sweep_method_gates():
@@ -301,6 +360,8 @@ def test_negative_master_seed_rejected():
 def test_jobs_below_one_rejected():
     with pytest.raises(ValueError, match="jobs"):
         H.run_static_sweep(small_static(), jobs=0)
+    with pytest.raises(ValueError, match="jobs"):
+        H.run_static_sweep(small_static(), jobs=True)
 
 
 def test_rrc_infeasible_n_c_fails_before_the_pool():

@@ -288,6 +288,9 @@ def test_threshold_optimal_symmetry_and_constant():
     s = rng.choice([-1.0, 1.0], 60)
     assert np.max(np.abs(rx.threshold_optimal(-s, est)
                          + rx.threshold_optimal(s, est))) < 1e-12
+    # a precomputed genie response is the same arithmetic, bit for bit
+    assert np.array_equal(rx.threshold_optimal(s, est, rx.genie_response(est)),
+                          rx.threshold_optimal(s, est))
 
 
 def test_threshold_suboptimal_past_half_split():
