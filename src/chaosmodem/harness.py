@@ -85,10 +85,14 @@ class ExperimentConfig:
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}")
         ch.get_preset(self.channel)
         try:
-            grid = tuple(float(g) for g in self.ebn0_grid)
+            grid = tuple(self.ebn0_grid)
+            if isinstance(self.ebn0_grid, str) or any(
+                    isinstance(g, (bool, np.bool_)) for g in grid):
+                raise TypeError
+            grid = tuple(float(g) for g in grid)
         except (TypeError, ValueError):
             grid = ()
-        if not grid or isinstance(self.ebn0_grid, str):
+        if not grid:
             raise ValueError(f"ebn0_grid must be a non-empty sequence of "
                              f"numbers, got {self.ebn0_grid!r}")
         if not all(np.isfinite(grid)):
@@ -294,7 +298,7 @@ class _Context:
                 self.eqs = [bl.design_mmse(rx.ChannelEstimate(
                     delays, gains, float(s * s))) for s in self.sigmas]
             if config.method == "chaotic-opt":
-                self.genie = rx.genie_response(self.estimate)
+                self.genie_coeffs = rx.genie_response(self.estimate)
             self._probe_static(config.n_data_bits // 2)
             return
         self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
@@ -315,14 +319,12 @@ class _Context:
                            + self.template.size)
 
     def _probe_static(self, n: int):
-        """Derive the symbol-rate path of static frames of n-symbol rails
-        from unit symbols pushed through the real waveform path in a short
-        probe frame. The path is linear and time-invariant but for shaping
-        dropping the waveform before t = 0: the signal samples of a rail and
-        its tail are their convolution with ``h_sym`` (``h_lag`` taps precede
-        the symbol) plus ``edge``, the real response to each early unit
-        symbol minus that convolution. Noise is read through ``mf_kernel``,
-        the matched filter's impulse response reversed."""
+        """Derive the symbol-rate path of static frames of n-symbol rails by
+        pushing unit symbols of a short probe frame through the waveform path.
+        Shaping drops the waveform before t = 0, so a rail and its tail give
+        their convolution with ``h_sym`` (``h_lag`` taps precede the symbol)
+        plus ``edge``, each early unit symbol's real response minus that
+        convolution. Noise is read through ``mf_kernel``, the reversed MF."""
         pulse, n_c = self.pulse, self.config.n_c
 
         def probe(symbols):
@@ -386,11 +388,10 @@ def _count_errors(ctx: _Context, ys, sent, estimate, eqs, n_train: int):
 
     ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
     ``sent`` the two transmitted rails, shape (2, n); ``eqs`` has one
-    equalizer (or None) per point. The decision-feedback decoder takes
-    every point and rail as one batch; the genie thresholds are computed
-    once per rail and shared by every point. Error rate is counted per
-    rail decision: each rail carries one antipodal bit per symbol, which
-    is what the closed-form error probabilities describe."""
+    equalizer (or None) per point. Every point shares a rail's genie
+    thresholds; the decision-feedback decoder takes all points and rails
+    as one batch. Error rate is counted per rail decision: each rail
+    carries one antipodal bit per symbol, as the closed forms assume."""
     method = ctx.config.method
     if method == "chaotic-subopt":
         train = np.tile(sent[:, :n_train], (ys.shape[0], 1))
@@ -400,7 +401,7 @@ def _count_errors(ctx: _Context, ys, sent, estimate, eqs, n_train: int):
         # genie: thresholds from the true symbols including the shaping tail
         # cancel every ISI term exactly; every grid point shares them
         theta = [rx.threshold_optimal(np.concatenate([rail, ctx.pulse.tail]),
-                                      estimate, ctx.genie)[:rail.size]
+                                      ctx.genie_coeffs)[:rail.size]
                  for rail in sent]
         dec = rx.decide(ys, np.array(theta))
     elif method == "rrc-mmse":

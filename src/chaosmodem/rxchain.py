@@ -205,13 +205,13 @@ def genie_response(estimate):
     return composite_response(d, estimate), composite_response(0.0, estimate)
 
 
-def threshold_optimal(symbols, estimate, response=None) -> np.ndarray:
+def threshold_optimal(symbols, response) -> np.ndarray:
     """Genie threshold: the full interference sum over every other symbol,
-    past and future, through the estimated paths. Truncated where the
-    pulse autocorrelation falls below 1e-9. Pass ``genie_response(estimate)``
-    as ``response`` to reuse it across calls."""
+    past and future, through the estimated paths. ``response`` is
+    ``genie_response(estimate)``, truncated where the pulse autocorrelation
+    falls below 1e-9."""
     s = np.asarray(symbols, dtype=float)
-    c, c0 = genie_response(estimate) if response is None else response
+    c, c0 = response
     radius = response_decay_radius(1e-9)
     return np.convolve(s, c)[radius:radius + s.size] - s * c0
 

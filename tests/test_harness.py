@@ -58,7 +58,7 @@ def test_config_validation():
             small_static(**{key: True})
     with pytest.raises(ValueError, match="genie"):
         small_static(method="chaotic-opt", genie=1)
-    for grid in (("a",), 5.0, "5", (None,)):
+    for grid in (("a",), 5.0, "5", (None,), (True, False)):
         with pytest.raises(ValueError, match="ebn0_grid"):
             small_static(ebn0_grid=grid)
 

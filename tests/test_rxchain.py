@@ -266,7 +266,7 @@ def test_ls_design_stacks_rails():
 def test_threshold_optimal_brute_force():
     est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     syms = np.array([-1.0, -1.0, 1.0, -1.0, -1.0])
-    theta = rx.threshold_optimal(syms, est)
+    theta = rx.threshold_optimal(syms, rx.genie_response(est))
     radius = th.response_decay_radius(1e-9)
     for n in range(syms.size):
         brute = sum(syms[m] * th.response_r(float(n - m))
@@ -281,16 +281,14 @@ def test_threshold_optimal_symmetry_and_constant():
     spec = ch.get_preset("static2")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     ones = np.ones(80)
-    theta = rx.threshold_optimal(ones, est)
+    response = rx.genie_response(est)
+    theta = rx.threshold_optimal(ones, response)
     mid = theta[35:45]
     assert np.max(np.abs(mid - mid[0])) < 1e-9
     rng = np.random.default_rng(15)
     s = rng.choice([-1.0, 1.0], 60)
-    assert np.max(np.abs(rx.threshold_optimal(-s, est)
-                         + rx.threshold_optimal(s, est))) < 1e-12
-    # a precomputed genie response is the same arithmetic, bit for bit
-    assert np.array_equal(rx.threshold_optimal(s, est, rx.genie_response(est)),
-                          rx.threshold_optimal(s, est))
+    assert np.max(np.abs(rx.threshold_optimal(-s, response)
+                         + rx.threshold_optimal(s, response))) < 1e-12
 
 
 def test_threshold_suboptimal_past_half_split():
@@ -364,7 +362,7 @@ def test_decode_genie_noiseless_exact():
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    dec = rx.decide(ysym, rx.threshold_optimal(syms, est))
+    dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(est)))
     assert np.array_equal(dec, syms)
 
 
