@@ -54,10 +54,6 @@ class RrcFilter:
                 "truncated cascade leaves {:.1e} relative ISI at symbol lags; "
                 "increase span for this rolloff".format(worst / peak))
 
-    @property
-    def center(self) -> int:
-        return (self.span * self.n_c) // 2
-
     def symbol_cascade(self, max_lag: int) -> np.ndarray:
         """Shaper * matched-filter cascade sampled at integer symbol lags
         -max_lag..max_lag. Lag 0 is the energy (1 after normalization);
@@ -136,15 +132,12 @@ def rrc_matched_filter(baseband, filt: RrcFilter) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MmseEqualizer:
-    """Symbol-spaced linear MMSE equalizer. residual is the squared
-    deviation of the equalized cascade from a pure delay, i.e. the
-    noiseless mean-square error per unit-power symbols."""
+    """Symbol-spaced linear MMSE equalizer."""
 
     length: int
     delay: int
     taps: np.ndarray
     noise_var: float
-    residual: float
 
     def __post_init__(self):
         if self.length < 1 or self.taps.shape != (self.length,):
@@ -199,8 +192,7 @@ def design_mmse(estimate: ChannelEstimate, length: int = DEFAULT_EQ_LENGTH,
     e_d = np.zeros(n_out)
     e_d[delay] = 1.0
     w = np.linalg.solve(H.T @ H + sigma2 * np.eye(length), H.T @ e_d)
-    residual = float(np.sum((H @ w - e_d) ** 2))
-    return MmseEqualizer(length, delay, w, sigma2, residual)
+    return MmseEqualizer(length, delay, w, sigma2)
 
 
 def apply_equalizer(symbols_rx, eq: MmseEqualizer) -> np.ndarray:

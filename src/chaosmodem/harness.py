@@ -15,11 +15,13 @@ cost.
 Both receivers are one linear modem: a rail is shaped at n_c samples per
 symbol, propagated, matched-filtered and sampled once per symbol. The
 chaotic and RRC chains differ only in their Pulse, so every sweep runs the
-same frame pipeline. A quasi-static frame runs it at full rate to find
-its timing. A static frame computes only the samples the decoder reads:
-the sweep context sends unit symbols through the waveform path once for
-the response at symbol lags, and the matched filter reads the frame's
-noise at the symbol instants only.
+same frame pipeline, computing only the samples its receiver reads: the
+sweep context sends unit symbols through the waveform path once for the
+response at symbol lags, and the matched filter reads the frame's noise
+at the symbol instants only. A quasi-static frame applies its drawn paths
+to that response at symbol rate; only over the sync window, where frame
+sync searches off the symbol grid, does it run the waveform path at full
+rate.
 """
 
 from __future__ import annotations
@@ -290,7 +292,7 @@ class _Context:
                                else "run_static_sweep")
         if not quasi:
             delays, gains = self.channel.delays, np.array(self.channel.gains)
-            self.estimate = rx.ChannelEstimate(delays, gains, 0.0)
+            est = rx.ChannelEstimate(delays, gains, 0.0)
             # channel and noise level are known, so the equalizer of each
             # grid point is fixed across frames
             self.eqs = [None] * len(self.sigmas)
@@ -298,8 +300,10 @@ class _Context:
                 self.eqs = [bl.design_mmse(rx.ChannelEstimate(
                     delays, gains, float(s * s))) for s in self.sigmas]
             if config.method == "chaotic-opt":
-                self.genie_coeffs = rx.genie_response(self.estimate)
-            self._probe_static(config.n_data_bits // 2)
+                self.genie_coeffs = rx.genie_response(est)
+            self.feedback = (rx.isi_feedback_coeffs(est, rx.decision_window(est))
+                             if config.method == "chaotic-subopt" else None)
+            self._probe(self.channel, 0, config.n_data_bits // 2)
             return
         self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
         self.t_i, self.t_q = tx.qpsk_map(tx.gen_training(self.layout))
@@ -317,18 +321,26 @@ class _Context:
         self.template = pulse.template(self.t_i)
         self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                            + self.template.size)
+        # frames apply their paths to the response through a pure delay of
+        # the largest, which keeps the outputs before symbol 0 they need
+        self.delay = int(max(self.channel.delays))
+        self._probe(ch.MultipathSpec((0.0,), (1.0,)), self.delay, self.n_sym)
 
-    def _probe_static(self, n: int):
-        """Derive the symbol-rate path of static frames of n-symbol rails by
-        pushing unit symbols of a short probe frame through the waveform path.
+    def _probe(self, channel, delay: int, n: int):
+        """Derive the symbol-rate path of frames of n-symbol rails sent
+        through ``channel`` and then ``delay`` symbols of silence, by pushing
+        unit symbols of a short probe frame through the waveform path.
         Shaping drops the waveform before t = 0, so a rail and its tail give
         their convolution with ``h_sym`` (``h_lag`` taps precede the symbol)
         plus ``edge``, each early unit symbol's real response minus that
-        convolution. Noise is read through ``mf_kernel``, the reversed MF."""
+        convolution; a symbol is early while its shaping reaches before
+        t = 0, which the delay hides from ``h_lag``. Noise is read through
+        ``mf_kernel``, the reversed MF."""
         pulse, n_c = self.pulse, self.config.n_c
 
         def probe(symbols):
-            v = ch.propagate(pulse.synth(symbols), self.channel, n_c)
+            v = np.concatenate([np.zeros(delay * n_c), ch.propagate(
+                pulse.synth(symbols), channel, n_c)])
             return rx.sample_symbols(pulse.mf(v), pulse.lead, n_c,
                                      symbols.size), v.size
 
@@ -340,7 +352,7 @@ class _Context:
         rows = slice(self.h_lag, self.h_lag + last - mid + 1)
         self.edge = np.stack([probe(e)[0][:rows.stop - rows.start]
                               - np.convolve(e, self.h_sym)[rows]
-                              for e in unit[:self.h_lag + 1]], axis=1)
+                              for e in unit[:self.h_lag + delay + 1]], axis=1)
         # shaping emits n_c samples per symbol, tail included
         self.noise_size = size + (n + pulse.tail.size - _PROBE_SYMBOLS) * n_c
         g = pulse.mf(np.eye(1, size, size // 2)[0])  # impulse at size // 2
@@ -349,20 +361,56 @@ class _Context:
         # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
         self.mf_pad = (last - size // 2, size // 2 - first)
 
-    def sampled_frame(self, sent, rng_noise):
-        """Symbol-rate matched-filter outputs of the rails ``sent`` and of one
-        unit-variance noise draw per rail: the samples ``_receive`` yields."""
-        n_c, lead, n = self.config.n_c, self.pulse.lead, sent.shape[1]
+    def _response(self, sent, n_out: int):
+        """Symbol-rate outputs 0..n_out - 1 of the rails ``sent`` through
+        the probed path."""
         ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
-        sig = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n]
+        sig = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
                         for s in ext])
-        edge = self.edge[:n, :ext.shape[1]]
+        edge = self.edge[:n_out, :ext.shape[1]]
         sig[:, :edge.shape[0]] += ext[:, :edge.shape[1]] @ edge.T
-        w = np.pad([rng_noise.standard_normal(self.noise_size) for _ in sent],
-                   ((0, 0), self.mf_pad))
+        return sig
+
+    def _sampled_noise(self, w, start: int, n: int):
+        """Matched-filter outputs start + m * n_c, m < n, of the noise rows w."""
+        n_c = self.config.n_c
         windows = np.lib.stride_tricks.sliding_window_view(
-            w, self.mf_kernel.size, axis=1)[:, lead:lead + n * n_c:n_c]
-        return sig, np.einsum("rmk,k->rm", windows, self.mf_kernel)
+            np.pad(w, ((0, 0), self.mf_pad)), self.mf_kernel.size,
+            axis=1)[:, start:start + n * n_c:n_c]
+        return np.einsum("rmk,k->rm", windows, self.mf_kernel)
+
+    def sampled_frame(self, sent, rng_noise):
+        """Symbol-rate matched-filter outputs of the rails ``sent`` through
+        the static channel and of one unit-variance noise draw per rail: the
+        samples the waveform path yields at the symbol instants."""
+        n = sent.shape[1]
+        w = np.array([rng_noise.standard_normal(self.noise_size) for _ in sent])
+        return self._response(sent, n), self._sampled_noise(w, self.pulse.lead, n)
+
+    def sampled_quasi_frame(self, sent, spec, pad: int, rng_noise):
+        """Matched-filter outputs of the rails ``sent`` through ``spec`` after
+        ``pad`` samples of silence, and of one unit-variance noise draw per
+        rail, as ((signal, noise) over the sync window, (signal, noise) at
+        the symbols from the true offset pad + lead on). The window is the
+        full-rate stream's first search_len + 2 n_c samples, which hold all
+        ``_sync_offset`` reads, bitwise: shaping the first symbols only and
+        filtering the first samples only keeps every full-overlap output."""
+        pulse, n_c, n = self.pulse, self.config.n_c, sent.shape[1]
+        w = np.array([rng_noise.standard_normal(pad + self.noise_size)
+                      for _ in sent])
+        win = self.search_len + 2 * n_c
+        cut = win + n_c  # the matched filter reads up to n_c - 1 ahead
+        # the symbols before the cut, and those whose shaping reaches back
+        shaped = -(-(cut - pad) // n_c) + self.edge.shape[1]
+        x = [np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
+            np.concatenate([s, pulse.tail])[:shaped]), spec, n_c)])[:cut]
+             for s in sent]
+        window = tuple(np.array([pulse.mf(v)[:win] for v in vs])
+                       for vs in (x, w[:, :cut]))
+        z = self._response(sent, n + self.delay)
+        shifts = self.delay - np.array(spec.delays, dtype=int)
+        sig = sum(g * z[:, s:s + n] for g, s in zip(spec.gains, shifts))
+        return window, (sig, self._sampled_noise(w, pad + pulse.lead, n))
 
 
 _CTX: Optional[_Context] = None
@@ -373,30 +421,23 @@ def _install(ctx: _Context):
     _CTX = ctx
 
 
-def _receive(ctx: _Context, rail, channel, pad: int, rng_noise):
-    """Matched-filter outputs of one rail, shaped, propagated and delayed by
-    ``pad`` samples, and of unit-variance noise over the same span."""
-    v = ch.propagate(ctx.pulse.shape(rail), channel, ctx.config.n_c)
-    sig = np.concatenate([np.zeros(pad), v])
-    return (ctx.pulse.mf(sig),
-            ctx.pulse.mf(rng_noise.standard_normal(sig.size)))
-
-
-def _count_errors(ctx: _Context, ys, sent, estimate, eqs, n_train: int):
+def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     """Decide both rails at every grid point and count, per point, the rail
     decisions in error past the first n_train (training) symbols.
 
     ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
-    ``sent`` the two transmitted rails, shape (2, n); ``eqs`` has one
-    equalizer (or None) per point. Every point shares a rail's genie
-    thresholds; the decision-feedback decoder takes all points and rails
-    as one batch. Error rate is counted per rail decision: each rail
-    carries one antipodal bit per symbol, as the closed forms assume."""
+    ``sent`` the two transmitted rails, shape (2, n); ``feedback`` holds
+    the decision-feedback coefficients, shared or one row per point and
+    rail, and ``eqs`` one equalizer (or None) per point. Every point shares
+    a rail's genie thresholds; the decision-feedback decoder takes all
+    points and rails as one batch. Error rate is counted per rail decision:
+    each rail carries one antipodal bit per symbol, as the closed forms
+    assume."""
     method = ctx.config.method
     if method == "chaotic-subopt":
         train = np.tile(sent[:, :n_train], (ys.shape[0], 1))
         dec = rx.decode_suboptimal(ys.reshape(-1, ys.shape[-1]), train,
-                                   estimate).reshape(ys.shape)
+                                   feedback).reshape(ys.shape)
     elif method == "chaotic-opt":
         # genie: thresholds from the true symbols including the shaping tail
         # cancel every ISI term exactly; every grid point shares them
@@ -423,7 +464,7 @@ def _static_frame(frame_idx: int) -> np.ndarray:
     sent = np.stack(tx.qpsk_map(bits))
     sig, noise = ctx.sampled_frame(sent, rng_noise)
     ys = sig + ctx.sigmas[:, None, None] * noise
-    return _count_errors(ctx, ys, sent, ctx.estimate, ctx.eqs, 0)
+    return _count_errors(ctx, ys, sent, ctx.feedback, ctx.eqs, 0)
 
 
 def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:
@@ -463,7 +504,7 @@ def _sync_offset(ctx: _Context, y_i, y_q):
     """
     n_c = ctx.config.n_c
     sl = slice(0, min(ctx.search_len, y_i.size))
-    coarse = rx.frame_sync(y_i[sl], ctx.template).offset
+    coarse = rx.frame_sync(y_i[sl], ctx.template)
     base = int(round(coarse / n_c)) * n_c
     rows, span = ctx.design.rows, ctx.t_i.size * n_c
     results = {}
@@ -492,13 +533,15 @@ def _quasi_frame(frame_idx: int):
     n_c = cfg.n_c
     rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
     bits = rng_content.integers(0, 2, cfg.n_data_bits)
-    frame = tx.build_frame(bits, ctx.layout)
-    sent = np.stack([frame.i_syms, frame.q_syms])
+    # the training length is even, so the payload maps onto its own pairs
+    sent = np.array([np.concatenate(rails) for rails in
+                     zip((ctx.t_i, ctx.t_q), tx.qpsk_map(bits))])
     gamma = ch.draw_gamma(ctx.channel, rng_chan)
     pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
     spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
     true_offset = pad + ctx.pulse.lead
-    streams = [_receive(ctx, rail, spec, pad, rng_noise) for rail in sent]
+    (win_sig, win_noise), (sig, noise) = ctx.sampled_quasi_frame(
+        sent, spec, pad, rng_noise)
 
     n_points = len(cfg.ebn0_grid)
     errors = np.zeros(n_points, dtype=np.int64)
@@ -507,21 +550,18 @@ def _quasi_frame(frame_idx: int):
     rms = np.full(n_points, np.nan)
     true_dense = np.zeros(_MAX_DELAY + 1)
     true_dense[np.array(spec.delays, dtype=int)] = spec.gains
+    decoded, feedback, eqs = [], [], []
 
     for p, sigma in enumerate(ctx.sigmas):
-        y_i = streams[0][0] + sigma * streams[0][1]
-        y_q = streams[1][0] + sigma * streams[1][1]
+        y_i, y_q = win_sig + sigma * win_noise
         picked = _sync_offset(ctx, y_i, y_q)
         est = None
-        offset_ok = False
-        if picked is not None:
-            offset, obs = picked
+        if picked is not None and picked[0] == true_offset:
             try:
-                est = rx.estimate_channel_ls(obs, ctx.design, ctx.cascade)
+                est = rx.estimate_channel_ls(picked[1], ctx.design, ctx.cascade)
             except np.linalg.LinAlgError:
-                est = None
-            offset_ok = offset == true_offset
-        if est is None or not offset_ok:
+                pass
+        if est is None:
             failures[p] = 1
             if cfg.failure_policy == "pessimistic":
                 errors[p] = cfg.n_data_bits
@@ -530,20 +570,28 @@ def _quasi_frame(frame_idx: int):
         dense = np.zeros(_MAX_DELAY + 1)
         dense[np.array(est.delays, dtype=int)] = est.gains
         rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
-        eq = bl.design_mmse(est) if cfg.method == "rrc-mmse" else None
-        ys = np.array([[rx.sample_symbols(s_mf + sigma * w_mf, offset, n_c,
-                                          ctx.n_sym)
-                        for s_mf, w_mf in streams]])
-        errors[p] = _count_errors(ctx, ys, sent, est, [eq], ctx.t_i.size)[0]
-        counted[p] = cfg.n_data_bits
+        decoded.append(p)
+        if cfg.method == "rrc-mmse":
+            eqs.append(bl.design_mmse(est))
+        else:
+            feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
+    if decoded:
+        # one coefficient row per point and rail, padded to the widest window
+        width = max((c.size for c in feedback), default=0)
+        rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback],
+                         2, axis=0)
+        ys = sig + ctx.sigmas[decoded, None, None] * noise
+        errors[decoded] = _count_errors(ctx, ys, sent, rows, eqs, ctx.t_i.size)
+        counted[decoded] = cfg.n_data_bits
     return errors, counted, failures, rms
 
 
 def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
                      stats: Optional[dict] = None) -> List[BerRecord]:
     """Estimated-channel Monte Carlo: per frame, draw gamma, delay the
-    frame by a random whole-symbol pad, re-acquire timing by correlation,
-    LS-estimate the channel from the training block, decode.
+    frame by a random whole-symbol pad, re-acquire timing by correlation
+    over a full-rate window, LS-estimate the channel from the training
+    block, and decode every grid point that kept its timing in one batch.
 
     Methods: chaotic-subopt (decision feedback) or rrc-mmse. Frames that
     fail sync or estimation are counted with every payload bit in error

@@ -60,20 +60,9 @@ def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
     return full[n_c - 1:n_c - 1 + x.size + taps.params.n_p * n_c] / n_c
 
 
-@dataclass(frozen=True)
-class SyncResult:
-    offset: int
-    peak: float
-    peak_ratio: float
-    ok: bool
-
-
-def frame_sync(filtered, template, lobe_guard: int = 8) -> SyncResult:
-    """Locate the training prefix by normalized cross-correlation.
-
-    The best offset maximizes correlation normalized by the local signal
-    norm; sync is declared failed when the winning peak is not at least
-    1.5x the best peak outside a ``lobe_guard``-sample exclusion zone.
+def frame_sync(filtered, template) -> int:
+    """Locate the training prefix by normalized cross-correlation: the
+    offset that maximizes correlation normalized by the local signal norm.
     """
     x = np.asarray(filtered, dtype=float)
     t = np.asarray(template, dtype=float)
@@ -83,15 +72,7 @@ def frame_sync(filtered, template, lobe_guard: int = 8) -> SyncResult:
     csum = np.concatenate([[0.0], np.cumsum(x * x)])
     win_energy = csum[t.size:] - csum[:-t.size]
     den = np.sqrt(win_energy * float(np.dot(t, t)))
-    corr = np.abs(num) / np.maximum(den, 1e-30)
-    best = int(np.argmax(corr))
-    peak = float(corr[best])
-    aside = corr.copy()
-    lo = max(0, best - lobe_guard)
-    aside[lo:best + lobe_guard + 1] = 0.0
-    second = float(aside.max())
-    ratio = peak / max(second, 1e-30)
-    return SyncResult(best, peak, ratio, ratio >= 1.5)
+    return int(np.argmax(np.abs(num) / np.maximum(den, 1e-30)))
 
 
 def sample_symbols(filtered, offset: int, n_c: int, n_symbols: int) -> np.ndarray:
@@ -237,19 +218,22 @@ def decide(y, theta):
     return out
 
 
-def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarray:
+def decode_suboptimal(y_syms, train_syms, coeffs) -> np.ndarray:
     """Decision-directed decoding of one frame or of a batch of frames.
 
     ``y_syms`` is one frame's symbol-rate observations, shape (n,), or one
     frame per row, shape (B, n). ``train_syms`` is the known training
     prefix, shape (n_train,) and shared by every row, or shape
-    (B, n_train) with one row per frame; its row count must match. The
-    prefix primes the feedback window, and every later decision feeds back
-    into the thresholds of the symbols after it: symbol n decides +1 when
-    ``y[n] >= sum_{k=1..w} c_k d[n-k]`` (a tie goes to +1), where c_k is
-    the composite response at past lag k, w is ``decision_window`` and
-    decisions before the frame count as zero. Returns the bipolar
-    decisions in the shape of ``y_syms``, training region echoed.
+    (B, n_train) with one row per frame. ``coeffs`` holds the feedback
+    coefficients c_1..c_w, ``isi_feedback_coeffs`` over the
+    ``decision_window`` of an estimate: shape (w,) and shared by every
+    row, or shape (B, w) with one row per frame, rows with a shorter
+    window padded with zeros at the end. Row counts must match. The prefix
+    primes the feedback window, and every later decision feeds back into
+    the thresholds of the symbols after it: symbol n decides +1 when
+    ``y[n] >= sum_{k=1..w} c_k d[n-k]`` (a tie goes to +1), and decisions
+    before the frame count as zero. Returns the bipolar decisions in the
+    shape of ``y_syms``, training region echoed.
 
     The causal recursion has exactly one solution, which is found here by
     Jacobi iteration over whole arrays rather than one symbol at a time:
@@ -260,7 +244,8 @@ def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarr
     that changes nothing has reached the solution. The thresholds are
     accumulated over k = 1..w from 0.0 in the recursion's own order, so
     they are bitwise equal to it and the decisions are exact, not an
-    approximation.
+    approximation. Padding terms come last and add +-0.0, which moves no
+    comparison, so a padded row decides as its own window does.
 
     A few passes suffice when the own-symbol gain exceeds the summed
     feedback magnitudes, as on every channel preset. In the worst case,
@@ -269,18 +254,21 @@ def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarr
     """
     y = np.asarray(y_syms, dtype=float)
     train = np.asarray(train_syms, dtype=float)
-    if y.ndim not in (1, 2) or train.ndim not in (1, 2):
-        raise ValueError("observations and training must be 1-d or 2-d")
+    c = np.asarray(coeffs, dtype=float)
+    if y.ndim not in (1, 2) or train.ndim not in (1, 2) or c.ndim not in (1, 2):
+        raise ValueError("observations, training and coefficients must be "
+                         "1-d or 2-d")
     rows = np.atleast_2d(y)
     n_rows, n = rows.shape
-    if train.ndim == 2 and train.shape[0] != n_rows:
-        raise ValueError(f"{train.shape[0]} training rows for {n_rows} "
-                         f"observation rows")
+    for name, a in (("training", train), ("coefficient", c)):
+        if a.ndim == 2 and a.shape[0] != n_rows:
+            raise ValueError(f"{a.shape[0]} {name} rows for {n_rows} "
+                             f"observation rows")
     n_train = train.shape[-1]
     if n_train > n:
         raise ValueError("training longer than the observed frame")
-    w = decision_window(estimate)
-    coeffs = isi_feedback_coeffs(estimate, w)
+    c = np.atleast_2d(c)
+    w = c.shape[1]
     # column w + m holds the decision for symbol m; the w zero columns
     # before the frame add nothing to a threshold
     d = np.zeros((n_rows, w + n))
@@ -290,7 +278,7 @@ def decode_suboptimal(y_syms, train_syms, estimate: ChannelEstimate) -> np.ndarr
     while start < n:
         theta = np.zeros((n_rows, n - start))
         for k in range(1, w + 1):
-            theta += d[:, w + start - k:w + n - k] * coeffs[k - 1]
+            theta += d[:, w + start - k:w + n - k] * c[:, k - 1:k]
         new = np.where(rows[:, start:] >= theta, 1.0, -1.0)
         changed = np.flatnonzero((new != d[:, w + start:]).any(axis=0))
         if changed.size == 0:

@@ -2,12 +2,16 @@
 
 Everything here is deliberately written from the defining formulas rather
 than imported from the package, so tests compare two separately derived
-computations.
+computations. The one exception is ``waveform_path``, the full-rate
+pipeline built from the package's own stages, against which the sampled
+frame paths are checked.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+from chaosmodem.channel import propagate
 
 LN2 = float(np.log(2.0))
 TWO_PI = 2.0 * np.pi
@@ -88,6 +92,16 @@ def dd_loop(y, out, coeffs, n_start):
         thetas[n] = th
         out[n] = 1.0 if y[n] >= th else -1.0
     return thetas
+
+
+def waveform_path(pulse, rail, channel, pad, rng_noise):
+    """Full-rate matched-filter outputs of one rail, shaped with the pulse's
+    tail, propagated and delayed by ``pad`` samples, and of unit-variance
+    noise over the same span: every sample a frame could read, computed
+    the long way."""
+    v = propagate(pulse.shape(rail), channel, pulse.n_c)
+    sig = np.concatenate([np.zeros(pad), v])
+    return pulse.mf(sig), pulse.mf(rng_noise.standard_normal(sig.size))
 
 
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision

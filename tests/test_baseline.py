@@ -22,10 +22,11 @@ def test_taps_shape_energy_symmetry():
     assert f.taps.shape == (16 * 8 + 1,)
     assert abs(float(np.dot(f.taps, f.taps)) - 1.0) < 1e-6
     assert np.array_equal(f.taps, f.taps[::-1])
-    assert np.argmax(f.taps) == f.center
+    center = f.span * f.n_c // 2
+    assert np.argmax(f.taps) == center
     # the center dominates strictly
-    rest = np.delete(f.taps, f.center)
-    assert f.taps[f.center] > np.max(np.abs(rest))
+    rest = np.delete(f.taps, center)
+    assert f.taps[center] > np.max(np.abs(rest))
 
 
 def test_taps_validation():
@@ -53,7 +54,8 @@ def test_singular_point_fills():
         assert abs(4 * a * t_sing - 1.0) < 1e-12
         near = 0.5 * (_rrc_raw(t_sing - 1e-6, a) + _rrc_raw(t_sing + 1e-6, a))
         h0 = 1 - a + 4 * a / math.pi
-        got = f.taps[f.center + k_sing] / f.taps[f.center]
+        center = f.span * f.n_c // 2
+        got = f.taps[center + k_sing] / f.taps[center]
         assert abs(got - near / h0) < 1e-9
 
 
@@ -160,7 +162,6 @@ def test_mmse_single_path_identity():
     ideal = np.zeros(15)
     ideal[7] = 1.0
     assert np.max(np.abs(eq.taps - ideal)) < 1e-12
-    assert eq.residual < 1e-24
     rng = np.random.default_rng(4)
     s = rng.choice([-1.0, 1.0], 200)
     out = bl.apply_equalizer(s, eq)
@@ -177,8 +178,11 @@ def test_mmse_two_path_residual_isi():
     err = out[100:-100] - s[100:-100]
     isi_power = float(np.mean(err**2))
     assert isi_power < 0.01
-    # the designed residual is that same power for unit-variance symbols
-    assert abs(isi_power - eq.residual) < 5e-4
+    # the equalized cascade's squared deviation from a pure delay is that
+    # same power for unit-variance symbols
+    dev = np.convolve([1.0, 0.6], eq.taps)
+    dev[eq.delay] -= 1.0
+    assert abs(isi_power - float(np.sum(dev ** 2))) < 5e-4
 
 
 def test_mmse_is_a_minimum():

@@ -10,8 +10,9 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import BER_SUB_TABLE  # noqa: E402
+from oracles import BER_SUB_TABLE, waveform_path  # noqa: E402
 
+import chaosmodem.channel as ch  # noqa: E402
 import chaosmodem.harness as H  # noqa: E402
 import chaosmodem.rxchain as rx  # noqa: E402
 
@@ -140,11 +141,50 @@ def test_sampled_frame_matches_waveform_path(family, n_c):
             fast, slow = np.random.default_rng(9), np.random.default_rng(9)
             sig, noise = ctx.sampled_frame(sent, fast)
             ref = np.array([[rx.sample_symbols(y, ctx.pulse.lead, n_c, rail.size)
-                             for y in H._receive(ctx, rail, ctx.channel, 0, slow)]
+                             for y in waveform_path(ctx.pulse, rail, ctx.channel,
+                                                    0, slow)]
                             for rail in sent])
             assert np.max(np.abs(sig - ref[:, 0])) < 1e-12
             assert np.max(np.abs(noise - ref[:, 1])) < 1e-12
             assert fast.standard_normal() == slow.standard_normal()
+
+
+@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
+                                         for n in (3, 4, 6, 8)])
+def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
+    # a quasi frame filters at full rate only the sync window, which must
+    # be the full-rate stream bitwise, so sync and estimation see the same
+    # bytes; its symbol-rate payload must be the waveform path's samples at
+    # the true offset down to rounding, from symbol 0 on (where the
+    # start-edge block acts), for random path gains and both extreme pads,
+    # frames shorter than the window included; the noise generator must be
+    # left where the waveform path leaves it
+    method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
+    rng = np.random.default_rng(n_c)
+    for channel in ("quasi2", "quasi3"):
+        for n_bits in (2, 3840):
+            ctx = H._Context(H.ExperimentConfig(method, channel, (6.0,),
+                                                n_data_bits=n_bits, n_c=n_c),
+                             quasi=True)
+            delays = ctx.channel.delays
+            for pad_symbols in H._PAD_SYMBOLS:
+                pad = pad_symbols * n_c
+                spec = ch.MultipathSpec(delays,
+                                        tuple(rng.uniform(-1.0, 1.0, len(delays))))
+                sent = rng.choice([-1.0, 1.0], (2, ctx.n_sym))
+                fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+                window, payload = ctx.sampled_quasi_frame(sent, spec, pad, fast)
+                ref = np.array([waveform_path(ctx.pulse, rail, spec, pad, slow)
+                                for rail in sent]).transpose(1, 0, 2)
+                win = min(ctx.search_len + 2 * n_c, ref.shape[-1])
+                for got, want in zip(window, ref):
+                    assert np.array_equal(got, want[:, :win])
+                for got, want in zip(payload, ref):
+                    want = np.array([rx.sample_symbols(y, pad + ctx.pulse.lead,
+                                                       n_c, ctx.n_sym)
+                                     for y in want])
+                    assert np.max(np.abs(got - want)) < 1e-12
+                assert fast.standard_normal() == slow.standard_normal()
 
 
 def test_genie_response_once_per_sweep(monkeypatch):

@@ -83,23 +83,9 @@ def test_frame_sync_exact_offset():
     stream = np.concatenate([np.zeros(137), x])
     filtered = rx.matched_filter(stream, mft)
     template = _training_template(train, n_c, params, mft)
-    res = rx.frame_sync(filtered, template, lobe_guard=n_c)
-    assert res.ok
-    assert res.offset == 137
+    assert rx.frame_sync(filtered, template) == 137
     with pytest.raises(ValueError):
         rx.frame_sync(filtered[:10], template)
-
-
-def test_frame_sync_noise_only_flagged():
-    params = wf.WaveformParams()
-    n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
-    template = _training_template(train, n_c, params, mft)
-    rng = np.random.default_rng(77)
-    noise = rx.matched_filter(rng.standard_normal(4000), mft)
-    res = rx.frame_sync(noise, template, lobe_guard=n_c)
-    assert not res.ok
 
 
 def test_frame_sync_success_rate_at_6db():
@@ -119,9 +105,7 @@ def test_frame_sync_success_rate_at_6db():
         offset = int(rng.integers(20, 200))
         stream = np.concatenate([np.zeros(offset), x])
         stream = stream + sigma * rng.standard_normal(stream.size)
-        res = rx.frame_sync(rx.matched_filter(stream, mft), template,
-                            lobe_guard=n_c)
-        if not (res.ok and res.offset == offset):
+        if rx.frame_sync(rx.matched_filter(stream, mft), template) != offset:
             failures += 1
     assert failures <= 3  # > 99% success
 
@@ -385,9 +369,9 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     y = rx.matched_filter(x + sigma * rng.standard_normal(x.size),
                           rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    fast = rx.decode_suboptimal(ysym, syms[:n_train], est)
-    state = ThresholdState.fresh(
-        rx.isi_feedback_coeffs(est, rx.decision_window(est)))
+    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+    fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)
+    state = ThresholdState.fresh(coeffs)
     slow = np.empty(syms.size)
     for n in range(syms.size):
         if n < n_train:
@@ -398,7 +382,7 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     assert np.array_equal(fast, slow)
     assert np.array_equal(fast[:n_train], syms[:n_train])
     with pytest.raises(ValueError):
-        rx.decode_suboptimal(ysym[:10], syms[:64], est)
+        rx.decode_suboptimal(ysym[:10], syms[:64], coeffs)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -407,19 +391,30 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
        n=st.integers(1, 90),
        train_frac=st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0]),
        shared=st.booleans(),
+       per_row=st.booleans(),
        kind=st.sampled_from(["noise", "ties", "zeros"]),
        scale=st.floats(0.05, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
-                                              shared, kind, scale, seed):
+                                              shared, per_row, kind, scale,
+                                              seed):
     # a (B, n) call decides every row exactly as the plain per-symbol loop
-    # does: no training, shared or per-row training, exact ties (which go
-    # to +1) and the signal-free y == 0 case where each pass settles only
-    # one more symbol
+    # does: no training, shared or per-row training, shared coefficients or
+    # one row each (its own gains and window, zero-padded to the widest),
+    # exact ties (which go to +1) and the signal-free y == 0 case where
+    # each pass settles only one more symbol
     spec = ch.get_preset(preset)
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
     rng = np.random.default_rng(seed)
+    if per_row:
+        own = [rx.isi_feedback_coeffs(rx.ChannelEstimate(
+                   spec.delays, rng.uniform(-1.0, 1.0, len(spec.delays)), 0.0),
+                   int(rng.integers(0, 9))) for _ in range(n_rows)]
+        width = max(c.size for c in own)
+        coeffs = np.array([np.pad(c, (0, width - c.size)) for c in own])
+    else:
+        est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
+        coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+        own = [coeffs] * n_rows
     n_train = int(train_frac * n)
     want = rng.choice([-1.0, 1.0], (n_rows, n))
     if shared:
@@ -435,29 +430,34 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
         want[:, n_train:][tie[:, n_train:]] = 1.0
         y = 1e3 * want
         for b in range(n_rows):
-            thetas = dd_loop(y[b], want[b].copy(), coeffs, n_train)
+            thetas = dd_loop(y[b], want[b].copy(), own[b], n_train)
             y[b, tie[b]] = thetas[tie[b]]
     train = want[0, :n_train] if shared else want[:, :n_train]
-    fast = rx.decode_suboptimal(y, train, est)
+    fast = rx.decode_suboptimal(y, train, coeffs)
     assert fast.shape == y.shape
     for b in range(n_rows):
         slow = np.empty(n)
         slow[:n_train] = want[b, :n_train]
-        dd_loop(y[b], slow, coeffs, n_train)
+        dd_loop(y[b], slow, own[b], n_train)
         assert np.array_equal(fast[b], slow)
         if kind == "ties":
             assert np.array_equal(slow, want[b])
-    assert np.array_equal(rx.decode_suboptimal(y[0], want[0, :n_train], est),
+    assert np.array_equal(rx.decode_suboptimal(y[0], want[0, :n_train], own[0]),
                           fast[0])
 
 
 def test_decode_suboptimal_rejects_mismatched_rows():
     spec = ch.get_preset("static2")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
+    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
     y = np.zeros((4, 20))
     with pytest.raises(ValueError, match="3 training rows for 4"):
-        rx.decode_suboptimal(y, np.ones((3, 5)), est)
+        rx.decode_suboptimal(y, np.ones((3, 5)), coeffs)
+    with pytest.raises(ValueError, match="3 coefficient rows for 4"):
+        rx.decode_suboptimal(y, np.ones(5), np.tile(coeffs, (3, 1)))
     with pytest.raises(ValueError, match="training longer"):
-        rx.decode_suboptimal(y, np.ones((4, 21)), est)
+        rx.decode_suboptimal(y, np.ones((4, 21)), coeffs)
     with pytest.raises(ValueError, match="1-d or 2-d"):
-        rx.decode_suboptimal(np.zeros((2, 2, 5)), np.ones(2), est)
+        rx.decode_suboptimal(np.zeros((2, 2, 5)), np.ones(2), coeffs)
+    with pytest.raises(ValueError, match="1-d or 2-d"):
+        rx.decode_suboptimal(y, np.ones(5), np.zeros((4, 1, 6)))
