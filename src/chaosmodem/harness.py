@@ -14,14 +14,15 @@ cost.
 
 Both receivers are one linear modem: a rail is shaped at n_c samples per
 symbol, propagated, matched-filtered and sampled once per symbol. The
-chaotic and RRC chains differ only in their Pulse, so every sweep runs the
-same frame pipeline, computing only the samples its receiver reads: the
-sweep context sends unit symbols through the waveform path once for the
-response at symbol lags, and the matched filter reads the frame's noise
-at the symbol instants only. A quasi-static frame applies its drawn paths
-to that response at symbol rate; only over the sync window, where frame
-sync searches off the symbol grid, does it run the waveform path at full
-rate.
+chaotic and RRC chains differ only in their Pulse, and the known- and
+estimated-channel sweeps only in what the receiver knows, so every frame
+runs one pipeline that computes only the samples its receiver reads: the
+sweep context sends unit symbols through the waveform path once, behind
+a pure delay of the preset's longest path, for the response at symbol
+lags; every frame applies its channel's paths to that response at symbol
+rate, and the matched filter reads its noise at the symbol instants only.
+Only over the sync window of an estimated-channel frame, where frame sync
+searches off the symbol grid, does the waveform path run at full rate.
 """
 
 from __future__ import annotations
@@ -156,8 +157,9 @@ class BerRecord:
     @classmethod
     def from_counts(cls, method: str, channel: str, ebn0_db: float,
                     bits: int, errors: int) -> "BerRecord":
-        bits = int(bits)
-        errors = int(errors)
+        bits, errors = int(bits), int(errors)
+        if bits <= 0:
+            raise ValueError(f"bits must be a positive count, got {bits}")
         return cls(method, channel, float(ebn0_db), bits, errors,
                    errors / bits, _ci95(bits, errors))
 
@@ -280,6 +282,7 @@ class _Context:
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.config = config
+        self.quasi = quasi
         n_c = config.n_c
         try:
             self.pulse = pulse = pulse_for(config.method, n_c)
@@ -290,57 +293,59 @@ class _Context:
                                 for db in config.ebn0_grid])
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
                                else "run_static_sweep")
-        if not quasi:
-            delays, gains = self.channel.delays, np.array(self.channel.gains)
-            est = rx.ChannelEstimate(delays, gains, 0.0)
-            # channel and noise level are known, so the equalizer of each
-            # grid point is fixed across frames
-            self.eqs = [None] * len(self.sigmas)
+        self.delay = int(max(self.channel.delays))  # see _probe
+        self.train = np.empty((2, 0))
+        if quasi:
+            self.train = np.stack(tx.qpsk_map(tx.gen_training(tx.FrameLayout(
+                config.n_training_bits, config.n_data_bits))))
+            try:
+                self.design = rx.build_ls_design(self.train, _MAX_DELAY,
+                                                 _LAG_BACK)
+            except ValueError as exc:
+                raise ValueError(f"n_training_bits = {config.n_training_bits} "
+                                 f"cannot estimate the channel: {exc}") from None
+            lags = self.design.lags[:, None] - np.arange(_MAX_DELAY + 1)[None, :]
+            self.cascade = pulse.cascade(lags)
+            B = self.design.design @ self.cascade
+            self.proj = B @ np.linalg.pinv(B)
+            self.template = pulse.template(self.train[0])
+            self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
+                               + self.template.size)
+        else:
+            # channel and noise level are known: every frame gets the receiver
+            # _acquire would build, every point decoded and none failed
+            n_points = len(self.sigmas)
+            est = rx.ChannelEstimate(self.channel.delays,
+                                     np.array(self.channel.gains), 0.0)
+            eqs = [None] * n_points
             if config.method == "rrc-mmse":
-                self.eqs = [bl.design_mmse(rx.ChannelEstimate(
-                    delays, gains, float(s * s))) for s in self.sigmas]
+                eqs = [bl.design_mmse(rx.ChannelEstimate(
+                    est.delays, est.gains, float(s * s))) for s in self.sigmas]
             if config.method == "chaotic-opt":
                 self.genie_coeffs = rx.genie_response(est)
-            self.feedback = (rx.isi_feedback_coeffs(est, rx.decision_window(est))
-                             if config.method == "chaotic-subopt" else None)
-            self._probe(self.channel, 0, config.n_data_bits // 2)
-            return
-        self.layout = tx.FrameLayout(config.n_training_bits, config.n_data_bits)
-        self.t_i, self.t_q = tx.qpsk_map(tx.gen_training(self.layout))
-        self.n_sym = self.layout.total // 2
-        try:
-            self.design = rx.build_ls_design(np.stack([self.t_i, self.t_q]),
-                                             _MAX_DELAY, _LAG_BACK)
-        except ValueError as exc:
-            raise ValueError(f"n_training_bits = {config.n_training_bits} "
-                             f"cannot estimate the channel: {exc}") from None
-        lags = self.design.lags[:, None] - np.arange(_MAX_DELAY + 1)[None, :]
-        self.cascade = pulse.cascade(lags)
-        B = self.design.design @ self.cascade
-        self.proj = B @ np.linalg.pinv(B)
-        self.template = pulse.template(self.t_i)
-        self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
-                           + self.template.size)
-        # frames apply their paths to the response through a pure delay of
-        # the largest, which keeps the outputs before symbol 0 they need
-        self.delay = int(max(self.channel.delays))
-        self._probe(ch.MultipathSpec((0.0,), (1.0,)), self.delay, self.n_sym)
+            feedback = (rx.isi_feedback_coeffs(est, rx.decision_window(est))
+                        if config.method == "chaotic-subopt" else None)
+            self.known = (np.arange(n_points), feedback, eqs,
+                          np.zeros(n_points, dtype=np.int64),
+                          np.full(n_points, np.nan))
+        self._probe(self.train.shape[1] + config.n_data_bits // 2)
 
-    def _probe(self, channel, delay: int, n: int):
+    def _probe(self, n: int):
         """Derive the symbol-rate path of frames of n-symbol rails sent
-        through ``channel`` and then ``delay`` symbols of silence, by pushing
-        unit symbols of a short probe frame through the waveform path.
-        Shaping drops the waveform before t = 0, so a rail and its tail give
-        their convolution with ``h_sym`` (``h_lag`` taps precede the symbol)
-        plus ``edge``, each early unit symbol's real response minus that
+        through ``delay`` symbols of silence, by pushing unit symbols of a
+        short probe frame through the waveform path. Shaping drops the
+        waveform before t = 0, so a rail and its tail give their
+        convolution with ``h_sym`` (``h_lag`` taps precede the symbol) plus
+        ``edge``, each early unit symbol's real response minus that
         convolution; a symbol is early while its shaping reaches before
         t = 0, which the delay hides from ``h_lag``. Noise is read through
-        ``mf_kernel``, the reversed MF."""
-        pulse, n_c = self.pulse, self.config.n_c
+        ``mf_kernel``, the reversed MF. The delay is the preset's longest
+        path: it keeps the outputs before symbol 0 that each path shift
+        reads, and makes the probe as long as a rail through the channel."""
+        pulse, n_c, delay = self.pulse, self.config.n_c, self.delay
 
         def probe(symbols):
-            v = np.concatenate([np.zeros(delay * n_c), ch.propagate(
-                pulse.synth(symbols), channel, n_c)])
+            v = np.concatenate([np.zeros(delay * n_c), pulse.synth(symbols)])
             return rx.sample_symbols(pulse.mf(v), pulse.lead, n_c,
                                      symbols.size), v.size
 
@@ -361,43 +366,41 @@ class _Context:
         # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
         self.mf_pad = (last - size // 2, size // 2 - first)
 
-    def _response(self, sent, n_out: int):
-        """Symbol-rate outputs 0..n_out - 1 of the rails ``sent`` through
-        the probed path."""
+    def sampled_frame(self, sent, spec, pad: int, rng_noise):
+        """Matched-filter outputs at the symbols, from the true offset
+        pad + lead on, of the rails ``sent`` through ``spec`` after ``pad``
+        samples of silence and of one unit-variance noise draw per rail (the
+        samples the waveform path yields there), and the full-rate draw.
+        Each path is the delayed probed response shifted by symbol lags."""
+        n_c, n = self.config.n_c, sent.shape[1]
+        n_out = n + self.delay
+        # the draw goes between the zero margins the matched filter reads
+        lo, hi = self.mf_pad
+        padded = np.zeros((sent.shape[0], lo + pad + self.noise_size + hi))
+        w = padded[:, lo:lo + pad + self.noise_size]
+        for row in w:
+            rng_noise.standard_normal(out=row)
         ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
-        sig = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
-                        for s in ext])
+        z = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
+                      for s in ext])
         edge = self.edge[:n_out, :ext.shape[1]]
-        sig[:, :edge.shape[0]] += ext[:, :edge.shape[1]] @ edge.T
-        return sig
-
-    def _sampled_noise(self, w, start: int, n: int):
-        """Matched-filter outputs start + m * n_c, m < n, of the noise rows w."""
-        n_c = self.config.n_c
+        z[:, :edge.shape[0]] += ext[:, :edge.shape[1]] @ edge.T
+        sig = np.zeros_like(sent)
+        for g, d in zip(spec.gains, spec.delays):
+            s = self.delay - int(d)
+            sig += g * z[:, s:s + n]
+        # the noise at the symbols: windows of the draw through the kernel
+        start = pad + self.pulse.lead
         windows = np.lib.stride_tricks.sliding_window_view(
-            np.pad(w, ((0, 0), self.mf_pad)), self.mf_kernel.size,
-            axis=1)[:, start:start + n * n_c:n_c]
-        return np.einsum("rmk,k->rm", windows, self.mf_kernel)
+            padded, self.mf_kernel.size, axis=1)[:, start:start + n * n_c:n_c]
+        return sig, np.einsum("rmk,k->rm", windows, self.mf_kernel), w
 
-    def sampled_frame(self, sent, rng_noise):
-        """Symbol-rate matched-filter outputs of the rails ``sent`` through
-        the static channel and of one unit-variance noise draw per rail: the
-        samples the waveform path yields at the symbol instants."""
-        n = sent.shape[1]
-        w = np.array([rng_noise.standard_normal(self.noise_size) for _ in sent])
-        return self._response(sent, n), self._sampled_noise(w, self.pulse.lead, n)
-
-    def sampled_quasi_frame(self, sent, spec, pad: int, rng_noise):
-        """Matched-filter outputs of the rails ``sent`` through ``spec`` after
-        ``pad`` samples of silence, and of one unit-variance noise draw per
-        rail, as ((signal, noise) over the sync window, (signal, noise) at
-        the symbols from the true offset pad + lead on). The window is the
-        full-rate stream's first search_len + 2 n_c samples, which hold all
-        ``_sync_offset`` reads, bitwise: shaping the first symbols only and
-        filtering the first samples only keeps every full-overlap output."""
-        pulse, n_c, n = self.pulse, self.config.n_c, sent.shape[1]
-        w = np.array([rng_noise.standard_normal(pad + self.noise_size)
-                      for _ in sent])
+    def sync_window(self, sent, spec, pad: int, w):
+        """Full-rate matched-filter outputs (signal, noise) of a frame over
+        its first search_len + 2 n_c samples, which hold all ``_sync_offset``
+        reads, bitwise: shaping the first symbols only and filtering the
+        first samples only keeps every full-overlap output."""
+        pulse, n_c = self.pulse, self.config.n_c
         win = self.search_len + 2 * n_c
         cut = win + n_c  # the matched filter reads up to n_c - 1 ahead
         # the symbols before the cut, and those whose shaping reaches back
@@ -405,12 +408,8 @@ class _Context:
         x = [np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
             np.concatenate([s, pulse.tail])[:shaped]), spec, n_c)])[:cut]
              for s in sent]
-        window = tuple(np.array([pulse.mf(v)[:win] for v in vs])
-                       for vs in (x, w[:, :cut]))
-        z = self._response(sent, n + self.delay)
-        shifts = self.delay - np.array(spec.delays, dtype=int)
-        sig = sum(g * z[:, s:s + n] for g, s in zip(spec.gains, shifts))
-        return window, (sig, self._sampled_noise(w, pad + pulse.lead, n))
+        return tuple(np.array([pulse.mf(v)[:win] for v in vs])
+                     for vs in (x, w[:, :cut]))
 
 
 _CTX: Optional[_Context] = None
@@ -454,42 +453,7 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
                             axis=(1, 2))
 
 
-# ---------------------------------------------------------------- static ---
-
-def _static_frame(frame_idx: int) -> np.ndarray:
-    ctx = _CTX
-    cfg = ctx.config
-    rng_content, _, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
-    bits = rng_content.integers(0, 2, cfg.n_data_bits)
-    sent = np.stack(tx.qpsk_map(bits))
-    sig, noise = ctx.sampled_frame(sent, rng_noise)
-    ys = sig + ctx.sigmas[:, None, None] * noise
-    return _count_errors(ctx, ys, sent, ctx.feedback, ctx.eqs, 0)
-
-
-def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:
-    """Known-channel Monte Carlo over the Eb/N0 grid.
-
-    The receiver is fed the true channel parameters (the estimator is
-    bypassed) and frames run until at least ``trials`` payload bits per
-    grid point. chaotic-opt requires genie=True since the exact threshold
-    needs the transmitted symbols themselves.
-    """
-    if config.method not in SIM_METHODS:
-        raise ValueError(f"run_static_sweep cannot run {config.method!r}")
-    if config.method == "chaotic-opt" and not config.genie:
-        raise ValueError("chaotic-opt needs genie=True: the optimal "
-                         "threshold uses the transmitted symbols")
-    n_frames = -(-config.trials // config.n_data_bits)
-    errors = np.sum(_map_frames(_static_frame, _Context(config, quasi=False),
-                                n_frames, jobs), axis=0)
-    total_bits = n_frames * config.n_data_bits
-    return [BerRecord.from_counts(config.method, config.channel, db,
-                                  total_bits, int(errors[p]))
-            for p, db in enumerate(config.ebn0_grid)]
-
-
-# ---------------------------------------------------------------- quasi ----
+# ---------------------------------------------------------------- sweeps ---
 
 def _sync_offset(ctx: _Context, y_i, y_q):
     """Coarse correlation peak, snapped to the symbol grid and refined by
@@ -506,7 +470,7 @@ def _sync_offset(ctx: _Context, y_i, y_q):
     sl = slice(0, min(ctx.search_len, y_i.size))
     coarse = rx.frame_sync(y_i[sl], ctx.template)
     base = int(round(coarse / n_c)) * n_c
-    rows, span = ctx.design.rows, ctx.t_i.size * n_c
+    rows, span = ctx.design.rows, ctx.train.shape[1] * n_c
     results = {}
     for step in _SYNC_GRID_STEPS:
         o = base + step * n_c
@@ -527,63 +491,128 @@ def _sync_offset(ctx: _Context, y_i, y_q):
     return o, obs
 
 
-def _quasi_frame(frame_idx: int):
-    ctx = _CTX
-    cfg = ctx.config
-    n_c = cfg.n_c
-    rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
-    bits = rng_content.integers(0, 2, cfg.n_data_bits)
-    # the training length is even, so the payload maps onto its own pairs
-    sent = np.array([np.concatenate(rails) for rails in
-                     zip((ctx.t_i, ctx.t_q), tx.qpsk_map(bits))])
-    gamma = ch.draw_gamma(ctx.channel, rng_chan)
-    pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
-    spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
-    true_offset = pad + ctx.pulse.lead
-    (win_sig, win_noise), (sig, noise) = ctx.sampled_quasi_frame(
-        sent, spec, pad, rng_noise)
-
-    n_points = len(cfg.ebn0_grid)
-    errors = np.zeros(n_points, dtype=np.int64)
-    counted = np.zeros(n_points, dtype=np.int64)
+def _acquire(ctx: _Context, sent, spec, pad: int, w):
+    """The receiver of an estimated-channel frame, laid out as
+    ``_Context.known`` holds the known channel's: (decoded points, their
+    feedback rows, their equalizers, failures and estimate RMS per point).
+    A point is decoded if frame sync over the full-rate window finds the
+    true offset and the LS estimate exists."""
+    win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
+    n_points = ctx.sigmas.size
     failures = np.zeros(n_points, dtype=np.int64)
     rms = np.full(n_points, np.nan)
     true_dense = np.zeros(_MAX_DELAY + 1)
     true_dense[np.array(spec.delays, dtype=int)] = spec.gains
     decoded, feedback, eqs = [], [], []
-
     for p, sigma in enumerate(ctx.sigmas):
         y_i, y_q = win_sig + sigma * win_noise
         picked = _sync_offset(ctx, y_i, y_q)
         est = None
-        if picked is not None and picked[0] == true_offset:
+        if picked is not None and picked[0] == pad + ctx.pulse.lead:
             try:
                 est = rx.estimate_channel_ls(picked[1], ctx.design, ctx.cascade)
             except np.linalg.LinAlgError:
                 pass
         if est is None:
             failures[p] = 1
-            if cfg.failure_policy == "pessimistic":
-                errors[p] = cfg.n_data_bits
-                counted[p] = cfg.n_data_bits
             continue
         dense = np.zeros(_MAX_DELAY + 1)
         dense[np.array(est.delays, dtype=int)] = est.gains
         rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
         decoded.append(p)
-        if cfg.method == "rrc-mmse":
+        if ctx.config.method == "rrc-mmse":
             eqs.append(bl.design_mmse(est))
         else:
             feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
-    if decoded:
-        # one coefficient row per point and rail, padded to the widest window
-        width = max((c.size for c in feedback), default=0)
-        rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback],
-                         2, axis=0)
+    # one coefficient row per point and rail, padded to the widest window
+    width = max((c.size for c in feedback), default=0)
+    rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback], 2,
+                     axis=0)
+    return decoded, rows, eqs, failures, rms
+
+
+def _frame(frame_idx: int):
+    """Per grid point: payload errors, counted payload bits, failures and
+    estimate RMS of one frame."""
+    ctx = _CTX
+    cfg = ctx.config
+    rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
+    n_train = ctx.train.shape[1]
+    # the training length is even, so the payload maps onto its own pairs
+    sent = np.empty((2, n_train + cfg.n_data_bits // 2))
+    sent[:, :n_train] = ctx.train
+    sent[:, n_train:] = tx.qpsk_map(rng_content.integers(0, 2, cfg.n_data_bits))
+    spec, pad = ctx.channel, 0
+    if ctx.quasi:
+        gamma = ch.draw_gamma(ctx.channel, rng_chan)
+        pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * cfg.n_c
+        spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+    sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng_noise)
+    decoded, feedback, eqs, failures, rms = (
+        _acquire(ctx, sent, spec, pad, w) if ctx.quasi else ctx.known)
+    # a failed point has all its payload bits in error, or none counted
+    lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
+    errors, counted = lost.copy(), lost
+    if len(decoded):
         ys = sig + ctx.sigmas[decoded, None, None] * noise
-        errors[decoded] = _count_errors(ctx, ys, sent, rows, eqs, ctx.t_i.size)
+        errors[decoded] = _count_errors(ctx, ys, sent, feedback, eqs, n_train)
         counted[decoded] = cfg.n_data_bits
     return errors, counted, failures, rms
+
+
+def _run(config: ExperimentConfig, quasi: bool, n_frames: int, jobs: int,
+         stats: Optional[dict] = None) -> List[BerRecord]:
+    """Run a sweep's frames and sum their counts into one record per grid
+    point; fill ``stats``, if given, with per-point failure counts and
+    estimation RMS summaries."""
+    results = _map_frames(_frame, _Context(config, quasi), n_frames, jobs)
+    errors, counted, failures, rms_all = (np.array(r) for r in zip(*results))
+    errors, counted, failures = (np.sum(a, axis=0)
+                                 for a in (errors, counted, failures))
+    if stats is not None:
+        per_point = []
+        for p, db in enumerate(config.ebn0_grid):
+            ok = rms_all[np.isfinite(rms_all[:, p]), p]
+            rms = ((np.mean(ok), np.percentile(ok, 90.0), np.max(ok))
+                   if ok.size else (np.nan,) * 3)
+            per_point.append({
+                "ebn0_db": float(db),
+                "frames": n_frames,
+                "failed_frames": int(failures[p]),
+                "excluded_bits": int(n_frames * config.n_data_bits
+                                     - counted[p]),
+                "est_rms_mean": float(rms[0]), "est_rms_p90": float(rms[1]),
+                "est_rms_max": float(rms[2]),
+            })
+        stats["per_point"] = per_point
+        stats["failure_policy"] = config.failure_policy
+    records = []
+    for p, db in enumerate(config.ebn0_grid):
+        if counted[p] == 0:
+            raise RuntimeError(
+                f"every frame failed sync/estimation at {db} dB; "
+                "no bits were counted")
+        records.append(BerRecord.from_counts(
+            config.method, config.channel, db, int(counted[p]),
+            int(errors[p])))
+    return records
+
+
+def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:
+    """Known-channel Monte Carlo over the Eb/N0 grid.
+
+    Frames are estimated-channel frames with the preset as their channel,
+    no pad and no training, whose receiver is fed the true channel (the
+    estimator is bypassed); they run until at least ``trials`` payload bits
+    per grid point. chaotic-opt requires genie=True since the exact
+    threshold needs the transmitted symbols themselves.
+    """
+    if config.method not in SIM_METHODS:
+        raise ValueError(f"run_static_sweep cannot run {config.method!r}")
+    if config.method == "chaotic-opt" and not config.genie:
+        raise ValueError("chaotic-opt needs genie=True: the optimal "
+                         "threshold uses the transmitted symbols")
+    return _run(config, False, -(-config.trials // config.n_data_bits), jobs)
 
 
 def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
@@ -605,39 +634,7 @@ def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
             f"not {config.method!r}")
     if config.genie:
         raise ValueError("genie decoding is incompatible with channel estimation")
-    results = _map_frames(_quasi_frame, _Context(config, quasi=True),
-                          config.frames, jobs)
-    errors, counted, failures, rms_all = (np.array(r) for r in zip(*results))
-    errors, counted, failures = (np.sum(a, axis=0)
-                                 for a in (errors, counted, failures))
-    if stats is not None:
-        per_point = []
-        for p, db in enumerate(config.ebn0_grid):
-            col = rms_all[:, p]
-            ok = col[np.isfinite(col)]
-            per_point.append({
-                "ebn0_db": float(db),
-                "frames": config.frames,
-                "failed_frames": int(failures[p]),
-                "excluded_bits": int(config.frames * config.n_data_bits
-                                     - counted[p]),
-                "est_rms_mean": float(np.mean(ok)) if ok.size else float("nan"),
-                "est_rms_p90": float(np.percentile(ok, 90.0)) if ok.size
-                               else float("nan"),
-                "est_rms_max": float(np.max(ok)) if ok.size else float("nan"),
-            })
-        stats["per_point"] = per_point
-        stats["failure_policy"] = config.failure_policy
-    records = []
-    for p, db in enumerate(config.ebn0_grid):
-        if counted[p] == 0:
-            raise RuntimeError(
-                f"every frame failed sync/estimation at {db} dB; "
-                "no bits were counted")
-        records.append(BerRecord.from_counts(
-            config.method, config.channel, db, int(counted[p]),
-            int(errors[p])))
-    return records
+    return _run(config, True, config.frames, jobs, stats)
 
 
 # ---------------------------------------------------------------- theory ---
@@ -720,6 +717,8 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
 def _map_frames(worker, ctx: _Context, n_frames: int, jobs: int):
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
+    # the pool forks all its workers up front, so never more than frames
+    jobs = min(jobs, n_frames)
     if jobs == 1:
         _install(ctx)
         return [worker(i) for i in range(n_frames)]

@@ -1,9 +1,11 @@
 """Monte Carlo harness: config validation, records, sweeps, reports."""
 
+import contextlib
 import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +84,8 @@ def test_ber_record_consistency():
         H.BerRecord("rrc-mmse", "static2", 6.0, 1000, 13, r.ber, 0.5 * r.ci95)
     with pytest.raises(ValueError):
         H.BerRecord.from_counts("rrc-mmse", "static2", 6.0, 1000, 1001)
+    with pytest.raises(ValueError, match="bits"):
+        H.BerRecord.from_counts("rrc-mmse", "static2", 6.0, 0, 0)
     a = H.BerRecord.analytic("theory-opt", "static2", 6.0, 0.0032)
     assert a.bits == 0 and a.errors == 0 and a.ci95 == 0.0
 
@@ -120,70 +124,47 @@ def test_static_sweep_accounting():
 @pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
                                          for n in (2, 3, 4, 6, 8)])
 def test_sampled_frame_matches_waveform_path(family, n_c):
-    # the static frame computes only the symbol-rate samples; they must be
-    # the samples of the full-rate waveform path, down to rounding, on
-    # every preset and frame length, frames shorter than the start-edge
-    # block included, and the noise generator must be left where the
-    # waveform path leaves it
-    method = "chaotic-subopt" if family == "chaotic" else "rrc-noeq"
-    for channel in ("static2", "static3"):
-        for n_bits in (8, 64, 3840):
-            cfg = small_static(method=method, channel=channel, n_c=n_c,
-                               n_data_bits=n_bits, trials=n_bits)
+    # a frame computes only the symbol-rate samples of its rails; they must
+    # be the waveform path's samples at the true offset down to rounding,
+    # from symbol 0 on (where the start-edge block acts), for the known
+    # channel at pad 0 and for random path gains at both extreme pads,
+    # frames shorter than the edge block or the sync window included; a
+    # quasi frame's full-rate sync window must be the full-rate stream
+    # bitwise, so sync and estimation see the same bytes; and the noise
+    # generator must be left where the waveform path leaves it
+    method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
+    rng = np.random.default_rng(n_c)
+    for channel in ("static2", "static3", "quasi2", "quasi3"):
+        quasi = channel.startswith("quasi")
+        for n_bits in (2, 8, 3840):
             try:
-                ctx = H._Context(cfg, quasi=False)
+                ctx = H._Context(H.ExperimentConfig(
+                    method, channel, (6.0,), n_data_bits=n_bits, n_c=n_c), quasi)
             except ValueError:
                 assert family == "rrc" and n_c == 2  # RRC misses Nyquist
                 continue
-            assert n_bits > 8 or n_bits // 2 < ctx.edge.shape[0]
-            rails = np.random.default_rng(n_bits).integers(0, 2, (2, n_bits // 2))
-            sent = 1.0 - 2.0 * rails
-            fast, slow = np.random.default_rng(9), np.random.default_rng(9)
-            sig, noise = ctx.sampled_frame(sent, fast)
-            ref = np.array([[rx.sample_symbols(y, ctx.pulse.lead, n_c, rail.size)
-                             for y in waveform_path(ctx.pulse, rail, ctx.channel,
-                                                    0, slow)]
-                            for rail in sent])
-            assert np.max(np.abs(sig - ref[:, 0])) < 1e-12
-            assert np.max(np.abs(noise - ref[:, 1])) < 1e-12
-            assert fast.standard_normal() == slow.standard_normal()
-
-
-@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
-                                         for n in (3, 4, 6, 8)])
-def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
-    # a quasi frame filters at full rate only the sync window, which must
-    # be the full-rate stream bitwise, so sync and estimation see the same
-    # bytes; its symbol-rate payload must be the waveform path's samples at
-    # the true offset down to rounding, from symbol 0 on (where the
-    # start-edge block acts), for random path gains and both extreme pads,
-    # frames shorter than the window included; the noise generator must be
-    # left where the waveform path leaves it
-    method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
-    rng = np.random.default_rng(n_c)
-    for channel in ("quasi2", "quasi3"):
-        for n_bits in (2, 3840):
-            ctx = H._Context(H.ExperimentConfig(method, channel, (6.0,),
-                                                n_data_bits=n_bits, n_c=n_c),
-                             quasi=True)
-            delays = ctx.channel.delays
-            for pad_symbols in H._PAD_SYMBOLS:
+            n = ctx.train.shape[1] + n_bits // 2
+            assert quasi or n_bits > 8 or n < ctx.edge.shape[0]
+            for pad_symbols in H._PAD_SYMBOLS if quasi else (0,):
                 pad = pad_symbols * n_c
-                spec = ch.MultipathSpec(delays,
-                                        tuple(rng.uniform(-1.0, 1.0, len(delays))))
-                sent = rng.choice([-1.0, 1.0], (2, ctx.n_sym))
+                spec = ctx.channel
+                if quasi:
+                    spec = ch.MultipathSpec(spec.delays, tuple(
+                        rng.uniform(-1.0, 1.0, len(spec.delays))))
+                sent = rng.choice([-1.0, 1.0], (2, n))
                 fast, slow = np.random.default_rng(9), np.random.default_rng(9)
-                window, payload = ctx.sampled_quasi_frame(sent, spec, pad, fast)
+                sig, noise, w = ctx.sampled_frame(sent, spec, pad, fast)
                 ref = np.array([waveform_path(ctx.pulse, rail, spec, pad, slow)
                                 for rail in sent]).transpose(1, 0, 2)
-                win = min(ctx.search_len + 2 * n_c, ref.shape[-1])
-                for got, want in zip(window, ref):
-                    assert np.array_equal(got, want[:, :win])
-                for got, want in zip(payload, ref):
+                for got, want in zip((sig, noise), ref):
                     want = np.array([rx.sample_symbols(y, pad + ctx.pulse.lead,
-                                                       n_c, ctx.n_sym)
-                                     for y in want])
+                                                       n_c, n) for y in want])
                     assert np.max(np.abs(got - want)) < 1e-12
+                if quasi:
+                    win = min(ctx.search_len + 2 * n_c, ref.shape[-1])
+                    for got, want in zip(ctx.sync_window(sent, spec, pad, w),
+                                         ref):
+                        assert np.array_equal(got, want[:, :win])
                 assert fast.standard_normal() == slow.standard_normal()
 
 
@@ -402,6 +383,24 @@ def test_jobs_below_one_rejected():
         H.run_static_sweep(small_static(), jobs=0)
     with pytest.raises(ValueError, match="jobs"):
         H.run_static_sweep(small_static(), jobs=True)
+
+
+def test_pool_sized_by_frame_count(monkeypatch):
+    # the pool forks every worker up front, so a sweep of fewer frames
+    # than jobs asks for one worker per frame; the fake runs them in turn
+    sizes = []
+
+    def fake_pool(max_workers, initializer, initargs):
+        sizes.append(max_workers)
+        initializer(*initargs)
+        return contextlib.nullcontext(SimpleNamespace(
+            map=lambda fn, items, chunksize: map(fn, items)))
+
+    monkeypatch.setattr(H, "ProcessPoolExecutor", fake_pool)
+    cfg = small_static(trials=6000, n_data_bits=2000)  # 3 frames
+    assert H.run_static_sweep(cfg, jobs=8) == H.run_static_sweep(cfg, jobs=1)
+    H.run_static_sweep(cfg, jobs=2)
+    assert sizes == [3, 2]
 
 
 def test_rrc_infeasible_n_c_fails_before_the_pool():
