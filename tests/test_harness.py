@@ -121,9 +121,7 @@ def test_static_sweep_accounting():
     assert recs[0].errors > recs[1].errors
 
 
-@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
-                                         for n in (2, 3, 4, 6, 8)])
-def test_sampled_frame_matches_waveform_path(family, n_c):
+def check_sampled_frames(family, n_c, channels):
     # a frame computes only the symbol-rate samples of its rails; they must
     # be the waveform path's samples at the true offset down to rounding,
     # from symbol 0 on (where the start-edge block acts), for the known
@@ -134,7 +132,7 @@ def test_sampled_frame_matches_waveform_path(family, n_c):
     # generator must be left where the waveform path leaves it
     method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
     rng = np.random.default_rng(n_c)
-    for channel in ("static2", "static3", "quasi2", "quasi3"):
+    for channel in channels:
         quasi = channel.startswith("quasi")
         for n_bits in (2, 8, 3840):
             try:
@@ -166,6 +164,18 @@ def test_sampled_frame_matches_waveform_path(family, n_c):
                                          ref):
                         assert np.array_equal(got, want[:, :win])
                 assert fast.standard_normal() == slow.standard_normal()
+
+
+@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
+                                         for n in (2, 3, 4, 6, 8)])
+def test_sampled_frame_matches_waveform_path(family, n_c):
+    check_sampled_frames(family, n_c, ("static2", "static3"))
+
+
+@pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
+                                         for n in (2, 3, 4, 6, 8)])
+def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
+    check_sampled_frames(family, n_c, ("quasi2", "quasi3"))
 
 
 def test_genie_response_once_per_sweep(monkeypatch):
