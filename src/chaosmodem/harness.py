@@ -339,9 +339,11 @@ class _Context:
         ``edge``, each early unit symbol's real response minus that
         convolution; a symbol is early while its shaping reaches before
         t = 0, which the delay hides from ``h_lag``. Noise is read through
-        ``mf_kernel``, the reversed MF. The delay is the preset's longest
-        path: it keeps the outputs before symbol 0 that each path shift
-        reads, and makes the probe as long as a rail through the channel."""
+        ``mf_kernel``, the reversed MF folded into one row of n_c taps per
+        symbol period, zero-filled at the end. The delay is the preset's
+        longest path: it keeps the outputs before symbol 0 that each path
+        shift reads, and makes the probe as long as a rail through the
+        channel."""
         pulse, n_c, delay = self.pulse, self.config.n_c, self.delay
 
         def probe(symbols):
@@ -362,7 +364,8 @@ class _Context:
         self.noise_size = size + (n + pulse.tail.size - _PROBE_SYMBOLS) * n_c
         g = pulse.mf(np.eye(1, size, size // 2)[0])  # impulse at size // 2
         first, last = np.flatnonzero(g)[[0, -1]]
-        self.mf_kernel = g[first:last + 1][::-1]
+        kernel = g[first:last + 1][::-1]
+        self.mf_kernel = np.pad(kernel, (0, -kernel.size % n_c)).reshape(-1, n_c)
         # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
         self.mf_pad = (last - size // 2, size // 2 - first)
 
@@ -374,9 +377,12 @@ class _Context:
         Each path is the delayed probed response shifted by symbol lags."""
         n_c, n = self.config.n_c, sent.shape[1]
         n_out = n + self.delay
-        # the draw goes between the zero margins the matched filter reads
+        n_periods = n + self.mf_kernel.shape[0] - 1
+        # the draw goes between the zero margins the matched filter reads;
+        # the right one also holds the kernel's zero-filled end
         lo, hi = self.mf_pad
-        padded = np.zeros((sent.shape[0], lo + pad + self.noise_size + hi))
+        padded = np.zeros((sent.shape[0], lo + pad + self.noise_size + hi
+                           + self.mf_kernel.size))
         w = padded[:, lo:lo + pad + self.noise_size]
         for row in w:
             rng_noise.standard_normal(out=row)
@@ -389,11 +395,17 @@ class _Context:
         for g, d in zip(spec.gains, spec.delays):
             s = self.delay - int(d)
             sig += g * z[:, s:s + n]
-        # the noise at the symbols: windows of the draw through the kernel
+        # the noise at the symbols: symbol m reads the symbol periods
+        # m..m+J-1 of the draw from its offset, period m + j through kernel
+        # row j; row j of ``phases`` has every period through kernel row j,
+        # and its entry m + j sits at j * (n_periods + 1) + m of a flat row
         start = pad + self.pulse.lead
-        windows = np.lib.stride_tricks.sliding_window_view(
-            padded, self.mf_kernel.size, axis=1)[:, start:start + n * n_c:n_c]
-        return sig, np.einsum("rmk,k->rm", windows, self.mf_kernel), w
+        periods = padded[:, start:start + n_periods * n_c].reshape(
+            -1, n_periods, n_c)
+        phases = self.mf_kernel @ periods.transpose(0, 2, 1)
+        terms = np.lib.stride_tricks.sliding_window_view(
+            phases.reshape(phases.shape[0], -1), n, axis=1)[:, ::n_periods + 1]
+        return sig, terms.sum(axis=1), w
 
     def sync_window(self, sent, spec, pad: int, w):
         """Full-rate matched-filter outputs (signal, noise) of a frame over
@@ -431,12 +443,22 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     a rail's genie thresholds; the decision-feedback decoder takes all
     points and rails as one batch. Error rate is counted per rail decision:
     each rail carries one antipodal bit per symbol, as the closed forms
-    assume."""
+    assume.
+
+    The decision-feedback decoder starts from the transmitted rails. That
+    is not a genie: its result is the causal recursion's unique solution
+    whatever iterate it starts from, so ``sent`` sets only how much work
+    the decoder does. The solution differs from ``sent`` only around its
+    decision errors, so few thresholds need recomputing after the first
+    pass. From the signs of y, the default start, which are wrong at a few
+    percent of the symbols of every row, the second pass alone recomputes
+    more than half the columns of a batch."""
     method = ctx.config.method
     if method == "chaotic-subopt":
-        train = np.tile(sent[:, :n_train], (ys.shape[0], 1))
-        dec = rx.decode_suboptimal(ys.reshape(-1, ys.shape[-1]), train,
-                                   feedback).reshape(ys.shape)
+        start = np.tile(sent, (ys.shape[0], 1))
+        dec = rx.decode_suboptimal(ys.reshape(start.shape),
+                                   start[:, :n_train], feedback,
+                                   guess=start).reshape(ys.shape)
     elif method == "chaotic-opt":
         # genie: thresholds from the true symbols including the shaping tail
         # cancel every ISI term exactly; every grid point shares them
@@ -550,6 +572,7 @@ def _frame(frame_idx: int):
     sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng_noise)
     decoded, feedback, eqs, failures, rms = (
         _acquire(ctx, sent, spec, pad, w) if ctx.quasi else ctx.known)
+    del w  # free the full-rate draw before the decode
     # a failed point has all its payload bits in error, or none counted
     lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
     errors, counted = lost.copy(), lost

@@ -218,7 +218,7 @@ def decide(y, theta):
     return out
 
 
-def decode_suboptimal(y_syms, train_syms, coeffs) -> np.ndarray:
+def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     """Decision-directed decoding of one frame or of a batch of frames.
 
     ``y_syms`` is one frame's symbol-rate observations, shape (n,), or one
@@ -237,20 +237,30 @@ def decode_suboptimal(y_syms, train_syms, coeffs) -> np.ndarray:
 
     The causal recursion has exactly one solution, which is found here by
     Jacobi iteration over whole arrays rather than one symbol at a time:
-    start from the signs of y, and on each pass recompute every threshold
-    from the previous pass's decisions. A pass decides the first symbol it
-    changes from final decisions only, so every symbol up to and including
-    the first change is final and the next pass starts after it; a pass
-    that changes nothing has reached the solution. The thresholds are
+    start from an initial iterate, ``guess`` (shape of ``y_syms``; the
+    signs of y by default; its training part is replaced by the prefix),
+    and on each pass recompute the thresholds from the previous pass's
+    decisions. A pass decides the first symbol it changes from final
+    decisions only, so every symbol up to and including the first change
+    is final, whatever the iterate was; a pass that changes nothing has
+    reached the solution. Any guess therefore gives the same result, and
+    only the number of passes depends on it. The thresholds are
     accumulated over k = 1..w from 0.0 in the recursion's own order, so
     they are bitwise equal to it and the decisions are exact, not an
     approximation. Padding terms come last and add +-0.0, which moves no
     comparison, so a padded row decides as its own window does.
 
-    A few passes suffice when the own-symbol gain exceeds the summed
-    feedback magnitudes, as on every channel preset. In the worst case,
-    when y carries no signal (for example y == 0), each pass finalizes one
-    symbol and decoding takes n - n_train passes.
+    The first pass recomputes every threshold after the training. A later
+    pass recomputes only those of the symbols up to w after a column
+    (symbol across all rows) whose decision the previous pass changed:
+    any other threshold sees the same window as before and repeats its
+    decision. A pass thus costs one threshold per row for each of those
+    columns, and a good guess, one that differs from the solution only
+    around its decision errors, leaves few of them. Few passes suffice
+    when the own-symbol gain exceeds the summed feedback magnitudes, as on
+    every channel preset. The worst case is unchanged: when y carries no
+    signal (for example y == 0), each pass finalizes one symbol and
+    decoding takes n - n_train passes.
     """
     y = np.asarray(y_syms, dtype=float)
     train = np.asarray(train_syms, dtype=float)
@@ -258,6 +268,12 @@ def decode_suboptimal(y_syms, train_syms, coeffs) -> np.ndarray:
     if y.ndim not in (1, 2) or train.ndim not in (1, 2) or c.ndim not in (1, 2):
         raise ValueError("observations, training and coefficients must be "
                          "1-d or 2-d")
+    if guess is None:
+        guess = np.where(y >= 0.0, 1.0, -1.0)
+    guess = np.asarray(guess, dtype=float)
+    if guess.shape != y.shape:
+        raise ValueError(f"guess of shape {guess.shape} for observations of "
+                         f"shape {y.shape}")
     rows = np.atleast_2d(y)
     n_rows, n = rows.shape
     for name, a in (("training", train), ("coefficient", c)):
@@ -269,20 +285,25 @@ def decode_suboptimal(y_syms, train_syms, coeffs) -> np.ndarray:
         raise ValueError("training longer than the observed frame")
     c = np.atleast_2d(c)
     w = c.shape[1]
-    # column w + m holds the decision for symbol m; the w zero columns
-    # before the frame add nothing to a threshold
+    # column w + m of d holds the decision for symbol m, column m of dec;
+    # the w zero columns before the frame add nothing to a threshold
     d = np.zeros((n_rows, w + n))
-    d[:, w:w + n_train] = train
-    d[:, w + n_train:] = np.where(rows[:, n_train:] >= 0.0, 1.0, -1.0)
-    start = n_train
-    while start < n:
-        theta = np.zeros((n_rows, n - start))
-        for k in range(1, w + 1):
-            theta += d[:, w + start - k:w + n - k] * c[:, k - 1:k]
-        new = np.where(rows[:, start:] >= theta, 1.0, -1.0)
-        changed = np.flatnonzero((new != d[:, w + start:]).any(axis=0))
-        if changed.size == 0:
+    dec = d[:, w:]
+    dec[:] = guess
+    dec[:, :n_train] = train
+    lags = np.arange(1, w + 1)
+    symbols = np.arange(n)
+    cols = slice(n_train, n)
+    while True:
+        theta = 0.0
+        for k in lags:
+            theta += d[:, w - k:w - k + n][:, cols] * c[:, k - 1:k]
+        new = np.where(rows[:, cols] >= theta, 1.0, -1.0)
+        moved = (new != dec[:, cols]).any(axis=0)
+        if not moved.any():
             break
-        d[:, w + start:] = new
-        start += int(changed[0]) + 1
-    return d[:, w:].reshape(y.shape)
+        dec[:, cols] = new
+        dirty = np.zeros(n + w, dtype=bool)
+        dirty[symbols[cols][moved, None] + lags] = True
+        cols = np.flatnonzero(dirty[:n])
+    return dec.reshape(y.shape)

@@ -68,7 +68,7 @@ def _check_bits(bits) -> np.ndarray:
     b = np.asarray(bits)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("bit sequence must be 1-d and non-empty")
-    if not np.all(np.isin(b, (0, 1))):
+    if not ((b == 0) | (b == 1)).all():
         raise ValueError("bits must be 0 or 1")
     return b.astype(np.int64)
 

@@ -99,7 +99,7 @@ def test_energy_per_bit():
     # the receive kernel the static frames read unit noise through has
     # energy E / n_c^2, so the theory curves' sigma_w = sigma sqrt(E) / n_c
     ctx = H._Context(small_static(), quasi=False)
-    kernel = ctx.mf_kernel
+    kernel = ctx.mf_kernel.ravel()
     assert abs(np.dot(kernel, kernel) - eb / 64) < 1e-12
 
 

@@ -393,16 +393,20 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
        shared=st.booleans(),
        per_row=st.booleans(),
        kind=st.sampled_from(["noise", "ties", "zeros"]),
+       start=st.sampled_from(["signs", "flips", "wrong", "zeros", "reals"]),
        scale=st.floats(0.05, 3.0),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
-                                              shared, per_row, kind, scale,
-                                              seed):
+                                              shared, per_row, kind, start,
+                                              scale, seed):
     # a (B, n) call decides every row exactly as the plain per-symbol loop
     # does: no training, shared or per-row training, shared coefficients or
     # one row each (its own gains and window, zero-padded to the widest),
     # exact ties (which go to +1) and the signal-free y == 0 case where
-    # each pass settles only one more symbol
+    # each pass settles only one more symbol; from any initial iterate:
+    # the default signs of y, the symbols y was built from with random
+    # flips, the loop's decisions all negated (training part included,
+    # which the prefix overrides), zeros or random reals
     spec = ch.get_preset(preset)
     rng = np.random.default_rng(seed)
     if per_row:
@@ -433,17 +437,25 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
             thetas = dd_loop(y[b], want[b].copy(), own[b], n_train)
             y[b, tie[b]] = thetas[tie[b]]
     train = want[0, :n_train] if shared else want[:, :n_train]
-    fast = rx.decode_suboptimal(y, train, coeffs)
+    slow = np.empty((n_rows, n))
+    slow[:, :n_train] = train
+    for b in range(n_rows):
+        dd_loop(y[b], slow[b], own[b], n_train)
+        if kind == "ties":
+            assert np.array_equal(slow[b], want[b])
+    guess = {"signs": None,
+             "flips": np.where(rng.random((n_rows, n)) < 0.1, -want, want),
+             "wrong": -slow,
+             "zeros": np.zeros((n_rows, n)),
+             "reals": rng.standard_normal((n_rows, n))}[start]
+    fast = rx.decode_suboptimal(y, train, coeffs, guess=guess)
     assert fast.shape == y.shape
     for b in range(n_rows):
-        slow = np.empty(n)
-        slow[:n_train] = want[b, :n_train]
-        dd_loop(y[b], slow, own[b], n_train)
-        assert np.array_equal(fast[b], slow)
-        if kind == "ties":
-            assert np.array_equal(slow, want[b])
-    assert np.array_equal(rx.decode_suboptimal(y[0], want[0, :n_train], own[0]),
-                          fast[0])
+        assert np.array_equal(fast[b], slow[b])
+    assert np.array_equal(rx.decode_suboptimal(y, train, coeffs), fast)
+    assert np.array_equal(rx.decode_suboptimal(
+        y[0], want[0, :n_train], own[0],
+        guess=None if guess is None else guess[0]), fast[0])
 
 
 def test_decode_suboptimal_rejects_mismatched_rows():
@@ -461,3 +473,7 @@ def test_decode_suboptimal_rejects_mismatched_rows():
         rx.decode_suboptimal(np.zeros((2, 2, 5)), np.ones(2), coeffs)
     with pytest.raises(ValueError, match="1-d or 2-d"):
         rx.decode_suboptimal(y, np.ones(5), np.zeros((4, 1, 6)))
+    with pytest.raises(ValueError, match="guess"):
+        rx.decode_suboptimal(y, np.ones(5), coeffs, guess=np.ones((4, 19)))
+    with pytest.raises(ValueError, match="guess"):
+        rx.decode_suboptimal(y[0], np.ones(5), coeffs, guess=np.ones((1, 20)))

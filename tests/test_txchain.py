@@ -41,6 +41,13 @@ def test_qpsk_validation():
         tx.qpsk_map([0, 2])
     with pytest.raises(ValueError):
         tx.qpsk_map([])
+    for bad in (0.5, -1, np.nan):
+        with pytest.raises(ValueError, match="0 or 1"):
+            tx.qpsk_map([0, bad])
+    # bools and whole floats are bits
+    want = tx.qpsk_map([0, 1, 1, 1])
+    for bits in ([False, True, True, True], [0.0, 1.0, 1.0, 1.0]):
+        assert all(np.array_equal(a, b) for a, b in zip(tx.qpsk_map(bits), want))
 
 
 def test_layout_and_config_validation():
