@@ -455,10 +455,10 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     more than half the columns of a batch."""
     method = ctx.config.method
     if method == "chaotic-subopt":
-        start = np.tile(sent, (ys.shape[0], 1))
-        dec = rx.decode_suboptimal(ys.reshape(start.shape),
-                                   start[:, :n_train], feedback,
-                                   guess=start).reshape(ys.shape)
+        guess = np.tile(sent, (ys.shape[0], 1))
+        dec = rx.decode_suboptimal(ys.reshape(guess.shape),
+                                   guess[:, :n_train], feedback,
+                                   guess=guess).reshape(ys.shape)
     elif method == "chaotic-opt":
         # genie: thresholds from the true symbols including the shaping tail
         # cancel every ISI term exactly; every grid point shares them
