@@ -152,19 +152,19 @@ def _symbol_channel(estimate: ChannelEstimate) -> np.ndarray:
     """Multipath taps laid out on the symbol grid. The presets and the LS
     candidate set both live on integer symbol delays; anything else has no
     symbol-rate convolution matrix and is rejected."""
-    delays = np.asarray(estimate.delays, dtype=float)
-    near = np.rint(delays)
-    if np.max(np.abs(delays - near)) > 1e-9 or np.min(near) < 0:
+    near = [round(d) for d in estimate.delays]
+    if (max(abs(d - n) for d, n in zip(estimate.delays, near)) > 1e-9
+            or min(near) < 0):
         raise ValueError("equalizer design needs nonnegative integer symbol delays")
-    h = np.zeros(int(near.max()) + 1)
-    for d, g in zip(near.astype(int), np.asarray(estimate.gains, dtype=float)):
+    h = np.zeros(max(near) + 1)
+    for d, g in zip(near, estimate.gains):
         h[d] += g
     return h
 
 
-def design_mmse(estimate: ChannelEstimate, length: int = DEFAULT_EQ_LENGTH,
+def design_mmse(estimate, length: int = DEFAULT_EQ_LENGTH,
                 delay: int = DEFAULT_EQ_DELAY,
-                noise_var: Optional[float] = None) -> MmseEqualizer:
+                noise_var: Optional[float] = None):
     """Regularized least-squares equalizer w = (H^T H + sigma^2 I)^-1 H^T e_d.
 
     H is the (length + channel_span) x length convolution matrix of the
@@ -173,26 +173,49 @@ def design_mmse(estimate: ChannelEstimate, length: int = DEFAULT_EQ_LENGTH,
     variance sigma^2 at the matched-filter output this is the linear MMSE
     solution. sigma^2 defaults to the estimate's noise_var; pass 0 for the
     zero-forcing limit, which raises LinAlgError if H is rank deficient.
+
+    ``estimate`` is one ChannelEstimate, for which one equalizer comes
+    back, or a sequence of them, for which a list comes back in the same
+    order. The algebra runs on stacks of H that share a channel span, as
+    stacked matmul and solve, which treat each item as its own 2-d
+    product and solve, so an equalizer is bitwise the same designed alone
+    or in a batch.
     """
-    h = _symbol_channel(estimate)
-    sigma2 = float(estimate.noise_var if noise_var is None else noise_var)
-    if sigma2 < 0.0:
-        raise ValueError("noise_var must be >= 0")
-    n_out = length + h.size - 1
+    single = isinstance(estimate, ChannelEstimate)
+    estimates = [estimate] if single else list(estimate)
     if length < 1:
         raise ValueError("length must be >= 1")
-    if not 0 <= delay < n_out:
-        raise ValueError("delay must lie inside the cascade support")
-    H = np.zeros((n_out, length))
-    for j in range(length):
-        H[j : j + h.size, j] = h
-    if sigma2 == 0.0 and np.linalg.matrix_rank(H) < length:
-        raise np.linalg.LinAlgError(
-            "zero noise variance with rank-deficient channel matrix")
-    e_d = np.zeros(n_out)
-    e_d[delay] = 1.0
-    w = np.linalg.solve(H.T @ H + sigma2 * np.eye(length), H.T @ e_d)
-    return MmseEqualizer(length, delay, w, sigma2)
+    hs = [_symbol_channel(e) for e in estimates]
+    sigma2 = np.array([float(e.noise_var if noise_var is None else noise_var)
+                       for e in estimates])
+    if np.any(sigma2 < 0.0):
+        raise ValueError("noise_var must be >= 0")
+    groups = {}
+    for i, h in enumerate(hs):
+        groups.setdefault(h.size, []).append(i)
+    eqs = [None] * len(estimates)
+    for span, group in sorted(groups.items()):
+        n_out = length + span - 1
+        if not 0 <= delay < n_out:
+            raise ValueError("delay must lie inside the cascade support")
+        # column j of H holds h from row j on
+        j = np.arange(length)[:, None]
+        H = np.zeros((len(group), n_out, length))
+        h = np.array([hs[i] for i in group])
+        H[:, j + np.arange(span), j] = h[:, None]
+        s2 = sigma2[group]
+        zf = s2 == 0.0
+        if zf.any() and np.any(np.linalg.matrix_rank(H[zf]) < length):
+            raise np.linalg.LinAlgError(
+                "zero noise variance with rank-deficient channel matrix")
+        e_d = np.zeros(n_out)
+        e_d[delay] = 1.0
+        Ht = H.transpose(0, 2, 1)
+        w = np.linalg.solve(Ht @ H + s2[:, None, None] * np.eye(length),
+                            (Ht @ e_d)[..., None])[..., 0]
+        for i, taps in zip(group, w):
+            eqs[i] = MmseEqualizer(length, delay, taps, float(sigma2[i]))
+    return eqs[0] if single else eqs
 
 
 def apply_equalizer(symbols_rx, eq: MmseEqualizer) -> np.ndarray:

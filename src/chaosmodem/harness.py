@@ -1,10 +1,11 @@
 """Seeded Monte Carlo experiment runner and result emission.
 
 Frames are the unit of work and of parallelism. Every frame derives its
-randomness from SeedSequence([master_seed, frame_index]) split into three
-child streams (payload bits, channel draw, noise), so a sweep is
+randomness from the three child streams of SeedSequence([master_seed,
+frame_index]) (payload bits, channel draw, noise), so a sweep is
 reproducible bit for bit at any worker count: per-frame error counts are
-integers and summation commutes.
+integers and summation commutes. A frame builds only the streams it
+draws from; a known-channel frame never draws a channel.
 
 Common random numbers across the Eb/N0 grid: each frame computes the
 matched-filter outputs of its rails and of one unit-variance noise draw
@@ -23,6 +24,9 @@ lags; every frame applies its channel's paths to that response at symbol
 rate, and the matched filter reads its noise at the symbol instants only.
 Only over the sync window of an estimated-channel frame, where frame sync
 searches off the symbol grid, does the waveform path run at full rate.
+That frame then acquires every grid point at once: frame sync, sync-grid
+refinement, the LS estimate and the receiver design run on arrays over
+the points, each value bitwise the one a single point would get.
 """
 
 from __future__ import annotations
@@ -253,11 +257,17 @@ def pulse_for(name: str, n_c: int) -> Pulse:
     raise ValueError(f"unknown waveform family {name!r}")
 
 
-def _frame_streams(master_seed: int, frame_idx: int):
-    ss = np.random.SeedSequence([master_seed, frame_idx])
-    content, chan, noise = ss.spawn(3)
-    return (np.random.default_rng(content), np.random.default_rng(chan),
-            np.random.default_rng(noise))
+# the child streams of a frame's SeedSequence([master_seed, frame_index])
+_CONTENT, _CHANNEL, _NOISE = range(3)
+
+
+def _frame_streams(master_seed: int, frame_idx: int, *streams: int):
+    """Generators of the frame's given child streams. Child k is built as
+    SeedSequence([master_seed, frame_idx], spawn_key=(k,)), which is what
+    ``.spawn(3)`` returns as its k-th child, so a frame builds only the
+    streams it draws from."""
+    return [np.random.default_rng(np.random.SeedSequence(
+        [master_seed, frame_idx], spawn_key=(k,))) for k in streams]
 
 
 def _preset(config: ExperimentConfig, quasi: bool, sweep: str):
@@ -304,10 +314,17 @@ class _Context:
             except ValueError as exc:
                 raise ValueError(f"n_training_bits = {config.n_training_bits} "
                                  f"cannot estimate the channel: {exc}") from None
-            lags = self.design.lags[:, None] - np.arange(_MAX_DELAY + 1)[None, :]
-            self.cascade = pulse.cascade(lags)
-            B = self.design.design @ self.cascade
-            self.proj = B @ np.linalg.pinv(B)
+            delays = np.arange(_MAX_DELAY + 1)
+            self.cascade = pulse.cascade(self.design.lags[:, None] - delays)
+            # an orthonormal basis of the path model's span, against which
+            # sync-grid refinement takes its residuals
+            self.basis = np.linalg.qr(self.design.design @ self.cascade)[0]
+            # the cascade at the past lags 1..w of the widest feedback
+            # window, per candidate path delay; see _feedback_rows
+            width = rx.decision_window(rx.ChannelEstimate(
+                (_MAX_DELAY,), np.ones(1), 0.0))
+            self.feedback_table = pulse.cascade(
+                np.arange(1, width + 1)[:, None] - delays)
             self.template = pulse.template(self.train[0])
             self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                                + self.template.size)
@@ -319,8 +336,8 @@ class _Context:
                                      np.array(self.channel.gains), 0.0)
             eqs = [None] * n_points
             if config.method == "rrc-mmse":
-                eqs = [bl.design_mmse(rx.ChannelEstimate(
-                    est.delays, est.gains, float(s * s))) for s in self.sigmas]
+                eqs = bl.design_mmse([rx.ChannelEstimate(
+                    est.delays, est.gains, float(s * s)) for s in self.sigmas])
             if config.method == "chaotic-opt":
                 self.genie_coeffs = rx.genie_response(est)
             feedback = (rx.isi_feedback_coeffs(est, rx.decision_window(est))
@@ -409,7 +426,7 @@ class _Context:
 
     def sync_window(self, sent, spec, pad: int, w):
         """Full-rate matched-filter outputs (signal, noise) of a frame over
-        its first search_len + 2 n_c samples, which hold all ``_sync_offset``
+        its first search_len + 2 n_c samples, which hold all ``_acquire``
         reads, bitwise: shaping the first symbols only and filtering the
         first samples only keeps every full-overlap output."""
         pulse, n_c = self.pulse, self.config.n_c
@@ -477,80 +494,98 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
 
 # ---------------------------------------------------------------- sweeps ---
 
-def _sync_offset(ctx: _Context, y_i, y_q):
-    """Coarse correlation peak, snapped to the symbol grid and refined by
-    the pooled path-model residual; returns (offset, obs) or None.
-
-    Among grid candidates whose residual is within a factor two of the
-    best, the largest offset wins: an offset early by one symbol shows up
-    as every path delay shifted up by one, which still fits; an offset
-    late by one needs delay -1 and leaves the training energy unexplained.
-    The winner must still explain at least half of the observed training
-    energy.
-    """
-    n_c = ctx.config.n_c
-    sl = slice(0, min(ctx.search_len, y_i.size))
-    coarse = rx.frame_sync(y_i[sl], ctx.template)
-    base = int(round(coarse / n_c)) * n_c
-    rows, span = ctx.design.rows, ctx.train.shape[1] * n_c
-    results = {}
-    for step in _SYNC_GRID_STEPS:
-        o = base + step * n_c
-        if o < 0 or o + span > y_i.size:
-            continue
-        obs = np.concatenate([y_i[o:o + span:n_c][rows],
-                              y_q[o:o + span:n_c][rows]])
-        resid = obs - ctx.proj @ obs
-        results[o] = (float(np.dot(resid, resid)), obs)
-    if not results:
-        return None
-    best = min(v[0] for v in results.values())
-    good = [o for o, v in results.items() if v[0] <= 2.0 * best + 1e-12]
-    o = max(good)
-    res, obs = results[o]
-    if res > 0.5 * float(np.dot(obs, obs)):
-        return None
-    return o, obs
+def _feedback_rows(table, estimates, dense) -> np.ndarray:
+    """``rx.isi_feedback_coeffs(est, rx.decision_window(est))`` of every
+    estimate, bitwise, one row each, zero-filled past the estimate's own
+    window to the widest one. ``dense`` holds each estimate's gains at
+    delays 0, 1, ... (zero where it has no path) and ``table[k - 1, d]``
+    the pulse cascade at lag k - d. The composite response sums its paths
+    in delay order from zero; here a missing path adds an exact zero."""
+    windows = np.array([rx.decision_window(e) for e in estimates], dtype=int)
+    width = int(windows.max(initial=0))
+    rows = np.zeros((len(estimates), width))
+    for d in range(dense.shape[1]):
+        rows = rows + dense[:, d:d + 1] * table[:width, d]
+    rows[np.arange(width) >= windows[:, None]] = 0.0
+    return rows
 
 
 def _acquire(ctx: _Context, sent, spec, pad: int, w):
     """The receiver of an estimated-channel frame, laid out as
     ``_Context.known`` holds the known channel's: (decoded points, their
-    feedback rows, their equalizers, failures and estimate RMS per point).
-    A point is decoded if frame sync over the full-rate window finds the
-    true offset and the LS estimate exists."""
+    feedback rows, one per point and rail, their equalizers, failures and
+    estimate RMS per point). A point is decoded if frame sync over the
+    full-rate window finds the true offset and the LS estimate exists.
+
+    Frame sync finds each point's coarse correlation peak, snaps it to the
+    symbol grid and refines it over the grid steps by the pooled
+    path-model residual. Among candidates whose residual is within a
+    factor two of the best, the largest offset wins: an offset early by
+    one symbol shows up as every path delay shifted up by one, which still
+    fits; an offset late by one needs delay -1 and leaves the training
+    energy unexplained. The winner must still explain at least half of
+    the observed training energy.
+
+    All grid points go through this as arrays: one ``rx.frame_sync`` call
+    over a (points, samples) batch, one gather of every candidate's
+    training observations from the symbol-grid samples (the candidates are
+    whole symbols apart), residuals against an orthonormal basis of the
+    path model, one ``rx.estimate_channel_ls`` call over the points that
+    kept their timing, and their receivers: feedback rows from
+    ``_Context.feedback_table`` or equalizers from one ``bl.design_mmse``
+    call. Every value that reaches a count or a statistic is bitwise the
+    per-point computation's."""
     win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
-    n_points = ctx.sigmas.size
-    failures = np.zeros(n_points, dtype=np.int64)
+    n_c, n_points = ctx.config.n_c, ctx.sigmas.size
+    points = np.arange(n_points)
+    ln = ctx.search_len
+    coarse = rx.frame_sync(win_sig[0, :ln] + ctx.sigmas[:, None]
+                           * win_noise[0, :ln], ctx.template)
+    # candidate offsets in symbols, each needing the whole training block
+    cand = np.rint(coarse / n_c).astype(int)[:, None] + _SYNC_GRID_STEPS
+    valid = (cand >= 0) & ((cand + ctx.train.shape[1]) * n_c
+                           <= win_sig.shape[1])
+    grid = (win_sig[:, ::n_c]
+            + ctx.sigmas[:, None, None] * win_noise[:, ::n_c])
+    rows = ctx.design.rows
+    at = (np.clip(cand, 0, grid.shape[2] - rows.stop)[..., None]
+          + np.arange(rows.start, rows.stop))
+    p = points[:, None, None]
+    obs = np.concatenate([grid[p, 0, at], grid[p, 1, at]], axis=2)
+    flat = obs.reshape(-1, obs.shape[2])
+    resid = flat - (flat @ ctx.basis) @ ctx.basis.T
+    res = np.where(valid, np.sum(resid * resid, axis=1).reshape(cand.shape),
+                   np.inf)
+    good = valid & (res <= 2.0 * res.min(axis=1, keepdims=True) + 1e-12)
+    pick = good.shape[1] - 1 - np.argmax(good[:, ::-1], axis=1)
+    obs, res = obs[points, pick], res[points, pick]
+    hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
+           & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
+    decoded = np.flatnonzero(hit)
     rms = np.full(n_points, np.nan)
-    true_dense = np.zeros(_MAX_DELAY + 1)
-    true_dense[np.array(spec.delays, dtype=int)] = spec.gains
-    decoded, feedback, eqs = [], [], []
-    for p, sigma in enumerate(ctx.sigmas):
-        y_i, y_q = win_sig + sigma * win_noise
-        picked = _sync_offset(ctx, y_i, y_q)
-        est = None
-        if picked is not None and picked[0] == pad + ctx.pulse.lead:
-            try:
-                est = rx.estimate_channel_ls(picked[1], ctx.design, ctx.cascade)
-            except np.linalg.LinAlgError:
-                pass
-        if est is None:
-            failures[p] = 1
-            continue
-        dense = np.zeros(_MAX_DELAY + 1)
-        dense[np.array(est.delays, dtype=int)] = est.gains
-        rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
-        decoded.append(p)
+    feedback, eqs = np.empty((0, 0)), []
+    try:
+        ests = (rx.estimate_channel_ls(obs[decoded], ctx.design, ctx.cascade)
+                if decoded.size else [])
+    except np.linalg.LinAlgError:
+        # lstsq factors only the fixed cascade columns, never the frame's
+        # data, so a failure is every point's
+        decoded, ests = decoded[:0], []
+    failures = np.ones(n_points, dtype=np.int64)
+    failures[decoded] = 0
+    if decoded.size:
+        dense = np.zeros((decoded.size, _MAX_DELAY + 1))
+        for row, est in zip(dense, ests):
+            row[np.array(est.delays, dtype=int)] = est.gains
+        true_dense = np.zeros(_MAX_DELAY + 1)
+        true_dense[np.array(spec.delays, dtype=int)] = spec.gains
+        rms[decoded] = np.sqrt(np.mean((dense - true_dense) ** 2, axis=1))
         if ctx.config.method == "rrc-mmse":
-            eqs.append(bl.design_mmse(est))
+            eqs = bl.design_mmse(ests)
         else:
-            feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
-    # one coefficient row per point and rail, padded to the widest window
-    width = max((c.size for c in feedback), default=0)
-    rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback], 2,
-                     axis=0)
-    return decoded, rows, eqs, failures, rms
+            feedback = np.repeat(_feedback_rows(ctx.feedback_table, ests,
+                                                dense), 2, axis=0)
+    return decoded, feedback, eqs, failures, rms
 
 
 def _frame(frame_idx: int):
@@ -558,7 +593,8 @@ def _frame(frame_idx: int):
     estimate RMS of one frame."""
     ctx = _CTX
     cfg = ctx.config
-    rng_content, rng_chan, rng_noise = _frame_streams(cfg.master_seed, frame_idx)
+    rng_content, rng_noise = _frame_streams(cfg.master_seed, frame_idx,
+                                            _CONTENT, _NOISE)
     n_train = ctx.train.shape[1]
     # the training length is even, so the payload maps onto its own pairs
     sent = np.empty((2, n_train + cfg.n_data_bits // 2))
@@ -566,6 +602,7 @@ def _frame(frame_idx: int):
     sent[:, n_train:] = tx.qpsk_map(rng_content.integers(0, 2, cfg.n_data_bits))
     spec, pad = ctx.channel, 0
     if ctx.quasi:
+        (rng_chan,) = _frame_streams(cfg.master_seed, frame_idx, _CHANNEL)
         gamma = ch.draw_gamma(ctx.channel, rng_chan)
         pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * cfg.n_c
         spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)

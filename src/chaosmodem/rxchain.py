@@ -60,19 +60,30 @@ def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
     return full[n_c - 1:n_c - 1 + x.size + taps.params.n_p * n_c] / n_c
 
 
-def frame_sync(filtered, template) -> int:
+def frame_sync(filtered, template):
     """Locate the training prefix by normalized cross-correlation: the
     offset that maximizes correlation normalized by the local signal norm.
+
+    ``filtered`` is one stream, shape (L,), for which the offset comes back
+    as an int, or a batch of equally long streams, shape (P, L), for which
+    it comes back as one offset per row. Each row keeps its own
+    ``np.correlate`` and a running sum of its own squares for the window
+    energy, so a row's offset is bitwise the one its 1-d call finds.
     """
     x = np.asarray(filtered, dtype=float)
     t = np.asarray(template, dtype=float)
-    if t.size == 0 or x.size < t.size:
+    if x.ndim not in (1, 2):
+        raise ValueError("filtered must be 1-d or 2-d")
+    if t.size == 0 or x.shape[-1] < t.size:
         raise ValueError("filtered stream shorter than the template")
-    num = np.correlate(x, t, mode="valid")
-    csum = np.concatenate([[0.0], np.cumsum(x * x)])
-    win_energy = csum[t.size:] - csum[:-t.size]
+    rows = np.atleast_2d(x)
+    num = np.array([np.correlate(r, t, mode="valid") for r in rows])
+    csum = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows * rows, axis=1, out=csum[:, 1:])
+    win_energy = csum[:, t.size:] - csum[:, :-t.size]
     den = np.sqrt(win_energy * float(np.dot(t, t)))
-    return int(np.argmax(np.abs(num) / np.maximum(den, 1e-30)))
+    offsets = np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=1)
+    return int(offsets[0]) if x.ndim == 1 else offsets
 
 
 def sample_symbols(filtered, offset: int, n_c: int, n_symbols: int) -> np.ndarray:
@@ -150,31 +161,47 @@ def build_ls_design(train_syms, max_delay: int = 3, lag_back: int = 6) -> LsDesi
 
 
 def estimate_channel_ls(obs, design: LsDesign, cascade,
-                        spur_threshold: float = 0.05) -> ChannelEstimate:
+                        spur_threshold: float = 0.05):
     """Two-stage least squares: composite response on integer lags first,
     then per-path gains by matching the pulse's known cascade.
 
     ``obs`` holds the symbol-rate matched-filter outputs at ``design.rows``
-    of each rail, concatenated in the design's rail order. ``cascade[i, d]``
-    is the shaping/matched-filter cascade at symbol lag
-    ``design.lags[i] - d`` for candidate path delay d = 0, 1, ...; paths
-    below ``spur_threshold`` of the strongest recovered gain are dropped
-    and the survivors refit. Residual power from stage one estimates the
-    noise variance at the matched-filter output.
+    of each rail, concatenated in the design's rail order: one observation,
+    shape (m,), for which one ChannelEstimate comes back, or one per row,
+    shape (P, m), for which a list of P estimates comes back, each bitwise
+    the one its row's 1-d call gives. ``cascade[i, d]`` is the
+    shaping/matched-filter cascade at symbol lag ``design.lags[i] - d`` for
+    candidate path delay d = 0, 1, ...; paths below ``spur_threshold`` of
+    the strongest recovered gain are dropped and the survivors refit.
+    Residual power from stage one estimates the noise variance at the
+    matched-filter output.
+
+    Stage one runs on every row at once as a stacked ``np.matmul`` of
+    (m, 1) columns: that is one matrix-vector product per row, bitwise
+    ``design.pinv @ obs[p]``, which one (P, m) @ (m, k) matrix product is
+    not (its blocked sums round differently). Stage two stays one
+    ``np.linalg.lstsq`` per row: a multi-right-hand-side solve differs
+    from the single ones in the last bits, and which paths survive differs
+    from row to row.
     """
     obs = np.asarray(obs, dtype=float)
-    r_hat = design.pinv @ obs
-    resid = obs - design.design @ r_hat
-    dof = obs.size - design.lags.size
-    noise_var = float(np.dot(resid, resid)) / max(dof, 1)
-
-    cand = np.arange(cascade.shape[1], dtype=float)
-    alpha, *_ = np.linalg.lstsq(cascade, r_hat, rcond=None)
-    keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
-    if spur_threshold > 0 and not np.all(keep):
-        alpha, *_ = np.linalg.lstsq(cascade[:, keep], r_hat, rcond=None)
-        cand = cand[keep]
-    return ChannelEstimate(tuple(cand), alpha, noise_var)
+    if obs.ndim not in (1, 2):
+        raise ValueError("obs must be 1-d or 2-d")
+    rows = np.atleast_2d(obs)
+    r_hat = np.matmul(design.pinv, rows[..., None])
+    resid = rows - np.matmul(design.design, r_hat)[..., 0]
+    dof = rows.shape[1] - design.lags.size
+    out = []
+    for r, e in zip(r_hat[..., 0], resid):
+        noise_var = float(np.dot(e, e)) / max(dof, 1)
+        cand = np.arange(cascade.shape[1], dtype=float)
+        alpha, *_ = np.linalg.lstsq(cascade, r, rcond=None)
+        keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
+        if spur_threshold > 0 and not np.all(keep):
+            alpha, *_ = np.linalg.lstsq(cascade[:, keep], r, rcond=None)
+            cand = cand[keep]
+        out.append(ChannelEstimate(tuple(cand), alpha, noise_var))
+    return out[0] if obs.ndim == 1 else out
 
 
 def genie_response(estimate):

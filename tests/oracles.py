@@ -2,16 +2,20 @@
 
 Everything here is deliberately written from the defining formulas rather
 than imported from the package, so tests compare two separately derived
-computations. The one exception is ``waveform_path``, the full-rate
+computations. The exceptions are ``waveform_path``, the full-rate
 pipeline built from the package's own stages, against which the sampled
-frame paths are checked.
+frame paths are checked, and ``acquire_loop``, the per-point frame
+acquisition the batched one must reproduce.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from chaosmodem import baseline as bl
+from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
+from chaosmodem.harness import _MAX_DELAY, _SYNC_GRID_STEPS
 
 LN2 = float(np.log(2.0))
 TWO_PI = 2.0 * np.pi
@@ -102,6 +106,78 @@ def waveform_path(pulse, rail, channel, pad, rng_noise):
     v = propagate(pulse.shape(rail), channel, pulse.n_c)
     sig = np.concatenate([np.zeros(pad), v])
     return pulse.mf(sig), pulse.mf(rng_noise.standard_normal(sig.size))
+
+
+def _sync_offset(ctx, proj, y_i, y_q):
+    """Coarse correlation peak of one grid point, snapped to the symbol
+    grid and refined by the pooled path-model residual against the
+    projection ``proj``; returns (offset, obs) or None. Among candidates
+    whose residual is within a factor two of the best, the largest offset
+    wins; the winner must explain at least half the training energy."""
+    n_c = ctx.config.n_c
+    sl = slice(0, min(ctx.search_len, y_i.size))
+    coarse = rx.frame_sync(y_i[sl], ctx.template)
+    base = int(round(coarse / n_c)) * n_c
+    rows, span = ctx.design.rows, ctx.train.shape[1] * n_c
+    results = {}
+    for step in _SYNC_GRID_STEPS:
+        o = base + step * n_c
+        if o < 0 or o + span > y_i.size:
+            continue
+        obs = np.concatenate([y_i[o:o + span:n_c][rows],
+                              y_q[o:o + span:n_c][rows]])
+        resid = obs - proj @ obs
+        results[o] = (float(np.dot(resid, resid)), obs)
+    if not results:
+        return None
+    best = min(v[0] for v in results.values())
+    good = [o for o, v in results.items() if v[0] <= 2.0 * best + 1e-12]
+    o = max(good)
+    res, obs = results[o]
+    if res > 0.5 * float(np.dot(obs, obs)):
+        return None
+    return o, obs
+
+
+def acquire_loop(ctx, sent, spec, pad, w):
+    """``harness._acquire`` one grid point at a time: sync, LS estimate and
+    receiver design per point, with the residual projection built from
+    the pseudoinverse of the path model. Returns what ``_acquire`` does:
+    (decoded points, feedback rows per point and rail, equalizers,
+    failures, estimate RMS)."""
+    win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
+    B = ctx.design.design @ ctx.cascade
+    proj = B @ np.linalg.pinv(B)
+    n_points = ctx.sigmas.size
+    failures = np.zeros(n_points, dtype=np.int64)
+    rms = np.full(n_points, np.nan)
+    true_dense = np.zeros(_MAX_DELAY + 1)
+    true_dense[np.array(spec.delays, dtype=int)] = spec.gains
+    decoded, feedback, eqs = [], [], []
+    for p, sigma in enumerate(ctx.sigmas):
+        y_i, y_q = win_sig + sigma * win_noise
+        picked = _sync_offset(ctx, proj, y_i, y_q)
+        est = None
+        if picked is not None and picked[0] == pad + ctx.pulse.lead:
+            try:
+                est = rx.estimate_channel_ls(picked[1], ctx.design, ctx.cascade)
+            except np.linalg.LinAlgError:
+                pass
+        if est is None:
+            failures[p] = 1
+            continue
+        dense = np.zeros(_MAX_DELAY + 1)
+        dense[np.array(est.delays, dtype=int)] = est.gains
+        rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
+        decoded.append(p)
+        if ctx.config.method == "rrc-mmse":
+            eqs.append(bl.design_mmse(est))
+        else:
+            feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
+    width = max((c.size for c in feedback), default=0)
+    rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback], 2,
+                     axis=0)
+    return decoded, rows, eqs, failures, rms
 
 
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision

@@ -217,6 +217,42 @@ def test_mmse_regularization_shrinks_taps():
     assert norms[2] < 1e-4
 
 
+def test_mmse_batch_matches_single():
+    # a batch mixing channel spans 1-4 gives, in input order, each
+    # estimate's own equalizer bitwise, and that is the closed form
+    # solve(H^T H + sigma^2 I, H^T e_d) on the 2-d convolution matrix
+    rng = np.random.default_rng(17)
+    ests = []
+    for _ in range(6):
+        for delays in ((0.0,), (0.0, 1.0), (1.0,), (0.0, 2.0), (0.0, 1.0, 2.0),
+                       (0.0, 3.0), (0.0, 1.0, 2.0, 3.0), (2.0, 3.0)):
+            ests.append(rx.ChannelEstimate(
+                delays, rng.uniform(-1.0, 1.0, len(delays)) + 1.2 * (
+                    np.arange(len(delays)) == 0), rng.uniform(0.0, 0.5)))
+    rng.shuffle(ests)
+    batch = bl.design_mmse(ests)
+    assert isinstance(batch, list) and len(batch) == len(ests)
+    for est, got in zip(ests, batch):
+        want = bl.design_mmse(est)
+        assert got.taps.tobytes() == want.taps.tobytes()
+        assert (got.length, got.delay, got.noise_var) == (
+            want.length, want.delay, want.noise_var)
+        h = np.zeros(int(max(est.delays)) + 1)
+        h[np.array(est.delays, dtype=int)] = est.gains
+        H = np.zeros((want.length + h.size - 1, want.length))
+        for j in range(want.length):
+            H[j:j + h.size, j] = h
+        e_d = np.zeros(H.shape[0])
+        e_d[want.delay] = 1.0
+        ref = np.linalg.solve(H.T @ H + est.noise_var * np.eye(want.length),
+                              H.T @ e_d)
+        assert want.taps.tobytes() == ref.tobytes()
+    # one shared noise_var overrides every estimate's
+    for eq in bl.design_mmse(ests[:5], noise_var=0.25):
+        assert eq.noise_var == 0.25
+    assert bl.design_mmse([]) == []
+
+
 def test_mmse_errors():
     dead = rx.ChannelEstimate((0.0,), np.array([0.0]), 0.0)
     with pytest.raises(np.linalg.LinAlgError):
@@ -232,4 +268,9 @@ def test_mmse_errors():
         bl.design_mmse(est, noise_var=-1.0)
     with pytest.raises(ValueError):
         bl.design_mmse(est, delay=40)
+    # a batch fails as its worst item does
+    with pytest.raises(np.linalg.LinAlgError):
+        bl.design_mmse([est, dead])
+    with pytest.raises(ValueError):
+        bl.design_mmse([est, frac])
 

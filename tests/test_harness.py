@@ -1,6 +1,7 @@
 """Monte Carlo harness: config validation, records, sweeps, reports."""
 
 import contextlib
+import itertools
 import math
 import os
 import sys
@@ -12,7 +13,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import BER_SUB_TABLE, waveform_path  # noqa: E402
+from oracles import BER_SUB_TABLE, acquire_loop, waveform_path  # noqa: E402
 
 import chaosmodem.channel as ch  # noqa: E402
 import chaosmodem.harness as H  # noqa: E402
@@ -104,11 +105,22 @@ def test_energy_per_bit():
 
 
 def test_frame_streams_reproducible_and_distinct():
-    a = H._frame_streams(5, 0)[0].integers(0, 2, 64)
-    b = H._frame_streams(5, 0)[0].integers(0, 2, 64)
-    c = H._frame_streams(5, 1)[0].integers(0, 2, 64)
+    a = H._frame_streams(5, 0, H._CONTENT)[0].integers(0, 2, 64)
+    b = H._frame_streams(5, 0, H._CONTENT)[0].integers(0, 2, 64)
+    c = H._frame_streams(5, 1, H._CONTENT)[0].integers(0, 2, 64)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+    # each stream is the matching child of SeedSequence.spawn(3), draw for
+    # draw, whichever streams are asked for and in whatever order
+    for seed, idx in ((5, 0), (20260822, 7), (0, 123456)):
+        children = np.random.SeedSequence([seed, idx]).spawn(3)
+        built = H._frame_streams(seed, idx, H._NOISE, H._CONTENT, H._CHANNEL)
+        for k, rng in zip((H._NOISE, H._CONTENT, H._CHANNEL), built):
+            want = np.random.default_rng(children[k])
+            assert np.array_equal(rng.standard_normal(200),
+                                  want.standard_normal(200))
+            assert np.array_equal(rng.integers(0, 2, 300),
+                                  want.integers(0, 2, 300))
 
 
 def test_static_sweep_accounting():
@@ -176,6 +188,88 @@ def test_sampled_frame_matches_waveform_path(family, n_c):
                                          for n in (2, 3, 4, 6, 8)])
 def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
     check_sampled_frames(family, n_c, ("quasi2", "quasi3"))
+
+
+def assert_same_receiver(got, want):
+    # bitwise: decoded points, feedback rows, equalizer taps and noise
+    # variances, failures, and the RMS with its NaN positions
+    decoded, rows, eqs, failures, rms = got
+    w_decoded, w_rows, w_eqs, w_failures, w_rms = want
+    assert list(decoded) == list(w_decoded)
+    rows, w_rows = np.asarray(rows), np.asarray(w_rows)
+    if rows.size or w_rows.size:
+        assert rows.shape == w_rows.shape
+        assert rows.tobytes() == w_rows.tobytes()
+    assert len(eqs) == len(w_eqs)
+    for a, b in zip(eqs, w_eqs):
+        assert (a.length, a.delay, a.noise_var) == (b.length, b.delay,
+                                                    b.noise_var)
+        assert a.taps.tobytes() == b.taps.tobytes()
+    assert failures.dtype == w_failures.dtype
+    assert failures.tobytes() == w_failures.tobytes()
+    assert rms.tobytes() == w_rms.tobytes()
+
+
+@pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
+@pytest.mark.parametrize("channel", ("quasi2", "quasi3"))
+@pytest.mark.parametrize("n_c", (8, 6, 4))
+def test_acquire_matches_per_point_loop(method, channel, n_c):
+    # the batched acquisition must be the per-point loop exactly: on grids
+    # where every point keeps its timing and where some lose it (the
+    # failure-policy grid), at the extreme pads and at pad 0, where grid
+    # candidates fall off the window's start; and on frames whose every
+    # point fails: rails of zeros in noise, and a silent window, whose
+    # correlation peak sits at offset 0
+    rng = np.random.default_rng([n_c, len(channel), len(method)])
+    seen = {"failed": 0, "all_failed": 0, "decoded": 0, "off_edge": 0}
+    for grid in ((5.0, 6.0, 7.0, 8.0), (-4.0, -3.0, -2.0, -1.0)):
+        ctx = H._Context(H.ExperimentConfig(method, channel, grid,
+                                            n_data_bits=64, n_c=n_c), True)
+        for case in (0, 2, 20, 2, 9, 20, "noise", "silent"):
+            pad = (2 if isinstance(case, str) else case) * n_c
+            spec = ch.MultipathSpec.from_gamma(
+                ch.draw_gamma(ctx.channel, rng), ctx.channel.delays)
+            sent = np.concatenate(
+                [ctx.train, rng.choice([-1.0, 1.0], (2, 32))], axis=1)
+            if isinstance(case, str):
+                sent[:] = 0.0
+            w = ctx.sampled_frame(sent, spec, pad, rng)[2]
+            if case == "silent":
+                w[:] = 0.0
+            got = H._acquire(ctx, sent, spec, pad, w)
+            assert_same_receiver(got, acquire_loop(ctx, sent, spec, pad, w))
+            failures = got[3]
+            seen["failed"] += int(failures.sum())
+            seen["all_failed"] += bool(failures.all())
+            seen["decoded"] += len(got[0])
+            win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
+            for sigma in ctx.sigmas:
+                y = (win_sig + sigma * win_noise)[0, :ctx.search_len]
+                base = round(rx.frame_sync(y, ctx.template) / n_c)
+                seen["off_edge"] += base + min(H._SYNC_GRID_STEPS) < 0
+    assert all(seen.values()), seen
+
+
+def test_feedback_rows_match_isi_feedback_coeffs():
+    # the per-context table of the pulse cascade, summed path by path,
+    # gives rx.isi_feedback_coeffs bitwise for every delay subset of the
+    # candidate set, each row zero-filled past its own decision window
+    ctx = H._Context(small_quasi(), True)
+    rng = np.random.default_rng(11)
+    subsets = [d for k in range(1, H._MAX_DELAY + 2)
+               for d in itertools.combinations(range(H._MAX_DELAY + 1), k)]
+    assert len(subsets) == 15
+    for _ in range(20):
+        ests = [rx.ChannelEstimate(d, rng.uniform(-1.5, 1.5, len(d)), 0.1)
+                for d in subsets]
+        dense = np.zeros((len(ests), H._MAX_DELAY + 1))
+        for row, est in zip(dense, ests):
+            row[list(map(int, est.delays))] = est.gains
+        rows = H._feedback_rows(ctx.feedback_table, ests, dense)
+        for row, est in zip(rows, ests):
+            want = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+            padded = np.pad(want, (0, rows.shape[1] - want.size))
+            assert row.tobytes() == padded.tobytes()
 
 
 def test_genie_response_once_per_sweep(monkeypatch):

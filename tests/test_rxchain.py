@@ -110,6 +110,33 @@ def test_frame_sync_success_rate_at_6db():
     assert failures <= 3  # > 99% success
 
 
+def test_frame_sync_batch_matches_rows():
+    # a (P, L) batch gives each row's own 1-d offset, and a 1-d stream an
+    # int; a silent row peaks at offset 0
+    params = wf.WaveformParams()
+    n_c = 8
+    mft = rx.matched_filter_taps(n_c, params)
+    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
+    template = _training_template(train, n_c, params, mft)
+    rng = np.random.default_rng(21)
+    x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
+                          n_c, params)
+    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), mft)[:1400]
+    noise = rx.matched_filter(rng.standard_normal(sig.size), mft)[:sig.size]
+    batch = np.vstack([sig + s * noise for s in (0.0, 0.3, 1.0, 3.0, 30.0)]
+                      + [np.zeros(sig.size)])
+    got = rx.frame_sync(batch, template)
+    assert got.shape == (batch.shape[0],)
+    want = [rx.frame_sync(row, template) for row in batch]
+    assert all(type(o) is int for o in want)
+    assert got.tolist() == want
+    assert want[0] == 90 and want[-1] == 0
+    with pytest.raises(ValueError):
+        rx.frame_sync(batch[:, :10], template)
+    with pytest.raises(ValueError):
+        rx.frame_sync(batch[None], template)
+
+
 def test_sample_symbols_bounds():
     y = np.arange(100.0)
     got = rx.sample_symbols(y, 4, 8, 12)
@@ -225,6 +252,34 @@ def test_ls_noisy_gain_rms():
                                      spur_threshold=0.0)
         sq_err.append(np.mean((est.gains - true) ** 2))
     assert math.sqrt(float(np.mean(sq_err))) < 0.05
+
+
+def test_ls_batch_matches_rows():
+    # a (P, m) batch gives each row's own 1-d estimate bitwise, whose
+    # stage one is the plain pinv @ obs; rows keep different path sets
+    rng = np.random.default_rng(31)
+    train = rng.choice([-1.0, 1.0], (2, 128))
+    design = rx.build_ls_design(train)
+    cascade = _cascade(design)
+    truth = np.array([[1.0, 0.5, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0],
+                      [0.7, -0.4, 0.0, 0.3], [1.0, 0.01, 0.6, 0.0]] * 4)
+    obs = (design.design @ cascade @ truth.T).T
+    obs += np.linspace(0.0, 0.5, len(truth))[:, None] * rng.standard_normal(
+        obs.shape)
+    batch = rx.estimate_channel_ls(obs, design, cascade)
+    assert isinstance(batch, list) and len(batch) == len(obs)
+    assert len({e.delays for e in batch}) > 1
+    dof = obs.shape[1] - design.lags.size
+    for row, got in zip(obs, batch):
+        want = rx.estimate_channel_ls(row, design, cascade)
+        assert isinstance(want, rx.ChannelEstimate)
+        assert got.delays == want.delays
+        assert got.gains.tobytes() == want.gains.tobytes()
+        assert got.noise_var == want.noise_var
+        resid = row - design.design @ (design.pinv @ row)
+        assert want.noise_var == float(np.dot(resid, resid)) / dof
+    with pytest.raises(ValueError):
+        rx.estimate_channel_ls(obs[None], design, cascade)
 
 
 def test_ls_preconditions():
