@@ -286,9 +286,10 @@ def _preset(config: ExperimentConfig, quasi: bool, sweep: str):
 # ---------------------------------------------------------------- frames ---
 
 class _Context:
-    """Immutable per-sweep state. It is built in the parent before any
-    frame runs, so a config the pipeline cannot run fails there, and it is
-    installed as is in every worker."""
+    """Per-sweep state. It is built in the parent before any frame runs, so
+    a config the pipeline cannot run fails there, and it is installed as
+    is in every worker. Only its frame buffers (see ``_buffers``) change
+    after construction."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.config = config
@@ -346,6 +347,7 @@ class _Context:
                           np.zeros(n_points, dtype=np.int64),
                           np.full(n_points, np.nan))
         self._probe(self.train.shape[1] + config.n_data_bits // 2)
+        self.frame_buffers = None
 
     def _probe(self, n: int):
         """Derive the symbol-rate path of frames of n-symbol rails sent
@@ -386,23 +388,43 @@ class _Context:
         # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
         self.mf_pad = (last - size // 2, size // 2 - first)
 
+    def _buffers(self):
+        """This process's frame buffers: the noise draw of both rails
+        between the zero margins the matched filter reads (the right one
+        also holds the kernel's zero-filled end), sized for the longest
+        pad; the polyphase product of the noise read; and the observations
+        at every grid point. The first frame that runs in a process
+        allocates them, so the parent of a pool never does and they are
+        never pickled; every frame overwrites them."""
+        if self.frame_buffers is None:
+            n = self.train.shape[1] + self.config.n_data_bits // 2
+            n_rows, n_c = self.mf_kernel.shape
+            lo, hi = self.mf_pad
+            self.frame_buffers = (
+                np.zeros((2, lo + _PAD_SYMBOLS[1] * n_c + self.noise_size + hi
+                          + self.mf_kernel.size)),
+                np.empty((2, n_rows, n + n_rows - 1)),
+                np.empty((self.sigmas.size, 2, n)))
+        return self.frame_buffers
+
     def sampled_frame(self, sent, spec, pad: int, rng_noise):
         """Matched-filter outputs at the symbols, from the true offset
         pad + lead on, of the rails ``sent`` through ``spec`` after ``pad``
         samples of silence and of one unit-variance noise draw per rail (the
         samples the waveform path yields there), and the full-rate draw.
-        Each path is the delayed probed response shifted by symbol lags."""
+        Each path is the delayed probed response shifted by symbol lags.
+        The draw is a view of the noise buffer, valid until the next frame."""
         n_c, n = self.config.n_c, sent.shape[1]
         n_out = n + self.delay
-        n_periods = n + self.mf_kernel.shape[0] - 1
-        # the draw goes between the zero margins the matched filter reads;
-        # the right one also holds the kernel's zero-filled end
-        lo, hi = self.mf_pad
-        padded = np.zeros((sent.shape[0], lo + pad + self.noise_size + hi
-                           + self.mf_kernel.size))
-        w = padded[:, lo:lo + pad + self.noise_size]
+        padded, phases, _ = self._buffers()
+        n_periods = phases.shape[2]
+        lo = self.mf_pad[0]
+        end = lo + pad + self.noise_size
+        w = padded[:, lo:end]
         for row in w:
             rng_noise.standard_normal(out=row)
+        # a frame with a longer pad drew past this one's end
+        padded[:, end:] = 0.0
         ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
         z = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
                       for s in ext])
@@ -419,9 +441,10 @@ class _Context:
         start = pad + self.pulse.lead
         periods = padded[:, start:start + n_periods * n_c].reshape(
             -1, n_periods, n_c)
-        phases = self.mf_kernel @ periods.transpose(0, 2, 1)
-        terms = np.lib.stride_tricks.sliding_window_view(
-            phases.reshape(phases.shape[0], -1), n, axis=1)[:, ::n_periods + 1]
+        np.matmul(self.mf_kernel, periods.transpose(0, 2, 1), out=phases)
+        s0, s1, s2 = phases.strides
+        terms = np.lib.stride_tricks.as_strided(
+            phases, phases.shape[:2] + (n,), (s0, s1 + s2, s2), writeable=False)
         return sig, terms.sum(axis=1), w
 
     def sync_window(self, sent, spec, pad: int, w):
@@ -455,12 +478,12 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
 
     ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
     ``sent`` the two transmitted rails, shape (2, n); ``feedback`` holds
-    the decision-feedback coefficients, shared or one row per point and
-    rail, and ``eqs`` one equalizer (or None) per point. Every point shares
-    a rail's genie thresholds; the decision-feedback decoder takes all
-    points and rails as one batch. Error rate is counted per rail decision:
-    each rail carries one antipodal bit per symbol, as the closed forms
-    assume.
+    the decision-feedback coefficients, shape (w,) shared or
+    (points, 2, w) one row per point and rail, and ``eqs`` one equalizer
+    (or None) per point. Every point shares a rail's genie thresholds; the
+    decision-feedback decoder takes all points and rails as one batch.
+    Error rate is counted per rail decision: each rail carries one
+    antipodal bit per symbol, as the closed forms assume.
 
     The decision-feedback decoder starts from the transmitted rails. That
     is not a genie: its result is the causal recursion's unique solution
@@ -469,13 +492,12 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     decision errors, so few thresholds need recomputing after the first
     pass. From the signs of y, the default start, which are wrong at a few
     percent of the symbols of every row, the second pass alone recomputes
-    more than half the columns of a batch."""
+    more than half the columns of a batch. With shared feedback every
+    point also shares the first pass, which reads only ``sent``."""
     method = ctx.config.method
     if method == "chaotic-subopt":
-        guess = np.tile(sent, (ys.shape[0], 1))
-        dec = rx.decode_suboptimal(ys.reshape(guess.shape),
-                                   guess[:, :n_train], feedback,
-                                   guess=guess).reshape(ys.shape)
+        dec = rx.decode_suboptimal(ys, sent[:, :n_train], feedback,
+                                   guess=sent)
     elif method == "chaotic-opt":
         # genie: thresholds from the true symbols including the shaping tail
         # cancel every ISI term exactly; every grid point shares them
@@ -584,7 +606,7 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
             eqs = bl.design_mmse(ests)
         else:
             feedback = np.repeat(_feedback_rows(ctx.feedback_table, ests,
-                                                dense), 2, axis=0)
+                                                dense)[:, None], 2, axis=1)
     return decoded, feedback, eqs, failures, rms
 
 
@@ -609,12 +631,13 @@ def _frame(frame_idx: int):
     sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng_noise)
     decoded, feedback, eqs, failures, rms = (
         _acquire(ctx, sent, spec, pad, w) if ctx.quasi else ctx.known)
-    del w  # free the full-rate draw before the decode
     # a failed point has all its payload bits in error, or none counted
     lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
     errors, counted = lost.copy(), lost
     if len(decoded):
-        ys = sig + ctx.sigmas[decoded, None, None] * noise
+        ys = np.multiply(noise, ctx.sigmas[decoded, None, None],
+                         out=ctx._buffers()[2][:len(decoded)])
+        ys += sig
         errors[decoded] = _count_errors(ctx, ys, sent, feedback, eqs, n_train)
         counted[decoded] = cfg.n_data_bits
     return errors, counted, failures, rms

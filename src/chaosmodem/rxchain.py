@@ -24,6 +24,8 @@ import numpy as np
 from .theory import composite_response, response_decay_radius
 from .waveform import WaveformParams, _eval_basis_array
 
+_PLUS, _MINUS = np.int8(1), np.int8(-1)
+
 
 @dataclass(frozen=True)
 class MatchedFilterTaps:
@@ -237,9 +239,10 @@ def decision_window(estimate) -> int:
 
 
 def decide(y, theta):
-    """Threshold decision; boundary goes to +1."""
-    y_arr = np.asarray(y, dtype=float)
-    out = np.where(y_arr >= np.asarray(theta, dtype=float), 1.0, -1.0)
+    """Threshold decision, +1 or -1 as int8; boundary goes to +1. A scalar
+    y gives a float."""
+    out = np.where(np.asarray(y, dtype=float) >= np.asarray(theta, dtype=float),
+                   _PLUS, _MINUS)
     if np.ndim(y) == 0:
         return float(out)
     return out
@@ -248,89 +251,108 @@ def decide(y, theta):
 def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     """Decision-directed decoding of one frame or of a batch of frames.
 
-    ``y_syms`` is one frame's symbol-rate observations, shape (n,), or one
-    frame per row, shape (B, n). ``train_syms`` is the known training
-    prefix, shape (n_train,) and shared by every row, or shape
-    (B, n_train) with one row per frame. ``coeffs`` holds the feedback
+    ``y_syms`` holds symbol-rate observations, shape (..., n): one frame
+    per row of its leading shape. ``train_syms`` is the known +-1 training
+    prefix, shape (..., n_train); ``coeffs`` holds the feedback
     coefficients c_1..c_w, ``isi_feedback_coeffs`` over the
-    ``decision_window`` of an estimate: shape (w,) and shared by every
-    row, or shape (B, w) with one row per frame, rows with a shorter
-    window padded with zeros at the end. Row counts must match. The prefix
-    primes the feedback window, and every later decision feeds back into
-    the thresholds of the symbols after it: symbol n decides +1 when
-    ``y[n] >= sum_{k=1..w} c_k d[n-k]`` (a tie goes to +1), and decisions
-    before the frame count as zero. Returns the bipolar decisions in the
-    shape of ``y_syms``, training region echoed.
+    ``decision_window`` of an estimate, shape (..., w), rows with a shorter
+    window padded with zeros at the end. Their leading shapes, and that of
+    ``guess`` (below), must broadcast to the leading shape of ``y_syms``:
+    a (P, 2, n) batch of grid points and rails takes training (2, n_train)
+    shared by the points and coefficients (w,) shared by every row or
+    (P, 2, w) one per row. The prefix primes the feedback window, and
+    every later decision feeds back into the thresholds of the symbols
+    after it: symbol n decides +1 when ``y[n] >= sum_{k=1..w} c_k d[n-k]``
+    (a tie goes to +1), and decisions before the frame count as zero.
+    Returns the decisions as int8 +-1 in the shape of ``y_syms``, training
+    region echoed.
 
     The causal recursion has exactly one solution, which is found here by
     Jacobi iteration over whole arrays rather than one symbol at a time:
-    start from an initial iterate, ``guess`` (shape of ``y_syms``; the
-    signs of y by default; its training part is replaced by the prefix),
-    and on each pass recompute the thresholds from the previous pass's
-    decisions. A pass decides the first symbol it changes from final
-    decisions only, so every symbol up to and including the first change
-    is final, whatever the iterate was; a pass that changes nothing has
-    reached the solution. Any guess therefore gives the same result, and
-    only the number of passes depends on it. The thresholds are
-    accumulated over k = 1..w from 0.0 in the recursion's own order, so
-    they are bitwise equal to it and the decisions are exact, not an
-    approximation. Padding terms come last and add +-0.0, which moves no
-    comparison, so a padded row decides as its own window does.
+    start from an initial iterate, the signs of ``guess`` (shape (..., n);
+    the observations by default; a zero counts as +1; its training part
+    is replaced by the prefix), and on each pass recompute the thresholds
+    from the previous pass's decisions. A pass decides the first symbol it
+    changes from final decisions only, so every symbol up to and including
+    the first change is final, whatever the iterate was; a pass that
+    changes nothing has reached the solution. Any guess therefore gives
+    the same result, and only the number of passes depends on it. The
+    thresholds are accumulated over k = 1..w from 0.0 in the recursion's
+    own order, and an int8 decision times a float64 coefficient is exact,
+    so they are bitwise equal to the recursion's and the decisions are
+    exact, not an approximation. Padding terms come last and add +-0.0,
+    which moves no comparison, so a padded row decides as its own window
+    does.
 
-    The first pass recomputes every threshold after the training. A later
-    pass recomputes only those of the symbols up to w after a column
-    (symbol across all rows) whose decision the previous pass changed:
-    any other threshold sees the same window as before and repeats its
-    decision. A pass thus costs one threshold per row for each of those
-    columns, and a good guess, one that differs from the solution only
-    around its decision errors, leaves few of them. Few passes suffice
-    when the own-symbol gain exceeds the summed feedback magnitudes, as on
-    every channel preset. The worst case is unchanged: when y carries no
-    signal (for example y == 0), each pass finalizes one symbol and
-    decoding takes n - n_train passes.
+    The first pass recomputes every threshold after the training, once per
+    row of the broadcast shape of the guess, training and coefficients:
+    a batch of grid points that shares them also shares this pass, and
+    only the comparison with y runs per point. A later pass recomputes
+    only the thresholds of the symbols up to w after a column (symbol
+    across all rows) whose decision the previous pass changed, from one
+    gathered window per row and column: any other threshold sees the same
+    window as before and repeats its decision. A pass thus costs one
+    threshold per row for each of those columns, and a good guess, one
+    that differs from the solution only around its decision errors, leaves
+    few of them. Few passes suffice when the own-symbol gain exceeds the
+    summed feedback magnitudes, as on every channel preset. The worst case
+    is unchanged: when y carries no signal (for example y == 0), each pass
+    finalizes one symbol and decoding takes n - n_train passes.
     """
     y = np.asarray(y_syms, dtype=float)
-    train = np.asarray(train_syms, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
-    if y.ndim not in (1, 2) or train.ndim not in (1, 2) or c.ndim not in (1, 2):
-        raise ValueError("observations, training and coefficients must be "
-                         "1-d or 2-d")
-    if guess is None:
-        guess = np.where(y >= 0.0, 1.0, -1.0)
-    guess = np.asarray(guess, dtype=float)
-    if guess.shape != y.shape:
-        raise ValueError(f"guess of shape {guess.shape} for observations of "
-                         f"shape {y.shape}")
-    rows = np.atleast_2d(y)
-    n_rows, n = rows.shape
-    for name, a in (("training", train), ("coefficient", c)):
-        if a.ndim == 2 and a.shape[0] != n_rows:
-            raise ValueError(f"{a.shape[0]} {name} rows for {n_rows} "
+    if y.ndim == 0:
+        raise ValueError("observations must be at least 1-d")
+    lead, n = y.shape[:-1], y.shape[-1]
+    dims = " or ".join(f"{k}-d" for k in range(1, y.ndim + 1))
+    args = {"training": train_syms, "coefficient": coeffs,
+            "guess": y if guess is None else guess}
+    for name, a in args.items():
+        a = args[name] = np.asarray(a, dtype=float)
+        if not 1 <= a.ndim <= y.ndim:
+            raise ValueError(f"{name} array of shape {a.shape} must be {dims} "
+                             f"for {y.ndim}-d observations")
+        rows = a.shape[:-1]
+        if any(r not in (1, m) for r, m in zip(rows[::-1], lead[::-1])):
+            raise ValueError(f"{_rows(rows)} {name} rows for {_rows(lead)} "
                              f"observation rows")
-    n_train = train.shape[-1]
+    train, c, guess = args.values()
+    n_train, w = train.shape[-1], c.shape[-1]
     if n_train > n:
         raise ValueError("training longer than the observed frame")
-    c = np.atleast_2d(c)
-    w = c.shape[1]
-    # column w + m of d holds the decision for symbol m, column m of dec;
-    # the w zero columns before the frame add nothing to a threshold
-    d = np.zeros((n_rows, w + n))
-    dec = d[:, w:]
-    dec[:] = guess
-    dec[:, :n_train] = train
+    if guess.shape[-1] != n:
+        raise ValueError(f"guess of shape {guess.shape} for observations of "
+                         f"shape {y.shape}")
+    if not np.all(np.abs(train) == 1.0):
+        raise ValueError("training symbols must be -1 or +1")
+    # column w + m of d holds the decision for symbol m; the w zero columns
+    # before the frame add nothing to a threshold. Pass 1 reads the iterate
+    # at the rows the guess, training and coefficients span
+    d = np.zeros(np.broadcast_shapes(guess.shape[:-1], train.shape[:-1],
+                                     c.shape[:-1]) + (w + n,), dtype=np.int8)
+    d[..., w:] = np.where(guess >= 0.0, _PLUS, _MINUS)
+    d[..., w:w + n_train] = train
+    theta = 0.0
+    for k in range(1, w + 1):
+        theta += d[..., w - k + n_train:w - k + n] * c[..., k - 1:k]
+    cols = np.arange(n_train, n)
+    new = np.where(y[..., n_train:] >= theta, _PLUS, _MINUS)
+    d = np.broadcast_to(d, lead + d.shape[-1:]).copy()
     lags = np.arange(1, w + 1)
-    symbols = np.arange(n)
-    cols = slice(n_train, n)
+    every_row = tuple(range(len(lead)))
     while True:
+        moved = (new != d[..., w + cols]).any(axis=every_row)
+        if not moved.any():
+            return d[..., w:]
+        d[..., w + cols] = new
+        dirty = np.zeros(n + w, dtype=bool)
+        dirty[cols[moved, None] + lags] = True
+        cols = np.flatnonzero(dirty[:n])
+        window = d[..., cols[:, None] + w - lags]
         theta = 0.0
         for k in lags:
-            theta += d[:, w - k:w - k + n][:, cols] * c[:, k - 1:k]
-        new = np.where(rows[:, cols] >= theta, 1.0, -1.0)
-        moved = (new != dec[:, cols]).any(axis=0)
-        if not moved.any():
-            break
-        dec[:, cols] = new
-        dirty = np.zeros(n + w, dtype=bool)
-        dirty[symbols[cols][moved, None] + lags] = True
-        cols = np.flatnonzero(dirty[:n])
-    return dec.reshape(y.shape)
+            theta += window[..., k - 1] * c[..., k - 1:k]
+        new = np.where(y[..., cols] >= theta, _PLUS, _MINUS)
+
+
+def _rows(shape) -> str:
+    return " x ".join(map(str, shape))

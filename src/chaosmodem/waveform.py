@@ -122,10 +122,18 @@ def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
         bad = s[~np.isin(s, (-1.0, 1.0))][0]
         raise ValueError(f"symbol values must be -1 or +1, got {bad}")
     lead = params.n_p * n_c
-    taps = _eval_basis_array(np.arange(-lead, n_c) / n_c)
     up = np.zeros(s.size * n_c)
     up[::n_c] = s
-    return np.convolve(up, taps)[lead:lead + up.size]
+    return np.convolve(up, _shaping_taps(n_c, params))[lead:lead + up.size]
+
+
+@lru_cache(maxsize=None)
+def _shaping_taps(n_c: int, params: WaveformParams) -> np.ndarray:
+    """p on the grid -n_p <= t < 1 at n_c samples per symbol, read-only
+    because every caller shares it."""
+    taps = _eval_basis_array(np.arange(-params.n_p * n_c, n_c) / n_c)
+    taps.flags.writeable = False
+    return taps
 
 
 @dataclass

@@ -175,8 +175,8 @@ def acquire_loop(ctx, sent, spec, pad, w):
         else:
             feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
     width = max((c.size for c in feedback), default=0)
-    rows = np.repeat([np.pad(c, (0, width - c.size)) for c in feedback], 2,
-                     axis=0)
+    rows = np.repeat(np.array([np.pad(c, (0, width - c.size))
+                               for c in feedback])[:, None], 2, axis=1)
     return decoded, rows, eqs, failures, rms
 
 

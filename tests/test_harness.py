@@ -190,6 +190,41 @@ def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
     check_sampled_frames(family, n_c, ("quasi2", "quasi3"))
 
 
+def test_sampled_frame_after_a_longer_pad():
+    # the noise buffer is shared by a context's frames; a frame after one
+    # with a longer pad must see zeros, not that frame's draw, past its own.
+    # The symbol-rate read stops short of the draw's end on every preset,
+    # so the buffer itself is compared too
+    cfg = H.ExperimentConfig("chaotic-subopt", "quasi3", (6.0,), n_c=4)
+    used, fresh = H._Context(cfg, True), H._Context(cfg, True)
+    rng = np.random.default_rng(5)
+    spec = ch.MultipathSpec.from_gamma(ch.draw_gamma(used.channel, rng),
+                                       used.channel.delays)
+    sent = rng.choice([-1.0, 1.0], (2, used.train.shape[1]
+                                    + cfg.n_data_bits // 2))
+    used.sampled_frame(sent, spec, 20 * cfg.n_c, np.random.default_rng(1))
+    got = used.sampled_frame(sent, spec, 2 * cfg.n_c, np.random.default_rng(2))
+    want = fresh.sampled_frame(sent, spec, 2 * cfg.n_c,
+                               np.random.default_rng(2))
+    for a, b in zip(got + used._buffers()[:1], want + fresh._buffers()[:1]):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
+@pytest.mark.parametrize("quasi", (False, True))
+def test_frame_reuses_buffers(monkeypatch, method, quasi):
+    # frames 3, 0 and 3 on one context, whose buffers the earlier frames
+    # left dirty, each give what a fresh context gives
+    cfg = (small_quasi(method=method, ebn0_grid=(4.0, 6.0, 8.0))
+           if quasi else small_static(method=method, n_data_bits=3840))
+    monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
+    got = [H._frame(i) for i in (3, 0, 3)]
+    for i, frame in zip((3, 0, 3), got):
+        monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
+        for a, b in zip(frame, H._frame(i)):
+            assert a.tobytes() == b.tobytes()
+
+
 def assert_same_receiver(got, want):
     # bitwise: decoded points, feedback rows, equalizer taps and noise
     # variances, failures, and the RMS with its NaN positions
@@ -322,13 +357,16 @@ def test_genie_sweep_matches_frozen_theory():
 
 
 def test_static_determinism_across_jobs(tmp_path):
-    cfg = small_static(trials=12000, n_data_bits=2000)
-    a = H.run_static_sweep(cfg, jobs=1)
-    b = H.run_static_sweep(cfg, jobs=2)
-    assert a == b
-    pa = H.emit_csv(a, str(tmp_path / "a.csv"))
-    pb = H.emit_csv(b, str(tmp_path / "b.csv"))
-    assert Path(pa).read_bytes() == Path(pb).read_bytes()
+    # the second sweep has full-size frames, whose buffers every worker
+    # allocates for itself
+    for cfg, jobs in ((small_static(trials=12000, n_data_bits=2000), 2),
+                      (small_static(trials=5 * 3840, n_data_bits=3840), 3)):
+        a = H.run_static_sweep(cfg, jobs=1)
+        b = H.run_static_sweep(cfg, jobs=jobs)
+        assert a == b
+        pa = H.emit_csv(a, str(tmp_path / "a.csv"))
+        pb = H.emit_csv(b, str(tmp_path / "b.csv"))
+        assert Path(pa).read_bytes() == Path(pb).read_bytes()
 
 
 def test_quasi_sweep_stats_and_accounting():

@@ -383,10 +383,14 @@ def test_decide_rules():
     assert rx.decide(0.3, 0.0) == 1.0
     assert rx.decide(0.5, 0.5) == 1.0
     assert rx.decide(-0.2, -0.1) == -1.0
+    assert isinstance(rx.decide(np.float64(-0.2), 0.0), float)
     rng = np.random.default_rng(4)
     y = rng.standard_normal(500)
     t = rng.standard_normal(500)
     base = rx.decide(y, t)
+    # int8 +-1, as the decision-feedback decoder returns
+    assert base.dtype == np.int8
+    assert np.array_equal(base, np.where(y >= t, 1.0, -1.0))
     for c in (0.5, 3.0, 17.0):
         assert np.array_equal(rx.decide(c * y, c * t), base)
 
@@ -450,10 +454,11 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
        kind=st.sampled_from(["noise", "ties", "zeros"]),
        start=st.sampled_from(["signs", "flips", "wrong", "zeros", "reals"]),
        scale=st.floats(0.05, 3.0),
+       points=st.integers(1, 4),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
                                               shared, per_row, kind, start,
-                                              scale, seed):
+                                              scale, points, seed):
     # a (B, n) call decides every row exactly as the plain per-symbol loop
     # does: no training, shared or per-row training, shared coefficients or
     # one row each (its own gains and window, zero-padded to the widest),
@@ -461,19 +466,24 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
     # each pass settles only one more symbol; from any initial iterate:
     # the default signs of y, the symbols y was built from with random
     # flips, the loop's decisions all negated (training part included,
-    # which the prefix overrides), zeros or random reals
+    # which the prefix overrides), zeros or random reals; and a (P, 2, n)
+    # batch of grid points whose rails share guess and training (2, n) and
+    # (2, n_train), and coefficients (w,) or (P, 2, w)
     spec = ch.get_preset(preset)
     rng = np.random.default_rng(seed)
-    if per_row:
+
+    def feedback(rows):
+        if not per_row:
+            est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
+            coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+            return coeffs, [coeffs] * rows
         own = [rx.isi_feedback_coeffs(rx.ChannelEstimate(
                    spec.delays, rng.uniform(-1.0, 1.0, len(spec.delays)), 0.0),
-                   int(rng.integers(0, 9))) for _ in range(n_rows)]
+                   int(rng.integers(0, 9))) for _ in range(rows)]
         width = max(c.size for c in own)
-        coeffs = np.array([np.pad(c, (0, width - c.size)) for c in own])
-    else:
-        est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-        coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
-        own = [coeffs] * n_rows
+        return np.array([np.pad(c, (0, width - c.size)) for c in own]), own
+
+    coeffs, own = feedback(n_rows)
     n_train = int(train_frac * n)
     want = rng.choice([-1.0, 1.0], (n_rows, n))
     if shared:
@@ -504,13 +514,27 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
              "zeros": np.zeros((n_rows, n)),
              "reals": rng.standard_normal((n_rows, n))}[start]
     fast = rx.decode_suboptimal(y, train, coeffs, guess=guess)
-    assert fast.shape == y.shape
+    assert fast.shape == y.shape and fast.dtype == np.int8
     for b in range(n_rows):
         assert np.array_equal(fast[b], slow[b])
     assert np.array_equal(rx.decode_suboptimal(y, train, coeffs), fast)
     assert np.array_equal(rx.decode_suboptimal(
         y[0], want[0, :n_train], own[0],
         guess=None if guess is None else guess[0]), fast[0])
+
+    sent = rng.choice([-1.0, 1.0], (2, n))
+    ys = scale * rng.standard_normal((points, 2, n))
+    if kind != "zeros":
+        ys += sent
+    coeffs, own = feedback(2 * points)
+    if per_row:
+        coeffs = coeffs.reshape(points, 2, -1)
+    fast = rx.decode_suboptimal(ys, sent[:, :n_train], coeffs, guess=sent)
+    assert fast.shape == ys.shape and fast.dtype == np.int8
+    for b, (row, c) in enumerate(zip(ys.reshape(-1, n), own)):
+        slow = sent[b % 2].copy()
+        dd_loop(row, slow, c, n_train)
+        assert np.array_equal(fast.reshape(-1, n)[b], slow)
 
 
 def test_decode_suboptimal_rejects_mismatched_rows():
@@ -525,10 +549,25 @@ def test_decode_suboptimal_rejects_mismatched_rows():
     with pytest.raises(ValueError, match="training longer"):
         rx.decode_suboptimal(y, np.ones((4, 21)), coeffs)
     with pytest.raises(ValueError, match="1-d or 2-d"):
-        rx.decode_suboptimal(np.zeros((2, 2, 5)), np.ones(2), coeffs)
+        rx.decode_suboptimal(y, np.ones((2, 2, 2)), coeffs)
     with pytest.raises(ValueError, match="1-d or 2-d"):
         rx.decode_suboptimal(y, np.ones(5), np.zeros((4, 1, 6)))
+    with pytest.raises(ValueError, match="at least 1-d"):
+        rx.decode_suboptimal(np.float64(0.0), np.ones(0), coeffs)
     with pytest.raises(ValueError, match="guess"):
         rx.decode_suboptimal(y, np.ones(5), coeffs, guess=np.ones((4, 19)))
     with pytest.raises(ValueError, match="guess"):
         rx.decode_suboptimal(y[0], np.ones(5), coeffs, guess=np.ones((1, 20)))
+    # a (P, 2, n) batch: leading shapes must broadcast to (P, 2)
+    y3 = np.zeros((3, 2, 20))
+    with pytest.raises(ValueError, match="4 x 2 training rows for 3 x 2"):
+        rx.decode_suboptimal(y3, np.ones((4, 2, 5)), coeffs)
+    with pytest.raises(ValueError, match="3 x 3 coefficient rows for 3 x 2"):
+        rx.decode_suboptimal(y3, np.ones(5), np.zeros((3, 3, 6)))
+    with pytest.raises(ValueError, match="3 guess rows for 3 x 2"):
+        rx.decode_suboptimal(y3, np.ones(5), coeffs, guess=np.ones((3, 20)))
+    with pytest.raises(ValueError, match="guess"):
+        rx.decode_suboptimal(y3, np.ones(5), coeffs, guess=np.ones((2, 19)))
+    with pytest.raises(ValueError, match="-1 or \\+1"):
+        rx.decode_suboptimal(y3, np.zeros(5), coeffs)
+    assert rx.decode_suboptimal(y3, np.ones((2, 5)), coeffs).shape == y3.shape
