@@ -305,6 +305,13 @@ class _Context:
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
                                else "run_static_sweep")
         self.delay = int(max(self.channel.delays))  # see _probe
+        delays = np.arange(_MAX_DELAY + 1)
+        # the cascade at the past lags 1..w of the widest feedback window,
+        # per candidate path delay; see _feedback_rows
+        width = rx.decision_window(rx.ChannelEstimate((_MAX_DELAY,),
+                                                      np.ones(1), 0.0))
+        self.feedback_table = pulse.cascade(np.arange(1, width + 1)[:, None]
+                                            - delays)
         self.train = np.empty((2, 0))
         if quasi:
             self.train = np.stack(tx.qpsk_map(tx.gen_training(tx.FrameLayout(
@@ -315,17 +322,10 @@ class _Context:
             except ValueError as exc:
                 raise ValueError(f"n_training_bits = {config.n_training_bits} "
                                  f"cannot estimate the channel: {exc}") from None
-            delays = np.arange(_MAX_DELAY + 1)
             self.cascade = pulse.cascade(self.design.lags[:, None] - delays)
             # an orthonormal basis of the path model's span, against which
             # sync-grid refinement takes its residuals
             self.basis = np.linalg.qr(self.design.design @ self.cascade)[0]
-            # the cascade at the past lags 1..w of the widest feedback
-            # window, per candidate path delay; see _feedback_rows
-            width = rx.decision_window(rx.ChannelEstimate(
-                (_MAX_DELAY,), np.ones(1), 0.0))
-            self.feedback_table = pulse.cascade(
-                np.arange(1, width + 1)[:, None] - delays)
             self.template = pulse.template(self.train[0])
             self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                                + self.template.size)
@@ -341,7 +341,9 @@ class _Context:
                     est.delays, est.gains, float(s * s)) for s in self.sigmas])
             if config.method == "chaotic-opt":
                 self.genie_coeffs = rx.genie_response(est)
-            feedback = (rx.isi_feedback_coeffs(est, rx.decision_window(est))
+            # one row (w,) that every point and rail shares
+            feedback = (_feedback_rows(self.feedback_table, [est],
+                                       _dense([est]))[0]
                         if config.method == "chaotic-subopt" else None)
             self.known = (np.arange(n_points), feedback, eqs,
                           np.zeros(n_points, dtype=np.int64),
@@ -389,20 +391,26 @@ class _Context:
         self.mf_pad = (last - size // 2, size // 2 - first)
 
     def _buffers(self):
-        """This process's frame buffers: the noise draw of both rails
-        between the zero margins the matched filter reads (the right one
-        also holds the kernel's zero-filled end), sized for the longest
-        pad; the polyphase product of the noise read; and the observations
-        at every grid point. The first frame that runs in a process
-        allocates them, so the parent of a pool never does and they are
-        never pickled; every frame overwrites them."""
+        """This process's frame buffers: the noise draw of both rails after
+        the zero margin the matched filter reads before it, sized for the
+        longest pad; the polyphase product of the noise read; and the
+        observations at every grid point. The first frame that runs in a
+        process allocates them, so the parent of a pool never does and they
+        are never pickled; every frame overwrites them. The symbol-rate
+        read of a frame must end within its own draw, which is checked
+        here once: past it lies a longer-padded frame's draw."""
         if self.frame_buffers is None:
             n = self.train.shape[1] + self.config.n_data_bits // 2
             n_rows, n_c = self.mf_kernel.shape
-            lo, hi = self.mf_pad
+            lo = self.mf_pad[0]
+            # both ends shift with the pad
+            over = (self.pulse.lead + (n + n_rows - 1) * n_c
+                    - lo - self.noise_size)
+            if over > 0:
+                raise RuntimeError(f"the symbol-rate noise read ends {over} "
+                                   f"samples past the frame's noise draw")
             self.frame_buffers = (
-                np.zeros((2, lo + _PAD_SYMBOLS[1] * n_c + self.noise_size + hi
-                          + self.mf_kernel.size)),
+                np.zeros((2, lo + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
                 np.empty((2, n_rows, n + n_rows - 1)),
                 np.empty((self.sigmas.size, 2, n)))
         return self.frame_buffers
@@ -419,12 +427,9 @@ class _Context:
         padded, phases, _ = self._buffers()
         n_periods = phases.shape[2]
         lo = self.mf_pad[0]
-        end = lo + pad + self.noise_size
-        w = padded[:, lo:end]
+        w = padded[:, lo:lo + pad + self.noise_size]
         for row in w:
             rng_noise.standard_normal(out=row)
-        # a frame with a longer pad drew past this one's end
-        padded[:, end:] = 0.0
         ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
         z = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
                       for s in ext])
@@ -476,14 +481,15 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     """Decide both rails at every grid point and count, per point, the rail
     decisions in error past the first n_train (training) symbols.
 
-    ``ys`` holds the symbol-rate observations, shape (points, 2, n), and
-    ``sent`` the two transmitted rails, shape (2, n); ``feedback`` holds
-    the decision-feedback coefficients, shape (w,) shared or
-    (points, 2, w) one row per point and rail, and ``eqs`` one equalizer
-    (or None) per point. Every point shares a rail's genie thresholds; the
-    decision-feedback decoder takes all points and rails as one batch.
-    Error rate is counted per rail decision: each rail carries one
-    antipodal bit per symbol, as the closed forms assume.
+    ``ys`` holds the symbol-rate observations, shape (points, 2, n), a
+    view of the context's observation buffer, valid only until the next
+    frame. ``sent`` holds the two transmitted rails, shape (2, n);
+    ``feedback`` holds the decision-feedback coefficients, shape (w,)
+    shared or (points, 2, w) one row per point and rail, and ``eqs`` one
+    equalizer (or None) per point. Every point shares a rail's genie
+    thresholds; the decision-feedback decoder takes all points and rails
+    as one batch. Error rate is counted per rail decision: each rail
+    carries one antipodal bit per symbol, as the closed forms assume.
 
     The decision-feedback decoder starts from the transmitted rails. That
     is not a genie: its result is the causal recursion's unique solution
@@ -516,13 +522,23 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
 
 # ---------------------------------------------------------------- sweeps ---
 
+def _dense(paths) -> np.ndarray:
+    """The gains of each channel or estimate at delays 0.._MAX_DELAY, one
+    row each, zero where it has no path."""
+    dense = np.zeros((len(paths), _MAX_DELAY + 1))
+    for row, p in zip(dense, paths):
+        row[np.array(p.delays, dtype=int)] = p.gains
+    return dense
+
+
 def _feedback_rows(table, estimates, dense) -> np.ndarray:
-    """``rx.isi_feedback_coeffs(est, rx.decision_window(est))`` of every
-    estimate, bitwise, one row each, zero-filled past the estimate's own
-    window to the widest one. ``dense`` holds each estimate's gains at
-    delays 0, 1, ... (zero where it has no path) and ``table[k - 1, d]``
-    the pulse cascade at lag k - d. The composite response sums its paths
-    in delay order from zero; here a missing path adds an exact zero."""
+    """The decision-feedback coefficients of every estimate, the composite
+    response ``th.composite_response`` at past lags 1..w over its
+    ``rx.decision_window`` w, bitwise, one row each, zero-filled past the
+    estimate's own window to the widest one. ``dense`` is
+    ``_dense(estimates)`` and ``table[k - 1, d]`` the pulse cascade at lag
+    k - d. The composite response sums its paths in delay order from
+    zero; here a missing path adds an exact zero."""
     windows = np.array([rx.decision_window(e) for e in estimates], dtype=int)
     width = int(windows.max(initial=0))
     rows = np.zeros((len(estimates), width))
@@ -596,12 +612,8 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
     failures = np.ones(n_points, dtype=np.int64)
     failures[decoded] = 0
     if decoded.size:
-        dense = np.zeros((decoded.size, _MAX_DELAY + 1))
-        for row, est in zip(dense, ests):
-            row[np.array(est.delays, dtype=int)] = est.gains
-        true_dense = np.zeros(_MAX_DELAY + 1)
-        true_dense[np.array(spec.delays, dtype=int)] = spec.gains
-        rms[decoded] = np.sqrt(np.mean((dense - true_dense) ** 2, axis=1))
+        dense = _dense(ests)
+        rms[decoded] = np.sqrt(np.mean((dense - _dense([spec])) ** 2, axis=1))
         if ctx.config.method == "rrc-mmse":
             eqs = bl.design_mmse(ests)
         else:
@@ -612,7 +624,8 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
 
 def _frame(frame_idx: int):
     """Per grid point: payload errors, counted payload bits, failures and
-    estimate RMS of one frame."""
+    estimate RMS of one frame. The observations and the noise draw are
+    views of the context's frame buffers, valid only until the next frame."""
     ctx = _CTX
     cfg = ctx.config
     rng_content, rng_noise = _frame_streams(cfg.master_seed, frame_idx,

@@ -226,12 +226,6 @@ def threshold_optimal(symbols, response) -> np.ndarray:
     return np.convolve(s, c)[radius:radius + s.size] - s * c0
 
 
-def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:
-    """Composite response at past integer lags 1..window."""
-    k = np.arange(1, window + 1, dtype=float)
-    return composite_response(k, estimate)
-
-
 def decision_window(estimate) -> int:
     """Length of the past-decision feedback window: 5 plus the span of the
     channel in whole symbols."""
@@ -254,18 +248,18 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     ``y_syms`` holds symbol-rate observations, shape (..., n): one frame
     per row of its leading shape. ``train_syms`` is the known +-1 training
     prefix, shape (..., n_train); ``coeffs`` holds the feedback
-    coefficients c_1..c_w, ``isi_feedback_coeffs`` over the
-    ``decision_window`` of an estimate, shape (..., w), rows with a shorter
-    window padded with zeros at the end. Their leading shapes, and that of
-    ``guess`` (below), must broadcast to the leading shape of ``y_syms``:
-    a (P, 2, n) batch of grid points and rails takes training (2, n_train)
-    shared by the points and coefficients (w,) shared by every row or
-    (P, 2, w) one per row. The prefix primes the feedback window, and
-    every later decision feeds back into the thresholds of the symbols
-    after it: symbol n decides +1 when ``y[n] >= sum_{k=1..w} c_k d[n-k]``
-    (a tie goes to +1), and decisions before the frame count as zero.
-    Returns the decisions as int8 +-1 in the shape of ``y_syms``, training
-    region echoed.
+    coefficients c_1..c_w, the composite response of an estimate at the
+    past lags 1..w of its ``decision_window``, shape (..., w), rows with a
+    shorter window padded with zeros at the end. Their leading shapes, and
+    that of ``guess`` (below), must broadcast to the leading shape of
+    ``y_syms``: a (P, 2, n) batch of grid points and rails takes training
+    (2, n_train) shared by the points and coefficients (w,) shared by
+    every row or (P, 2, w) one per row. The prefix primes the feedback
+    window, and every later decision feeds back into the thresholds of the
+    symbols after it: symbol n decides +1 when
+    ``y[n] >= sum_{k=1..w} c_k d[n-k]`` (a tie goes to +1), and decisions
+    before the frame count as zero. Returns the decisions as int8 +-1 in
+    the shape of ``y_syms``, training region echoed.
 
     The causal recursion has exactly one solution, which is found here by
     Jacobi iteration over whole arrays rather than one symbol at a time:

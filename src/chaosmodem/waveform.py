@@ -11,9 +11,11 @@ with beta = ln 2 and omega = 2*pi fixed as BETA and OMEGA; the closed
 forms in `theory` are derived from the same two. A bipolar symbol stream
 s_m shaped by p superposes into x(t) = sum_m s_m p(t - m); the same
 waveform is generated by a self-excited second-order oscillator whose
-drive sign latches at derivative zero crossings, and `simulate_hybrid`
-integrates that oscillator directly so the two constructions can be
-compared without shared code paths.
+drive sign latches at derivative zero crossings. Between two crossings
+the oscillator is linear with constant coefficients, so `simulate_hybrid`
+solves it exactly, piece by piece (Corron, Blakely & Stahl, "A matched
+filter for chaos", Chaos 20, 023123, 2010), and the two constructions can
+be compared without shared code paths.
 
 Because p(t) is nonzero for all t < 1, synthesis must truncate its left
 tail; the truncation length n_p is the one field of WaveformParams and is
@@ -138,13 +140,14 @@ def _shaping_taps(n_c: int, params: WaveformParams) -> np.ndarray:
 
 @dataclass
 class HybridTrajectory:
-    """Integrated oscillator path with its guard signal and emitted symbols.
+    """Oscillator path with its guard signal and emitted symbols.
 
-    ``times`` interleaves the integration grid with detected guard events,
-    so it is strictly increasing but not uniform. ``symbols`` holds the
-    guard value over each unit interval of the symbol grid anchored at
-    ``symbol_anchor`` (the first switching-capable event; NaN if the run
-    never produced one, e.g. from an equilibrium start).
+    ``times`` merges the uniform output grid with the guard events, so it
+    is strictly increasing but not uniform; at an event the guard has
+    already relatched. ``symbols`` holds the guard value over each unit
+    interval of the symbol grid anchored at ``symbol_anchor`` (the first
+    switching-capable event; NaN if the run never produced one, e.g. from
+    an equilibrium start).
     """
 
     times: np.ndarray
@@ -157,95 +160,80 @@ class HybridTrajectory:
     event_x: np.ndarray
 
 
-def _rk4_step(x, v, s, h, om2):
-    def f(xx, vv):
-        return vv, 2.0 * BETA * vv - om2 * (xx - s)
-
-    k1x, k1v = f(x, v)
-    k2x, k2v = f(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
-    k3x, k3v = f(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
-    k4x, k4v = f(x + h * k3x, v + h * k3v)
-    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
-            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+def _segment(a, v, tau):
+    """x - s and x_dot at tau into a segment that starts from x - s = a and
+    x_dot = v: x - s = e^{beta tau} (a cos omega tau + c sin omega tau) with
+    c = (v - beta a) / omega."""
+    c = (v - BETA * a) / OMEGA
+    q = BETA * c - OMEGA * a
+    g, co, si = np.exp(BETA * tau), np.cos(OMEGA * tau), np.sin(OMEGA * tau)
+    return g * (a * co + c * si), g * (v * co + q * si)
 
 
 def simulate_hybrid(x0: float, xdot0: float, duration: float,
                     dt: float = 1e-3) -> HybridTrajectory:
-    """Integrate the self-excited oscillator with guard latching.
+    """Solve the self-excited oscillator with guard latching exactly.
 
-    The drive sign s holds its value between derivative zero crossings;
-    at each detected crossing (bracketed by the fixed RK4 step, refined by
-    bisection to 1e-9) it relatches to sgn(x). This integration shares no
-    code with the superposition synthesis, which is the point: the two are
+    With the drive sign s held, x'' - 2 beta x' + (omega^2 + beta^2)(x - s)
+    = 0 is linear with constant coefficients, so each segment between
+    guard events is the closed form of ``_segment``. An event is a zero
+    crossing of x_dot, where s relatches to sgn(x) (and is kept at x = 0).
+    The first one after t = 0 follows from one atan2; t = 0 itself is no
+    event, even when x_dot0 = 0. Every later segment starts at rest, so
+    its event comes exactly half a period later, at x - s -> -sqrt(2)
+    (x - s). x, x_dot and s are evaluated on the uniform dt grid over
+    [0, duration], merged with the events. The solution shares no code
+    with the superposition synthesis, which is the point: the two are
     compared in tests as independent constructions of the same waveform.
     """
     if dt > 1e-3:
         raise ValueError(f"dt must be <= 1e-3 symbol periods, got {dt}")
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     if duration < 1:
         raise ValueError(f"duration must be >= 1 symbol period, got {duration}")
-    om2 = OMEGA ** 2 + BETA ** 2
+    half = math.pi / OMEGA
 
     s = 1.0 if x0 == 0.0 else math.copysign(1.0, x0)
-    t, x, v = 0.0, float(x0), float(xdot0)
-    times, xs, vs, ss = [t], [x], [v], [s]
+    a, v = float(x0) - s, float(xdot0)
+    # segment k: guard, start offset x - s and start velocity
+    segs = [(s, a, v)]
+    # x_dot is proportional to cos(omega tau - atan2(q, v)), q as in _segment
+    q = BETA * (v - BETA * a) / OMEGA - OMEGA * a
+    first = (math.atan2(q, v) + 0.5 * math.pi) % math.pi / OMEGA or half
     ev_t, ev_x = [], []
+    # at rest on an equilibrium (a = v = 0), no event ever comes
+    while (a or v) and first + half * len(ev_t) < duration:
+        x = s + float(_segment(a, v, half if ev_t else first)[0])
+        ev_t.append(first + half * len(ev_t))
+        ev_x.append(x)
+        if x != 0.0:
+            s = math.copysign(1.0, x)
+        a, v = x - s, 0.0
+        segs.append((s, a, v))
+    ev_t, ev_x = np.array(ev_t), np.array(ev_x)
 
-    while t < duration - 1e-12:
-        h = min(dt, duration - t)
-        x1, v1 = _rk4_step(x, v, s, h, om2)
-        # a fresh crossing, not sign chatter from the event just handled
-        # (genuine events are at least half a period apart)
-        if v * v1 < 0.0 and (not ev_t or t - ev_t[-1] > 0.25):
-            # derivative sign change inside the step: bisect the substep
-            lo, hi = 0.0, h
-            for _ in range(80):
-                midh = 0.5 * (lo + hi)
-                xm, vm = _rk4_step(x, v, s, midh, om2)
-                if v * vm < 0.0:
-                    hi = midh
-                else:
-                    lo = midh
-                if hi - lo < 1e-12:
-                    break
-            if hi - lo > 1e-9:
-                raise RuntimeError(
-                    f"guard crossing near t={t + lo:.6f} did not bracket within dt"
-                )
-            he = 0.5 * (lo + hi)
-            xe, ve = _rk4_step(x, v, s, he, om2)
-            t, x, v = t + he, xe, ve
-            ev_t.append(t)
-            ev_x.append(x)
-            if x != 0.0:
-                s = math.copysign(1.0, x)
-        else:
-            t, x, v = t + h, x1, v1
-        times.append(t)
-        xs.append(x)
-        vs.append(v)
-        ss.append(s)
-
-    times = np.asarray(times)
-    xs = np.asarray(xs)
-    vs = np.asarray(vs)
-    ss = np.asarray(ss)
-    ev_t = np.asarray(ev_t)
-    ev_x = np.asarray(ev_x)
+    grid = np.arange(math.ceil(duration / dt)) * dt
+    times = np.union1d(np.append(grid[grid < duration], duration), ev_t)
+    seg = np.searchsorted(ev_t, times, side="right")
+    seg_s, seg_a, seg_v = np.array(segs).T
+    y, x_dot = _segment(seg_a[seg], seg_v[seg],
+                        times - np.append(0.0, ev_t)[seg])
+    ss = seg_s[seg]
 
     # symbol grid: events where the state is inside the switching band
     sym_mask = np.abs(ev_x) < 1.0
     if np.any(sym_mask):
         anchor = float(ev_t[sym_mask][0])
-        n_sym = int(math.floor(duration - anchor))
-        # guard value over [anchor + k, anchor + k + 1): sample s just
-        # after the symbol event, before the intervening half event
-        probes = anchor + np.arange(n_sym) + 0.25
-        idx = np.searchsorted(times, probes, side="right") - 1
-        symbols = ss[idx]
+        # guard value over [anchor + k, anchor + k + 1): s just after the
+        # symbol event, before the intervening half event
+        probes = anchor + np.arange(math.floor(duration - anchor)) + 0.25
+        symbols = seg_s[np.searchsorted(ev_t, probes, side="right")]
     else:
         anchor = math.nan
         symbols = np.full(int(duration), s)
-    return HybridTrajectory(times, xs, vs, ss, symbols, anchor, ev_t, ev_x)
+    return HybridTrajectory(times, ss + y, x_dot, ss, symbols, anchor,
+                            ev_t, ev_x)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ frame paths are checked, and ``acquire_loop``, the per-point frame
 acquisition the batched one must reproduce.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +17,8 @@ from chaosmodem import baseline as bl
 from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
 from chaosmodem.harness import _MAX_DELAY, _SYNC_GRID_STEPS
+from chaosmodem.theory import composite_response
+from chaosmodem.waveform import HybridTrajectory
 
 LN2 = float(np.log(2.0))
 TWO_PI = 2.0 * np.pi
@@ -28,6 +31,86 @@ def basis_reference(t, beta=LN2):
     left = (1.0 - np.exp(-beta)) * np.exp(beta * t) * c
     mid = 1.0 - np.exp(beta * (t - 1.0)) * c
     return np.where(t >= 1.0, 0.0, np.where(t < 0.0, left, mid))
+
+
+def _rk4_step(x, v, s, h, om2, beta=LN2):
+    def f(xx, vv):
+        return vv, 2.0 * beta * vv - om2 * (xx - s)
+
+    k1x, k1v = f(x, v)
+    k2x, k2v = f(x + 0.5 * h * k1x, v + 0.5 * h * k1v)
+    k3x, k3v = f(x + 0.5 * h * k2x, v + 0.5 * h * k2v)
+    k4x, k4v = f(x + h * k3x, v + h * k3v)
+    return (x + h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x),
+            v + h / 6.0 * (k1v + 2 * k2v + 2 * k3v + k4v))
+
+
+def hybrid_rk4(x0, xdot0, duration, dt=1e-3, beta=LN2):
+    """The guard-latched oscillator integrated by fixed-step RK4: the
+    reference for the closed-form ``waveform.simulate_hybrid``.
+
+    The drive sign s holds its value between derivative zero crossings;
+    at each crossing (bracketed by the step, refined by bisection to
+    1e-9) it relatches to sgn(x). Errors grow by sqrt(2) per half period,
+    so against the exact solution this is a different shadowing orbit
+    after some 25 periods; compare the two over the first ten or so.
+    """
+    om2 = TWO_PI ** 2 + beta ** 2
+    s = 1.0 if x0 == 0.0 else math.copysign(1.0, x0)
+    t, x, v = 0.0, float(x0), float(xdot0)
+    times, xs, vs, ss = [t], [x], [v], [s]
+    ev_t, ev_x = [], []
+
+    while t < duration - 1e-12:
+        h = min(dt, duration - t)
+        x1, v1 = _rk4_step(x, v, s, h, om2, beta)
+        # a fresh crossing, not sign chatter from the event just handled
+        # (genuine events are at least half a period apart)
+        if v * v1 < 0.0 and (not ev_t or t - ev_t[-1] > 0.25):
+            lo, hi = 0.0, h
+            for _ in range(80):
+                midh = 0.5 * (lo + hi)
+                xm, vm = _rk4_step(x, v, s, midh, om2, beta)
+                if v * vm < 0.0:
+                    hi = midh
+                else:
+                    lo = midh
+                if hi - lo < 1e-12:
+                    break
+            if hi - lo > 1e-9:
+                raise RuntimeError(f"guard crossing near t={t + lo:.6f} "
+                                   f"did not bracket within dt")
+            he = 0.5 * (lo + hi)
+            t, (x, v) = t + he, _rk4_step(x, v, s, he, om2, beta)
+            ev_t.append(t)
+            ev_x.append(x)
+            if x != 0.0:
+                s = math.copysign(1.0, x)
+        else:
+            t, x, v = t + h, x1, v1
+        times.append(t)
+        xs.append(x)
+        vs.append(v)
+        ss.append(s)
+
+    times, ss, ev_t, ev_x = map(np.asarray, (times, ss, ev_t, ev_x))
+    sym_mask = np.abs(ev_x) < 1.0
+    if np.any(sym_mask):
+        anchor = float(ev_t[sym_mask][0])
+        probes = anchor + np.arange(int(math.floor(duration - anchor))) + 0.25
+        symbols = ss[np.searchsorted(times, probes, side="right") - 1]
+    else:
+        anchor = math.nan
+        symbols = np.full(int(duration), s)
+    return HybridTrajectory(times, np.asarray(xs), np.asarray(vs), ss, symbols,
+                            anchor, ev_t, ev_x)
+
+
+def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:
+    """Composite response at past integer lags 1..window: the decision-
+    feedback coefficients, path by path through ``composite_response``."""
+    k = np.arange(1, window + 1, dtype=float)
+    return composite_response(k, estimate)
 
 
 def brute_response(lags, step=1e-3, beta=LN2, support=40.0):
@@ -173,7 +256,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
         if ctx.config.method == "rrc-mmse":
             eqs.append(bl.design_mmse(est))
         else:
-            feedback.append(rx.isi_feedback_coeffs(est, rx.decision_window(est)))
+            feedback.append(isi_feedback_coeffs(est, rx.decision_window(est)))
     width = max((c.size for c in feedback), default=0)
     rows = np.repeat(np.array([np.pad(c, (0, width - c.size))
                                for c in feedback])[:, None], 2, axis=1)

@@ -13,7 +13,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import BER_SUB_TABLE, acquire_loop, waveform_path  # noqa: E402
+from oracles import (BER_SUB_TABLE, acquire_loop,  # noqa: E402
+                     isi_feedback_coeffs, waveform_path)
 
 import chaosmodem.channel as ch  # noqa: E402
 import chaosmodem.harness as H  # noqa: E402
@@ -192,9 +193,9 @@ def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
 
 def test_sampled_frame_after_a_longer_pad():
     # the noise buffer is shared by a context's frames; a frame after one
-    # with a longer pad must see zeros, not that frame's draw, past its own.
-    # The symbol-rate read stops short of the draw's end on every preset,
-    # so the buffer itself is compared too
+    # with a longer pad leaves that frame's draw past its own, which it
+    # must not read. Its outputs and the buffer up to its own draw's end
+    # are those of a fresh context
     cfg = H.ExperimentConfig("chaotic-subopt", "quasi3", (6.0,), n_c=4)
     used, fresh = H._Context(cfg, True), H._Context(cfg, True)
     rng = np.random.default_rng(5)
@@ -202,12 +203,34 @@ def test_sampled_frame_after_a_longer_pad():
                                        used.channel.delays)
     sent = rng.choice([-1.0, 1.0], (2, used.train.shape[1]
                                     + cfg.n_data_bits // 2))
+    pad = 2 * cfg.n_c
     used.sampled_frame(sent, spec, 20 * cfg.n_c, np.random.default_rng(1))
-    got = used.sampled_frame(sent, spec, 2 * cfg.n_c, np.random.default_rng(2))
-    want = fresh.sampled_frame(sent, spec, 2 * cfg.n_c,
-                               np.random.default_rng(2))
-    for a, b in zip(got + used._buffers()[:1], want + fresh._buffers()[:1]):
+    got = used.sampled_frame(sent, spec, pad, np.random.default_rng(2))
+    want = fresh.sampled_frame(sent, spec, pad, np.random.default_rng(2))
+    drawn = (slice(None), slice(0, used.mf_pad[0] + pad + used.noise_size))
+    for a, b in zip(got + (used._buffers()[0][drawn],),
+                    want + (fresh._buffers()[0][drawn],)):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("method,n_c", [("chaotic-subopt", 8),
+                                        ("rrc-noeq", 3)])
+def test_noise_read_must_end_within_the_draw(method, n_c):
+    # the symbol-rate noise read ends a fixed distance after the pad; a
+    # draw shorter than that fails before any frame runs, and one that is
+    # just long enough does not
+    cfg = small_static(method=method, n_c=n_c)
+    ctx = H._Context(cfg, False)
+    n = cfg.n_data_bits // 2
+    n_rows = ctx.mf_kernel.shape[0]
+    need = ctx.pulse.lead + (n + n_rows - 1) * n_c - ctx.mf_pad[0]
+    assert ctx.noise_size >= need
+    ctx.noise_size = need - 1
+    with pytest.raises(RuntimeError, match="1 samples past"):
+        ctx._buffers()
+    ctx.noise_size = need
+    assert ctx._buffers()[0].shape[1] == (ctx.mf_pad[0] + need
+                                          + H._PAD_SYMBOLS[1] * n_c)
 
 
 @pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
@@ -286,9 +309,10 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
 
 
 def test_feedback_rows_match_isi_feedback_coeffs():
-    # the per-context table of the pulse cascade, summed path by path,
-    # gives rx.isi_feedback_coeffs bitwise for every delay subset of the
-    # candidate set, each row zero-filled past its own decision window
+    # the per-context table of the pulse cascade, summed path by path over
+    # the dense gains, gives isi_feedback_coeffs bitwise for every delay
+    # subset of the candidate set, each row zero-filled past its own
+    # decision window
     ctx = H._Context(small_quasi(), True)
     rng = np.random.default_rng(11)
     subsets = [d for k in range(1, H._MAX_DELAY + 2)
@@ -297,14 +321,19 @@ def test_feedback_rows_match_isi_feedback_coeffs():
     for _ in range(20):
         ests = [rx.ChannelEstimate(d, rng.uniform(-1.5, 1.5, len(d)), 0.1)
                 for d in subsets]
-        dense = np.zeros((len(ests), H._MAX_DELAY + 1))
-        for row, est in zip(dense, ests):
-            row[list(map(int, est.delays))] = est.gains
-        rows = H._feedback_rows(ctx.feedback_table, ests, dense)
+        rows = H._feedback_rows(ctx.feedback_table, ests, H._dense(ests))
         for row, est in zip(rows, ests):
-            want = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+            want = isi_feedback_coeffs(est, rx.decision_window(est))
             padded = np.pad(want, (0, rows.shape[1] - want.size))
             assert row.tobytes() == padded.tobytes()
+    # a known channel's row is its preset's, one (w,) row that every point
+    # and rail shares
+    for preset in ("static2", "static3"):
+        row = H._Context(small_static(channel=preset), False).known[1]
+        spec = ch.get_preset(preset)
+        want = isi_feedback_coeffs(spec, rx.decision_window(spec))
+        assert row.shape == want.shape
+        assert row.tobytes() == want.tobytes()
 
 
 def test_genie_response_once_per_sweep(monkeypatch):

@@ -13,7 +13,7 @@ from chaosmodem import theory as th
 from chaosmodem import txchain as tx
 from chaosmodem import waveform as wf
 from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop,
-                     threshold_suboptimal)
+                     isi_feedback_coeffs, threshold_suboptimal)
 
 
 def test_matched_filter_tap_symmetry():
@@ -337,7 +337,7 @@ def test_threshold_suboptimal_past_half_split():
     assert w == 5 + 2
     rng = np.random.default_rng(33)
     past = rng.choice([-1.0, 1.0], w)
-    state = ThresholdState.fresh(rx.isi_feedback_coeffs(est, w))
+    state = ThresholdState.fresh(isi_feedback_coeffs(est, w))
     for sym in past[::-1]:
         state.push(sym)
     theta = threshold_suboptimal(state)
@@ -351,7 +351,7 @@ def test_threshold_suboptimal_zero_mean():
     est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     rng = np.random.default_rng(88)
     w = rx.decision_window(est)
-    coeffs = rx.isi_feedback_coeffs(est, w)
+    coeffs = isi_feedback_coeffs(est, w)
     draws = rng.choice([-1.0, 1.0], size=(20_000, w))
     thetas = draws @ coeffs
     assert abs(float(np.mean(thetas))) < 3.0 * float(np.std(thetas)) / math.sqrt(20_000)
@@ -365,7 +365,7 @@ def test_threshold_window_extension_bound():
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     w = rx.decision_window(est)
     long_w = 2 * w
-    coeffs = rx.isi_feedback_coeffs(est, long_w)
+    coeffs = isi_feedback_coeffs(est, long_w)
     rng = np.random.default_rng(44)
     bound = 2.0 * abs(coeffs[w])
     assert bound > 1e-6
@@ -428,7 +428,7 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     y = rx.matched_filter(x + sigma * rng.standard_normal(x.size),
                           rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+    coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
     fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)
     state = ThresholdState.fresh(coeffs)
     slow = np.empty(syms.size)
@@ -475,9 +475,9 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
     def feedback(rows):
         if not per_row:
             est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-            coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+            coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
             return coeffs, [coeffs] * rows
-        own = [rx.isi_feedback_coeffs(rx.ChannelEstimate(
+        own = [isi_feedback_coeffs(rx.ChannelEstimate(
                    spec.delays, rng.uniform(-1.0, 1.0, len(spec.delays)), 0.0),
                    int(rng.integers(0, 9))) for _ in range(rows)]
         width = max(c.size for c in own)
@@ -540,7 +540,7 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
 def test_decode_suboptimal_rejects_mismatched_rows():
     spec = ch.get_preset("static2")
     est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-    coeffs = rx.isi_feedback_coeffs(est, rx.decision_window(est))
+    coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
     y = np.zeros((4, 20))
     with pytest.raises(ValueError, match="3 training rows for 4"):
         rx.decode_suboptimal(y, np.ones((3, 5)), coeffs)

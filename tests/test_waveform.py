@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from chaosmodem import waveform as wf
-from oracles import basis_reference
+from oracles import basis_reference, hybrid_rk4
 
 LN2 = math.log(2.0)
 
@@ -141,6 +141,9 @@ def test_hybrid_equilibria():
 def test_hybrid_validation():
     with pytest.raises(ValueError):
         wf.simulate_hybrid(0.3, 0.0, 10.0, dt=2e-3)
+    for dt in (0.0, -1e-3, math.nan):
+        with pytest.raises(ValueError, match="dt must be positive"):
+            wf.simulate_hybrid(0.3, 0.0, 10.0, dt=dt)
     with pytest.raises(ValueError):
         wf.simulate_hybrid(0.3, 0.0, 0.5)
 
@@ -151,7 +154,7 @@ def test_hybrid_event_structure():
     assert ev_t.size > 60
     # after the first, events arrive every half period
     gaps = np.diff(ev_t)
-    assert np.max(np.abs(gaps - 0.5)) < 1e-6
+    assert np.max(np.abs(gaps - 0.5)) < 1e-12
     # events split into switching-capable (|x| < 1) and overshoot (|x| > 1)
     sym_mask = np.abs(ev_x) < 1.0
     assert np.any(sym_mask) and np.any(~sym_mask)
@@ -174,7 +177,7 @@ def test_hybrid_symbol_grid_and_shift_map():
     assert abs(traj.symbol_anchor - ev_t[0]) < 1e-12
     # their states iterate the doubling map x -> 2x - sgn(x)
     pred = 2.0 * ev_x[:-1] - np.sign(ev_x[:-1])
-    assert np.max(np.abs(ev_x[1:] - pred)) < 1e-8
+    assert np.max(np.abs(ev_x[1:] - pred)) < 1e-12
     # and each emitted symbol is the sign of the state at its event
     k = np.round(ev_t - traj.symbol_anchor).astype(int)
     inside = k < traj.symbols.size
@@ -197,7 +200,7 @@ def test_hybrid_state_encodes_future_symbols():
 
 
 def test_hybrid_reconstruction_rms():
-    # the integrated oscillator, re-synthesized from its own emitted
+    # the simulated oscillator, re-synthesized from its own emitted
     # symbols, matches itself after the transient settles
     params = wf.WaveformParams()
     for x0, v0 in ((0.37, 0.0), (-0.61, 2.3), (0.12, -1.7)):
@@ -212,12 +215,28 @@ def test_hybrid_reconstruction_rms():
         assert rms < 1e-3
 
 
-def test_hybrid_step_size_insensitive():
-    t1 = wf.simulate_hybrid(0.37, 0.4, 20.0, dt=1e-3)
-    t2 = wf.simulate_hybrid(0.37, 0.4, 20.0, dt=5e-4)
-    assert abs(t1.symbol_anchor - t2.symbol_anchor) < 1e-6
-    n = min(t1.symbols.size, t2.symbols.size)
-    assert np.array_equal(t1.symbols[:n], t2.symbols[:n])
+def test_hybrid_matches_rk4():
+    # the closed form against a fixed-step RK4 integration of the same
+    # oscillator, including a start at rest and one at x = 0. The two are
+    # distinct shadowing orbits after some 25 periods (errors grow by
+    # sqrt(2) per half period), so they are compared over 11 periods. A
+    # start at rest has its events on the half-period grid, so the run
+    # ends off it, where neither event count nor symbol count is a tie
+    for x0, v0 in ((0.37, 0.0), (0.0, 1.3), (-0.61, 2.3), (0.12, -1.7)):
+        got = wf.simulate_hybrid(x0, v0, 11.25)
+        want = hybrid_rk4(x0, v0, 11.25)
+        assert got.event_times.size == want.event_times.size > 15
+        assert np.max(np.abs(got.event_times - want.event_times)) < 1e-8
+        assert np.max(np.abs(got.event_x - want.event_x)) < 1e-6
+        assert abs(got.symbol_anchor - want.symbol_anchor) < 1e-8
+        assert np.array_equal(got.symbols, want.symbols)
+        assert got.symbols.size >= 9
+        assert np.all(np.diff(got.times) > 0.0)
+        # the path between events, RK4's interpolated linearly onto the
+        # closed form's grid (interpolation error about 1e-5 in x)
+        for name, tol in (("x", 1e-4), ("x_dot", 1e-3)):
+            ref = np.interp(got.times, want.times, getattr(want, name))
+            assert np.max(np.abs(getattr(got, name) - ref)) < tol
 
 
 def test_conjugacy_report():
