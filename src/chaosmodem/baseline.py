@@ -3,7 +3,8 @@ symbol-rate linear MMSE equalization.
 
 The shaper/matched-filter cascade is a raised cosine, so on the symbol grid
 the channel seen by the equalizer is just the multipath taps themselves
-(Nyquist criterion, up to the truncation floor of the finite span).
+(Nyquist criterion, up to the truncation floor of the finite span), and
+the equalizer is designed from those gains at whole-symbol delays.
 """
 
 from __future__ import annotations
@@ -11,11 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
-
-from .rxchain import ChannelEstimate
 
 DEFAULT_ROLLOFF = 0.25
 # A span of 8 leaves ~4e-3 relative ISI in the cascade at symbol lags,
@@ -148,61 +146,49 @@ class MmseEqualizer:
             raise ValueError("noise_var must be >= 0")
 
 
-def _symbol_channel(estimate: ChannelEstimate) -> np.ndarray:
-    """Multipath taps laid out on the symbol grid. The presets and the LS
-    candidate set both live on integer symbol delays; anything else has no
-    symbol-rate convolution matrix and is rejected."""
-    near = [round(d) for d in estimate.delays]
-    if (max(abs(d - n) for d, n in zip(estimate.delays, near)) > 1e-9
-            or min(near) < 0):
-        raise ValueError("equalizer design needs nonnegative integer symbol delays")
-    h = np.zeros(max(near) + 1)
-    for d, g in zip(near, estimate.gains):
-        h[d] += g
-    return h
-
-
-def design_mmse(estimate, length: int = DEFAULT_EQ_LENGTH,
-                delay: int = DEFAULT_EQ_DELAY,
-                noise_var: Optional[float] = None):
+def design_mmse(gains, noise_var, length: int = DEFAULT_EQ_LENGTH,
+                delay: int = DEFAULT_EQ_DELAY):
     """Regularized least-squares equalizer w = (H^T H + sigma^2 I)^-1 H^T e_d.
 
-    H is the (length + channel_span) x length convolution matrix of the
-    estimated symbol-rate channel, e_d the unit vector at the decision
-    delay. For unit-variance independent symbols and white noise of
-    variance sigma^2 at the matched-filter output this is the linear MMSE
-    solution. sigma^2 defaults to the estimate's noise_var; pass 0 for the
-    zero-forcing limit, which raises LinAlgError if H is rank deficient.
+    H is the (length + channel_span - 1) x length convolution matrix of the
+    symbol-rate channel, e_d the unit vector at the decision delay. For
+    unit-variance independent symbols and white noise of variance sigma^2
+    at the matched-filter output this is the linear MMSE solution. A
+    sigma^2 of 0 gives the zero-forcing limit, which raises LinAlgError if
+    H is rank deficient.
 
-    ``estimate`` is one ChannelEstimate, for which one equalizer comes
-    back, or a sequence of them, for which a list comes back in the same
+    ``gains`` holds one channel per row, shape (P, D), column d the gain
+    at symbol delay d, or one row (1, D) shared by the P noise variances
+    ``noise_var``, shape (P,). A path is present exactly when its gain is
+    nonzero, so a row's span is the index of its last nonzero gain plus 1
+    and trailing zeros design the trimmed row's equalizer; a row without a
+    nonzero gain spans all D delays. Returns a list of P equalizers in row
     order. The algebra runs on stacks of H that share a channel span, as
-    stacked matmul and solve, which treat each item as its own 2-d
-    product and solve, so an equalizer is bitwise the same designed alone
-    or in a batch.
+    stacked matmul and solve, which treat each item as its own 2-d product
+    and solve, so an equalizer is bitwise the same designed alone or in a
+    batch.
     """
-    single = isinstance(estimate, ChannelEstimate)
-    estimates = [estimate] if single else list(estimate)
+    sigma2 = np.asarray(noise_var, dtype=float)
+    gains = np.asarray(gains, dtype=float)
+    if sigma2.ndim != 1 or gains.ndim != 2:
+        raise ValueError(f"gains of shape {gains.shape} must be 2-d and "
+                         f"noise_var of shape {sigma2.shape} 1-d")
+    gains = np.broadcast_to(gains, (sigma2.size, gains.shape[1]))
     if length < 1:
         raise ValueError("length must be >= 1")
-    hs = [_symbol_channel(e) for e in estimates]
-    sigma2 = np.array([float(e.noise_var if noise_var is None else noise_var)
-                       for e in estimates])
     if np.any(sigma2 < 0.0):
         raise ValueError("noise_var must be >= 0")
-    groups = {}
-    for i, h in enumerate(hs):
-        groups.setdefault(h.size, []).append(i)
-    eqs = [None] * len(estimates)
-    for span, group in sorted(groups.items()):
+    spans = gains.shape[1] - np.argmax(gains[:, ::-1] != 0.0, axis=1)
+    eqs = [None] * sigma2.size
+    for span in sorted(set(spans.tolist())):
+        group = np.flatnonzero(spans == span)
         n_out = length + span - 1
         if not 0 <= delay < n_out:
             raise ValueError("delay must lie inside the cascade support")
         # column j of H holds h from row j on
         j = np.arange(length)[:, None]
-        H = np.zeros((len(group), n_out, length))
-        h = np.array([hs[i] for i in group])
-        H[:, j + np.arange(span), j] = h[:, None]
+        H = np.zeros((group.size, n_out, length))
+        H[:, j + np.arange(span), j] = gains[group, None, :span]
         s2 = sigma2[group]
         zf = s2 == 0.0
         if zf.any() and np.any(np.linalg.matrix_rank(H[zf]) < length):
@@ -215,7 +201,7 @@ def design_mmse(estimate, length: int = DEFAULT_EQ_LENGTH,
                             (Ht @ e_d)[..., None])[..., 0]
         for i, taps in zip(group, w):
             eqs[i] = MmseEqualizer(length, delay, taps, float(sigma2[i]))
-    return eqs[0] if single else eqs
+    return eqs
 
 
 def apply_equalizer(symbols_rx, eq: MmseEqualizer) -> np.ndarray:

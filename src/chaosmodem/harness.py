@@ -112,8 +112,11 @@ class ExperimentConfig:
         if not (_is_int(self.master_seed) and self.master_seed >= 0):
             raise ValueError(f"master_seed must be a non-negative integer, "
                              f"got {self.master_seed}")
-        if self.n_training_bits % 2 or self.n_data_bits % 2:
-            raise ValueError("QPSK framing needs even bit counts")
+        for name in ("n_training_bits", "n_data_bits"):
+            v = getattr(self, name)
+            if v % 2:
+                raise ValueError(f"{name} must be even for QPSK framing, "
+                                 f"got {v}")
         if not (_is_int(self.n_c) and self.n_c >= 2):
             raise ValueError(f"n_c must be an integer >= 2, got {self.n_c}")
         if not isinstance(self.genie, bool):
@@ -307,9 +310,8 @@ class _Context:
         self.delay = int(max(self.channel.delays))  # see _probe
         delays = np.arange(_MAX_DELAY + 1)
         # the cascade at the past lags 1..w of the widest feedback window,
-        # per candidate path delay; see _feedback_rows
-        width = rx.decision_window(rx.ChannelEstimate((_MAX_DELAY,),
-                                                      np.ones(1), 0.0))
+        # per candidate path delay; see _receivers
+        width = rx.decision_window(np.ones(_MAX_DELAY + 1))
         self.feedback_table = pulse.cascade(np.arange(1, width + 1)[:, None]
                                             - delays)
         self.train = np.empty((2, 0))
@@ -331,21 +333,14 @@ class _Context:
                                + self.template.size)
         else:
             # channel and noise level are known: every frame gets the receiver
-            # _acquire would build, every point decoded and none failed
+            # _acquire would build, every point decoded and none failed; the
+            # one gains row, and so the feedback row, is every point's
             n_points = len(self.sigmas)
-            est = rx.ChannelEstimate(self.channel.delays,
-                                     np.array(self.channel.gains), 0.0)
-            eqs = [None] * n_points
-            if config.method == "rrc-mmse":
-                eqs = bl.design_mmse([rx.ChannelEstimate(
-                    est.delays, est.gains, float(s * s)) for s in self.sigmas])
             if config.method == "chaotic-opt":
-                self.genie_coeffs = rx.genie_response(est)
-            # one row (w,) that every point and rail shares
-            feedback = (_feedback_rows(self.feedback_table, [est],
-                                       _dense([est]))[0]
-                        if config.method == "chaotic-subopt" else None)
-            self.known = (np.arange(n_points), feedback, eqs,
+                self.genie_coeffs = rx.genie_response(self.channel)
+            self.known = (np.arange(n_points),
+                          *_receivers(self, _dense([self.channel]),
+                                      self.sigmas * self.sigmas),
                           np.zeros(n_points, dtype=np.int64),
                           np.full(n_points, np.nan))
         self._probe(self.train.shape[1] + config.n_data_bits // 2)
@@ -484,9 +479,10 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     ``ys`` holds the symbol-rate observations, shape (points, 2, n), a
     view of the context's observation buffer, valid only until the next
     frame. ``sent`` holds the two transmitted rails, shape (2, n);
-    ``feedback`` holds the decision-feedback coefficients, shape (w,)
-    shared or (points, 2, w) one row per point and rail, and ``eqs`` one
-    equalizer (or None) per point. Every point shares a rail's genie
+    ``feedback`` holds the decision-feedback coefficients, shape (1, 1, w)
+    shared by every point or (points, 1, w) one row per point, either
+    shared by the two rails, and ``eqs`` one equalizer per point; both
+    come from ``_receivers``. Every point shares a rail's genie
     thresholds; the decision-feedback decoder takes all points and rails
     as one batch. Error rate is counted per rail decision: each rail
     carries one antipodal bit per symbol, as the closed forms assume.
@@ -523,37 +519,50 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
 # ---------------------------------------------------------------- sweeps ---
 
 def _dense(paths) -> np.ndarray:
-    """The gains of each channel or estimate at delays 0.._MAX_DELAY, one
-    row each, zero where it has no path."""
+    """The gains of each channel at delays 0.._MAX_DELAY, one row each,
+    zero where it has no path."""
     dense = np.zeros((len(paths), _MAX_DELAY + 1))
     for row, p in zip(dense, paths):
         row[np.array(p.delays, dtype=int)] = p.gains
     return dense
 
 
-def _feedback_rows(table, estimates, dense) -> np.ndarray:
-    """The decision-feedback coefficients of every estimate, the composite
-    response ``th.composite_response`` at past lags 1..w over its
-    ``rx.decision_window`` w, bitwise, one row each, zero-filled past the
-    estimate's own window to the widest one. ``dense`` is
-    ``_dense(estimates)`` and ``table[k - 1, d]`` the pulse cascade at lag
-    k - d. The composite response sums its paths in delay order from
-    zero; here a missing path adds an exact zero."""
-    windows = np.array([rx.decision_window(e) for e in estimates], dtype=int)
-    width = int(windows.max(initial=0))
-    rows = np.zeros((len(estimates), width))
-    for d in range(dense.shape[1]):
-        rows = rows + dense[:, d:d + 1] * table[:width, d]
-    rows[np.arange(width) >= windows[:, None]] = 0.0
-    return rows
+def _receivers(ctx: _Context, gains, noise_var):
+    """The receivers of channels given by their gains at delays
+    0.._MAX_DELAY, shape (rows, _MAX_DELAY + 1), and the noise variances
+    of the grid points, shape (rows,) or, with one gains row for every
+    point, (points,): (feedback, equalizers), each None where the method
+    does not read it.
+
+    rrc-mmse gets one equalizer per point from one ``bl.design_mmse``
+    call. chaotic-subopt gets its decision-feedback coefficients, shape
+    (rows, 1, w), which the decoder broadcasts over the two rails: the
+    composite response ``th.composite_response`` at past lags 1..w over
+    each row's ``rx.decision_window``, bitwise, zero-filled past it to the
+    widest window. ``ctx.feedback_table[k - 1, d]`` is the pulse cascade
+    at lag k - d; the composite response sums its paths in delay order
+    from zero, and here a missing path adds an exact zero."""
+    feedback = eqs = None
+    if ctx.config.method == "rrc-mmse":
+        eqs = bl.design_mmse(gains, noise_var)
+    elif ctx.config.method == "chaotic-subopt":
+        windows = rx.decision_window(gains)
+        width = int(windows.max(initial=0))
+        rows = np.zeros((gains.shape[0], width))
+        for d in range(gains.shape[1]):
+            rows = rows + gains[:, d:d + 1] * ctx.feedback_table[:width, d]
+        rows[np.arange(width) >= windows[:, None]] = 0.0
+        feedback = rows[:, None]
+    return feedback, eqs
 
 
 def _acquire(ctx: _Context, sent, spec, pad: int, w):
     """The receiver of an estimated-channel frame, laid out as
     ``_Context.known`` holds the known channel's: (decoded points, their
-    feedback rows, one per point and rail, their equalizers, failures and
-    estimate RMS per point). A point is decoded if frame sync over the
-    full-rate window finds the true offset and the LS estimate exists.
+    feedback rows (points, 1, w) and equalizers from ``_receivers``,
+    failures and estimate RMS per point). A point is decoded if frame sync
+    over the full-rate window finds the true offset and the LS estimate
+    exists.
 
     Frame sync finds each point's coarse correlation peak, snaps it to the
     symbol grid and refines it over the grid steps by the pooled
@@ -569,10 +578,10 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
     training observations from the symbol-grid samples (the candidates are
     whole symbols apart), residuals against an orthonormal basis of the
     path model, one ``rx.estimate_channel_ls`` call over the points that
-    kept their timing, and their receivers: feedback rows from
-    ``_Context.feedback_table`` or equalizers from one ``bl.design_mmse``
-    call. Every value that reaches a count or a statistic is bitwise the
-    per-point computation's."""
+    kept their timing, whose gains rows and noise variances go to
+    ``_receivers`` as the known channel's preset row does. Every value
+    that reaches a count or a statistic is bitwise the per-point
+    computation's."""
     win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
     n_c, n_points = ctx.config.n_c, ctx.sigmas.size
     points = np.arange(n_points)
@@ -600,26 +609,19 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
     hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
     decoded = np.flatnonzero(hit)
-    rms = np.full(n_points, np.nan)
-    feedback, eqs = np.empty((0, 0)), []
     try:
-        ests = (rx.estimate_channel_ls(obs[decoded], ctx.design, ctx.cascade)
-                if decoded.size else [])
+        gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design,
+                                                  ctx.cascade)
     except np.linalg.LinAlgError:
         # lstsq factors only the fixed cascade columns, never the frame's
         # data, so a failure is every point's
-        decoded, ests = decoded[:0], []
+        decoded = decoded[:0]
+        gains, noise_var = np.zeros((0, _MAX_DELAY + 1)), np.zeros(0)
     failures = np.ones(n_points, dtype=np.int64)
     failures[decoded] = 0
-    if decoded.size:
-        dense = _dense(ests)
-        rms[decoded] = np.sqrt(np.mean((dense - _dense([spec])) ** 2, axis=1))
-        if ctx.config.method == "rrc-mmse":
-            eqs = bl.design_mmse(ests)
-        else:
-            feedback = np.repeat(_feedback_rows(ctx.feedback_table, ests,
-                                                dense)[:, None], 2, axis=1)
-    return decoded, feedback, eqs, failures, rms
+    rms = np.full(n_points, np.nan)
+    rms[decoded] = np.sqrt(np.mean((gains - _dense([spec])) ** 2, axis=1))
+    return (decoded, *_receivers(ctx, gains, noise_var), failures, rms)
 
 
 def _frame(frame_idx: int):

@@ -11,6 +11,12 @@ Decoding offers two thresholds: a genie-aided optimal one that cancels
 intersymbol interference exactly using the true symbols (analysis only),
 and the causal one that feeds back the receiver's own past decisions over
 a short window, primed by the training prefix.
+
+From the least-squares estimate on, a channel is an array of its gains at
+whole-symbol delays 0..D-1, one row per channel, plus its noise variance:
+``estimate_channel_ls`` returns them, and ``decision_window`` and
+``baseline.design_mmse`` read them. A path is present exactly when its gain
+is nonzero.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .theory import composite_response, response_decay_radius
-from .waveform import WaveformParams, _eval_basis_array
+from .waveform import WaveformParams, eval_basis
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
 
@@ -43,7 +49,7 @@ def matched_filter_taps(n_c: int, params: Optional[WaveformParams] = None) -> Ma
     if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
         raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
     j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
-    return MatchedFilterTaps(_eval_basis_array(-j / n_c),
+    return MatchedFilterTaps(eval_basis(-j / n_c),
                              int(n_c), params)
 
 
@@ -102,30 +108,6 @@ def sample_symbols(filtered, offset: int, n_c: int, n_symbols: int) -> np.ndarra
 
 
 @dataclass(frozen=True)
-class ChannelEstimate:
-    """Per-path delays/gains plus the residual noise power at the
-    matched-filter output."""
-
-    delays: tuple
-    gains: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        d = tuple(float(v) for v in self.delays)
-        g = np.asarray(self.gains, dtype=float)
-        object.__setattr__(self, "delays", d)
-        object.__setattr__(self, "gains", g)
-        if len(d) == 0 or len(d) != g.size:
-            raise ValueError("delays and gains must be non-empty and equal length")
-        if any(b <= a for a, b in zip(d, d[1:])):
-            raise ValueError("delays must be strictly increasing")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
-        if not (np.isfinite(self.noise_var) and self.noise_var >= 0):
-            raise ValueError(f"noise_var must be >= 0, got {self.noise_var}")
-
-
-@dataclass(frozen=True)
 class LsDesign:
     """Precomputed least-squares machinery for a fixed training sequence.
 
@@ -167,16 +149,15 @@ def estimate_channel_ls(obs, design: LsDesign, cascade,
     """Two-stage least squares: composite response on integer lags first,
     then per-path gains by matching the pulse's known cascade.
 
-    ``obs`` holds the symbol-rate matched-filter outputs at ``design.rows``
-    of each rail, concatenated in the design's rail order: one observation,
-    shape (m,), for which one ChannelEstimate comes back, or one per row,
-    shape (P, m), for which a list of P estimates comes back, each bitwise
-    the one its row's 1-d call gives. ``cascade[i, d]`` is the
-    shaping/matched-filter cascade at symbol lag ``design.lags[i] - d`` for
-    candidate path delay d = 0, 1, ...; paths below ``spur_threshold`` of
-    the strongest recovered gain are dropped and the survivors refit.
-    Residual power from stage one estimates the noise variance at the
-    matched-filter output.
+    ``obs`` holds, one row per observation, shape (P, m), the symbol-rate
+    matched-filter outputs at ``design.rows`` of each rail, concatenated in
+    the design's rail order. ``cascade[i, d]`` is the shaping/matched-filter
+    cascade at symbol lag ``design.lags[i] - d`` for candidate path delay
+    d = 0..D-1; paths below ``spur_threshold`` of the strongest recovered
+    gain are dropped and the survivors refit. Residual power from stage one
+    estimates the noise variance at the matched-filter output. Returns the
+    gains, shape (P, D), column d the gain at delay d and an exact 0.0 where
+    a path was dropped, and the noise variances, shape (P,).
 
     Stage one runs on every row at once as a stacked ``np.matmul`` of
     (m, 1) columns: that is one matrix-vector product per row, bitwise
@@ -184,41 +165,42 @@ def estimate_channel_ls(obs, design: LsDesign, cascade,
     not (its blocked sums round differently). Stage two stays one
     ``np.linalg.lstsq`` per row: a multi-right-hand-side solve differs
     from the single ones in the last bits, and which paths survive differs
-    from row to row.
+    from row to row. So every row is bitwise what a one-row call gives.
     """
-    obs = np.asarray(obs, dtype=float)
-    if obs.ndim not in (1, 2):
-        raise ValueError("obs must be 1-d or 2-d")
-    rows = np.atleast_2d(obs)
+    rows = np.asarray(obs, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError(f"obs of shape {rows.shape} must be 2-d, "
+                         f"one observation per row")
     r_hat = np.matmul(design.pinv, rows[..., None])
     resid = rows - np.matmul(design.design, r_hat)[..., 0]
     dof = rows.shape[1] - design.lags.size
-    out = []
-    for r, e in zip(r_hat[..., 0], resid):
-        noise_var = float(np.dot(e, e)) / max(dof, 1)
-        cand = np.arange(cascade.shape[1], dtype=float)
+    gains = np.zeros((rows.shape[0], cascade.shape[1]))
+    noise_var = np.empty(rows.shape[0])
+    for p, (r, e) in enumerate(zip(r_hat[..., 0], resid)):
+        noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
         alpha, *_ = np.linalg.lstsq(cascade, r, rcond=None)
         keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
         if spur_threshold > 0 and not np.all(keep):
             alpha, *_ = np.linalg.lstsq(cascade[:, keep], r, rcond=None)
-            cand = cand[keep]
-        out.append(ChannelEstimate(tuple(cand), alpha, noise_var))
-    return out[0] if obs.ndim == 1 else out
+        gains[p, keep] = alpha
+    return gains, noise_var
 
 
-def genie_response(estimate):
+def genie_response(channel):
     """The composite response ``threshold_optimal`` sums over, at lags
-    -radius..radius + tau_max, and at lag 0; it depends on the channel only."""
+    -radius..radius + tau_max, and at lag 0, of a channel with ``delays``
+    and ``gains`` such as a preset ``MultipathSpec``; it depends on the
+    channel only."""
     radius = response_decay_radius(1e-9)
-    tau_max = int(math.ceil(max(estimate.delays)))
+    tau_max = int(math.ceil(max(channel.delays)))
     d = np.arange(-radius, radius + tau_max + 1, dtype=float)
-    return composite_response(d, estimate), composite_response(0.0, estimate)
+    return composite_response(d, channel), composite_response(0.0, channel)
 
 
 def threshold_optimal(symbols, response) -> np.ndarray:
     """Genie threshold: the full interference sum over every other symbol,
     past and future, through the estimated paths. ``response`` is
-    ``genie_response(estimate)``, truncated where the pulse autocorrelation
+    ``genie_response(channel)``, truncated where the pulse autocorrelation
     falls below 1e-9."""
     s = np.asarray(symbols, dtype=float)
     c, c0 = response
@@ -226,10 +208,15 @@ def threshold_optimal(symbols, response) -> np.ndarray:
     return np.convolve(s, c)[radius:radius + s.size] - s * c0
 
 
-def decision_window(estimate) -> int:
-    """Length of the past-decision feedback window: 5 plus the span of the
-    channel in whole symbols."""
-    return 5 + int(math.ceil(max(estimate.delays)))
+def decision_window(gains):
+    """Length of the past-decision feedback window of a channel given by
+    its gains at whole-symbol delays 0..D-1 on the last axis: 5 plus the
+    delay of its last path, an int for one row (D,) and an int array for
+    rows (..., D). A path is present exactly when its gain is nonzero; a
+    row without one (every gain zero) counts as reaching delay D - 1."""
+    present = np.asarray(gains) != 0.0
+    last = present.shape[-1] - 1 - np.argmax(present[..., ::-1], axis=-1)
+    return 5 + (int(last) if np.ndim(last) == 0 else last)
 
 
 def decide(y, theta):
@@ -248,7 +235,7 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     ``y_syms`` holds symbol-rate observations, shape (..., n): one frame
     per row of its leading shape. ``train_syms`` is the known +-1 training
     prefix, shape (..., n_train); ``coeffs`` holds the feedback
-    coefficients c_1..c_w, the composite response of an estimate at the
+    coefficients c_1..c_w, the composite response of a channel at the
     past lags 1..w of its ``decision_window``, shape (..., w), rows with a
     shorter window padded with zeros at the end. Their leading shapes, and
     that of ``guess`` (below), must broadcast to the leading shape of

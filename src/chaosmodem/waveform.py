@@ -43,7 +43,7 @@ _VALIDATION_T_MIN = -40.0
 def _tail_peak_ratio(n_p: int) -> float:
     """max |p(t)| over the grid t < -n_p, relative to the global peak."""
     grid = np.arange(_VALIDATION_T_MIN, 1.0, _VALIDATION_GRID_STEP)
-    vals = np.abs(_eval_basis_array(grid))
+    vals = np.abs(eval_basis(grid))
     peak = float(vals.max())
     tail = vals[grid < -float(n_p)]
     if tail.size == 0:
@@ -88,18 +88,13 @@ class WaveformParams:
         object.__setattr__(self, "n_p", int(self.n_p))
 
 
-def _eval_basis_array(t: np.ndarray) -> np.ndarray:
+def eval_basis(t) -> np.ndarray:
+    """Transmit pulse p(t), elementwise: an array of t in, an array out."""
     t = np.asarray(t, dtype=float)
     c = np.cos(OMEGA * t) - (BETA / OMEGA) * np.sin(OMEGA * t)
     left = (1.0 - math.exp(-BETA)) * np.exp(BETA * t) * c
     mid = 1.0 - np.exp(BETA * (t - 1.0)) * c
     return np.where(t >= 1.0, 0.0, np.where(t < 0.0, left, mid))
-
-
-def eval_basis(t):
-    """Transmit pulse p(t); a float for scalar input, else an array."""
-    p = _eval_basis_array(t)
-    return float(p) if p.ndim == 0 else p
 
 
 def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
@@ -133,7 +128,7 @@ def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
 def _shaping_taps(n_c: int, params: WaveformParams) -> np.ndarray:
     """p on the grid -n_p <= t < 1 at n_c samples per symbol, read-only
     because every caller shares it."""
-    taps = _eval_basis_array(np.arange(-params.n_p * n_c, n_c) / n_c)
+    taps = eval_basis(np.arange(-params.n_p * n_c, n_c) / n_c)
     taps.flags.writeable = False
     return taps
 
@@ -266,7 +261,7 @@ def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
     def abs_p(lo, hi):
         n = int(round((hi - lo) / grid_step))
         t = lo + np.arange(n + 1) * grid_step
-        return t, np.abs(_eval_basis_array(t))
+        return t, np.abs(eval_basis(t))
 
     t_in, v_in = abs_p(-1.0, 1.0)
     integral_inside = 2.0 * float(np.trapezoid(v_in, dx=grid_step))
@@ -275,7 +270,7 @@ def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
 
     t_env = np.arange(_VALIDATION_T_MIN, 1.0, grid_step)
     margin = 5.0 * np.exp(-BETA * np.abs(t_env)) - 2.0 * np.abs(
-        _eval_basis_array(t_env))
+        eval_basis(t_env))
     cond2_margin = float(margin.min())
 
     rng = np.random.default_rng(20211)
@@ -303,5 +298,5 @@ def _superpose(symbols: np.ndarray, t: np.ndarray) -> np.ndarray:
     """Direct evaluation of sum_m s_m p(t - m) at arbitrary times."""
     acc = np.zeros_like(t, dtype=float)
     for m, sm in enumerate(symbols):
-        acc += sm * _eval_basis_array(t - m)
+        acc += sm * eval_basis(t - m)
     return acc

@@ -10,6 +10,7 @@ acquisition the batched one must reproduce.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -222,20 +223,28 @@ def _sync_offset(ctx, proj, y_i, y_q):
     return o, obs
 
 
+def dense_gains(channel) -> np.ndarray:
+    """The gains of a channel with ``delays`` and ``gains`` laid out at
+    whole-symbol delays 0.._MAX_DELAY, zero where it has no path."""
+    dense = np.zeros(_MAX_DELAY + 1)
+    dense[np.array(channel.delays, dtype=int)] = channel.gains
+    return dense
+
+
 def acquire_loop(ctx, sent, spec, pad, w):
     """``harness._acquire`` one grid point at a time: sync, LS estimate and
     receiver design per point, with the residual projection built from
-    the pseudoinverse of the path model. Returns what ``_acquire`` does:
-    (decoded points, feedback rows per point and rail, equalizers,
-    failures, estimate RMS)."""
+    the pseudoinverse of the path model, and the feedback coefficients
+    path by path over the estimate's own delays. Returns what ``_acquire``
+    does: (decoded points, feedback rows (points, 1, w) or None,
+    equalizers or None, failures, estimate RMS)."""
     win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
     B = ctx.design.design @ ctx.cascade
     proj = B @ np.linalg.pinv(B)
     n_points = ctx.sigmas.size
     failures = np.zeros(n_points, dtype=np.int64)
     rms = np.full(n_points, np.nan)
-    true_dense = np.zeros(_MAX_DELAY + 1)
-    true_dense[np.array(spec.delays, dtype=int)] = spec.gains
+    true_dense = dense_gains(spec)
     decoded, feedback, eqs = [], [], []
     for p, sigma in enumerate(ctx.sigmas):
         y_i, y_q = win_sig + sigma * win_noise
@@ -243,24 +252,33 @@ def acquire_loop(ctx, sent, spec, pad, w):
         est = None
         if picked is not None and picked[0] == pad + ctx.pulse.lead:
             try:
-                est = rx.estimate_channel_ls(picked[1], ctx.design, ctx.cascade)
+                est = rx.estimate_channel_ls(picked[1][None], ctx.design,
+                                             ctx.cascade)
             except np.linalg.LinAlgError:
                 pass
         if est is None:
             failures[p] = 1
             continue
-        dense = np.zeros(_MAX_DELAY + 1)
-        dense[np.array(est.delays, dtype=int)] = est.gains
-        rms[p] = float(np.sqrt(np.mean((dense - true_dense) ** 2)))
+        gains, noise_var = est
+        rms[p] = float(np.sqrt(np.mean((gains[0] - true_dense) ** 2)))
         decoded.append(p)
         if ctx.config.method == "rrc-mmse":
-            eqs.append(bl.design_mmse(est))
+            eqs.append(bl.design_mmse(gains, noise_var)[0])
         else:
-            feedback.append(isi_feedback_coeffs(est, rx.decision_window(est)))
-    width = max((c.size for c in feedback), default=0)
-    rows = np.repeat(np.array([np.pad(c, (0, width - c.size))
-                               for c in feedback])[:, None], 2, axis=1)
-    return decoded, rows, eqs, failures, rms
+            # a (delays, gains) pair, not a MultipathSpec: an estimate may
+            # lack the path at delay 0
+            delays = np.flatnonzero(gains[0])
+            paths = SimpleNamespace(delays=delays.astype(float),
+                                    gains=gains[0, delays])
+            feedback.append(isi_feedback_coeffs(
+                paths, rx.decision_window(gains[0])))
+    if ctx.config.method == "rrc-mmse":
+        return decoded, None, eqs, failures, rms
+    rows = np.zeros((len(feedback), 1, max((c.size for c in feedback),
+                                           default=0)))
+    for row, c in zip(rows, feedback):
+        row[0, :c.size] = c
+    return decoded, rows, None, failures, rms
 
 
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision

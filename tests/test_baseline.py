@@ -103,10 +103,12 @@ def test_shape_filter_mismatch():
 
 
 def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
+    """Gains (4,) and noise variance of one LS estimate."""
     design = rx.build_ls_design(train, max_delay=3)
     cascade = pulse.cascade(design.lags[:, None] - np.arange(4)[None, :])
-    return rx.estimate_channel_ls(y[design.rows], design, cascade,
-                                  spur_threshold=spur_threshold)
+    gains, noise_var = rx.estimate_channel_ls(
+        y[design.rows][None], design, cascade, spur_threshold=spur_threshold)
+    return gains[0], noise_var[0]
 
 
 def test_sync_template_alignment():
@@ -132,11 +134,11 @@ def test_estimate_channel_noiseless():
     chan = x.copy()
     chan[n_c:] += 0.6 * x[:-n_c]
     y = rx.sample_symbols(bl.rrc_matched_filter(chan, f), 16 * n_c, n_c, syms.size)
-    est = _rrc_estimate(y, train, H.pulse_for("rrc", n_c))
-    assert est.delays == (0.0, 1.0)
+    gains, noise_var = _rrc_estimate(y, train, H.pulse_for("rrc", n_c))
+    assert np.flatnonzero(gains).tolist() == [0, 1]
     # accuracy is limited only by the cascade truncation floor
-    assert np.max(np.abs(est.gains - [1.0, 0.6])) < 2e-3
-    assert est.noise_var < 1e-4
+    assert np.max(np.abs(gains[:2] - [1.0, 0.6])) < 2e-3
+    assert noise_var < 1e-4
 
 
 def test_estimate_channel_drops_spurs():
@@ -146,18 +148,24 @@ def test_estimate_channel_drops_spurs():
     x = bl.rrc_shape(train, f)
     y = rx.sample_symbols(bl.rrc_matched_filter(x, f), 16 * n_c, n_c, train.size)
     pulse = H.pulse_for("rrc", n_c)
-    est = _rrc_estimate(y, train, pulse)
-    assert est.delays == (0.0,)
-    assert abs(est.gains[0] - 1.0) < 2e-3
+    gains, _ = _rrc_estimate(y, train, pulse)
+    # a dropped path's gain is an exact zero
+    assert np.flatnonzero(gains).tolist() == [0]
+    assert abs(gains[0] - 1.0) < 2e-3
     # with the threshold off the small lags stay, but stay small
-    est_all = _rrc_estimate(y, train, pulse, spur_threshold=0.0)
-    assert est_all.delays == (0.0, 1.0, 2.0, 3.0)
-    assert np.max(np.abs(est_all.gains[1:])) < 5e-3
+    gains_all, _ = _rrc_estimate(y, train, pulse, spur_threshold=0.0)
+    assert np.flatnonzero(gains_all).tolist() == [0, 1, 2, 3]
+    assert np.max(np.abs(gains_all[1:])) < 5e-3
+
+
+def _design_one(gains, noise_var=0.0, **kw):
+    """The equalizer of one channel row."""
+    return bl.design_mmse(np.array([gains], dtype=float),
+                          np.array([noise_var]), **kw)[0]
 
 
 def test_mmse_single_path_identity():
-    est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
-    eq = bl.design_mmse(est)
+    eq = _design_one([1.0])
     assert eq.length == 15 and eq.delay == 7
     ideal = np.zeros(15)
     ideal[7] = 1.0
@@ -169,8 +177,7 @@ def test_mmse_single_path_identity():
 
 
 def test_mmse_two_path_residual_isi():
-    est = rx.ChannelEstimate((0.0, 1.0), np.array([1.0, 0.6]), 0.0)
-    eq = bl.design_mmse(est)
+    eq = _design_one([1.0, 0.6])
     rng = np.random.default_rng(7)
     s = rng.choice([-1.0, 1.0], 20000)
     y = np.convolve(s, [1.0, 0.6])[: s.size]
@@ -188,8 +195,7 @@ def test_mmse_two_path_residual_isi():
 def test_mmse_is_a_minimum():
     # at the solution, nudging any tap either way cannot help on a long
     # noiseless held-out block
-    est = rx.ChannelEstimate((0.0, 1.0), np.array([1.0, 0.6]), 0.0)
-    eq = bl.design_mmse(est)
+    eq = _design_one([1.0, 0.6])
     rng = np.random.default_rng(13)
     s = rng.choice([-1.0, 1.0], 60000)
     y = np.convolve(s, [1.0, 0.6])[: s.size]
@@ -208,69 +214,75 @@ def test_mmse_is_a_minimum():
 
 
 def test_mmse_regularization_shrinks_taps():
-    est = rx.ChannelEstimate((0.0, 1.0), np.array([1.0, 0.6]), 0.0)
-    norms = [
-        float(np.linalg.norm(bl.design_mmse(est, noise_var=v).taps))
-        for v in (0.1, 10.0, 1e6)
-    ]
+    norms = [float(np.linalg.norm(_design_one([1.0, 0.6], v).taps))
+             for v in (0.1, 10.0, 1e6)]
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 1e-4
 
 
 def test_mmse_batch_matches_single():
-    # a batch mixing channel spans 1-4 gives, in input order, each
-    # estimate's own equalizer bitwise, and that is the closed form
+    # a batch of gains rows mixing channel spans 1-4 gives, in row order,
+    # each row's own equalizer bitwise, and that is the closed form
     # solve(H^T H + sigma^2 I, H^T e_d) on the 2-d convolution matrix
     rng = np.random.default_rng(17)
-    ests = []
+    rows = []
     for _ in range(6):
-        for delays in ((0.0,), (0.0, 1.0), (1.0,), (0.0, 2.0), (0.0, 1.0, 2.0),
-                       (0.0, 3.0), (0.0, 1.0, 2.0, 3.0), (2.0, 3.0)):
-            ests.append(rx.ChannelEstimate(
-                delays, rng.uniform(-1.0, 1.0, len(delays)) + 1.2 * (
-                    np.arange(len(delays)) == 0), rng.uniform(0.0, 0.5)))
-    rng.shuffle(ests)
-    batch = bl.design_mmse(ests)
-    assert isinstance(batch, list) and len(batch) == len(ests)
-    for est, got in zip(ests, batch):
-        want = bl.design_mmse(est)
+        for delays in ((0,), (0, 1), (1,), (0, 2), (0, 1, 2), (0, 3),
+                       (0, 1, 2, 3), (2, 3)):
+            g = np.zeros(4)
+            g[list(delays)] = rng.uniform(-1.0, 1.0, len(delays)) + 1.2 * (
+                np.arange(len(delays)) == 0)
+            rows.append(g)
+    gains = rng.permutation(np.array(rows))
+    noise_var = rng.uniform(0.0, 0.5, len(gains))
+    batch = bl.design_mmse(gains, noise_var)
+    assert isinstance(batch, list) and len(batch) == len(gains)
+    for g, v, got in zip(gains, noise_var, batch):
+        want = _design_one(g, v)
         assert got.taps.tobytes() == want.taps.tobytes()
         assert (got.length, got.delay, got.noise_var) == (
             want.length, want.delay, want.noise_var)
-        h = np.zeros(int(max(est.delays)) + 1)
-        h[np.array(est.delays, dtype=int)] = est.gains
+        h = g[:np.flatnonzero(g)[-1] + 1]
         H = np.zeros((want.length + h.size - 1, want.length))
         for j in range(want.length):
             H[j:j + h.size, j] = h
         e_d = np.zeros(H.shape[0])
         e_d[want.delay] = 1.0
-        ref = np.linalg.solve(H.T @ H + est.noise_var * np.eye(want.length),
-                              H.T @ e_d)
+        ref = np.linalg.solve(H.T @ H + v * np.eye(want.length), H.T @ e_d)
         assert want.taps.tobytes() == ref.tobytes()
-    # one shared noise_var overrides every estimate's
-    for eq in bl.design_mmse(ests[:5], noise_var=0.25):
-        assert eq.noise_var == 0.25
-    assert bl.design_mmse([]) == []
+        # trailing zero gains design the trimmed row's equalizer
+        assert _design_one(h, v).taps.tobytes() == want.taps.tobytes()
+    # one (1, D) row shared by P noise variances is P one-row designs
+    shared = bl.design_mmse(gains[:1], noise_var)
+    assert len(shared) == len(noise_var)
+    for v, got in zip(noise_var, shared):
+        want = _design_one(gains[0], v)
+        assert got.taps.tobytes() == want.taps.tobytes()
+        assert got.noise_var == want.noise_var == v
+    assert bl.design_mmse(np.zeros((0, 4)), np.zeros(0)) == []
 
 
 def test_mmse_errors():
-    dead = rx.ChannelEstimate((0.0,), np.array([0.0]), 0.0)
     with pytest.raises(np.linalg.LinAlgError):
-        bl.design_mmse(dead)
+        _design_one([0.0])
     # regularization rescues the same channel
-    eq = bl.design_mmse(dead, noise_var=1.0)
+    eq = _design_one([0.0], 1.0)
     assert np.all(eq.taps == 0.0)
-    frac = rx.ChannelEstimate((0.0, 1.5), np.array([1.0, 0.4]), 0.0)
     with pytest.raises(ValueError):
-        bl.design_mmse(frac)
-    est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
+        _design_one([1.0], -1.0)
     with pytest.raises(ValueError):
-        bl.design_mmse(est, noise_var=-1.0)
-    with pytest.raises(ValueError):
-        bl.design_mmse(est, delay=40)
-    # a batch fails as its worst item does
+        _design_one([1.0], delay=40)
+    # trailing zero gains do not widen the cascade support
+    for row in ([1.0], [1.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="support"):
+            _design_one(row, length=2, delay=2)
+    # a batch fails as its worst row does
     with pytest.raises(np.linalg.LinAlgError):
-        bl.design_mmse([est, dead])
+        bl.design_mmse(np.array([[1.0], [0.0]]), np.zeros(2))
+    # gains are (P, D) or (1, D) against noise variances (P,)
     with pytest.raises(ValueError):
-        bl.design_mmse([est, frac])
-
+        bl.design_mmse(np.array([1.0, 0.6]), np.zeros(1))
+    with pytest.raises(ValueError):
+        bl.design_mmse(np.ones((3, 2)), np.zeros(2))
+    with pytest.raises(ValueError):
+        bl.design_mmse(np.ones((1, 2)), np.zeros((2, 1)))

@@ -68,6 +68,13 @@ def test_config_validation():
             small_static(ebn0_grid=grid)
 
 
+@pytest.mark.parametrize("key", ("n_training_bits", "n_data_bits"))
+def test_odd_bit_count_names_its_key(key):
+    with pytest.raises(ValueError, match=f"^{key} must be even for QPSK "
+                                         f"framing, got 255$"):
+        small_static(**{key: 255})
+
+
 def test_genie_only_for_optimal():
     assert small_static(method="chaotic-opt", genie=True).genie
     for method in ("chaotic-subopt", "chaotic-zero", "rrc-mmse", "rrc-noeq",
@@ -250,16 +257,18 @@ def test_frame_reuses_buffers(monkeypatch, method, quasi):
 
 def assert_same_receiver(got, want):
     # bitwise: decoded points, feedback rows, equalizer taps and noise
-    # variances, failures, and the RMS with its NaN positions
+    # variances, failures, and the RMS with its NaN positions; a receiver
+    # the method does not read is None in both
     decoded, rows, eqs, failures, rms = got
     w_decoded, w_rows, w_eqs, w_failures, w_rms = want
     assert list(decoded) == list(w_decoded)
-    rows, w_rows = np.asarray(rows), np.asarray(w_rows)
-    if rows.size or w_rows.size:
+    assert (rows is None) == (w_rows is None)
+    if rows is not None:
         assert rows.shape == w_rows.shape
         assert rows.tobytes() == w_rows.tobytes()
-    assert len(eqs) == len(w_eqs)
-    for a, b in zip(eqs, w_eqs):
+    assert (eqs is None) == (w_eqs is None)
+    assert len(eqs or ()) == len(w_eqs or ())
+    for a, b in zip(eqs or (), w_eqs or ()):
         assert (a.length, a.delay, a.noise_var) == (b.length, b.delay,
                                                     b.noise_var)
         assert a.taps.tobytes() == b.taps.tobytes()
@@ -309,31 +318,69 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
 
 
 def test_feedback_rows_match_isi_feedback_coeffs():
-    # the per-context table of the pulse cascade, summed path by path over
-    # the dense gains, gives isi_feedback_coeffs bitwise for every delay
-    # subset of the candidate set, each row zero-filled past its own
-    # decision window
+    # _receivers sums the per-context table of the pulse cascade path by
+    # path over each gains row and gives isi_feedback_coeffs bitwise for
+    # every delay subset of the candidate set, each row zero-filled past
+    # its own decision window, as (rows, 1, w) for the decoder to
+    # broadcast over the rails
     ctx = H._Context(small_quasi(), True)
     rng = np.random.default_rng(11)
     subsets = [d for k in range(1, H._MAX_DELAY + 2)
                for d in itertools.combinations(range(H._MAX_DELAY + 1), k)]
     assert len(subsets) == 15
     for _ in range(20):
-        ests = [rx.ChannelEstimate(d, rng.uniform(-1.5, 1.5, len(d)), 0.1)
-                for d in subsets]
-        rows = H._feedback_rows(ctx.feedback_table, ests, H._dense(ests))
-        for row, est in zip(rows, ests):
-            want = isi_feedback_coeffs(est, rx.decision_window(est))
-            padded = np.pad(want, (0, rows.shape[1] - want.size))
+        gains = np.zeros((len(subsets), H._MAX_DELAY + 1))
+        for row, d in zip(gains, subsets):
+            row[list(d)] = rng.uniform(-1.5, 1.5, len(d))
+        feedback, eqs = H._receivers(ctx, gains, np.full(len(subsets), 0.1))
+        assert eqs is None
+        assert feedback.shape[:2] == (len(subsets), 1)
+        for row, d, g in zip(feedback[:, 0], subsets, gains):
+            paths = SimpleNamespace(delays=d, gains=g[list(d)])
+            want = isi_feedback_coeffs(paths, 5 + max(d))
+            padded = np.pad(want, (0, feedback.shape[2] - want.size))
             assert row.tobytes() == padded.tobytes()
-    # a known channel's row is its preset's, one (w,) row that every point
-    # and rail shares
+    # a row without a path keeps the widest window, all zeros
+    feedback, _ = H._receivers(ctx, np.zeros((1, H._MAX_DELAY + 1)),
+                               np.zeros(1))
+    assert feedback.shape == (1, 1, 5 + H._MAX_DELAY)
+    assert not feedback.any()
+    # a known channel's row is its preset's, one (1, 1, w) row that every
+    # point and rail shares, so every point shares the decoder's first pass
     for preset in ("static2", "static3"):
         row = H._Context(small_static(channel=preset), False).known[1]
         spec = ch.get_preset(preset)
-        want = isi_feedback_coeffs(spec, rx.decision_window(spec))
-        assert row.shape == want.shape
+        want = isi_feedback_coeffs(spec, 5 + int(max(spec.delays)))
+        assert row.shape == (1, 1, want.size)
         assert row.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
+def test_lstsq_failure_fails_every_point(monkeypatch, method):
+    # lstsq factors only the fixed cascade columns, so when it raises every
+    # point of the frame fails: none decoded, no estimate RMS, and under
+    # the pessimistic policy every payload bit counted in error
+    cfg = small_quasi(method=method, ebn0_grid=(6.0, 8.0, 10.0))
+    monkeypatch.setattr(H, "_CTX", H._Context(cfg, True))
+    assert not H._frame(0)[2].any()
+    acquired = []
+    real = H._acquire
+
+    def kept(*args):
+        acquired.append(real(*args))
+        return acquired[-1]
+
+    def broken(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(H, "_acquire", kept)
+    monkeypatch.setattr(np.linalg, "lstsq", broken)
+    errors, counted, failures, rms = H._frame(0)
+    (decoded, _, _, _, _), = acquired
+    assert decoded.size == 0
+    assert failures.tolist() == [1, 1, 1]
+    assert np.isnan(rms).all()
+    assert errors.tolist() == counted.tolist() == [cfg.n_data_bits] * 3
 
 
 def test_genie_response_once_per_sweep(monkeypatch):

@@ -12,8 +12,10 @@ from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
 from chaosmodem import txchain as tx
 from chaosmodem import waveform as wf
-from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop,
+from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, dense_gains,
                      isi_feedback_coeffs, threshold_suboptimal)
+
+SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
 
 
 def test_matched_filter_tap_symmetry():
@@ -178,18 +180,6 @@ def test_single_path_raw_sign_decisions():
     assert errors / syms.size <= 1e-3
 
 
-def test_channel_estimate_validation():
-    rx.ChannelEstimate((0.0, 1.0), np.array([1.0, 0.5]), 0.1)
-    with pytest.raises(ValueError):
-        rx.ChannelEstimate((1.0, 0.0), np.array([1.0, 0.5]), 0.1)
-    with pytest.raises(ValueError):
-        rx.ChannelEstimate((0.0,), np.array([np.inf]), 0.1)
-    with pytest.raises(ValueError):
-        rx.ChannelEstimate((0.0,), np.array([1.0]), -1.0)
-    with pytest.raises(ValueError):
-        rx.ChannelEstimate((), np.array([]), 0.0)
-
-
 def _cascade(design, max_delay=3):
     """Chaotic pulse cascade at each design lag minus each candidate delay."""
     return th.response_r(design.lags[:, None] - np.arange(max_delay + 1.0))
@@ -205,11 +195,12 @@ def test_ls_noiseless_two_path():
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
     design = rx.build_ls_design(syms, max_delay=3)
-    est = rx.estimate_channel_ls(ysym[design.rows], design, _cascade(design))
-    assert est.delays == (0.0, 1.0)
+    (gains,), (noise_var,) = rx.estimate_channel_ls(ysym[design.rows][None],
+                                                    design, _cascade(design))
+    assert np.flatnonzero(gains).tolist() == [0, 1]
     true = np.array([1.0, math.exp(-0.6)])
-    assert np.max(np.abs(est.gains - true) / true) < 1e-4
-    assert est.noise_var < 1e-4
+    assert np.max(np.abs(gains[:2] - true) / true) < 1e-4
+    assert noise_var < 1e-4
 
 
 def test_ls_single_path_spurious_taps():
@@ -221,12 +212,13 @@ def test_ls_single_path_spurious_taps():
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
     design = rx.build_ls_design(syms, max_delay=3)
-    obs, cascade = ysym[design.rows], _cascade(design)
-    raw = rx.estimate_channel_ls(obs, design, cascade, spur_threshold=0.0)
-    assert abs(raw.gains[0] - 1.0) < 0.02
-    assert np.max(np.abs(raw.gains[1:])) < 0.02
-    est = rx.estimate_channel_ls(obs, design, cascade)
-    assert est.delays == (0.0,)
+    obs, cascade = ysym[design.rows][None], _cascade(design)
+    (raw,), _ = rx.estimate_channel_ls(obs, design, cascade,
+                                       spur_threshold=0.0)
+    assert abs(raw[0] - 1.0) < 0.02
+    assert np.max(np.abs(raw[1:])) < 0.02
+    (gains,), _ = rx.estimate_channel_ls(obs, design, cascade)
+    assert np.flatnonzero(gains).tolist() == [0]
 
 
 def test_ls_noisy_gain_rms():
@@ -248,15 +240,16 @@ def test_ls_noisy_gain_rms():
         x = ch.propagate(wf.synth_waveform(train, n_c, params), spec, n_c)
         y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), mft)
         ysym = rx.sample_symbols(y, 0, n_c, train.size)
-        est = rx.estimate_channel_ls(ysym[design.rows], design, cascade,
-                                     spur_threshold=0.0)
-        sq_err.append(np.mean((est.gains - true) ** 2))
+        gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design,
+                                          cascade, spur_threshold=0.0)
+        sq_err.append(np.mean((gains[0] - true) ** 2))
     assert math.sqrt(float(np.mean(sq_err))) < 0.05
 
 
 def test_ls_batch_matches_rows():
-    # a (P, m) batch gives each row's own 1-d estimate bitwise, whose
-    # stage one is the plain pinv @ obs; rows keep different path sets
+    # a (P, m) batch gives each row's own one-row estimate bitwise, whose
+    # stage one is the plain pinv @ obs; rows keep different path sets,
+    # and a dropped path's gain is an exact zero
     rng = np.random.default_rng(31)
     train = rng.choice([-1.0, 1.0], (2, 128))
     design = rx.build_ls_design(train)
@@ -266,20 +259,20 @@ def test_ls_batch_matches_rows():
     obs = (design.design @ cascade @ truth.T).T
     obs += np.linspace(0.0, 0.5, len(truth))[:, None] * rng.standard_normal(
         obs.shape)
-    batch = rx.estimate_channel_ls(obs, design, cascade)
-    assert isinstance(batch, list) and len(batch) == len(obs)
-    assert len({e.delays for e in batch}) > 1
+    gains, noise_var = rx.estimate_channel_ls(obs, design, cascade)
+    assert gains.shape == truth.shape and noise_var.shape == (len(obs),)
+    assert len({tuple(np.flatnonzero(g)) for g in gains}) > 1
     dof = obs.shape[1] - design.lags.size
-    for row, got in zip(obs, batch):
-        want = rx.estimate_channel_ls(row, design, cascade)
-        assert isinstance(want, rx.ChannelEstimate)
-        assert got.delays == want.delays
-        assert got.gains.tobytes() == want.gains.tobytes()
-        assert got.noise_var == want.noise_var
+    for row, g, v in zip(obs, gains, noise_var):
+        (want,), (want_var,) = rx.estimate_channel_ls(row[None], design,
+                                                      cascade)
+        assert g.tobytes() == want.tobytes()
+        assert v == want_var
         resid = row - design.design @ (design.pinv @ row)
-        assert want.noise_var == float(np.dot(resid, resid)) / dof
-    with pytest.raises(ValueError):
-        rx.estimate_channel_ls(obs[None], design, cascade)
+        assert want_var == float(np.dot(resid, resid)) / dof
+    for bad in (obs[0], obs[None]):
+        with pytest.raises(ValueError, match="must be 2-d"):
+            rx.estimate_channel_ls(bad, design, cascade)
 
 
 def test_ls_preconditions():
@@ -303,9 +296,8 @@ def test_ls_design_stacks_rails():
 
 
 def test_threshold_optimal_brute_force():
-    est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     syms = np.array([-1.0, -1.0, 1.0, -1.0, -1.0])
-    theta = rx.threshold_optimal(syms, rx.genie_response(est))
+    theta = rx.threshold_optimal(syms, rx.genie_response(SINGLE_PATH))
     radius = th.response_decay_radius(1e-9)
     for n in range(syms.size):
         brute = sum(syms[m] * th.response_r(float(n - m))
@@ -318,9 +310,8 @@ def test_threshold_optimal_brute_force():
 
 def test_threshold_optimal_symmetry_and_constant():
     spec = ch.get_preset("static2")
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     ones = np.ones(80)
-    response = rx.genie_response(est)
+    response = rx.genie_response(spec)
     theta = rx.threshold_optimal(ones, response)
     mid = theta[35:45]
     assert np.max(np.abs(mid - mid[0])) < 1e-9
@@ -332,26 +323,28 @@ def test_threshold_optimal_symmetry_and_constant():
 
 def test_threshold_suboptimal_past_half_split():
     spec = ch.get_preset("static3")
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-    w = rx.decision_window(est)
-    assert w == 5 + 2
+    w = rx.decision_window(dense_gains(spec))
+    assert type(w) is int and w == 5 + 2
+    # per row, from the last nonzero gain; a row without one reaches D - 1
+    rows = np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0],
+                     [0.0, 0.3, 0.0, -0.2], [0.0, 0.0, 0.0, 0.0]])
+    assert rx.decision_window(rows).tolist() == [5, 7, 8, 8]
     rng = np.random.default_rng(33)
     past = rng.choice([-1.0, 1.0], w)
-    state = ThresholdState.fresh(isi_feedback_coeffs(est, w))
+    state = ThresholdState.fresh(isi_feedback_coeffs(spec, w))
     for sym in past[::-1]:
         state.push(sym)
     theta = threshold_suboptimal(state)
     brute = sum(past[k - 1] * sum(g * th.response_r(float(k - d))
-                                  for d, g in zip(est.delays, est.gains))
+                                  for d, g in zip(spec.delays, spec.gains))
                 for k in range(1, w + 1))
     assert abs(theta - brute) < 1e-12
 
 
 def test_threshold_suboptimal_zero_mean():
-    est = rx.ChannelEstimate((0.0,), np.array([1.0]), 0.0)
     rng = np.random.default_rng(88)
-    w = rx.decision_window(est)
-    coeffs = isi_feedback_coeffs(est, w)
+    w = rx.decision_window(dense_gains(SINGLE_PATH))
+    coeffs = isi_feedback_coeffs(SINGLE_PATH, w)
     draws = rng.choice([-1.0, 1.0], size=(20_000, w))
     thetas = draws @ coeffs
     assert abs(float(np.mean(thetas))) < 3.0 * float(np.std(thetas)) / math.sqrt(20_000)
@@ -362,10 +355,9 @@ def test_threshold_window_extension_bound():
     # the threshold by at most twice the first omitted coefficient (which
     # is far larger than 1e-6, so the window length genuinely matters)
     spec = ch.get_preset("static2")
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-    w = rx.decision_window(est)
+    w = rx.decision_window(dense_gains(spec))
     long_w = 2 * w
-    coeffs = isi_feedback_coeffs(est, long_w)
+    coeffs = isi_feedback_coeffs(spec, long_w)
     rng = np.random.default_rng(44)
     bound = 2.0 * abs(coeffs[w])
     assert bound > 1e-6
@@ -399,13 +391,12 @@ def test_decode_genie_noiseless_exact():
     params = wf.WaveformParams()
     n_c = 8
     spec = ch.get_preset("static3")
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
     rng = np.random.default_rng(61)
     syms = rng.choice([-1.0, 1.0], 600)
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
     y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(est)))
+    dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
     assert np.array_equal(dec, syms)
 
 
@@ -421,14 +412,13 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     params = wf.WaveformParams()
     n_c = 8
     spec = ch.get_preset(preset)
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.05)
     rng = np.random.default_rng(seed)
     syms = rng.choice([-1.0, 1.0], 200)
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
     y = rx.matched_filter(x + sigma * rng.standard_normal(x.size),
                           rx.matched_filter_taps(n_c, params))
     ysym = rx.sample_symbols(y, 0, n_c, syms.size)
-    coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
+    coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
     fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)
     state = ThresholdState.fresh(coeffs)
     slow = np.empty(syms.size)
@@ -474,11 +464,12 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
 
     def feedback(rows):
         if not per_row:
-            est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-            coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
+            coeffs = isi_feedback_coeffs(
+                spec, rx.decision_window(dense_gains(spec)))
             return coeffs, [coeffs] * rows
-        own = [isi_feedback_coeffs(rx.ChannelEstimate(
-                   spec.delays, rng.uniform(-1.0, 1.0, len(spec.delays)), 0.0),
+        own = [isi_feedback_coeffs(ch.MultipathSpec(
+                   spec.delays, tuple(rng.uniform(-1.0, 1.0,
+                                                  len(spec.delays)))),
                    int(rng.integers(0, 9))) for _ in range(rows)]
         width = max(c.size for c in own)
         return np.array([np.pad(c, (0, width - c.size)) for c in own]), own
@@ -539,8 +530,7 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
 
 def test_decode_suboptimal_rejects_mismatched_rows():
     spec = ch.get_preset("static2")
-    est = rx.ChannelEstimate(spec.delays, np.array(spec.gains), 0.0)
-    coeffs = isi_feedback_coeffs(est, rx.decision_window(est))
+    coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
     y = np.zeros((4, 20))
     with pytest.raises(ValueError, match="3 training rows for 4"):
         rx.decode_suboptimal(y, np.ones((3, 5)), coeffs)

@@ -23,8 +23,8 @@ def test_basis_frozen_values():
     t = np.arange(-2.0, 1.0, 1e-4)
     vals = wf.eval_basis(t)
     assert abs(t[np.argmax(np.abs(vals))] - 0.5) < 1e-3
-    # a scalar comes back as a float from the same formula as the array
-    assert type(wf.eval_basis(-0.3)) is float
+    # elementwise: a 0-d array for a scalar, the same value as in an array
+    assert wf.eval_basis(-0.3).shape == ()
     assert wf.eval_basis(-0.3) == wf.eval_basis(np.array([-0.3]))[0]
 
 
