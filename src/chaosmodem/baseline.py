@@ -4,7 +4,9 @@ symbol-rate linear MMSE equalization.
 The shaper/matched-filter cascade is a raised cosine, so on the symbol grid
 the channel seen by the equalizer is just the multipath taps themselves
 (Nyquist criterion, up to the truncation floor of the finite span), and
-the equalizer is designed from those gains at whole-symbol delays.
+the equalizer is designed from those gains at whole-symbol delays. An
+equalizer is a plain array of EQ_LENGTH taps: ``design_mmse`` returns one
+row per channel, and ``apply_equalizer`` runs one row over a rail.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ DEFAULT_ROLLOFF = 0.25
 # which busts the Nyquist tolerance the filter type enforces; 16 is the
 # shortest even span that clears it comfortably (~5e-4) at rolloff 0.25.
 DEFAULT_SPAN = 16
-DEFAULT_EQ_LENGTH = 15
-DEFAULT_EQ_DELAY = 7
+EQ_LENGTH = 15
+EQ_DELAY = 7
 NYQUIST_TOL = 1e-3
 
 
@@ -128,29 +130,11 @@ def rrc_matched_filter(baseband, filt: RrcFilter) -> np.ndarray:
     return np.convolve(x, filt.taps[::-1])
 
 
-@dataclass(frozen=True)
-class MmseEqualizer:
-    """Symbol-spaced linear MMSE equalizer."""
+def design_mmse(gains, noise_var) -> np.ndarray:
+    """Regularized least-squares equalizers w = (H^T H + sigma^2 I)^-1 H^T e_d
+    of EQ_LENGTH taps at the decision delay EQ_DELAY.
 
-    length: int
-    delay: int
-    taps: np.ndarray
-    noise_var: float
-
-    def __post_init__(self):
-        if self.length < 1 or self.taps.shape != (self.length,):
-            raise ValueError("taps must have shape (length,)")
-        if not np.all(np.isfinite(self.taps)):
-            raise ValueError("equalizer taps must be finite")
-        if self.noise_var < 0.0:
-            raise ValueError("noise_var must be >= 0")
-
-
-def design_mmse(gains, noise_var, length: int = DEFAULT_EQ_LENGTH,
-                delay: int = DEFAULT_EQ_DELAY):
-    """Regularized least-squares equalizer w = (H^T H + sigma^2 I)^-1 H^T e_d.
-
-    H is the (length + channel_span - 1) x length convolution matrix of the
+    H is the (EQ_LENGTH + D - 1) x EQ_LENGTH convolution matrix of the
     symbol-rate channel, e_d the unit vector at the decision delay. For
     unit-variance independent symbols and white noise of variance sigma^2
     at the matched-filter output this is the linear MMSE solution. A
@@ -159,14 +143,12 @@ def design_mmse(gains, noise_var, length: int = DEFAULT_EQ_LENGTH,
 
     ``gains`` holds one channel per row, shape (P, D), column d the gain
     at symbol delay d, or one row (1, D) shared by the P noise variances
-    ``noise_var``, shape (P,). A path is present exactly when its gain is
-    nonzero, so a row's span is the index of its last nonzero gain plus 1
-    and trailing zeros design the trimmed row's equalizer; a row without a
-    nonzero gain spans all D delays. Returns a list of P equalizers in row
-    order. The algebra runs on stacks of H that share a channel span, as
-    stacked matmul and solve, which treat each item as its own 2-d product
-    and solve, so an equalizer is bitwise the same designed alone or in a
-    batch.
+    ``noise_var``, shape (P,). Returns the taps, shape (P, EQ_LENGTH), in
+    row order. Every row is solved at span D in one stacked matmul and
+    solve, which treat each item as its own 2-d product and solve; a zero
+    gain only adds exact zeros to H^T H and H^T e_d. So a row's taps are
+    bitwise the same designed alone, in a batch, or with its trailing
+    zero gains trimmed.
     """
     sigma2 = np.asarray(noise_var, dtype=float)
     gains = np.asarray(gains, dtype=float)
@@ -174,40 +156,27 @@ def design_mmse(gains, noise_var, length: int = DEFAULT_EQ_LENGTH,
         raise ValueError(f"gains of shape {gains.shape} must be 2-d and "
                          f"noise_var of shape {sigma2.shape} 1-d")
     gains = np.broadcast_to(gains, (sigma2.size, gains.shape[1]))
-    if length < 1:
-        raise ValueError("length must be >= 1")
     if np.any(sigma2 < 0.0):
         raise ValueError("noise_var must be >= 0")
-    spans = gains.shape[1] - np.argmax(gains[:, ::-1] != 0.0, axis=1)
-    eqs = [None] * sigma2.size
-    for span in sorted(set(spans.tolist())):
-        group = np.flatnonzero(spans == span)
-        n_out = length + span - 1
-        if not 0 <= delay < n_out:
-            raise ValueError("delay must lie inside the cascade support")
-        # column j of H holds h from row j on
-        j = np.arange(length)[:, None]
-        H = np.zeros((group.size, n_out, length))
-        H[:, j + np.arange(span), j] = gains[group, None, :span]
-        s2 = sigma2[group]
-        zf = s2 == 0.0
-        if zf.any() and np.any(np.linalg.matrix_rank(H[zf]) < length):
-            raise np.linalg.LinAlgError(
-                "zero noise variance with rank-deficient channel matrix")
-        e_d = np.zeros(n_out)
-        e_d[delay] = 1.0
-        Ht = H.transpose(0, 2, 1)
-        w = np.linalg.solve(Ht @ H + s2[:, None, None] * np.eye(length),
-                            (Ht @ e_d)[..., None])[..., 0]
-        for i, taps in zip(group, w):
-            eqs[i] = MmseEqualizer(length, delay, taps, float(sigma2[i]))
-    return eqs
+    span = gains.shape[1]
+    # column j of H holds h from row j on
+    j = np.arange(EQ_LENGTH)[:, None]
+    H = np.zeros((sigma2.size, EQ_LENGTH + span - 1, EQ_LENGTH))
+    H[:, j + np.arange(span), j] = gains[:, None, :]
+    zf = sigma2 == 0.0
+    if zf.any() and np.any(np.linalg.matrix_rank(H[zf]) < EQ_LENGTH):
+        raise np.linalg.LinAlgError(
+            "zero noise variance with rank-deficient channel matrix")
+    e_d = np.zeros(H.shape[1])
+    e_d[EQ_DELAY] = 1.0
+    Ht = H.transpose(0, 2, 1)
+    return np.linalg.solve(Ht @ H + sigma2[:, None, None] * np.eye(EQ_LENGTH),
+                           (Ht @ e_d)[..., None])[..., 0]
 
 
-def apply_equalizer(symbols_rx, eq: MmseEqualizer) -> np.ndarray:
-    """Run the FIR and undo the decision delay, so output n estimates
-    symbol n. Edge symbols see a partial window."""
+def apply_equalizer(symbols_rx, taps) -> np.ndarray:
+    """Run the FIR ``taps`` (one row of ``design_mmse``) and undo the
+    decision delay, so output n estimates symbol n. Edge symbols see a
+    partial window."""
     y = np.asarray(symbols_rx, dtype=float)
-    full = np.convolve(y, eq.taps)
-    return full[eq.delay : eq.delay + y.size]
-
+    return np.convolve(y, taps)[EQ_DELAY:EQ_DELAY + y.size]

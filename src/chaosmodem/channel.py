@@ -105,14 +105,22 @@ def calibrate_noise(eb_n0_db: float, waveform_energy_per_bit: float) -> float:
     ``waveform_energy_per_bit`` is the measured sample-sum energy of one
     bit's worth of transmitted waveform (long-run average), so the rate
     factor is already folded in: sigma^2 = E_b / (2 * 10^(dB/10)) per
-    baseband dimension.
+    baseband dimension. An Eb/N0 so extreme that sigma is not finite and
+    positive raises a ValueError.
     """
     if waveform_energy_per_bit <= 0:
         raise ValueError(
             f"energy per bit must be positive, got {waveform_energy_per_bit}"
         )
-    snr_lin = 10.0 ** (eb_n0_db / 10.0)
-    return float(np.sqrt(waveform_energy_per_bit / (2.0 * snr_lin)))
+    try:
+        sigma = float(np.sqrt(waveform_energy_per_bit
+                              / (2.0 * 10.0 ** (eb_n0_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0.0 < sigma < np.inf:
+        raise ValueError(f"Eb/N0 = {eb_n0_db} dB gives no finite, positive "
+                         f"noise sigma")
+    return sigma
 
 
 def draw_gamma(model: QuasiStaticModel, rng: np.random.Generator) -> float:

@@ -45,7 +45,7 @@ from . import channel as ch
 from . import rxchain as rx
 from . import theory as th
 from . import txchain as tx
-from .waveform import WaveformParams, synth_waveform
+from .waveform import WaveformParams, shaping_taps, synth_waveform
 
 SIM_METHODS = ("chaotic-opt", "chaotic-subopt", "chaotic-zero",
                "rrc-mmse", "rrc-noeq")
@@ -87,6 +87,9 @@ class ExperimentConfig:
     failure_policy: str = "pessimistic"
 
     def __post_init__(self):
+        for name in ("method", "channel", "failure_policy"):
+            if not isinstance(v := getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {v!r}")
         if self.method not in METHODS:
             raise ValueError(
                 f"unknown method {self.method!r}; known: {', '.join(METHODS)}")
@@ -119,6 +122,16 @@ class ExperimentConfig:
                                  f"got {v}")
         if not (_is_int(self.n_c) and self.n_c >= 2):
             raise ValueError(f"n_c must be an integer >= 2, got {self.n_c}")
+        try:
+            energy = pulse_for(self.method, self.n_c).energy
+        except ValueError as exc:
+            raise ValueError(f"n_c = {self.n_c} does not suit {self.method}: "
+                             f"{exc}") from None
+        for db in grid:
+            try:
+                ch.calibrate_noise(db, energy)
+            except ValueError as exc:
+                raise ValueError(f"ebn0_grid value out of range: {exc}") from None
         if not isinstance(self.genie, bool):
             raise ValueError(f"genie must be True or False, got {self.genie!r}")
         if self.genie and self.method != "chaotic-opt":
@@ -214,16 +227,16 @@ class _ChaoticPulse(Pulse):
     def __init__(self, n_c: int):
         self.n_c = n_c
         self.params = WaveformParams()
-        self.mft = rx.matched_filter_taps(n_c, self.params)
         self.lead = 0
         self.tail = np.resize(np.array([1.0, -1.0]), self.params.n_p)
-        self.energy = float(np.dot(self.mft.kernel, self.mft.kernel))
+        g = shaping_taps(n_c, self.params)[::-1].copy()  # ddot rounds by layout
+        self.energy = float(np.dot(g, g))
 
     def synth(self, symbols) -> np.ndarray:
         return synth_waveform(symbols, self.n_c, self.params, strict=False)
 
     def mf(self, stream) -> np.ndarray:
-        return rx.matched_filter(stream, self.mft)
+        return rx.matched_filter(stream, self.n_c, self.params)
 
     def cascade(self, lags) -> np.ndarray:
         return th.response_r(lags.astype(float))
@@ -298,11 +311,7 @@ class _Context:
         self.config = config
         self.quasi = quasi
         n_c = config.n_c
-        try:
-            self.pulse = pulse = pulse_for(config.method, n_c)
-        except ValueError as exc:
-            raise ValueError(f"n_c = {n_c} does not suit {config.method}: "
-                             f"{exc}") from None
+        self.pulse = pulse = pulse_for(config.method, n_c)
         self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy)
                                 for db in config.ebn0_grid])
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
@@ -364,8 +373,7 @@ class _Context:
 
         def probe(symbols):
             v = np.concatenate([np.zeros(delay * n_c), pulse.synth(symbols)])
-            return rx.sample_symbols(pulse.mf(v), pulse.lead, n_c,
-                                     symbols.size), v.size
+            return pulse.mf(v)[pulse.lead::n_c][:symbols.size], v.size
 
         unit = np.eye(_PROBE_SYMBOLS)
         mid = _PROBE_SYMBOLS // 2
@@ -481,10 +489,10 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
     frame. ``sent`` holds the two transmitted rails, shape (2, n);
     ``feedback`` holds the decision-feedback coefficients, shape (1, 1, w)
     shared by every point or (points, 1, w) one row per point, either
-    shared by the two rails, and ``eqs`` one equalizer per point; both
-    come from ``_receivers``. Every point shares a rail's genie
-    thresholds; the decision-feedback decoder takes all points and rails
-    as one batch. Error rate is counted per rail decision: each rail
+    shared by the two rails, and ``eqs`` the equalizer taps, one row per
+    point; both come from ``_receivers``. Every point shares a rail's
+    genie thresholds; the decision-feedback decoder takes all points and
+    rails as one batch. Error rate is counted per rail decision: each rail
     carries one antipodal bit per symbol, as the closed forms assume.
 
     The decision-feedback decoder starts from the transmitted rails. That
@@ -534,14 +542,15 @@ def _receivers(ctx: _Context, gains, noise_var):
     point, (points,): (feedback, equalizers), each None where the method
     does not read it.
 
-    rrc-mmse gets one equalizer per point from one ``bl.design_mmse``
-    call. chaotic-subopt gets its decision-feedback coefficients, shape
-    (rows, 1, w), which the decoder broadcasts over the two rails: the
-    composite response ``th.composite_response`` at past lags 1..w over
-    each row's ``rx.decision_window``, bitwise, zero-filled past it to the
-    widest window. ``ctx.feedback_table[k - 1, d]`` is the pulse cascade
-    at lag k - d; the composite response sums its paths in delay order
-    from zero, and here a missing path adds an exact zero."""
+    rrc-mmse gets its equalizer taps, one row per point, from one
+    ``bl.design_mmse`` call. chaotic-subopt gets its decision-feedback
+    coefficients, shape (rows, 1, w), which the decoder broadcasts over
+    the two rails: the composite response ``th.composite_response`` at
+    past lags 1..w over each row's ``rx.decision_window``, bitwise,
+    zero-filled past it to the widest window. ``ctx.feedback_table[k - 1,
+    d]`` is the pulse cascade at lag k - d; the composite response sums
+    its paths in delay order from zero, and here a missing path adds an
+    exact zero."""
     feedback = eqs = None
     if ctx.config.method == "rrc-mmse":
         eqs = bl.design_mmse(gains, noise_var)
@@ -559,7 +568,7 @@ def _receivers(ctx: _Context, gains, noise_var):
 def _acquire(ctx: _Context, sent, spec, pad: int, w):
     """The receiver of an estimated-channel frame, laid out as
     ``_Context.known`` holds the known channel's: (decoded points, their
-    feedback rows (points, 1, w) and equalizers from ``_receivers``,
+    feedback rows (points, 1, w) and equalizer taps from ``_receivers``,
     failures and estimate RMS per point). A point is decoded if frame sync
     over the full-rate window finds the true offset and the LS estimate
     exists.
@@ -774,22 +783,6 @@ def emit_csv(records: Sequence[BerRecord], path: str) -> str:
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     return path
-
-
-def parse_csv(path: str) -> List[BerRecord]:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != ",".join(CSV_COLUMNS):
-        raise ValueError(f"{path} does not start with the expected header")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(CSV_COLUMNS):
-            raise ValueError(f"malformed CSV row: {ln!r}")
-        records.append(BerRecord(parts[0], parts[1], float(parts[2]),
-                                 int(parts[3]), int(parts[4]),
-                                 float(parts[5]), float(parts[6])))
-    return records
 
 
 def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:

@@ -2,10 +2,10 @@
 channel estimation, threshold decoding.
 
 The matched filter correlates against the time-reverse g(t) = p(-t) of the
-transmit pulse, realized as a sample-rate FIR whose taps are g on the
-1/n_c grid. Its cascade with the shaping filter reproduces the closed-form
-pulse autocorrelation at symbol instants, which is what every threshold
-formula here consumes.
+transmit pulse: its sample-rate FIR is ``waveform.shaping_taps`` reversed,
+so it needs only n_c and the waveform parameters. Its cascade with the
+shaping filter reproduces the closed-form pulse autocorrelation at symbol
+instants, which is what every threshold formula here consumes.
 
 Decoding offers two thresholds: a genie-aided optimal one that cancels
 intersymbol interference exactly using the true symbols (analysis only),
@@ -23,38 +23,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .theory import composite_response, response_decay_radius
-from .waveform import WaveformParams, eval_basis
+from .waveform import WaveformParams, shaping_taps
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
 
 
-@dataclass(frozen=True)
-class MatchedFilterTaps:
-    """Receive FIR kernel k_j = g(j/n_c) = p(-j/n_c) for j in
-    [-(n_c-1), n_p*n_c], the time-reverse of the shaping taps."""
-
-    kernel: np.ndarray
-    n_c: int
-    params: WaveformParams
-
-
-def matched_filter_taps(n_c: int, params: Optional[WaveformParams] = None) -> MatchedFilterTaps:
-    if params is None:
-        params = WaveformParams()
-    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
-        raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
-    j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
-    return MatchedFilterTaps(eval_basis(-j / n_c),
-                             int(n_c), params)
-
-
-def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
-    """Correlate with the pulse at sample rate.
+def matched_filter(baseband, n_c: int,
+                   params: WaveformParams | None = None) -> np.ndarray:
+    """Correlate with the pulse at sample rate: convolve with the reversed
+    ``shaping_taps``, g(j/n_c) = p(-j/n_c) for j in [-(n_c-1), n_p*n_c].
 
     Output index k corresponds to time k/n_c like the input; the n_c - 1
     noncausal kernel samples are absorbed so no extra delay appears.
@@ -63,9 +44,9 @@ def matched_filter(baseband, taps: MatchedFilterTaps) -> np.ndarray:
     x = np.asarray(baseband, dtype=float)
     if x.ndim != 1:
         raise ValueError("baseband must be 1-d")
-    n_c = taps.n_c
-    full = np.convolve(x, taps.kernel)
-    return full[n_c - 1:n_c - 1 + x.size + taps.params.n_p * n_c] / n_c
+    taps = shaping_taps(n_c, params)
+    full = np.convolve(x, taps[::-1])
+    return full[n_c - 1:x.size + taps.size - 1] / n_c
 
 
 def frame_sync(filtered, template):
@@ -92,19 +73,6 @@ def frame_sync(filtered, template):
     den = np.sqrt(win_energy * float(np.dot(t, t)))
     offsets = np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=1)
     return int(offsets[0]) if x.ndim == 1 else offsets
-
-
-def sample_symbols(filtered, offset: int, n_c: int, n_symbols: int) -> np.ndarray:
-    """Pick one matched-filter output per symbol period."""
-    x = np.asarray(filtered, dtype=float)
-    if offset < 0:
-        raise ValueError(f"offset must be non-negative, got {offset}")
-    last = offset + (n_symbols - 1) * n_c
-    if n_symbols < 1 or last >= x.size:
-        raise ValueError(
-            f"requested {n_symbols} symbols from offset {offset} but the "
-            f"stream has {x.size} samples")
-    return x[offset + np.arange(n_symbols) * n_c]
 
 
 @dataclass(frozen=True)
@@ -220,13 +188,9 @@ def decision_window(gains):
 
 
 def decide(y, theta):
-    """Threshold decision, +1 or -1 as int8; boundary goes to +1. A scalar
-    y gives a float."""
-    out = np.where(np.asarray(y, dtype=float) >= np.asarray(theta, dtype=float),
-                   _PLUS, _MINUS)
-    if np.ndim(y) == 0:
-        return float(out)
-    return out
+    """Threshold decision, +1 or -1 as int8; boundary goes to +1."""
+    return np.where(np.asarray(y, dtype=float) >= np.asarray(theta, dtype=float),
+                    _PLUS, _MINUS)
 
 
 def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:

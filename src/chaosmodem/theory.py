@@ -85,23 +85,11 @@ def response_decay_radius(tol: float) -> int:
     return max(1, math.ceil(math.log(coef / tol) / BETA))
 
 
-def erfc(x):
-    """Complementary error function: `math.erfc`, elementwise on arrays."""
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return math.erfc(float(x))
-    arr = np.asarray(x, dtype=float)
-    return np.array([math.erfc(v) for v in arr.ravel()]).reshape(arr.shape)
-
-
-def ber_optimal(P: float, sigma_w: float):
+def ber_optimal(P: float, sigma_w: float) -> float:
     """Error rate of the ISI-cancelling threshold: erfc(P / sqrt(2 s^2)) / 2."""
-    if np.any(np.asarray(sigma_w) <= 0):
+    if sigma_w <= 0:
         raise ValueError("sigma_w must be positive")
-    z = P / (np.sqrt(2.0) * np.asarray(sigma_w, dtype=float))
-    out = 0.5 * erfc(z)
-    if np.ndim(sigma_w) == 0:
-        return float(out)
-    return out
+    return 0.5 * math.erfc(P / (math.sqrt(2.0) * sigma_w))
 
 
 def compute_signal_power(channel: MultipathSpec) -> float:
@@ -147,7 +135,7 @@ def ber_suboptimal(channel: MultipathSpec, sigma_w: float) -> float:
         raise ValueError(f"P must be positive, got {P}")
     K = compute_isi_constant(channel)
     if abs(K) < 1e-8:
-        return float(ber_optimal(P, sigma_w))
+        return ber_optimal(P, sigma_w)
     s = math.sqrt(2.0) * sigma_w
     halfwidth = abs(K) / (math.exp(BETA) - 1.0)
     z1 = (P + halfwidth) / s

@@ -108,26 +108,27 @@ def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
     symbol values outside {-1, +1} are rejected; tests exercise linearity
     on a wider alphabet.
     """
-    if params is None:
-        params = WaveformParams()
-    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
-        raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
+    taps = shaping_taps(n_c, params)
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("symbols must be a non-empty 1-d sequence")
     if strict and not np.all(np.isin(s, (-1.0, 1.0))):
         bad = s[~np.isin(s, (-1.0, 1.0))][0]
         raise ValueError(f"symbol values must be -1 or +1, got {bad}")
-    lead = params.n_p * n_c
+    lead = taps.size - n_c  # n_p * n_c
     up = np.zeros(s.size * n_c)
     up[::n_c] = s
-    return np.convolve(up, _shaping_taps(n_c, params))[lead:lead + up.size]
+    return np.convolve(up, taps)[lead:lead + up.size]
 
 
-@lru_cache(maxsize=None)
-def _shaping_taps(n_c: int, params: WaveformParams) -> np.ndarray:
-    """p on the grid -n_p <= t < 1 at n_c samples per symbol, read-only
-    because every caller shares it."""
+@lru_cache(maxsize=None, typed=True)  # so 8.0 fails the check, not reuses 8
+def shaping_taps(n_c: int, params: Optional[WaveformParams] = None) -> np.ndarray:
+    """p on the grid -n_p <= t < 1 at n_c samples per symbol: the shaping
+    FIR, and reversed, the matched filter. Read-only, because every caller
+    shares it."""
+    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
+        raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
+    params = params or WaveformParams()
     taps = eval_basis(np.arange(-params.n_p * n_c, n_c) / n_c)
     taps.flags.writeable = False
     return taps

@@ -4,8 +4,10 @@ Everything here is deliberately written from the defining formulas rather
 than imported from the package, so tests compare two separately derived
 computations. The exceptions are ``waveform_path``, the full-rate
 pipeline built from the package's own stages, against which the sampled
-frame paths are checked, and ``acquire_loop``, the per-point frame
-acquisition the batched one must reproduce.
+frame paths are checked, ``acquire_loop`` and ``mmse_per_span``, the
+per-point frame acquisition and the per-span equalizer design the batched
+ones must reproduce, and ``parse_csv``, which reads the package's CSV
+back into its records.
 """
 
 import math
@@ -17,7 +19,8 @@ import numpy as np
 from chaosmodem import baseline as bl
 from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
-from chaosmodem.harness import _MAX_DELAY, _SYNC_GRID_STEPS
+from chaosmodem.harness import (_MAX_DELAY, _SYNC_GRID_STEPS, CSV_COLUMNS,
+                                BerRecord)
 from chaosmodem.theory import composite_response
 from chaosmodem.waveform import HybridTrajectory
 
@@ -223,6 +226,50 @@ def _sync_offset(ctx, proj, y_i, y_q):
     return o, obs
 
 
+def mmse_per_span(gains, noise_var, length=bl.EQ_LENGTH, delay=bl.EQ_DELAY):
+    """``baseline.design_mmse`` one channel span at a time: each row is
+    trimmed to its span (the index of its last nonzero gain plus 1; all D
+    delays for a row without one), and the rows that share a span are
+    designed as one stack of their own (length + span - 1) x length
+    convolution matrices. Returns the taps, shape (P, length)."""
+    sigma2 = np.asarray(noise_var, dtype=float)
+    gains = np.broadcast_to(np.asarray(gains, dtype=float),
+                            (sigma2.size, np.shape(gains)[1]))
+    spans = gains.shape[1] - np.argmax(gains[:, ::-1] != 0.0, axis=1)
+    taps = np.zeros((sigma2.size, length))
+    for span in sorted(set(spans.tolist())):
+        group = np.flatnonzero(spans == span)
+        n_out = length + span - 1
+        j = np.arange(length)[:, None]
+        H = np.zeros((group.size, n_out, length))
+        H[:, j + np.arange(span), j] = gains[group, None, :span]
+        e_d = np.zeros(n_out)
+        e_d[delay] = 1.0
+        Ht = H.transpose(0, 2, 1)
+        taps[group] = np.linalg.solve(
+            Ht @ H + sigma2[group, None, None] * np.eye(length),
+            (Ht @ e_d)[..., None])[..., 0]
+    return taps
+
+
+def parse_csv(path):
+    """The records of a CSV written by ``harness.emit_csv``; each row goes
+    through ``BerRecord``'s own consistency checks."""
+    with open(path) as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln]
+    if not lines or lines[0] != ",".join(CSV_COLUMNS):
+        raise ValueError(f"{path} does not start with the expected header")
+    records = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(CSV_COLUMNS):
+            raise ValueError(f"malformed CSV row: {ln!r}")
+        records.append(BerRecord(parts[0], parts[1], float(parts[2]),
+                                 int(parts[3]), int(parts[4]),
+                                 float(parts[5]), float(parts[6])))
+    return records
+
+
 def dense_gains(channel) -> np.ndarray:
     """The gains of a channel with ``delays`` and ``gains`` laid out at
     whole-symbol delays 0.._MAX_DELAY, zero where it has no path."""
@@ -237,7 +284,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
     the pseudoinverse of the path model, and the feedback coefficients
     path by path over the estimate's own delays. Returns what ``_acquire``
     does: (decoded points, feedback rows (points, 1, w) or None,
-    equalizers or None, failures, estimate RMS)."""
+    equalizer taps (points, EQ_LENGTH) or None, failures, estimate RMS)."""
     win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
     B = ctx.design.design @ ctx.cascade
     proj = B @ np.linalg.pinv(B)
@@ -273,7 +320,8 @@ def acquire_loop(ctx, sent, spec, pad, w):
             feedback.append(isi_feedback_coeffs(
                 paths, rx.decision_window(gains[0])))
     if ctx.config.method == "rrc-mmse":
-        return decoded, None, eqs, failures, rms
+        return (decoded, None, np.array(eqs).reshape(-1, bl.EQ_LENGTH),
+                failures, rms)
     rows = np.zeros((len(feedback), 1, max((c.size for c in feedback),
                                            default=0)))
     for row, c in zip(rows, feedback):

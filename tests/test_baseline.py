@@ -9,6 +9,7 @@ from chaosmodem import baseline as bl
 from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import txchain as tx
+from oracles import mmse_per_span
 
 
 def _rrc_raw(t, a):
@@ -133,7 +134,7 @@ def test_estimate_channel_noiseless():
     x = bl.rrc_shape(syms, f)
     chan = x.copy()
     chan[n_c:] += 0.6 * x[:-n_c]
-    y = rx.sample_symbols(bl.rrc_matched_filter(chan, f), 16 * n_c, n_c, syms.size)
+    y = bl.rrc_matched_filter(chan, f)[16 * n_c::n_c][:syms.size]
     gains, noise_var = _rrc_estimate(y, train, H.pulse_for("rrc", n_c))
     assert np.flatnonzero(gains).tolist() == [0, 1]
     # accuracy is limited only by the cascade truncation floor
@@ -146,7 +147,7 @@ def test_estimate_channel_drops_spurs():
     f = bl.rrc_taps(0.25, 16, n_c)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=5)
     x = bl.rrc_shape(train, f)
-    y = rx.sample_symbols(bl.rrc_matched_filter(x, f), 16 * n_c, n_c, train.size)
+    y = bl.rrc_matched_filter(x, f)[16 * n_c::n_c][:train.size]
     pulse = H.pulse_for("rrc", n_c)
     gains, _ = _rrc_estimate(y, train, pulse)
     # a dropped path's gain is an exact zero
@@ -158,18 +159,18 @@ def test_estimate_channel_drops_spurs():
     assert np.max(np.abs(gains_all[1:])) < 5e-3
 
 
-def _design_one(gains, noise_var=0.0, **kw):
-    """The equalizer of one channel row."""
+def _design_one(gains, noise_var=0.0):
+    """The equalizer taps of one channel row."""
     return bl.design_mmse(np.array([gains], dtype=float),
-                          np.array([noise_var]), **kw)[0]
+                          np.array([noise_var]))[0]
 
 
 def test_mmse_single_path_identity():
     eq = _design_one([1.0])
-    assert eq.length == 15 and eq.delay == 7
+    assert eq.shape == (bl.EQ_LENGTH,) == (15,) and bl.EQ_DELAY == 7
     ideal = np.zeros(15)
     ideal[7] = 1.0
-    assert np.max(np.abs(eq.taps - ideal)) < 1e-12
+    assert np.max(np.abs(eq - ideal)) < 1e-12
     rng = np.random.default_rng(4)
     s = rng.choice([-1.0, 1.0], 200)
     out = bl.apply_equalizer(s, eq)
@@ -187,8 +188,8 @@ def test_mmse_two_path_residual_isi():
     assert isi_power < 0.01
     # the equalized cascade's squared deviation from a pure delay is that
     # same power for unit-variance symbols
-    dev = np.convolve([1.0, 0.6], eq.taps)
-    dev[eq.delay] -= 1.0
+    dev = np.convolve([1.0, 0.6], eq)
+    dev[bl.EQ_DELAY] -= 1.0
     assert abs(isi_power - float(np.sum(dev ** 2))) < 5e-4
 
 
@@ -201,20 +202,20 @@ def test_mmse_is_a_minimum():
     y = np.convolve(s, [1.0, 0.6])[: s.size]
 
     def mse(w):
-        out = np.convolve(y, w)[eq.delay : eq.delay + y.size]
+        out = np.convolve(y, w)[bl.EQ_DELAY:bl.EQ_DELAY + y.size]
         e = out[200:-200] - s[200:-200]
         return float(np.mean(e**2))
 
-    base = mse(eq.taps)
-    for k in range(eq.length):
+    base = mse(eq)
+    for k in range(bl.EQ_LENGTH):
         for sign in (1.0, -1.0):
-            w = eq.taps.copy()
+            w = eq.copy()
             w[k] += sign * 1e-3
             assert mse(w) >= base
 
 
 def test_mmse_regularization_shrinks_taps():
-    norms = [float(np.linalg.norm(_design_one([1.0, 0.6], v).taps))
+    norms = [float(np.linalg.norm(_design_one([1.0, 0.6], v)))
              for v in (0.1, 10.0, 1e6)]
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 1e-4
@@ -236,30 +237,42 @@ def test_mmse_batch_matches_single():
     gains = rng.permutation(np.array(rows))
     noise_var = rng.uniform(0.0, 0.5, len(gains))
     batch = bl.design_mmse(gains, noise_var)
-    assert isinstance(batch, list) and len(batch) == len(gains)
+    assert batch.shape == (len(gains), bl.EQ_LENGTH)
     for g, v, got in zip(gains, noise_var, batch):
         want = _design_one(g, v)
-        assert got.taps.tobytes() == want.taps.tobytes()
-        assert (got.length, got.delay, got.noise_var) == (
-            want.length, want.delay, want.noise_var)
+        assert got.tobytes() == want.tobytes()
         h = g[:np.flatnonzero(g)[-1] + 1]
-        H = np.zeros((want.length + h.size - 1, want.length))
-        for j in range(want.length):
+        H = np.zeros((bl.EQ_LENGTH + h.size - 1, bl.EQ_LENGTH))
+        for j in range(bl.EQ_LENGTH):
             H[j:j + h.size, j] = h
         e_d = np.zeros(H.shape[0])
-        e_d[want.delay] = 1.0
-        ref = np.linalg.solve(H.T @ H + v * np.eye(want.length), H.T @ e_d)
-        assert want.taps.tobytes() == ref.tobytes()
+        e_d[bl.EQ_DELAY] = 1.0
+        ref = np.linalg.solve(H.T @ H + v * np.eye(bl.EQ_LENGTH), H.T @ e_d)
+        assert want.tobytes() == ref.tobytes()
         # trailing zero gains design the trimmed row's equalizer
-        assert _design_one(h, v).taps.tobytes() == want.taps.tobytes()
+        assert _design_one(h, v).tobytes() == want.tobytes()
     # one (1, D) row shared by P noise variances is P one-row designs
     shared = bl.design_mmse(gains[:1], noise_var)
-    assert len(shared) == len(noise_var)
+    assert shared.shape == batch.shape
     for v, got in zip(noise_var, shared):
-        want = _design_one(gains[0], v)
-        assert got.taps.tobytes() == want.taps.tobytes()
-        assert got.noise_var == want.noise_var == v
-    assert bl.design_mmse(np.zeros((0, 4)), np.zeros(0)) == []
+        assert got.tobytes() == _design_one(gains[0], v).tobytes()
+    assert bl.design_mmse(np.zeros((0, 4)), np.zeros(0)).shape == (0, 15)
+
+
+def test_mmse_stacked_matches_per_span():
+    # one stacked solve at span D is bitwise the per-span design, over
+    # 1,200 random rows with trailing and interior zero gains (some all
+    # zero), zero-forcing rows, and a (1, D) row shared by every variance
+    rng = np.random.default_rng(29)
+    for D in (1, 2, 4, 6):
+        gains = rng.normal(size=(300, D)) * (rng.random((300, D)) < 0.6)
+        gains[0, 0] = 1.0  # the shared row meets zero variances too
+        noise_var = rng.uniform(0.0, 1.0, 300)
+        # zero forcing needs a path
+        noise_var[(rng.random(300) < 0.1) & gains.any(axis=1)] = 0.0
+        for g in (gains, gains[:1]):
+            got = bl.design_mmse(g, noise_var)
+            assert got.tobytes() == mmse_per_span(g, noise_var).tobytes()
 
 
 def test_mmse_errors():
@@ -267,15 +280,9 @@ def test_mmse_errors():
         _design_one([0.0])
     # regularization rescues the same channel
     eq = _design_one([0.0], 1.0)
-    assert np.all(eq.taps == 0.0)
+    assert np.all(eq == 0.0)
     with pytest.raises(ValueError):
         _design_one([1.0], -1.0)
-    with pytest.raises(ValueError):
-        _design_one([1.0], delay=40)
-    # trailing zero gains do not widen the cascade support
-    for row in ([1.0], [1.0, 0.0, 0.0]):
-        with pytest.raises(ValueError, match="support"):
-            _design_one(row, length=2, delay=2)
     # a batch fails as its worst row does
     with pytest.raises(np.linalg.LinAlgError):
         bl.design_mmse(np.array([[1.0], [0.0]]), np.zeros(2))

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import chaosmodem
-from chaosmodem import cli, harness
+from chaosmodem import cli
+from oracles import parse_csv
 
 
 # ------------------------------------------------------- config files ----
@@ -130,7 +131,7 @@ def test_main_sweep_static_writes_csv(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "chaotic-subopt" in out and "wrote" in out
-    records = harness.parse_csv(str(tmp_path / "chaotic-subopt_static2.csv"))
+    records = parse_csv(str(tmp_path / "chaotic-subopt_static2.csv"))
     assert [r.ebn0_db for r in records] == [4.0, 8.0]
     assert all(r.bits == 4000 for r in records)
 
@@ -142,7 +143,7 @@ def test_main_seed_override_changes_counts(tmp_path, capsys):
         rc = cli.main(["sweep-static", "--config", cfg, "--seed", str(seed),
                        "--out", str(tmp_path)])
         assert rc == 0
-        records = harness.parse_csv(str(tmp_path / "chaotic-subopt_static2.csv"))
+        records = parse_csv(str(tmp_path / "chaotic-subopt_static2.csv"))
         errs.append(tuple(r.errors for r in records))
     capsys.readouterr()
     assert errs[0] != errs[1]
@@ -165,7 +166,7 @@ def test_main_sweep_quasi_prints_stats(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "failed frames" in out and "est RMS" in out
-    records = harness.parse_csv(str(tmp_path / "chaotic-subopt_quasi2.csv"))
+    records = parse_csv(str(tmp_path / "chaotic-subopt_quasi2.csv"))
     assert records[0].bits == 4 * 512
 
 
@@ -173,7 +174,7 @@ def test_main_theory_default_battery(tmp_path, capsys):
     rc = cli.main(["theory", "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
-    records = harness.parse_csv(str(tmp_path / "theory_curves.csv"))
+    records = parse_csv(str(tmp_path / "theory_curves.csv"))
     assert len(records) == 4 * 6
     methods = {(r.method, r.channel) for r in records}
     assert methods == {(m, c) for m in ("theory-opt", "theory-subopt")
@@ -187,7 +188,7 @@ def test_main_theory_with_config(tmp_path, capsys):
     rc = cli.main(["theory", "--config", cfg, "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
-    records = harness.parse_csv(str(tmp_path / "theory_curves.csv"))
+    records = parse_csv(str(tmp_path / "theory_curves.csv"))
     assert [r.ebn0_db for r in records] == [2.0, 6.0, 10.0]
     bers = [r.ber for r in records]
     assert bers == sorted(bers, reverse=True)
@@ -204,7 +205,7 @@ def test_main_genie_flag_gates_optimal(tmp_path, capsys):
                    "--genie"])
     assert rc == 0
     capsys.readouterr()
-    records = harness.parse_csv(str(tmp_path / "chaotic-opt_static2.csv"))
+    records = parse_csv(str(tmp_path / "chaotic-opt_static2.csv"))
     assert records[0].bits == 2000
 
 
@@ -229,6 +230,17 @@ def test_main_missing_config_file(tmp_path, capsys):
     rc = cli.main(["sweep-static", "--config", str(tmp_path / "nope.cfg")])
     err = capsys.readouterr().err
     assert rc == 2 and err.startswith("error:")
+
+
+@pytest.mark.parametrize("cmd,method,db", (
+    ("sweep-static", "chaotic-subopt", -4000), ("theory", "theory-opt", 4000)))
+def test_main_extreme_ebn0_names_its_key(tmp_path, capsys, cmd, method, db):
+    # a noise level beyond float range is a config error, not a traceback
+    cfg = write(tmp_path, f"method={method}\nchannel=static2\n"
+                          f"ebn0_grid=4,{db}\n")
+    rc = cli.main([cmd, "--config", cfg, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and "ebn0_grid" in err
 
 
 def test_main_bad_config_key(tmp_path, capsys):

@@ -19,24 +19,29 @@ SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
 
 
 def test_matched_filter_tap_symmetry():
+    # the matched filter's impulse response is the time-reversed pulse
+    # g(j/n_c) = p(-j/n_c), j = -(n_c-1)..n_p*n_c, bitwise, divided by n_c
     params = wf.WaveformParams()
-    n_c = 8
-    kernel = rx.matched_filter_taps(n_c, params).kernel
-    assert kernel.size == n_c * (params.n_p + 1)
-    j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
-    assert np.array_equal(kernel, wf.eval_basis(-j / n_c))
+    for n_c in range(2, 17):
+        j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
+        kernel = wf.eval_basis(-j / n_c)
+        impulse = np.zeros(kernel.size)
+        impulse[n_c - 1] = 1.0
+        y = rx.matched_filter(impulse, n_c, params)
+        assert y.size == kernel.size + params.n_p * n_c
+        assert y[:kernel.size].tobytes() == (kernel / n_c).tobytes()
+        assert not y[kernel.size:].any()
 
 
 def test_matched_filter_peak_and_zero():
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
-    assert np.all(rx.matched_filter(np.zeros(64), mft) == 0.0)
+    assert np.all(rx.matched_filter(np.zeros(64), n_c, params) == 0.0)
     # isolated +1 surrounded by silence: symbol-instant output is the
     # pulse autocorrelation peak
     s = np.concatenate([np.zeros(params.n_p), [1.0], np.zeros(2)])
     x = wf.synth_waveform(s, n_c, params, strict=False)
-    y = rx.matched_filter(x, mft)
+    y = rx.matched_filter(x, n_c, params)
     assert abs(y[params.n_p * n_c] - 1.3433) < 1e-4
 
 
@@ -47,8 +52,7 @@ def test_cascade_even_and_peak_precision():
     n_c = 64
     j = np.arange(-params.n_p * n_c, n_c)
     pk = wf.eval_basis(j / n_c)
-    g = rx.matched_filter_taps(n_c, params).kernel
-    cas = np.convolve(pk, g) / n_c
+    cas = np.convolve(pk, pk[::-1]) / n_c
     peak = int(np.argmax(cas))
     assert abs(cas[peak] - RESPONSE_TABLE[0.0]) < 1e-6
     span = min(peak, cas.size - 1 - peak)
@@ -60,31 +64,30 @@ def test_cascade_even_and_peak_precision():
 def test_matched_filter_noise_variance():
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
     rng = np.random.default_rng(2024)
     noise = rng.standard_normal(1_000_000)
-    y = rx.matched_filter(noise, mft)
-    expect = float(np.dot(mft.kernel, mft.kernel)) / n_c ** 2
+    y = rx.matched_filter(noise, n_c, params)
+    g = wf.shaping_taps(n_c, params)
+    expect = float(np.dot(g, g)) / n_c ** 2
     assert abs(float(np.var(y)) - expect) / expect < 0.01
 
 
-def _training_template(train_syms, n_c, params, mft):
+def _training_template(train_syms, n_c, params):
     x = wf.synth_waveform(np.asarray(train_syms, dtype=float), n_c, params)
-    return rx.matched_filter(x, mft)[:len(train_syms) * n_c]
+    return rx.matched_filter(x, n_c, params)[:len(train_syms) * n_c]
 
 
 def test_frame_sync_exact_offset():
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
     rng = np.random.default_rng(11)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
     data = rng.choice([-1.0, 1.0], 128)
     syms = np.concatenate([train, data])
     x = wf.synth_waveform(syms, n_c, params)
     stream = np.concatenate([np.zeros(137), x])
-    filtered = rx.matched_filter(stream, mft)
-    template = _training_template(train, n_c, params, mft)
+    filtered = rx.matched_filter(stream, n_c, params)
+    template = _training_template(train, n_c, params)
     assert rx.frame_sync(filtered, template) == 137
     with pytest.raises(ValueError):
         rx.frame_sync(filtered[:10], template)
@@ -93,9 +96,8 @@ def test_frame_sync_exact_offset():
 def test_frame_sync_success_rate_at_6db():
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
-    template = _training_template(train, n_c, params, mft)
+    template = _training_template(train, n_c, params)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(6.0, e_b)
     rng = np.random.default_rng(505)
@@ -107,7 +109,8 @@ def test_frame_sync_success_rate_at_6db():
         offset = int(rng.integers(20, 200))
         stream = np.concatenate([np.zeros(offset), x])
         stream = stream + sigma * rng.standard_normal(stream.size)
-        if rx.frame_sync(rx.matched_filter(stream, mft), template) != offset:
+        filtered = rx.matched_filter(stream, n_c, params)
+        if rx.frame_sync(filtered, template) != offset:
             failures += 1
     assert failures <= 3  # > 99% success
 
@@ -117,14 +120,14 @@ def test_frame_sync_batch_matches_rows():
     # int; a silent row peaks at offset 0
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
-    template = _training_template(train, n_c, params, mft)
+    template = _training_template(train, n_c, params)
     rng = np.random.default_rng(21)
     x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
                           n_c, params)
-    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), mft)[:1400]
-    noise = rx.matched_filter(rng.standard_normal(sig.size), mft)[:sig.size]
+    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), n_c, params)[:1400]
+    noise = rx.matched_filter(rng.standard_normal(sig.size), n_c,
+                              params)[:sig.size]
     batch = np.vstack([sig + s * noise for s in (0.0, 0.3, 1.0, 3.0, 30.0)]
                       + [np.zeros(sig.size)])
     got = rx.frame_sync(batch, template)
@@ -139,16 +142,6 @@ def test_frame_sync_batch_matches_rows():
         rx.frame_sync(batch[None], template)
 
 
-def test_sample_symbols_bounds():
-    y = np.arange(100.0)
-    got = rx.sample_symbols(y, 4, 8, 12)
-    assert np.array_equal(got, y[4 + 8 * np.arange(12)])
-    with pytest.raises(ValueError):
-        rx.sample_symbols(y, -1, 8, 4)
-    with pytest.raises(ValueError):
-        rx.sample_symbols(y, 4, 8, 13)
-
-
 def test_symbol_decomposition_matches_closed_form():
     # noiseless matched-filter outputs at symbol instants decompose into
     # the closed-form response sum to 1e-9 once the truncation window and
@@ -158,8 +151,8 @@ def test_symbol_decomposition_matches_closed_form():
     rng = np.random.default_rng(3)
     syms = rng.choice([-1.0, 1.0], 70)
     x = wf.synth_waveform(syms, n_c, params)
-    y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, 70)
+    y = rx.matched_filter(x, n_c, params)
+    ysym = y[::n_c][:70]
     for n in range(30, 40):
         acc = sum(syms[m] * th.response_r(float(n - m))
                   for m in range(n - 30, min(70, n + 31)))
@@ -173,9 +166,8 @@ def test_single_path_raw_sign_decisions():
     n_c = 8
     rng = np.random.default_rng(21)
     syms = rng.choice([-1.0, 1.0], 20_000)
-    y = rx.matched_filter(wf.synth_waveform(syms, n_c, params),
-                          rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, syms.size)
+    y = rx.matched_filter(wf.synth_waveform(syms, n_c, params), n_c, params)
+    ysym = y[::n_c][:syms.size]
     errors = int(np.sum(np.sign(ysym) != syms))
     assert errors / syms.size <= 1e-3
 
@@ -192,8 +184,8 @@ def test_ls_noiseless_two_path():
     syms = rng.choice([-1.0, 1.0], 160)
     spec = ch.get_preset("static2")
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, syms.size)
+    y = rx.matched_filter(x, n_c, params)
+    ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
     (gains,), (noise_var,) = rx.estimate_channel_ls(ysym[design.rows][None],
                                                     design, _cascade(design))
@@ -209,8 +201,8 @@ def test_ls_single_path_spurious_taps():
     rng = np.random.default_rng(5)
     syms = rng.choice([-1.0, 1.0], 160)
     x = wf.synth_waveform(syms, n_c, params)
-    y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, syms.size)
+    y = rx.matched_filter(x, n_c, params)
+    ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
     obs, cascade = ysym[design.rows][None], _cascade(design)
     (raw,), _ = rx.estimate_channel_ls(obs, design, cascade,
@@ -226,7 +218,6 @@ def test_ls_noisy_gain_rms():
     # error stays under 5%
     params = wf.WaveformParams()
     n_c = 8
-    mft = rx.matched_filter_taps(n_c, params)
     spec = ch.get_preset("static2")
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(256, 2), seed=9)
     design = rx.build_ls_design(train, max_delay=3)
@@ -238,8 +229,9 @@ def test_ls_noisy_gain_rms():
     sq_err = []
     for _ in range(300):
         x = ch.propagate(wf.synth_waveform(train, n_c, params), spec, n_c)
-        y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), mft)
-        ysym = rx.sample_symbols(y, 0, n_c, train.size)
+        y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c,
+                              params)
+        ysym = y[::n_c][:train.size]
         gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design,
                                           cascade, spur_threshold=0.0)
         sq_err.append(np.mean((gains[0] - true) ** 2))
@@ -375,7 +367,7 @@ def test_decide_rules():
     assert rx.decide(0.3, 0.0) == 1.0
     assert rx.decide(0.5, 0.5) == 1.0
     assert rx.decide(-0.2, -0.1) == -1.0
-    assert isinstance(rx.decide(np.float64(-0.2), 0.0), float)
+    assert rx.decide(np.float64(-0.2), 0.0).dtype == np.int8
     rng = np.random.default_rng(4)
     y = rng.standard_normal(500)
     t = rng.standard_normal(500)
@@ -394,8 +386,8 @@ def test_decode_genie_noiseless_exact():
     rng = np.random.default_rng(61)
     syms = rng.choice([-1.0, 1.0], 600)
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x, rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, syms.size)
+    y = rx.matched_filter(x, n_c, params)
+    ysym = y[::n_c][:syms.size]
     dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
     assert np.array_equal(dec, syms)
 
@@ -415,9 +407,8 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     rng = np.random.default_rng(seed)
     syms = rng.choice([-1.0, 1.0], 200)
     x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x + sigma * rng.standard_normal(x.size),
-                          rx.matched_filter_taps(n_c, params))
-    ysym = rx.sample_symbols(y, 0, n_c, syms.size)
+    y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c, params)
+    ysym = y[::n_c][:syms.size]
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
     fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)
     state = ThresholdState.fresh(coeffs)

@@ -75,26 +75,23 @@ def test_response_decay_radius_bounds_tail():
     assert np.max(np.abs(theory.response_r(t))) < 1e-9
 
 
+# sqrt(2) times this is exactly 1.0, so ber_optimal(x, _UNIT_ARG) is
+# erfc(x) / 2 with no rounding on the way to erfc
+_UNIT_ARG = 1.0 / math.sqrt(2.0)
+
+
 def test_erfc_against_reference_table():
+    assert math.sqrt(2.0) * _UNIT_ARG == 1.0
     for x, want in ERFC_TABLE.items():
-        got = theory.erfc(x)
+        got = 2.0 * theory.ber_optimal(x, _UNIT_ARG)
         assert abs(got - want) < 1e-10, f"erfc({x}) = {got}, expected {want}"
         if want != 0.0 and abs(x) <= 10:
             assert abs(got - want) / want < 1e-14
 
 
-def test_erfc_reflection_identity():
-    rng = np.random.default_rng(77)
-    x = rng.uniform(-8, 8, size=1000)
-    lhs = theory.erfc(-x)
-    rhs = 2.0 - theory.erfc(x)
-    np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13)
-
-
 def test_erfc_edges():
-    assert theory.erfc(0.0) == 1.0
-    assert theory.erfc(31.0) == 0.0
-    assert theory.erfc(np.array([0.0, 1.0])).shape == (2,)
+    assert theory.ber_optimal(0.0, _UNIT_ARG) == 0.5
+    assert theory.ber_optimal(31.0, _UNIT_ARG) == 0.0
 
 
 def test_ber_optimal_basics():
