@@ -1,10 +1,13 @@
 """Conventional linear-modem comparator: root-raised-cosine shaping with
 symbol-rate linear MMSE equalization.
 
-The shaper/matched-filter cascade is a raised cosine, so on the symbol grid
-the channel seen by the equalizer is just the multipath taps themselves
-(Nyquist criterion, up to the truncation floor of the finite span), and
-the equalizer is designed from those gains at whole-symbol delays. An
+The RRC pulse has rolloff ROLLOFF and spans SPAN symbol periods, and like
+the chaotic pulse (``waveform.shaping_taps``) it is a cached, read-only
+tap array that depends on n_c only: ``rrc_taps(n_c)``. The shaper/matched-
+filter cascade is a raised cosine, so on the symbol grid the channel seen
+by the equalizer is just the multipath taps themselves (Nyquist
+criterion, up to the truncation floor of the finite span), and the
+equalizer is designed from those gains at whole-symbol delays. An
 equalizer is a plain array of EQ_LENGTH taps: ``design_mmse`` returns one
 row per channel, and ``apply_equalizer`` runs one row over a rail.
 """
@@ -12,122 +15,101 @@ row per channel, and ``apply_equalizer`` runs one row over a rail.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-DEFAULT_ROLLOFF = 0.25
+ROLLOFF = 0.25
 # A span of 8 leaves ~4e-3 relative ISI in the cascade at symbol lags,
-# which busts the Nyquist tolerance the filter type enforces; 16 is the
-# shortest even span that clears it comfortably (~5e-4) at rolloff 0.25.
-DEFAULT_SPAN = 16
+# which busts NYQUIST_TOL; 16 is the shortest even span that clears it
+# comfortably (~5e-4) at rolloff 0.25.
+SPAN = 16
 EQ_LENGTH = 15
 EQ_DELAY = 7
 NYQUIST_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class RrcFilter:
-    """Unit-energy root-raised-cosine FIR, span symbol periods at n_c
-    samples per symbol (span * n_c + 1 taps, symmetric about the center).
+@lru_cache(maxsize=None, typed=True)  # so 8.0 fails the check, not reuses 8
+def rrc_taps(n_c: int) -> np.ndarray:
+    """Unit-energy root-raised-cosine taps on the grid t = k / n_c,
+    |t| <= SPAN / 2 (SPAN * n_c + 1 taps, symmetric about the center).
+    Read-only, because every caller shares them.
 
-    Build it with `rrc_taps`, which validates rolloff, span and n_c.
-    Construction rejects span/rolloff combinations whose truncated
-    shaper * matched-filter cascade leaves more than NYQUIST_TOL relative
-    ISI at nonzero symbol lags, so a held instance is always Nyquist-clean
-    to that tolerance."""
-
-    rolloff: float
-    span: int
-    n_c: int
-    taps: np.ndarray
-
-    def __post_init__(self):
-        if self.taps.shape != (self.span * self.n_c + 1,):
-            raise ValueError("taps must have span * n_c + 1 coefficients")
-        c = self.symbol_cascade(self.span)
-        peak = c[self.span]
-        worst = float(np.max(np.abs(np.delete(c, self.span))))
-        if worst >= NYQUIST_TOL * peak:
-            raise ValueError(
-                "truncated cascade leaves {:.1e} relative ISI at symbol lags; "
-                "increase span for this rolloff".format(worst / peak))
-
-    def symbol_cascade(self, max_lag: int) -> np.ndarray:
-        """Shaper * matched-filter cascade sampled at integer symbol lags
-        -max_lag..max_lag. Lag 0 is the energy (1 after normalization);
-        other lags are the residual ISI of the truncated raised cosine."""
-        c = np.convolve(self.taps, self.taps[::-1])
-        idx = self.span * self.n_c + np.arange(-max_lag, max_lag + 1) * self.n_c
-        out = np.zeros(idx.size)
-        ok = (idx >= 0) & (idx < c.size)
-        out[ok] = c[idx[ok]]
-        return out
-
-
-@lru_cache(maxsize=None)
-def rrc_taps(rolloff: float, span: int, n_c: int) -> RrcFilter:
-    """Root-raised-cosine taps on the grid t = k / n_c, |t| <= span / 2.
-
-    Standard closed form in symbol-period units,
+    Standard closed form in symbol-period units, a = ROLLOFF,
 
         h(t) = [sin(pi t (1-a)) + 4 a t cos(pi t (1+a))]
                / [pi t (1 - (4 a t)^2)],
 
     with the removable singularities filled in by their limits: at t = 0,
-    h = 1 - a + 4 a / pi; at t = +-1/(4a),
+    h = 1 - a + 4 a / pi; at t = +-1/(4a), which is k = +-n_c at a = 1/4,
     h = (a / sqrt 2) [(1 + 2/pi) sin(pi/(4a)) + (1 - 2/pi) cos(pi/(4a))].
     Taps are scaled to unit energy so the matched-filter cascade peaks at 1.
+    An n_c whose truncated cascade leaves NYQUIST_TOL relative ISI or more
+    at a nonzero symbol lag is rejected.
     """
-    if not 0.0 < rolloff <= 1.0:
-        raise ValueError("rolloff must be in (0, 1]")
-    if span != int(span) or span < 6 or span % 2:
-        raise ValueError("span must be an even integer >= 6")
-    if n_c != int(n_c) or n_c < 2:
-        raise ValueError("n_c must be an integer >= 2")
-    a = float(rolloff)
-    k = np.arange(-(span * n_c) // 2, (span * n_c) // 2 + 1)
+    if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
+        raise ValueError(f"n_c must be an integer >= 2, got {n_c}")
+    a = ROLLOFF
+    k = np.arange(-(SPAN * n_c) // 2, (SPAN * n_c) // 2 + 1)
     t = k / n_c
     num = np.sin(np.pi * t * (1.0 - a)) + 4.0 * a * t * np.cos(np.pi * t * (1.0 + a))
     den = np.pi * t * (1.0 - (4.0 * a * t) ** 2)
     with np.errstate(divide="ignore", invalid="ignore"):
         h = num / den
     h[k == 0] = 1.0 - a + 4.0 * a / np.pi
-    # |4 a t| = 1 on the sample grid only when n_c is divisible by 4a's
-    # denominator; detect by value, not index.
-    sing = np.isclose(np.abs(4.0 * a * t), 1.0, rtol=0.0, atol=1e-12) & (k != 0)
-    if np.any(sing):
-        lim = (a / math.sqrt(2.0)) * (
-            (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
-            + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a))
-        )
-        h[sing] = lim
+    h[np.abs(k) == n_c] = (a / math.sqrt(2.0)) * (
+        (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
+        + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a)))
     h = h / math.sqrt(float(np.dot(h, h)))
-    return RrcFilter(a, int(span), int(n_c), h)
+    c = _symbol_cascade(h, n_c)
+    worst = float(np.max(np.abs(np.delete(c, SPAN))))
+    if worst >= NYQUIST_TOL * c[SPAN]:
+        raise ValueError(
+            f"the truncated RRC cascade leaves {worst / c[SPAN]:.1e} relative "
+            f"ISI at symbol lags, at or above the limit {NYQUIST_TOL:g}")
+    h.flags.writeable = False
+    return h
 
 
-def rrc_shape(symbols, filt: RrcFilter) -> np.ndarray:
-    """Zero-stuff one rail to the filter's n_c samples per symbol and
-    filter.
+def _symbol_cascade(h, n_c: int) -> np.ndarray:
+    """The cascade of taps h with their matched filter at the symbol lags
+    -SPAN..SPAN, where it is nonzero."""
+    return np.convolve(h, h[::-1])[::n_c]
 
-    Output length is (n_symbols + span) * n_c; the pulse of symbol m peaks
-    at sample (m + span / 2) * n_c, which is the group delay the receive
+
+def symbol_cascade(n_c: int, lags) -> np.ndarray:
+    """Shaper * matched-filter cascade at integer symbol lags, in the shape
+    of ``lags``. Lag 0 is the energy (1 after normalization); other lags
+    are the residual ISI of the truncated raised cosine, exactly zero past
+    SPAN."""
+    lags = np.asarray(lags)
+    c = _symbol_cascade(rrc_taps(n_c), n_c)
+    return np.where(np.abs(lags) <= SPAN, c[np.clip(lags + SPAN, 0, 2 * SPAN)],
+                    0.0)
+
+
+def rrc_shape(symbols, n_c: int) -> np.ndarray:
+    """Zero-stuff one rail to n_c samples per symbol and filter with
+    ``rrc_taps(n_c)``.
+
+    Output length is (n_symbols + SPAN) * n_c; the pulse of symbol m peaks
+    at sample (m + SPAN / 2) * n_c, which is the group delay the receive
     side undoes.
     """
+    taps = rrc_taps(n_c)
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("symbols must be a nonempty 1-d array")
-    up = np.zeros(s.size * filt.n_c)
-    up[:: filt.n_c] = s
-    return np.convolve(up, filt.taps)
+    up = np.zeros(s.size * n_c)
+    up[::n_c] = s
+    return np.convolve(up, taps)
 
 
-def rrc_matched_filter(baseband, filt: RrcFilter) -> np.ndarray:
+def rrc_matched_filter(baseband, n_c: int) -> np.ndarray:
     """Convolve with the time-reversed pulse. For a rail out of rrc_shape
-    the cascade peak of symbol m lands at sample (m + span) * n_c."""
+    the cascade peak of symbol m lands at sample (m + SPAN) * n_c."""
     x = np.asarray(baseband, dtype=float)
-    return np.convolve(x, filt.taps[::-1])
+    return np.convolve(x, rrc_taps(n_c)[::-1])
 
 
 def design_mmse(gains, noise_var) -> np.ndarray:

@@ -9,7 +9,7 @@ damping coefficient.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,14 +24,10 @@ def gains_from_gamma(gamma: float, delays: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True)
 class MultipathSpec:
     """Static multipath channel: strictly increasing delays, first path at 0.
-
-    If ``gamma`` is set the gains must equal exp(-gamma * delays) exactly;
-    use :meth:`from_gamma` so that invariant holds to machine precision.
-    """
+    :meth:`from_gamma` builds one with the exponential profile."""
 
     delays: tuple
     gains: tuple
-    gamma: Optional[float] = None
 
     def __post_init__(self):
         d = np.asarray(self.delays, dtype=float)
@@ -44,19 +40,13 @@ class MultipathSpec:
             raise ValueError("delays must be strictly increasing")
         if not np.all(np.isfinite(g)):
             raise ValueError("gains must be finite")
-        if self.gamma is not None:
-            expected = gains_from_gamma(self.gamma, d)
-            if not np.array_equal(g, expected):
-                raise ValueError(
-                    "gains inconsistent with gamma; build via MultipathSpec.from_gamma"
-                )
         object.__setattr__(self, "delays", tuple(float(x) for x in d))
         object.__setattr__(self, "gains", tuple(float(x) for x in g))
 
     @classmethod
     def from_gamma(cls, gamma: float, delays: Sequence[float]) -> "MultipathSpec":
         return cls(tuple(float(x) for x in delays),
-                   tuple(gains_from_gamma(gamma, delays)), gamma)
+                   tuple(gains_from_gamma(gamma, delays)))
 
     def delay_samples(self, n_c: int) -> np.ndarray:
         """Delays as sample counts; rejects delays off the 1/n_c grid."""

@@ -259,6 +259,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except harness.AllFramesFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

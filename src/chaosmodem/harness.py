@@ -45,7 +45,7 @@ from . import channel as ch
 from . import rxchain as rx
 from . import theory as th
 from . import txchain as tx
-from .waveform import WaveformParams, shaping_taps, synth_waveform
+from .waveform import N_P, shaping_taps, synth_waveform
 
 SIM_METHODS = ("chaotic-opt", "chaotic-subopt", "chaotic-zero",
                "rrc-mmse", "rrc-noeq")
@@ -189,6 +189,11 @@ class BerRecord:
         return cls(method, channel, float(ebn0_db), 0, 0, float(ber), 0.0)
 
 
+class AllFramesFailed(RuntimeError):
+    """A grid point of a sweep that excludes failed frames counted no bit,
+    because every frame failed."""
+
+
 def _is_int(v) -> bool:  # bools are ints to Python, but never a count
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
@@ -212,9 +217,6 @@ class Pulse:
     ``cascade`` (the shaping/matched-filter cascade at symbol lags).
     """
 
-    def shape(self, rail) -> np.ndarray:
-        return self.synth(np.concatenate([rail, self.tail]))
-
     def template(self, train) -> np.ndarray:
         """Clean matched-filter output of a training rail shaped without
         the tail, from its symbol 0 on. The offset frame_sync finds against
@@ -226,17 +228,16 @@ class Pulse:
 class _ChaoticPulse(Pulse):
     def __init__(self, n_c: int):
         self.n_c = n_c
-        self.params = WaveformParams()
         self.lead = 0
-        self.tail = np.resize(np.array([1.0, -1.0]), self.params.n_p)
-        g = shaping_taps(n_c, self.params)[::-1].copy()  # ddot rounds by layout
+        self.tail = np.resize(np.array([1.0, -1.0]), N_P)
+        g = shaping_taps(n_c)[::-1].copy()  # ddot rounds by layout
         self.energy = float(np.dot(g, g))
 
     def synth(self, symbols) -> np.ndarray:
-        return synth_waveform(symbols, self.n_c, self.params, strict=False)
+        return synth_waveform(symbols, self.n_c)
 
     def mf(self, stream) -> np.ndarray:
-        return rx.matched_filter(stream, self.n_c, self.params)
+        return rx.matched_filter(stream, self.n_c)
 
     def cascade(self, lags) -> np.ndarray:
         return th.response_r(lags.astype(float))
@@ -245,20 +246,19 @@ class _ChaoticPulse(Pulse):
 class _RrcPulse(Pulse):
     def __init__(self, n_c: int):
         self.n_c = n_c
-        self.filt = bl.rrc_taps(bl.DEFAULT_ROLLOFF, bl.DEFAULT_SPAN, n_c)
-        self.lead = self.filt.span * n_c
+        taps = bl.rrc_taps(n_c)
+        self.lead = bl.SPAN * n_c
         self.tail = np.empty(0)
-        self.energy = float(np.dot(self.filt.taps, self.filt.taps))
+        self.energy = float(np.dot(taps, taps))
 
     def synth(self, symbols) -> np.ndarray:
-        return bl.rrc_shape(symbols, self.filt)
+        return bl.rrc_shape(symbols, self.n_c)
 
     def mf(self, stream) -> np.ndarray:
-        return bl.rrc_matched_filter(stream, self.filt)
+        return bl.rrc_matched_filter(stream, self.n_c)
 
     def cascade(self, lags) -> np.ndarray:
-        reach = int(np.max(np.abs(lags)))
-        return self.filt.symbol_cascade(reach)[lags + reach]
+        return bl.symbol_cascade(self.n_c, lags)
 
 
 @lru_cache(maxsize=None)
@@ -696,7 +696,7 @@ def _run(config: ExperimentConfig, quasi: bool, n_frames: int, jobs: int,
     records = []
     for p, db in enumerate(config.ebn0_grid):
         if counted[p] == 0:
-            raise RuntimeError(
+            raise AllFramesFailed(
                 f"every frame failed sync/estimation at {db} dB; "
                 "no bits were counted")
         records.append(BerRecord.from_counts(

@@ -3,7 +3,7 @@ channel estimation, threshold decoding.
 
 The matched filter correlates against the time-reverse g(t) = p(-t) of the
 transmit pulse: its sample-rate FIR is ``waveform.shaping_taps`` reversed,
-so it needs only n_c and the waveform parameters. Its cascade with the
+so it needs only n_c. Its cascade with the
 shaping filter reproduces the closed-form pulse autocorrelation at symbol
 instants, which is what every threshold formula here consumes.
 
@@ -27,24 +27,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .theory import composite_response, response_decay_radius
-from .waveform import WaveformParams, shaping_taps
+from .waveform import shaping_taps
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
 
 
-def matched_filter(baseband, n_c: int,
-                   params: WaveformParams | None = None) -> np.ndarray:
+def matched_filter(baseband, n_c: int) -> np.ndarray:
     """Correlate with the pulse at sample rate: convolve with the reversed
-    ``shaping_taps``, g(j/n_c) = p(-j/n_c) for j in [-(n_c-1), n_p*n_c].
+    ``shaping_taps``, g(j/n_c) = p(-j/n_c) for j in [-(n_c-1), N_P*n_c].
 
     Output index k corresponds to time k/n_c like the input; the n_c - 1
     noncausal kernel samples are absorbed so no extra delay appears.
-    Output runs n_p*n_c samples past the input to hold the response tail.
+    Output runs N_P*n_c samples past the input to hold the response tail.
     """
     x = np.asarray(baseband, dtype=float)
     if x.ndim != 1:
         raise ValueError("baseband must be 1-d")
-    taps = shaping_taps(n_c, params)
+    taps = shaping_taps(n_c)
     full = np.convolve(x, taps[::-1])
     return full[n_c - 1:x.size + taps.size - 1] / n_c
 

@@ -18,9 +18,10 @@ filter for chaos", Chaos 20, 023123, 2010), and the two constructions can
 be compared without shared code paths.
 
 Because p(t) is nonzero for all t < 1, synthesis must truncate its left
-tail; the truncation length n_p is the one field of WaveformParams and is
-validated against the pulse envelope so discarded mass stays below one
-part in 10^3 of the pulse peak.
+tail, at N_P symbol periods: the shortest truncation whose discarded tail
+stays below one part in 10^3 of the pulse peak. The shaping filter is then
+a cached, read-only tap array that depends on n_c only, ``shaping_taps``,
+as the RRC comparator's is ``baseline.rrc_taps``.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -39,7 +39,6 @@ _VALIDATION_GRID_STEP = 1.0 / 512.0
 _VALIDATION_T_MIN = -40.0
 
 
-@lru_cache(maxsize=32)
 def _tail_peak_ratio(n_p: int) -> float:
     """max |p(t)| over the grid t < -n_p, relative to the global peak."""
     grid = np.arange(_VALIDATION_T_MIN, 1.0, _VALIDATION_GRID_STEP)
@@ -62,32 +61,6 @@ def min_truncation_length(rel_tol: float = 1e-3) -> int:
     raise ValueError(f"no admissible truncation length below 64 for rel_tol={rel_tol}")
 
 
-@dataclass(frozen=True)
-class WaveformParams:
-    """The synthesis truncation length n_p, in symbol periods.
-
-    ``n_p`` defaults to the shortest length passing the 10^-3 tail rule
-    (9 symbol periods). An explicit shorter value is rejected rather than
-    silently degrading the synthesis.
-    """
-
-    n_p: Optional[int] = None
-
-    def __post_init__(self):
-        if self.n_p is None:
-            object.__setattr__(self, "n_p", min_truncation_length())
-        if not (isinstance(self.n_p, (int, np.integer)) and self.n_p >= 1):
-            raise ValueError(f"n_p must be a positive integer, got {self.n_p}")
-        ratio = _tail_peak_ratio(int(self.n_p))
-        if ratio >= 1e-3:
-            need = min_truncation_length()
-            raise ValueError(
-                f"n_p={self.n_p} leaves a truncated tail at {ratio:.1e} of the "
-                f"pulse peak (limit 1e-3); use n_p >= {need}"
-            )
-        object.__setattr__(self, "n_p", int(self.n_p))
-
-
 def eval_basis(t) -> np.ndarray:
     """Transmit pulse p(t), elementwise: an array of t in, an array out."""
     t = np.asarray(t, dtype=float)
@@ -97,39 +70,37 @@ def eval_basis(t) -> np.ndarray:
     return np.where(t >= 1.0, 0.0, np.where(t < 0.0, left, mid))
 
 
-def synth_waveform(symbols, n_c: int, params: WaveformParams | None = None,
-                   strict: bool = True) -> np.ndarray:
-    """Shape a bipolar symbol stream at n_c samples per symbol.
+# the left tail synthesis keeps, in symbol periods (9)
+N_P = min_truncation_length()
+
+
+def synth_waveform(symbols, n_c: int) -> np.ndarray:
+    """Shape a symbol stream at n_c samples per symbol.
 
     Sample k (at t = k/n_c) is sum over m of s_m p(t - m), truncated to the
-    current and next n_p symbols; symbols beyond the end of the stream are
+    current and next N_P symbols; symbols beyond the end of the stream are
     taken as zero. The sum is an FIR over the zero-stuffed stream whose
-    taps are p on the grid -n_p <= t < 1. With ``strict`` (the default)
-    symbol values outside {-1, +1} are rejected; tests exercise linearity
-    on a wider alphabet.
+    taps are p on the grid -N_P <= t < 1. Shaping is linear, so any real
+    symbol values are shaped, not only +-1.
     """
-    taps = shaping_taps(n_c, params)
+    taps = shaping_taps(n_c)
     s = np.asarray(symbols, dtype=float)
     if s.ndim != 1 or s.size == 0:
         raise ValueError("symbols must be a non-empty 1-d sequence")
-    if strict and not np.all(np.isin(s, (-1.0, 1.0))):
-        bad = s[~np.isin(s, (-1.0, 1.0))][0]
-        raise ValueError(f"symbol values must be -1 or +1, got {bad}")
-    lead = taps.size - n_c  # n_p * n_c
+    lead = taps.size - n_c  # N_P * n_c
     up = np.zeros(s.size * n_c)
     up[::n_c] = s
     return np.convolve(up, taps)[lead:lead + up.size]
 
 
 @lru_cache(maxsize=None, typed=True)  # so 8.0 fails the check, not reuses 8
-def shaping_taps(n_c: int, params: Optional[WaveformParams] = None) -> np.ndarray:
-    """p on the grid -n_p <= t < 1 at n_c samples per symbol: the shaping
+def shaping_taps(n_c: int) -> np.ndarray:
+    """p on the grid -N_P <= t < 1 at n_c samples per symbol: the shaping
     FIR, and reversed, the matched filter. Read-only, because every caller
     shares it."""
     if not (isinstance(n_c, (int, np.integer)) and n_c >= 2):
         raise ValueError(f"oversampling rate must be an integer >= 2, got {n_c}")
-    params = params or WaveformParams()
-    taps = eval_basis(np.arange(-params.n_p * n_c, n_c) / n_c)
+    taps = eval_basis(np.arange(-N_P * n_c, n_c) / n_c)
     taps.flags.writeable = False
     return taps
 

@@ -110,6 +110,41 @@ def hybrid_rk4(x0, xdot0, duration, dt=1e-3, beta=LN2):
                             anchor, ev_t, ev_x)
 
 
+def rrc_reference(rolloff, span, n_c):
+    """Unit-energy root-raised-cosine taps on the grid t = k / n_c,
+    |t| <= span / 2, for any rolloff and even span: the generic closed
+    form, its singular points at |4 a t| = 1 found by value. The reference
+    for ``baseline.rrc_taps``."""
+    a = float(rolloff)
+    k = np.arange(-(span * n_c) // 2, (span * n_c) // 2 + 1)
+    t = k / n_c
+    num = np.sin(np.pi * t * (1.0 - a)) + 4.0 * a * t * np.cos(np.pi * t * (1.0 + a))
+    den = np.pi * t * (1.0 - (4.0 * a * t) ** 2)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = num / den
+    h[k == 0] = 1.0 - a + 4.0 * a / np.pi
+    sing = np.isclose(np.abs(4.0 * a * t), 1.0, rtol=0.0, atol=1e-12) & (k != 0)
+    if np.any(sing):
+        h[sing] = (a / math.sqrt(2.0)) * (
+            (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
+            + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a)))
+    return h / math.sqrt(float(np.dot(h, h)))
+
+
+def rrc_cascade_reference(taps, span, n_c, lags):
+    """Cascade of ``taps`` (span * n_c + 1 of them) with their matched
+    filter at integer symbol lags, in the shape of ``lags``: sampled at
+    lags -reach..reach, reach the largest |lag|, zero where the cascade
+    ends, then indexed. The reference for ``baseline.symbol_cascade``."""
+    reach = int(np.max(np.abs(lags)))
+    c = np.convolve(taps, taps[::-1])
+    idx = span * n_c + np.arange(-reach, reach + 1) * n_c
+    out = np.zeros(idx.size)
+    ok = (idx >= 0) & (idx < c.size)
+    out[ok] = c[idx[ok]]
+    return out[lags + reach]
+
+
 def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:
     """Composite response at past integer lags 1..window: the decision-
     feedback coefficients, path by path through ``composite_response``."""
@@ -190,7 +225,8 @@ def waveform_path(pulse, rail, channel, pad, rng_noise):
     tail, propagated and delayed by ``pad`` samples, and of unit-variance
     noise over the same span: every sample a frame could read, computed
     the long way."""
-    v = propagate(pulse.shape(rail), channel, pulse.n_c)
+    shaped = pulse.synth(np.concatenate([rail, pulse.tail]))
+    v = propagate(shaped, channel, pulse.n_c)
     sig = np.concatenate([np.zeros(pad), v])
     return pulse.mf(sig), pulse.mf(rng_noise.standard_normal(sig.size))
 

@@ -9,7 +9,7 @@ from chaosmodem import baseline as bl
 from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import txchain as tx
-from oracles import mmse_per_span
+from oracles import mmse_per_span, rrc_cascade_reference, rrc_reference
 
 
 def _rrc_raw(t, a):
@@ -19,69 +19,88 @@ def _rrc_raw(t, a):
 
 
 def test_taps_shape_energy_symmetry():
-    f = bl.rrc_taps(0.25, 16, 8)
-    assert f.taps.shape == (16 * 8 + 1,)
-    assert abs(float(np.dot(f.taps, f.taps)) - 1.0) < 1e-6
-    assert np.array_equal(f.taps, f.taps[::-1])
-    center = f.span * f.n_c // 2
-    assert np.argmax(f.taps) == center
+    n_c = 8
+    taps = bl.rrc_taps(n_c)
+    assert taps.shape == (bl.SPAN * n_c + 1,) == (129,)
+    assert abs(float(np.dot(taps, taps)) - 1.0) < 1e-6
+    assert np.array_equal(taps, taps[::-1])
+    center = bl.SPAN * n_c // 2
+    assert np.argmax(taps) == center
     # the center dominates strictly
-    rest = np.delete(f.taps, center)
-    assert f.taps[center] > np.max(np.abs(rest))
+    rest = np.delete(taps, center)
+    assert taps[center] > np.max(np.abs(rest))
+    # one shared, read-only array per n_c
+    assert bl.rrc_taps(n_c) is taps and not taps.flags.writeable
 
 
 def test_taps_validation():
-    with pytest.raises(ValueError):
-        bl.rrc_taps(0.0, 16, 8)
-    with pytest.raises(ValueError):
-        bl.rrc_taps(1.2, 16, 8)
-    with pytest.raises(ValueError):
-        bl.rrc_taps(0.25, 15, 8)
-    with pytest.raises(ValueError):
-        bl.rrc_taps(0.25, 4, 8)
-    with pytest.raises(ValueError, match="n_c must be an integer >= 2"):
-        bl.rrc_taps(0.25, 16, 0)
-    # rolloff 1 is a legal boundary
-    f = bl.rrc_taps(1.0, 16, 8)
-    assert abs(float(np.dot(f.taps, f.taps)) - 1.0) < 1e-6
+    for n_c in (0, 1, 8.0, True):
+        with pytest.raises(ValueError, match="n_c must be an integer >= 2"):
+            bl.rrc_taps(n_c)
+
+
+def test_taps_and_cascade_match_reference():
+    # bitwise the generic formula at (ROLLOFF, SPAN), which finds its
+    # singular points by value, and the cascade bitwise its sampling at
+    # -reach..reach indexed by lag, over the lag tables the harness builds
+    # (feedback lags 1..8 and LS lags -6..9, each minus path delays 0..3)
+    # and over every lag to 2 past each end of the cascade
+    delays = np.arange(H._MAX_DELAY + 1)
+    width = rx.decision_window(np.ones(H._MAX_DELAY + 1))
+    lags = np.arange(-H._LAG_BACK, H._LAG_BACK + H._MAX_DELAY + 1)
+    tables = (np.arange(1, width + 1)[:, None] - delays,
+              lags[:, None] - delays, np.arange(-bl.SPAN - 2, bl.SPAN + 3))
+    for n_c in range(3, 17):
+        want = rrc_reference(bl.ROLLOFF, bl.SPAN, n_c)
+        assert bl.rrc_taps(n_c).tobytes() == want.tobytes()
+        for table in tables:
+            got = bl.symbol_cascade(n_c, table)
+            ref = rrc_cascade_reference(want, bl.SPAN, n_c, table)
+            assert got.shape == table.shape
+            assert got.tobytes() == ref.tobytes()
 
 
 def test_singular_point_fills():
     # normalization cancels in tap ratios, so the filled-in values can be
     # checked against the raw formula evaluated just off the poles
-    for a, n_c, k_sing in ((0.25, 8, 8), (0.5, 8, 4)):
-        f = bl.rrc_taps(a, 16, n_c)
-        t_sing = k_sing / n_c
-        assert abs(4 * a * t_sing - 1.0) < 1e-12
-        near = 0.5 * (_rrc_raw(t_sing - 1e-6, a) + _rrc_raw(t_sing + 1e-6, a))
-        h0 = 1 - a + 4 * a / math.pi
-        center = f.span * f.n_c // 2
-        got = f.taps[center + k_sing] / f.taps[center]
+    a, n_c = bl.ROLLOFF, 8
+    taps = bl.rrc_taps(n_c)
+    t_sing = 1.0
+    assert abs(4 * a * t_sing - 1.0) < 1e-12
+    near = 0.5 * (_rrc_raw(t_sing - 1e-6, a) + _rrc_raw(t_sing + 1e-6, a))
+    h0 = 1 - a + 4 * a / math.pi
+    center = bl.SPAN * n_c // 2
+    for k in (n_c, -n_c):
+        got = taps[center + k] / taps[center]
         assert abs(got - near / h0) < 1e-9
 
 
 def test_cascade_nyquist():
-    f = bl.rrc_taps(0.25, 16, 8)
-    c = f.symbol_cascade(16)
+    c = bl.symbol_cascade(8, np.arange(-16, 17))
     peak = c[16]
     assert abs(peak - 1.0) < 1e-9
     off = np.abs(np.delete(c, 16))
     assert np.max(off) < 1e-3 * peak
-    # a span-8 truncation leaves a few-1e-3 cascade floor at this rolloff
-    # and is rejected by the filter type
-    with pytest.raises(ValueError):
-        bl.rrc_taps(0.25, 8, 8)
+    # the cascade ends at SPAN symbols
+    assert np.all(bl.symbol_cascade(8, np.array([-40, -17, 17, 40])) == 0.0)
+    # at n_c = 2 the truncation leaves more than the tolerance, and the
+    # rejection says how much; a config names the n_c it came from
+    with pytest.raises(ValueError, match=r"leaves \S+ relative ISI .* limit 0.001"):
+        bl.rrc_taps(2)
+    with pytest.raises(ValueError, match=r"n_c = 2 does not suit rrc-mmse: "
+                                         r"the truncated RRC cascade"):
+        H.ExperimentConfig(method="rrc-mmse", channel="static2",
+                           ebn0_grid=(5.0,), n_c=2)
 
 
 def test_shape_length_and_peaks():
     n_c = 8
-    f = bl.rrc_taps(0.25, 16, n_c)
     s = np.zeros(12)
     s[3] = 1.0
-    x = bl.rrc_shape(s, f)
+    x = bl.rrc_shape(s, n_c)
     assert x.size == (12 + 16) * n_c
     assert np.argmax(x) == (3 + 8) * n_c
-    y = bl.rrc_matched_filter(x, f)
+    y = bl.rrc_matched_filter(x, n_c)
     peak_at = (3 + 16) * n_c
     assert np.argmax(y) == peak_at
     assert abs(y[peak_at] - 1.0) < 1e-9
@@ -89,18 +108,17 @@ def test_shape_length_and_peaks():
     rng = np.random.default_rng(11)
     a = rng.choice([-1.0, 1.0], 40)
     b = rng.choice([-1.0, 1.0], 40)
-    xa = bl.rrc_shape(a, f)
-    xb = bl.rrc_shape(b, f)
-    xab = bl.rrc_shape(a + b, f)
+    xa = bl.rrc_shape(a, n_c)
+    xb = bl.rrc_shape(b, n_c)
+    xab = bl.rrc_shape(a + b, n_c)
     assert np.max(np.abs(xab - xa - xb)) < 1e-12
 
 
 def test_shape_filter_mismatch():
-    f = bl.rrc_taps(0.25, 16, 8)
     with pytest.raises(ValueError):
-        bl.rrc_shape(np.ones((2, 2)), f)
+        bl.rrc_shape(np.ones((2, 2)), 8)
     with pytest.raises(ValueError):
-        bl.rrc_shape(np.ones(0), f)
+        bl.rrc_shape(np.ones(0), 8)
 
 
 def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
@@ -114,11 +132,10 @@ def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
 
 def test_sync_template_alignment():
     n_c = 8
-    f = bl.rrc_taps(0.25, 16, n_c)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(64, 64), seed=3)
     tpl = H.pulse_for("rrc", n_c).template(train)
     assert tpl.size == train.size * n_c
-    y = bl.rrc_matched_filter(bl.rrc_shape(train, f), f)
+    y = bl.rrc_matched_filter(bl.rrc_shape(train, n_c), n_c)
     assert tpl[0] == y[16 * n_c]
     # symbol m of the template sits at m * n_c and carries its sign
     picks = tpl[np.arange(train.size) * n_c]
@@ -127,14 +144,13 @@ def test_sync_template_alignment():
 
 def test_estimate_channel_noiseless():
     n_c = 8
-    f = bl.rrc_taps(0.25, 16, n_c)
     rng = np.random.default_rng(21)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 256), seed=5)
     syms = np.concatenate([train, rng.choice([-1.0, 1.0], 256)])
-    x = bl.rrc_shape(syms, f)
+    x = bl.rrc_shape(syms, n_c)
     chan = x.copy()
     chan[n_c:] += 0.6 * x[:-n_c]
-    y = bl.rrc_matched_filter(chan, f)[16 * n_c::n_c][:syms.size]
+    y = bl.rrc_matched_filter(chan, n_c)[16 * n_c::n_c][:syms.size]
     gains, noise_var = _rrc_estimate(y, train, H.pulse_for("rrc", n_c))
     assert np.flatnonzero(gains).tolist() == [0, 1]
     # accuracy is limited only by the cascade truncation floor
@@ -144,10 +160,9 @@ def test_estimate_channel_noiseless():
 
 def test_estimate_channel_drops_spurs():
     n_c = 8
-    f = bl.rrc_taps(0.25, 16, n_c)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=5)
-    x = bl.rrc_shape(train, f)
-    y = bl.rrc_matched_filter(x, f)[16 * n_c::n_c][:train.size]
+    x = bl.rrc_shape(train, n_c)
+    y = bl.rrc_matched_filter(x, n_c)[16 * n_c::n_c][:train.size]
     pulse = H.pulse_for("rrc", n_c)
     gains, _ = _rrc_estimate(y, train, pulse)
     # a dropped path's gain is an exact zero

@@ -170,6 +170,22 @@ def test_main_sweep_quasi_prints_stats(tmp_path, capsys):
     assert records[0].bits == 4 * 512
 
 
+def test_main_every_frame_failed_is_an_error(tmp_path, capsys):
+    # a point that counted no bit reports which, with no traceback and no CSV
+    cfg = write(tmp_path, QUASI_CFG.replace("ebn0_grid = 6", "ebn0_grid = -30")
+                .replace("frames = 4", "frames = 2")
+                .replace("n_data_bits = 512", "n_data_bits = 64")
+                + "failure_policy = separate\n")
+    out = tmp_path / "out"
+    rc = cli.main(["sweep-quasi", "--config", cfg, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: every frame failed")
+    assert err.rstrip().endswith("at -30.0 dB; no bits were counted")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_main_theory_default_battery(tmp_path, capsys):
     rc = cli.main(["theory", "--out", str(tmp_path)])
     assert rc == 0

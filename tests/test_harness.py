@@ -2,8 +2,10 @@
 
 import contextlib
 import itertools
+import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -503,6 +505,51 @@ def test_quasi_failure_policy_separate_excludes_failed_frames():
         assert b.errors == a.errors - dropped
         assert pess_stats["per_point"][p]["excluded_bits"] == 0
         assert sep_stats["per_point"][p]["excluded_bits"] == dropped
+
+
+def test_quasi_point_with_every_frame_failed_raises():
+    # excluding failed frames can leave a point with no bit to count
+    stats = {}
+    cfg = small_quasi(ebn0_grid=(-30.0,), frames=2, n_data_bits=64,
+                      failure_policy="separate")
+    with pytest.raises(H.AllFramesFailed, match="every frame failed .* at "
+                                                "-30.0 dB"):
+        H.run_quasi_static(cfg, jobs=1, stats=stats)
+    assert stats["per_point"][0]["failed_frames"] == 2
+
+
+def test_sweeps_load_no_numpy_module_beyond_random():
+    # every module a process loads adds to its resident memory, so a
+    # one-frame sweep of every method, in a fresh interpreter, may load no
+    # numpy module that ``import numpy`` leaves out except numpy.random
+    script = """if True:
+        import json, sys
+        import numpy
+        before = set(sys.modules)
+        from chaosmodem import harness as H
+        def config(method, channel, **kw):
+            return H.ExperimentConfig(method=method, channel=channel,
+                                      ebn0_grid=(6.0,), n_data_bits=512, **kw)
+        for m in H.SIM_METHODS:
+            H.run_static_sweep(config(m, "static3", trials=512,
+                                      genie=m == "chaotic-opt"))
+        for m in ("chaotic-subopt", "rrc-mmse"):
+            H.run_quasi_static(config(m, "quasi3", frames=1))
+        for m in H.THEORY_METHODS:
+            H.run_theory_curves(config(m, "static3"))
+        print(json.dumps(sorted(set(sys.modules) - before)))
+    """
+    src = str(Path(H.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "chaosmodem.harness" in loaded
+    extra = [m for m in loaded if m.startswith("numpy.")
+             and not m.startswith("numpy.random")]
+    assert extra == []
 
 
 def test_quasi_determinism_across_jobs():

@@ -20,37 +20,34 @@ SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
 
 def test_matched_filter_tap_symmetry():
     # the matched filter's impulse response is the time-reversed pulse
-    # g(j/n_c) = p(-j/n_c), j = -(n_c-1)..n_p*n_c, bitwise, divided by n_c
-    params = wf.WaveformParams()
+    # g(j/n_c) = p(-j/n_c), j = -(n_c-1)..N_P*n_c, bitwise, divided by n_c
     for n_c in range(2, 17):
-        j = np.arange(-(n_c - 1), params.n_p * n_c + 1)
+        j = np.arange(-(n_c - 1), wf.N_P * n_c + 1)
         kernel = wf.eval_basis(-j / n_c)
         impulse = np.zeros(kernel.size)
         impulse[n_c - 1] = 1.0
-        y = rx.matched_filter(impulse, n_c, params)
-        assert y.size == kernel.size + params.n_p * n_c
+        y = rx.matched_filter(impulse, n_c)
+        assert y.size == kernel.size + wf.N_P * n_c
         assert y[:kernel.size].tobytes() == (kernel / n_c).tobytes()
         assert not y[kernel.size:].any()
 
 
 def test_matched_filter_peak_and_zero():
-    params = wf.WaveformParams()
     n_c = 8
-    assert np.all(rx.matched_filter(np.zeros(64), n_c, params) == 0.0)
+    assert np.all(rx.matched_filter(np.zeros(64), n_c) == 0.0)
     # isolated +1 surrounded by silence: symbol-instant output is the
     # pulse autocorrelation peak
-    s = np.concatenate([np.zeros(params.n_p), [1.0], np.zeros(2)])
-    x = wf.synth_waveform(s, n_c, params, strict=False)
-    y = rx.matched_filter(x, n_c, params)
-    assert abs(y[params.n_p * n_c] - 1.3433) < 1e-4
+    s = np.concatenate([np.zeros(wf.N_P), [1.0], np.zeros(2)])
+    x = wf.synth_waveform(s, n_c)
+    y = rx.matched_filter(x, n_c)
+    assert abs(y[wf.N_P * n_c] - 1.3433) < 1e-4
 
 
 def test_cascade_even_and_peak_precision():
     # the shaping/matched cascade is symmetric about its peak, and at a
     # fine grid the peak reproduces the closed-form autocorrelation
-    params = wf.WaveformParams(n_p=16)
-    n_c = 64
-    j = np.arange(-params.n_p * n_c, n_c)
+    n_p, n_c = 16, 64
+    j = np.arange(-n_p * n_c, n_c)
     pk = wf.eval_basis(j / n_c)
     cas = np.convolve(pk, pk[::-1]) / n_c
     peak = int(np.argmax(cas))
@@ -62,42 +59,39 @@ def test_cascade_even_and_peak_precision():
 
 
 def test_matched_filter_noise_variance():
-    params = wf.WaveformParams()
     n_c = 8
     rng = np.random.default_rng(2024)
     noise = rng.standard_normal(1_000_000)
-    y = rx.matched_filter(noise, n_c, params)
-    g = wf.shaping_taps(n_c, params)
+    y = rx.matched_filter(noise, n_c)
+    g = wf.shaping_taps(n_c)
     expect = float(np.dot(g, g)) / n_c ** 2
     assert abs(float(np.var(y)) - expect) / expect < 0.01
 
 
-def _training_template(train_syms, n_c, params):
-    x = wf.synth_waveform(np.asarray(train_syms, dtype=float), n_c, params)
-    return rx.matched_filter(x, n_c, params)[:len(train_syms) * n_c]
+def _training_template(train_syms, n_c):
+    x = wf.synth_waveform(np.asarray(train_syms, dtype=float), n_c)
+    return rx.matched_filter(x, n_c)[:len(train_syms) * n_c]
 
 
 def test_frame_sync_exact_offset():
-    params = wf.WaveformParams()
     n_c = 8
     rng = np.random.default_rng(11)
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
     data = rng.choice([-1.0, 1.0], 128)
     syms = np.concatenate([train, data])
-    x = wf.synth_waveform(syms, n_c, params)
+    x = wf.synth_waveform(syms, n_c)
     stream = np.concatenate([np.zeros(137), x])
-    filtered = rx.matched_filter(stream, n_c, params)
-    template = _training_template(train, n_c, params)
+    filtered = rx.matched_filter(stream, n_c)
+    template = _training_template(train, n_c)
     assert rx.frame_sync(filtered, template) == 137
     with pytest.raises(ValueError):
         rx.frame_sync(filtered[:10], template)
 
 
 def test_frame_sync_success_rate_at_6db():
-    params = wf.WaveformParams()
     n_c = 8
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
-    template = _training_template(train, n_c, params)
+    template = _training_template(train, n_c)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(6.0, e_b)
     rng = np.random.default_rng(505)
@@ -105,11 +99,11 @@ def test_frame_sync_success_rate_at_6db():
     trials = 300
     for _ in range(trials):
         data = rng.choice([-1.0, 1.0], 64)
-        x = wf.synth_waveform(np.concatenate([train, data]), n_c, params)
+        x = wf.synth_waveform(np.concatenate([train, data]), n_c)
         offset = int(rng.integers(20, 200))
         stream = np.concatenate([np.zeros(offset), x])
         stream = stream + sigma * rng.standard_normal(stream.size)
-        filtered = rx.matched_filter(stream, n_c, params)
+        filtered = rx.matched_filter(stream, n_c)
         if rx.frame_sync(filtered, template) != offset:
             failures += 1
     assert failures <= 3  # > 99% success
@@ -118,16 +112,14 @@ def test_frame_sync_success_rate_at_6db():
 def test_frame_sync_batch_matches_rows():
     # a (P, L) batch gives each row's own 1-d offset, and a 1-d stream an
     # int; a silent row peaks at offset 0
-    params = wf.WaveformParams()
     n_c = 8
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
-    template = _training_template(train, n_c, params)
+    template = _training_template(train, n_c)
     rng = np.random.default_rng(21)
     x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
-                          n_c, params)
-    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), n_c, params)[:1400]
-    noise = rx.matched_filter(rng.standard_normal(sig.size), n_c,
-                              params)[:sig.size]
+                          n_c)
+    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), n_c)[:1400]
+    noise = rx.matched_filter(rng.standard_normal(sig.size), n_c)[:sig.size]
     batch = np.vstack([sig + s * noise for s in (0.0, 0.3, 1.0, 3.0, 30.0)]
                       + [np.zeros(sig.size)])
     got = rx.frame_sync(batch, template)
@@ -145,13 +137,17 @@ def test_frame_sync_batch_matches_rows():
 def test_symbol_decomposition_matches_closed_form():
     # noiseless matched-filter outputs at symbol instants decompose into
     # the closed-form response sum to 1e-9 once the truncation window and
-    # grid are fine enough to support that accuracy
-    params = wf.WaveformParams(n_p=30)
-    n_c = 512
+    # grid are fine enough to support that accuracy: a 30-period pulse
+    # shaped and matched-filtered here as synth_waveform and matched_filter
+    # do at N_P periods
+    n_p, n_c = 30, 512
+    taps = wf.eval_basis(np.arange(-n_p * n_c, n_c) / n_c)
     rng = np.random.default_rng(3)
     syms = rng.choice([-1.0, 1.0], 70)
-    x = wf.synth_waveform(syms, n_c, params)
-    y = rx.matched_filter(x, n_c, params)
+    up = np.zeros(syms.size * n_c)
+    up[::n_c] = syms
+    x = np.convolve(up, taps)[n_p * n_c:n_p * n_c + up.size]
+    y = np.convolve(x, taps[::-1])[n_c - 1:x.size + taps.size - 1] / n_c
     ysym = y[::n_c][:70]
     for n in range(30, 40):
         acc = sum(syms[m] * th.response_r(float(n - m))
@@ -162,11 +158,10 @@ def test_symbol_decomposition_matches_closed_form():
 def test_single_path_raw_sign_decisions():
     # zero-threshold decisions on the clean single-path channel: the
     # self-interference never overwhelms the symbol term
-    params = wf.WaveformParams()
     n_c = 8
     rng = np.random.default_rng(21)
     syms = rng.choice([-1.0, 1.0], 20_000)
-    y = rx.matched_filter(wf.synth_waveform(syms, n_c, params), n_c, params)
+    y = rx.matched_filter(wf.synth_waveform(syms, n_c), n_c)
     ysym = y[::n_c][:syms.size]
     errors = int(np.sum(np.sign(ysym) != syms))
     assert errors / syms.size <= 1e-3
@@ -178,13 +173,12 @@ def _cascade(design, max_delay=3):
 
 
 def test_ls_noiseless_two_path():
-    params = wf.WaveformParams(n_p=16)
     n_c = 512
     rng = np.random.default_rng(3)
     syms = rng.choice([-1.0, 1.0], 160)
     spec = ch.get_preset("static2")
-    x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x, n_c, params)
+    x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
+    y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
     (gains,), (noise_var,) = rx.estimate_channel_ls(ysym[design.rows][None],
@@ -196,12 +190,11 @@ def test_ls_noiseless_two_path():
 
 
 def test_ls_single_path_spurious_taps():
-    params = wf.WaveformParams(n_p=16)
     n_c = 64
     rng = np.random.default_rng(5)
     syms = rng.choice([-1.0, 1.0], 160)
-    x = wf.synth_waveform(syms, n_c, params)
-    y = rx.matched_filter(x, n_c, params)
+    x = wf.synth_waveform(syms, n_c)
+    y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
     obs, cascade = ysym[design.rows][None], _cascade(design)
@@ -216,7 +209,6 @@ def test_ls_single_path_spurious_taps():
 def test_ls_noisy_gain_rms():
     # 10 dB, 256 BPSK training symbols, two-path channel: pooled RMS gain
     # error stays under 5%
-    params = wf.WaveformParams()
     n_c = 8
     spec = ch.get_preset("static2")
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(256, 2), seed=9)
@@ -228,9 +220,8 @@ def test_ls_noisy_gain_rms():
     rng = np.random.default_rng(606)
     sq_err = []
     for _ in range(300):
-        x = ch.propagate(wf.synth_waveform(train, n_c, params), spec, n_c)
-        y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c,
-                              params)
+        x = ch.propagate(wf.synth_waveform(train, n_c), spec, n_c)
+        y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c)
         ysym = y[::n_c][:train.size]
         gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design,
                                           cascade, spur_threshold=0.0)
@@ -380,13 +371,12 @@ def test_decide_rules():
 
 
 def test_decode_genie_noiseless_exact():
-    params = wf.WaveformParams()
     n_c = 8
     spec = ch.get_preset("static3")
     rng = np.random.default_rng(61)
     syms = rng.choice([-1.0, 1.0], 600)
-    x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x, n_c, params)
+    x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
+    y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
     dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
     assert np.array_equal(dec, syms)
@@ -401,13 +391,12 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     # the batch decoder is the fixed point of the per-symbol recursion:
     # replaying it through the reference state machine gives the same
     # decisions bit for bit, at any noise level and training length
-    params = wf.WaveformParams()
     n_c = 8
     spec = ch.get_preset(preset)
     rng = np.random.default_rng(seed)
     syms = rng.choice([-1.0, 1.0], 200)
-    x = ch.propagate(wf.synth_waveform(syms, n_c, params), spec, n_c)
-    y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c, params)
+    x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
+    y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c)
     ysym = y[::n_c][:syms.size]
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
     fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)

@@ -5,7 +5,7 @@ import pytest
 
 from chaosmodem import harness as H
 from chaosmodem import txchain as tx
-from chaosmodem.waveform import WaveformParams, synth_waveform
+from chaosmodem.waveform import N_P, synth_waveform
 from oracles import RESPONSE_TABLE
 
 # (b1, b2) -> (i, q), the QPSK table of the module docstring
@@ -106,46 +106,47 @@ def test_build_frame_qpsk():
         tx.build_frame(data, tx.FrameLayout(255, 3840))
 
 
+def _shape(pulse, rail):
+    """A rail as a frame shapes it: with the pulse's tail appended."""
+    return pulse.synth(np.concatenate([rail, pulse.tail]))
+
+
 def test_shape_chaotic_matches_synthesis():
-    params = WaveformParams()
     pulse = H.pulse_for("chaotic", 8)
-    i = pulse.shape(np.ones(4))
-    assert i.shape == ((4 + params.n_p) * 8,)
-    pad = np.resize(np.array([1.0, -1.0]), params.n_p)
-    ref = synth_waveform(np.concatenate([np.ones(4), pad]), 8, params)
+    i = _shape(pulse, np.ones(4))
+    assert i.shape == ((4 + N_P) * 8,)
+    pad = np.resize(np.array([1.0, -1.0]), N_P)
+    ref = synth_waveform(np.concatenate([np.ones(4), pad]), 8)
     assert np.array_equal(i, ref)
     # negating a rail negates its samples apart from the shared tail pad
-    refq = synth_waveform(np.concatenate([-np.ones(4), pad]), 8, params)
-    assert np.array_equal(pulse.shape(-np.ones(4)), refq)
+    refq = synth_waveform(np.concatenate([-np.ones(4), pad]), 8)
+    assert np.array_equal(_shape(pulse, -np.ones(4)), refq)
     with pytest.raises(ValueError):
         H.pulse_for("gaussian", 8)
 
 
 def test_shape_shift_invariance():
-    params = WaveformParams()
     pulse = H.pulse_for("chaotic", 8)
     rng = np.random.default_rng(17)
     core = rng.choice([-1.0, 1.0], size=24)
     a = np.concatenate([core, [1.0, 1.0]])
     b = np.concatenate([[1.0], core, [1.0]])
-    ia = pulse.shape(a)
-    ib = pulse.shape(b)
+    ia = _shape(pulse, a)
+    ib = _shape(pulse, b)
     # one-symbol input delay shows up as an n_c-sample output delay; the
-    # anticipatory pulse reads n_p symbols ahead, so compare only symbols
+    # anticipatory pulse reads N_P symbols ahead, so compare only symbols
     # whose lookahead stays inside the shift-matched region
-    n_ok = 24 + 2 - params.n_p - 1
+    n_ok = 24 + 2 - N_P - 1
     assert np.max(np.abs(ib[8:8 + n_ok * 8] - ia[:n_ok * 8])) < 1e-12
 
 
 def test_shape_energy_per_symbol():
     # long-run average symbol energy matches the pulse autocorrelation
     # peak times the oversampling rate
-    params = WaveformParams()
     n_c = 8
     rng = np.random.default_rng(123)
     syms = rng.choice([-1.0, 1.0], size=10_000)
-    x = synth_waveform(syms, n_c, params)
+    x = synth_waveform(syms, n_c)
     mean_energy = float(np.sum(x * x)) / syms.size
     expect = n_c * RESPONSE_TABLE[0.0]
     assert abs(mean_energy - expect) / expect < 0.02
-

@@ -54,19 +54,8 @@ def test_envelope_bound():
     assert margin.min() > 0.0
 
 
-def test_params_validation():
-    p = wf.WaveformParams()
-    assert p.n_p == 9
-    assert wf.WaveformParams(n_p=9).n_p == 9
-    assert wf.WaveformParams(n_p=12).n_p == 12
-    with pytest.raises(ValueError, match="n_p >= 9"):
-        wf.WaveformParams(n_p=6)
-    with pytest.raises(ValueError):
-        wf.WaveformParams(n_p=0)
-
-
 def test_min_truncation_length():
-    assert wf.min_truncation_length() == 9
+    assert wf.min_truncation_length() == wf.N_P == 9
     tighter = wf.min_truncation_length(rel_tol=1e-4)
     assert tighter > 9
     # returned length is minimal for its tolerance
@@ -78,18 +67,17 @@ def test_min_truncation_length():
 
 def test_synth_matches_truncated_double_sum():
     rng = np.random.default_rng(1234)
-    params = wf.WaveformParams()
     s = rng.choice([-1.0, 1.0], size=64)
     n_c = 8
-    x = wf.synth_waveform(s, n_c, params)
+    x = wf.synth_waveform(s, n_c)
     assert x.shape == (64 * n_c,)
-    s_ext = np.concatenate([s, np.zeros(params.n_p)])
+    s_ext = np.concatenate([s, np.zeros(wf.N_P)])
     ref = np.zeros_like(x)
     for k in range(x.size):
         t = k / n_c
         q = k // n_c
         acc = 0.0
-        for m in range(q, q + params.n_p + 1):
+        for m in range(q, q + wf.N_P + 1):
             acc += s_ext[m] * float(basis_reference(t - m))
         ref[k] = acc
     assert np.max(np.abs(x - ref)) < 1e-12
@@ -99,10 +87,9 @@ def test_synth_truncation_error_scale():
     # against the untruncated superposition the error is set by the
     # discarded tail, well under the pulse peak but clearly nonzero
     rng = np.random.default_rng(99)
-    params = wf.WaveformParams()
     s = rng.choice([-1.0, 1.0], size=48)
     n_c = 16
-    x = wf.synth_waveform(s, n_c, params)
+    x = wf.synth_waveform(s, n_c)
     t = np.arange(x.size) / n_c
     full = np.zeros_like(x)
     for m, sm in enumerate(s):
@@ -112,19 +99,16 @@ def test_synth_truncation_error_scale():
 
 
 def test_synth_validation_and_linearity():
-    params = wf.WaveformParams()
     with pytest.raises(ValueError):
-        wf.synth_waveform([], 8, params)
-    with pytest.raises(ValueError):
-        wf.synth_waveform([1.0, 0.5, -1.0], 8, params)
+        wf.synth_waveform([], 8)
     rng = np.random.default_rng(7)
     a = rng.choice([-1.0, 1.0], size=32)
     b = rng.choice([-1.0, 1.0], size=32)
-    xa = wf.synth_waveform(a, 8, params)
-    xb = wf.synth_waveform(b, 8, params)
-    xab = wf.synth_waveform(a + b, 8, params, strict=False)
+    xa = wf.synth_waveform(a, 8)
+    xb = wf.synth_waveform(b, 8)
+    xab = wf.synth_waveform(a + b, 8)
     assert np.max(np.abs(xab - (xa + xb))) < 1e-12
-    x2a = wf.synth_waveform(2.0 * a, 8, params, strict=False)
+    x2a = wf.synth_waveform(2.0 * a, 8)
     assert np.max(np.abs(x2a - 2.0 * xa)) < 1e-12
 
 
@@ -202,7 +186,6 @@ def test_hybrid_state_encodes_future_symbols():
 def test_hybrid_reconstruction_rms():
     # the simulated oscillator, re-synthesized from its own emitted
     # symbols, matches itself after the transient settles
-    params = wf.WaveformParams()
     for x0, v0 in ((0.37, 0.0), (-0.61, 2.3), (0.12, -1.7)):
         traj = wf.simulate_hybrid(x0, v0, 40.0)
         a = traj.symbol_anchor
