@@ -23,10 +23,12 @@ a pure delay of the preset's longest path, for the response at symbol
 lags; every frame applies its channel's paths to that response at symbol
 rate, and the matched filter reads its noise at the symbol instants only.
 Only over the sync window of an estimated-channel frame, where frame sync
-searches off the symbol grid, does the waveform path run at full rate.
-That frame then acquires every grid point at once: frame sync, sync-grid
-refinement, the LS estimate and the receiver design run on arrays over
-the points, each value bitwise the one a single point would get.
+searches rail I off the symbol grid, does the waveform path run at full
+rate, on that rail only. That frame then acquires every grid point at
+once: frame sync, sync-grid refinement, the LS estimate and the receiver
+design run on arrays over the points. They decode and fail exactly the
+points a per-point computation does, and their estimates agree with its
+to rounding.
 """
 
 from __future__ import annotations
@@ -333,7 +335,8 @@ class _Context:
             except ValueError as exc:
                 raise ValueError(f"n_training_bits = {config.n_training_bits} "
                                  f"cannot estimate the channel: {exc}") from None
-            self.cascade = pulse.cascade(self.design.lags[:, None] - delays)
+            self.cascade, self.solvers = _path_model(
+                pulse, tuple(self.design.lags.tolist()))
             # an orthonormal basis of the path model's span, against which
             # sync-grid refinement takes its residuals
             self.basis = np.linalg.qr(self.design.design @ self.cascade)[0]
@@ -455,21 +458,33 @@ class _Context:
             phases, phases.shape[:2] + (n,), (s0, s1 + s2, s2), writeable=False)
         return sig, terms.sum(axis=1), w
 
-    def sync_window(self, sent, spec, pad: int, w):
-        """Full-rate matched-filter outputs (signal, noise) of a frame over
-        its first search_len + 2 n_c samples, which hold all ``_acquire``
-        reads, bitwise: shaping the first symbols only and filtering the
-        first samples only keeps every full-overlap output."""
+    def sync_window(self, rail, spec, pad: int, w):
+        """Full-rate matched-filter outputs (signal, noise) of one rail over
+        the frame's first search_len + 2 n_c samples, which hold all
+        ``_acquire`` reads at full rate, and of its noise draw ``w``,
+        bitwise: shaping the first symbols only and filtering the first
+        samples only keeps every full-overlap output."""
         pulse, n_c = self.pulse, self.config.n_c
         win = self.search_len + 2 * n_c
         cut = win + n_c  # the matched filter reads up to n_c - 1 ahead
         # the symbols before the cut, and those whose shaping reaches back
         shaped = -(-(cut - pad) // n_c) + self.edge.shape[1]
-        x = [np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
-            np.concatenate([s, pulse.tail])[:shaped]), spec, n_c)])[:cut]
-             for s in sent]
-        return tuple(np.array([pulse.mf(v)[:win] for v in vs])
-                     for vs in (x, w[:, :cut]))
+        x = np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
+            np.concatenate([rail, pulse.tail])[:shaped]), spec, n_c)])[:cut]
+        return pulse.mf(x)[:win], pulse.mf(w[:cut])[:win]
+
+
+@lru_cache(maxsize=None)
+def _path_model(pulse: Pulse, lags: tuple):
+    """The LS path model of a pulse: its cascade at the design ``lags``
+    minus each candidate path delay 0.._MAX_DELAY, and the
+    ``rx.subset_solvers`` of that cascade, both read-only. They depend on
+    the pulse (one per method and n_c, see ``pulse_for``) and the lags
+    only, so the sweeps of a process share them, and a solver that cannot
+    be built fails the first sweep's context, before any frame runs."""
+    cascade = pulse.cascade(np.array(lags)[:, None] - np.arange(_MAX_DELAY + 1))
+    cascade.flags.writeable = False
+    return cascade, rx.subset_solvers(cascade)
 
 
 _CTX: Optional[_Context] = None
@@ -565,49 +580,58 @@ def _receivers(ctx: _Context, gains, noise_var):
     return feedback, eqs
 
 
-def _acquire(ctx: _Context, sent, spec, pad: int, w):
+def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     """The receiver of an estimated-channel frame, laid out as
     ``_Context.known`` holds the known channel's: (decoded points, their
     feedback rows (points, 1, w) and equalizer taps from ``_receivers``,
-    failures and estimate RMS per point). A point is decoded if frame sync
-    over the full-rate window finds the true offset and the LS estimate
-    exists.
+    failures and estimate RMS per point). ``sig``, ``noise`` and ``w`` are
+    what ``_Context.sampled_frame`` returned for the frame. A point is
+    decoded if frame sync finds the true offset.
 
-    Frame sync finds each point's coarse correlation peak, snaps it to the
-    symbol grid and refines it over the grid steps by the pooled
-    path-model residual. Among candidates whose residual is within a
-    factor two of the best, the largest offset wins: an offset early by
-    one symbol shows up as every path delay shifted up by one, which still
-    fits; an offset late by one needs delay -1 and leaves the training
-    energy unexplained. The winner must still explain at least half of
-    the observed training energy.
+    Frame sync finds each point's coarse correlation peak in rail I over
+    the full-rate window, snaps it to the symbol grid and refines it over
+    the grid steps by the pooled path-model residual. Among candidates
+    whose residual is within a factor two of the best, the largest offset
+    wins: an offset early by one symbol shows up as every path delay
+    shifted up by one, which still fits; an offset late by one needs delay
+    -1 and leaves the training energy unexplained. The winner must still
+    explain at least half of the observed training energy.
 
     All grid points go through this as arrays: one ``rx.frame_sync`` call
-    over a (points, samples) batch, one gather of every candidate's
-    training observations from the symbol-grid samples (the candidates are
-    whole symbols apart), residuals against an orthonormal basis of the
-    path model, one ``rx.estimate_channel_ls`` call over the points that
-    kept their timing, whose gains rows and noise variances go to
-    ``_receivers`` as the known channel's preset row does. Every value
-    that reaches a count or a statistic is bitwise the per-point
-    computation's."""
-    win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
+    that correlates the window's signal and noise once each, one gather of
+    every candidate's training observations (the candidates are whole
+    symbols apart), residuals against an orthonormal basis of the path
+    model, one ``rx.estimate_channel_ls`` call over the points that kept
+    their timing, whose gains rows and noise variances go to
+    ``_receivers`` as the known channel's preset row does. Rail I is
+    gathered from the full-rate window's symbol grid; rail Q from the
+    symbol-rate samples, which start at the true offset. A point that can
+    keep its timing has the true offset among its candidates, so each is
+    at most three symbols early and every rail Q read of it lies at least
+    ``design.rows.start - 3`` symbols into the frame; reads outside the
+    frame reach only points that fail anyway and are clipped to it. The
+    decoded points and failures are those of the per-point computation
+    (``tests/oracles.py::acquire_loop``) and the estimates agree with it
+    to rounding."""
     n_c, n_points = ctx.config.n_c, ctx.sigmas.size
     points = np.arange(n_points)
+    win_sig, win_noise = ctx.sync_window(sent[0], spec, pad, w[0])
     ln = ctx.search_len
-    coarse = rx.frame_sync(win_sig[0, :ln] + ctx.sigmas[:, None]
-                           * win_noise[0, :ln], ctx.template)
+    coarse = rx.frame_sync(win_sig[:ln], ctx.template, win_noise[:ln],
+                           ctx.sigmas)
     # candidate offsets in symbols, each needing the whole training block
     cand = np.rint(coarse / n_c).astype(int)[:, None] + _SYNC_GRID_STEPS
     valid = (cand >= 0) & ((cand + ctx.train.shape[1]) * n_c
-                           <= win_sig.shape[1])
-    grid = (win_sig[:, ::n_c]
-            + ctx.sigmas[:, None, None] * win_noise[:, ::n_c])
+                           <= win_sig.size)
     rows = ctx.design.rows
-    at = (np.clip(cand, 0, grid.shape[2] - rows.stop)[..., None]
+    grid_sig, grid_noise = win_sig[::n_c], win_noise[::n_c]
+    at = (np.clip(cand, 0, grid_sig.size - rows.stop)[..., None]
           + np.arange(rows.start, rows.stop))
-    p = points[:, None, None]
-    obs = np.concatenate([grid[p, 0, at], grid[p, 1, at]], axis=2)
+    # window grid index k is symbol k - (pad + lead) / n_c of the frame
+    q = np.clip(at - (pad + ctx.pulse.lead) // n_c, 0, sig.shape[1] - 1)
+    sigma = ctx.sigmas[:, None, None]
+    obs = np.concatenate([grid_sig[at] + sigma * grid_noise[at],
+                          sig[1, q] + sigma * noise[1, q]], axis=2)
     flat = obs.reshape(-1, obs.shape[2])
     resid = flat - (flat @ ctx.basis) @ ctx.basis.T
     res = np.where(valid, np.sum(resid * resid, axis=1).reshape(cand.shape),
@@ -618,14 +642,8 @@ def _acquire(ctx: _Context, sent, spec, pad: int, w):
     hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
     decoded = np.flatnonzero(hit)
-    try:
-        gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design,
-                                                  ctx.cascade)
-    except np.linalg.LinAlgError:
-        # lstsq factors only the fixed cascade columns, never the frame's
-        # data, so a failure is every point's
-        decoded = decoded[:0]
-        gains, noise_var = np.zeros((0, _MAX_DELAY + 1)), np.zeros(0)
+    gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design,
+                                              ctx.solvers)
     failures = np.ones(n_points, dtype=np.int64)
     failures[decoded] = 0
     rms = np.full(n_points, np.nan)
@@ -654,7 +672,8 @@ def _frame(frame_idx: int):
         spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
     sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng_noise)
     decoded, feedback, eqs, failures, rms = (
-        _acquire(ctx, sent, spec, pad, w) if ctx.quasi else ctx.known)
+        _acquire(ctx, sent, spec, pad, sig, noise, w) if ctx.quasi
+        else ctx.known)
     # a failed point has all its payload bits in error, or none counted
     lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
     errors, counted = lost.copy(), lost
@@ -680,7 +699,7 @@ def _run(config: ExperimentConfig, quasi: bool, n_frames: int, jobs: int,
         per_point = []
         for p, db in enumerate(config.ebn0_grid):
             ok = rms_all[np.isfinite(rms_all[:, p]), p]
-            rms = ((np.mean(ok), np.percentile(ok, 90.0), np.max(ok))
+            rms = ((np.mean(ok), _percentile_90(ok), np.max(ok))
                    if ok.size else (np.nan,) * 3)
             per_point.append({
                 "ebn0_db": float(db),
@@ -703,6 +722,19 @@ def _run(config: ExperimentConfig, quasi: bool, n_frames: int, jobs: int,
             config.method, config.channel, db, int(counted[p]),
             int(errors[p])))
     return records
+
+
+def _percentile_90(values) -> float:
+    """``np.percentile(values, 90.0)`` bitwise, by numpy's linear method:
+    the lerp between the sorted values around index 0.9 (n - 1), from the
+    nearer end. ``np.percentile`` itself imports ``numpy.ma``."""
+    s = np.sort(values)
+    v = (s.size - 1) * 0.9
+    i = math.floor(v)
+    if i >= s.size - 1:
+        return float(s[-1])
+    a, b, t = float(s[i]), float(s[i + 1]), v - i
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]:

@@ -48,30 +48,37 @@ def matched_filter(baseband, n_c: int) -> np.ndarray:
     return full[n_c - 1:x.size + taps.size - 1] / n_c
 
 
-def frame_sync(filtered, template):
-    """Locate the training prefix by normalized cross-correlation: the
-    offset that maximizes correlation normalized by the local signal norm.
+def frame_sync(signal, template, noise, sigmas):
+    """Locate the training prefix by normalized cross-correlation in the
+    streams signal + sigma * noise, one per entry of ``sigmas``: per
+    stream, the offset that maximizes the correlation with ``template``
+    normalized by the local stream norm. Returns one offset per sigma.
 
-    ``filtered`` is one stream, shape (L,), for which the offset comes back
-    as an int, or a batch of equally long streams, shape (P, L), for which
-    it comes back as one offset per row. Each row keeps its own
-    ``np.correlate`` and a running sum of its own squares for the window
-    energy, so a row's offset is bitwise the one its 1-d call finds.
+    ``signal`` and ``noise`` are equally long 1-d streams. The streams are
+    never formed: correlation is linear, so each stream's correlation is
+    corr(signal) + sigma corr(noise), from one ``np.correlate`` of each,
+    and its window energy is S + 2 sigma X + sigma^2 N from the running
+    sums of signal^2, signal * noise and noise^2, clipped at zero against
+    rounding. Offsets agree with a correlation of each formed stream
+    except where two candidates tie to rounding.
     """
-    x = np.asarray(filtered, dtype=float)
+    s = np.asarray(signal, dtype=float)
+    n = np.asarray(noise, dtype=float)
     t = np.asarray(template, dtype=float)
-    if x.ndim not in (1, 2):
-        raise ValueError("filtered must be 1-d or 2-d")
-    if t.size == 0 or x.shape[-1] < t.size:
-        raise ValueError("filtered stream shorter than the template")
-    rows = np.atleast_2d(x)
-    num = np.array([np.correlate(r, t, mode="valid") for r in rows])
-    csum = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.cumsum(rows * rows, axis=1, out=csum[:, 1:])
-    win_energy = csum[:, t.size:] - csum[:, :-t.size]
+    if s.ndim != 1 or n.shape != s.shape:
+        raise ValueError(f"signal {s.shape} and noise {n.shape} must be "
+                         f"equally long 1-d streams")
+    if t.size == 0 or s.size < t.size:
+        raise ValueError("signal shorter than the template")
+    sig = np.asarray(sigmas, dtype=float)[:, None]
+    num = (np.correlate(s, t, mode="valid")
+           + sig * np.correlate(n, t, mode="valid"))
+    csum = np.zeros((3, s.size + 1))
+    np.cumsum(np.stack([s * s, s * n, n * n]), axis=1, out=csum[:, 1:])
+    s2, sn, n2 = csum[:, t.size:] - csum[:, :-t.size]
+    win_energy = np.maximum(s2 + 2.0 * sig * sn + sig * sig * n2, 0.0)
     den = np.sqrt(win_energy * float(np.dot(t, t)))
-    offsets = np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=1)
-    return int(offsets[0]) if x.ndim == 1 else offsets
+    return np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=1)
 
 
 @dataclass(frozen=True)
@@ -111,28 +118,45 @@ def build_ls_design(train_syms, max_delay: int = 3, lag_back: int = 6) -> LsDesi
     return LsDesign(np.linalg.pinv(design), slice(lo, hi), lags, design)
 
 
-def estimate_channel_ls(obs, design: LsDesign, cascade,
+def subset_solvers(cascade) -> np.ndarray:
+    """Least-squares solvers of the path gains for every subset of the D
+    candidate path delays, shape (2^D, D, k), read-only. ``cascade[i, d]``
+    is the pulse cascade at design lag i minus delay d; entry ``mask``
+    keeps the delays d whose bit ``1 << d`` it sets and is
+    pinv(cascade[:, kept]) with zero rows at the dropped delays, so entry
+    0 is all zeros and entry 2^D - 1 the full fit. ``np.linalg.pinv``
+    raises ``LinAlgError`` here if a solver cannot be built."""
+    c = np.asarray(cascade, dtype=float)
+    n_delays = c.shape[1]
+    solvers = np.zeros((1 << n_delays, n_delays, c.shape[0]))
+    for mask in range(1, 1 << n_delays):
+        kept = [d for d in range(n_delays) if mask >> d & 1]
+        solvers[mask, kept] = np.linalg.pinv(c[:, kept])
+    solvers.flags.writeable = False
+    return solvers
+
+
+def estimate_channel_ls(obs, design: LsDesign, solvers,
                         spur_threshold: float = 0.05):
     """Two-stage least squares: composite response on integer lags first,
     then per-path gains by matching the pulse's known cascade.
 
     ``obs`` holds, one row per observation, shape (P, m), the symbol-rate
     matched-filter outputs at ``design.rows`` of each rail, concatenated in
-    the design's rail order. ``cascade[i, d]`` is the shaping/matched-filter
-    cascade at symbol lag ``design.lags[i] - d`` for candidate path delay
-    d = 0..D-1; paths below ``spur_threshold`` of the strongest recovered
-    gain are dropped and the survivors refit. Residual power from stage one
-    estimates the noise variance at the matched-filter output. Returns the
-    gains, shape (P, D), column d the gain at delay d and an exact 0.0 where
-    a path was dropped, and the noise variances, shape (P,).
+    the design's rail order. ``solvers`` is ``subset_solvers`` of the
+    cascade at ``design.lags`` for candidate path delays d = 0..D-1; paths
+    below ``spur_threshold`` of the strongest recovered gain are dropped
+    and the survivors refit. Residual power from stage one estimates the
+    noise variance at the matched-filter output. Returns the gains, shape
+    (P, D), column d the gain at delay d and an exact 0.0 where a path was
+    dropped, and the noise variances, shape (P,).
 
-    Stage one runs on every row at once as a stacked ``np.matmul`` of
-    (m, 1) columns: that is one matrix-vector product per row, bitwise
-    ``design.pinv @ obs[p]``, which one (P, m) @ (m, k) matrix product is
-    not (its blocked sums round differently). Stage two stays one
-    ``np.linalg.lstsq`` per row: a multi-right-hand-side solve differs
-    from the single ones in the last bits, and which paths survive differs
-    from row to row. So every row is bitwise what a one-row call gives.
+    Each stage is one stacked ``np.matmul`` of (k, 1) columns, one
+    matrix-vector product per row, so every row is bitwise what a one-row
+    call gives; stage one is bitwise ``design.pinv @ obs[p]``. Stage two
+    fits every row with the full solver, then refits it with the solver
+    of the subset it keeps (all of them when none is dropped); its gains
+    equal a ``np.linalg.lstsq`` over the kept cascade columns to rounding.
     """
     rows = np.asarray(obs, dtype=float)
     if rows.ndim != 2:
@@ -141,16 +165,15 @@ def estimate_channel_ls(obs, design: LsDesign, cascade,
     r_hat = np.matmul(design.pinv, rows[..., None])
     resid = rows - np.matmul(design.design, r_hat)[..., 0]
     dof = rows.shape[1] - design.lags.size
-    gains = np.zeros((rows.shape[0], cascade.shape[1]))
     noise_var = np.empty(rows.shape[0])
-    for p, (r, e) in enumerate(zip(r_hat[..., 0], resid)):
+    for p, e in enumerate(resid):
         noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
-        alpha, *_ = np.linalg.lstsq(cascade, r, rcond=None)
-        keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
-        if spur_threshold > 0 and not np.all(keep):
-            alpha, *_ = np.linalg.lstsq(cascade[:, keep], r, rcond=None)
-        gains[p, keep] = alpha
-    return gains, noise_var
+    strength = np.abs(np.matmul(solvers[-1], r_hat)[..., 0])
+    keep = strength >= spur_threshold * strength.max(axis=1, keepdims=True)
+    subset = keep @ (1 << np.arange(keep.shape[1]))
+    refit = np.matmul(solvers[subset], r_hat)[..., 0]
+    # a dropped delay's zero row can sum to -0.0
+    return np.where(keep, refit, 0.0), noise_var
 
 
 def genie_response(channel):

@@ -39,15 +39,23 @@ _VALIDATION_GRID_STEP = 1.0 / 512.0
 _VALIDATION_T_MIN = -40.0
 
 
+def _tail_peak_ratios(n_max: int) -> np.ndarray:
+    """max |p(t)| over the grid t < -n_p, relative to the global peak, for
+    n_p = 0..n_max - 1. The grid is evaluated once: the maxima over its
+    unit intervals [k, k + 1), accumulated from the grid's start, give
+    every tail's maximum."""
+    grid = np.arange(_VALIDATION_T_MIN, 1.0, _VALIDATION_GRID_STEP)
+    units = np.abs(eval_basis(grid)).reshape(
+        -1, round(1.0 / _VALIDATION_GRID_STEP)).max(axis=1)
+    # head[k]: the maximum over the first k unit intervals, t < T_MIN + k
+    head = np.maximum.accumulate(np.concatenate([[0.0], units]))
+    below = np.maximum(-int(_VALIDATION_T_MIN) - np.arange(n_max), 0)
+    return head[below] / head[-1]
+
+
 def _tail_peak_ratio(n_p: int) -> float:
     """max |p(t)| over the grid t < -n_p, relative to the global peak."""
-    grid = np.arange(_VALIDATION_T_MIN, 1.0, _VALIDATION_GRID_STEP)
-    vals = np.abs(eval_basis(grid))
-    peak = float(vals.max())
-    tail = vals[grid < -float(n_p)]
-    if tail.size == 0:
-        return 0.0
-    return float(tail.max()) / peak
+    return float(_tail_peak_ratios(n_p + 1)[n_p])
 
 
 def min_truncation_length(rel_tol: float = 1e-3) -> int:
@@ -55,10 +63,11 @@ def min_truncation_length(rel_tol: float = 1e-3) -> int:
     ``rel_tol`` times the pulse peak (grid-measured)."""
     if rel_tol <= 0:
         raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    for n_p in range(1, 64):
-        if _tail_peak_ratio(n_p) < rel_tol:
-            return n_p
-    raise ValueError(f"no admissible truncation length below 64 for rel_tol={rel_tol}")
+    below = np.flatnonzero(_tail_peak_ratios(64)[1:] < rel_tol)
+    if below.size == 0:
+        raise ValueError(f"no admissible truncation length below 64 for "
+                         f"rel_tol={rel_tol}")
+    return int(below[0]) + 1
 
 
 def eval_basis(t) -> np.ndarray:

@@ -6,8 +6,9 @@ computations. The exceptions are ``waveform_path``, the full-rate
 pipeline built from the package's own stages, against which the sampled
 frame paths are checked, ``acquire_loop`` and ``mmse_per_span``, the
 per-point frame acquisition and the per-span equalizer design the batched
-ones must reproduce, and ``parse_csv``, which reads the package's CSV
-back into its records.
+ones must reproduce (with ``frame_sync_stream`` and ``estimate_ls_loop``,
+the per-stream sync and per-row ``lstsq`` estimate the first one runs),
+and ``parse_csv``, which reads the package's CSV back into its records.
 """
 
 import math
@@ -231,6 +232,52 @@ def waveform_path(pulse, rail, channel, pad, rng_noise):
     return pulse.mf(sig), pulse.mf(rng_noise.standard_normal(sig.size))
 
 
+def frame_sync_stream(filtered, template):
+    """The offset of one stream that maximizes its normalized
+    cross-correlation with ``template``: one ``np.correlate`` of the formed
+    stream and a running sum of its squares for the window energy. The
+    per-stream reference for ``rxchain.frame_sync``."""
+    x = np.asarray(filtered, dtype=float)
+    t = np.asarray(template, dtype=float)
+    num = np.correlate(x, t, mode="valid")
+    csum = np.concatenate([[0.0], np.cumsum(x * x)])
+    win_energy = csum[t.size:] - csum[:-t.size]
+    den = np.sqrt(win_energy * float(np.dot(t, t)))
+    return int(np.argmax(np.abs(num) / np.maximum(den, 1e-30)))
+
+
+def estimate_ls_loop(obs, design, cascade, spur_threshold=0.05):
+    """``rxchain.estimate_channel_ls`` one row at a time, stage two by
+    ``np.linalg.lstsq`` on the cascade and, when a path is dropped, again
+    on the kept columns. Returns the gains (P, D) and noise variances."""
+    rows = np.asarray(obs, dtype=float)
+    gains = np.zeros((rows.shape[0], cascade.shape[1]))
+    noise_var = np.empty(rows.shape[0])
+    dof = rows.shape[1] - design.lags.size
+    for p, row in enumerate(rows):
+        r = design.pinv @ row
+        e = row - design.design @ r
+        noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
+        alpha = np.linalg.lstsq(cascade, r, rcond=None)[0]
+        keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
+        if not np.all(keep):
+            alpha = np.linalg.lstsq(cascade[:, keep], r, rcond=None)[0]
+        gains[p, keep] = alpha
+    return gains, noise_var
+
+
+def sync_window_long(ctx, sent, spec, pad, w):
+    """Full-rate matched-filter outputs (signal, noise) of both rails of a
+    frame over the sync window, each rail shaped, propagated and filtered
+    whole, and its noise draw filtered whole."""
+    win = ctx.search_len + 2 * ctx.config.n_c
+    pulse = ctx.pulse
+    sig = [pulse.mf(np.concatenate([np.zeros(pad), propagate(pulse.synth(
+        np.concatenate([rail, pulse.tail])), spec, pulse.n_c)]))[:win]
+        for rail in sent]
+    return np.array(sig), np.array([pulse.mf(row)[:win] for row in w])
+
+
 def _sync_offset(ctx, proj, y_i, y_q):
     """Coarse correlation peak of one grid point, snapped to the symbol
     grid and refined by the pooled path-model residual against the
@@ -239,7 +286,7 @@ def _sync_offset(ctx, proj, y_i, y_q):
     wins; the winner must explain at least half the training energy."""
     n_c = ctx.config.n_c
     sl = slice(0, min(ctx.search_len, y_i.size))
-    coarse = rx.frame_sync(y_i[sl], ctx.template)
+    coarse = frame_sync_stream(y_i[sl], ctx.template)
     base = int(round(coarse / n_c)) * n_c
     rows, span = ctx.design.rows, ctx.train.shape[1] * n_c
     results = {}
@@ -315,13 +362,15 @@ def dense_gains(channel) -> np.ndarray:
 
 
 def acquire_loop(ctx, sent, spec, pad, w):
-    """``harness._acquire`` one grid point at a time: sync, LS estimate and
-    receiver design per point, with the residual projection built from
-    the pseudoinverse of the path model, and the feedback coefficients
-    path by path over the estimate's own delays. Returns what ``_acquire``
-    does: (decoded points, feedback rows (points, 1, w) or None,
-    equalizer taps (points, EQ_LENGTH) or None, failures, estimate RMS)."""
-    win_sig, win_noise = ctx.sync_window(sent, spec, pad, w)
+    """``harness._acquire`` one grid point at a time, the long way: both
+    rails over the full-rate sync window, then per point the formed
+    stream's sync, the LS estimate by ``lstsq`` and the receiver design,
+    with the residual projection built from the pseudoinverse of the path
+    model, and the feedback coefficients path by path over the estimate's
+    own delays. Returns what ``_acquire`` does: (decoded points, feedback
+    rows (points, 1, w) or None, equalizer taps (points, EQ_LENGTH) or
+    None, failures, estimate RMS)."""
+    win_sig, win_noise = sync_window_long(ctx, sent, spec, pad, w)
     B = ctx.design.design @ ctx.cascade
     proj = B @ np.linalg.pinv(B)
     n_points = ctx.sigmas.size
@@ -332,17 +381,11 @@ def acquire_loop(ctx, sent, spec, pad, w):
     for p, sigma in enumerate(ctx.sigmas):
         y_i, y_q = win_sig + sigma * win_noise
         picked = _sync_offset(ctx, proj, y_i, y_q)
-        est = None
-        if picked is not None and picked[0] == pad + ctx.pulse.lead:
-            try:
-                est = rx.estimate_channel_ls(picked[1][None], ctx.design,
-                                             ctx.cascade)
-            except np.linalg.LinAlgError:
-                pass
-        if est is None:
+        if picked is None or picked[0] != pad + ctx.pulse.lead:
             failures[p] = 1
             continue
-        gains, noise_var = est
+        gains, noise_var = estimate_ls_loop(picked[1][None], ctx.design,
+                                            ctx.cascade)
         rms[p] = float(np.sqrt(np.mean((gains[0] - true_dense) ** 2)))
         decoded.append(p)
         if ctx.config.method == "rrc-mmse":

@@ -126,7 +126,8 @@ def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
     design = rx.build_ls_design(train, max_delay=3)
     cascade = pulse.cascade(design.lags[:, None] - np.arange(4)[None, :])
     gains, noise_var = rx.estimate_channel_ls(
-        y[design.rows][None], design, cascade, spur_threshold=spur_threshold)
+        y[design.rows][None], design, rx.subset_solvers(cascade),
+        spur_threshold=spur_threshold)
     return gains[0], noise_var[0]
 
 

@@ -8,12 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaosmodem import channel as ch
+from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
 from chaosmodem import txchain as tx
 from chaosmodem import waveform as wf
 from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, dense_gains,
-                     isi_feedback_coeffs, threshold_suboptimal)
+                     frame_sync_stream, isi_feedback_coeffs,
+                     threshold_suboptimal)
 
 SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
 
@@ -83,9 +85,12 @@ def test_frame_sync_exact_offset():
     stream = np.concatenate([np.zeros(137), x])
     filtered = rx.matched_filter(stream, n_c)
     template = _training_template(train, n_c)
-    assert rx.frame_sync(filtered, template) == 137
+    silence = np.zeros(filtered.size)
+    assert rx.frame_sync(filtered, template, silence, [0.0]).tolist() == [137]
     with pytest.raises(ValueError):
-        rx.frame_sync(filtered[:10], template)
+        rx.frame_sync(filtered[:10], template, silence[:10], [0.0])
+    with pytest.raises(ValueError):
+        rx.frame_sync(filtered, template, silence[:-1], [0.0])
 
 
 def test_frame_sync_success_rate_at_6db():
@@ -102,36 +107,62 @@ def test_frame_sync_success_rate_at_6db():
         x = wf.synth_waveform(np.concatenate([train, data]), n_c)
         offset = int(rng.integers(20, 200))
         stream = np.concatenate([np.zeros(offset), x])
-        stream = stream + sigma * rng.standard_normal(stream.size)
+        noise = rx.matched_filter(rng.standard_normal(stream.size), n_c)
         filtered = rx.matched_filter(stream, n_c)
-        if rx.frame_sync(filtered, template) != offset:
+        if rx.frame_sync(filtered, template, noise, [sigma])[0] != offset:
             failures += 1
     assert failures <= 3  # > 99% success
 
 
 def test_frame_sync_batch_matches_rows():
-    # a (P, L) batch gives each row's own 1-d offset, and a 1-d stream an
-    # int; a silent row peaks at offset 0
+    # correlating signal and noise once each gives, for every sigma, the
+    # offset a correlation of the formed stream signal + sigma * noise
+    # finds, at pads of 0, 2 and 20 symbols, and on noise-only windows; a
+    # silent window peaks at offset 0 without a RuntimeWarning (which the
+    # test settings turn into an error)
     n_c = 8
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
     template = _training_template(train, n_c)
     rng = np.random.default_rng(21)
     x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
                           n_c)
-    sig = rx.matched_filter(np.concatenate([np.zeros(90), x]), n_c)[:1400]
-    noise = rx.matched_filter(rng.standard_normal(sig.size), n_c)[:sig.size]
-    batch = np.vstack([sig + s * noise for s in (0.0, 0.3, 1.0, 3.0, 30.0)]
-                      + [np.zeros(sig.size)])
-    got = rx.frame_sync(batch, template)
-    assert got.shape == (batch.shape[0],)
-    want = [rx.frame_sync(row, template) for row in batch]
-    assert all(type(o) is int for o in want)
-    assert got.tolist() == want
-    assert want[0] == 90 and want[-1] == 0
-    with pytest.raises(ValueError):
-        rx.frame_sync(batch[:, :10], template)
-    with pytest.raises(ValueError):
-        rx.frame_sync(batch[None], template)
+    sigmas = np.array([0.0, 0.3, 1.0, 3.0, 30.0])
+    noise = rx.matched_filter(rng.standard_normal(1300), n_c)[:1300]
+    for pad in (0, 2, 20):
+        sig = rx.matched_filter(np.concatenate([np.zeros(pad * n_c), x]),
+                                n_c)[:noise.size]
+        got = rx.frame_sync(sig, template, noise, sigmas)
+        assert got.shape == sigmas.shape
+        assert got.tolist() == [frame_sync_stream(sig + s * noise, template)
+                                for s in sigmas]
+        assert got[0] == pad * n_c
+    # windows without the training: noise only, and payload symbols, where
+    # every offset's normalized correlation is small and the peak rests
+    # on the window energy's cross term
+    silence = np.zeros(noise.size)
+    payload = rx.matched_filter(wf.synth_waveform(
+        rng.choice([-1.0, 1.0], 170), n_c), n_c)[:noise.size]
+    for sig in (silence, payload):
+        got = rx.frame_sync(sig, template, noise, sigmas[1:])
+        assert got.tolist() == [frame_sync_stream(sig + s * noise, template)
+                                for s in sigmas[1:]]
+    # a noise stream that nearly cancels the signal leaves the cross term
+    # most of the energy, which a short template over a signal of rising
+    # amplitude makes decide the peak; where it cancels exactly, the
+    # energy is zero and the stream silent
+    short = template[:16 * n_c]
+    ramped = payload * np.linspace(0.2, 2.0, noise.size)
+    cancel = 0.3 * noise - ramped
+    near = np.array([0.5, 0.9, 1.0, 1.1, 2.0])
+    got = rx.frame_sync(ramped, short, cancel, near)
+    assert got.tolist() == [frame_sync_stream(ramped + s * cancel, short)
+                            for s in near]
+    assert rx.frame_sync(ramped, short, -ramped, [1.0]).tolist() == [0]
+    # where it cancels only to rounding, the energy's rounding goes below
+    # zero, which is clipped rather than passed to the square root
+    (got,) = rx.frame_sync(ramped, short, -ramped / 3.0, [3.0])
+    assert 0 <= got <= noise.size - short.size
+    assert rx.frame_sync(silence, template, silence, sigmas).tolist() == [0] * 5
 
 
 def test_symbol_decomposition_matches_closed_form():
@@ -172,6 +203,10 @@ def _cascade(design, max_delay=3):
     return th.response_r(design.lags[:, None] - np.arange(max_delay + 1.0))
 
 
+def _solvers(design):
+    return rx.subset_solvers(_cascade(design))
+
+
 def test_ls_noiseless_two_path():
     n_c = 512
     rng = np.random.default_rng(3)
@@ -182,7 +217,7 @@ def test_ls_noiseless_two_path():
     ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
     (gains,), (noise_var,) = rx.estimate_channel_ls(ysym[design.rows][None],
-                                                    design, _cascade(design))
+                                                    design, _solvers(design))
     assert np.flatnonzero(gains).tolist() == [0, 1]
     true = np.array([1.0, math.exp(-0.6)])
     assert np.max(np.abs(gains[:2] - true) / true) < 1e-4
@@ -197,12 +232,12 @@ def test_ls_single_path_spurious_taps():
     y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
     design = rx.build_ls_design(syms, max_delay=3)
-    obs, cascade = ysym[design.rows][None], _cascade(design)
-    (raw,), _ = rx.estimate_channel_ls(obs, design, cascade,
+    obs, solvers = ysym[design.rows][None], _solvers(design)
+    (raw,), _ = rx.estimate_channel_ls(obs, design, solvers,
                                        spur_threshold=0.0)
     assert abs(raw[0] - 1.0) < 0.02
     assert np.max(np.abs(raw[1:])) < 0.02
-    (gains,), _ = rx.estimate_channel_ls(obs, design, cascade)
+    (gains,), _ = rx.estimate_channel_ls(obs, design, solvers)
     assert np.flatnonzero(gains).tolist() == [0]
 
 
@@ -213,7 +248,7 @@ def test_ls_noisy_gain_rms():
     spec = ch.get_preset("static2")
     train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(256, 2), seed=9)
     design = rx.build_ls_design(train, max_delay=3)
-    cascade = _cascade(design)
+    solvers = _solvers(design)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(10.0, e_b)
     true = np.array([1.0, math.exp(-0.6), 0.0, 0.0])
@@ -224,7 +259,7 @@ def test_ls_noisy_gain_rms():
         y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c)
         ysym = y[::n_c][:train.size]
         gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design,
-                                          cascade, spur_threshold=0.0)
+                                          solvers, spur_threshold=0.0)
         sq_err.append(np.mean((gains[0] - true) ** 2))
     assert math.sqrt(float(np.mean(sq_err))) < 0.05
 
@@ -237,25 +272,61 @@ def test_ls_batch_matches_rows():
     train = rng.choice([-1.0, 1.0], (2, 128))
     design = rx.build_ls_design(train)
     cascade = _cascade(design)
+    solvers = rx.subset_solvers(cascade)
     truth = np.array([[1.0, 0.5, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0],
                       [0.7, -0.4, 0.0, 0.3], [1.0, 0.01, 0.6, 0.0]] * 4)
     obs = (design.design @ cascade @ truth.T).T
     obs += np.linspace(0.0, 0.5, len(truth))[:, None] * rng.standard_normal(
         obs.shape)
-    gains, noise_var = rx.estimate_channel_ls(obs, design, cascade)
+    gains, noise_var = rx.estimate_channel_ls(obs, design, solvers)
     assert gains.shape == truth.shape and noise_var.shape == (len(obs),)
     assert len({tuple(np.flatnonzero(g)) for g in gains}) > 1
     dof = obs.shape[1] - design.lags.size
     for row, g, v in zip(obs, gains, noise_var):
         (want,), (want_var,) = rx.estimate_channel_ls(row[None], design,
-                                                      cascade)
+                                                      solvers)
         assert g.tobytes() == want.tobytes()
         assert v == want_var
         resid = row - design.design @ (design.pinv @ row)
         assert want_var == float(np.dot(resid, resid)) / dof
     for bad in (obs[0], obs[None]):
         with pytest.raises(ValueError, match="must be 2-d"):
-            rx.estimate_channel_ls(bad, design, cascade)
+            rx.estimate_channel_ls(bad, design, solvers)
+
+
+@pytest.mark.parametrize("family", ("chaotic", "rrc"))
+@pytest.mark.parametrize("n_c", (8, 6, 4))
+def test_subset_solvers_match_lstsq(family, n_c):
+    # every one of the 15 delay subsets: its solver is lstsq on the kept
+    # cascade columns to 1e-12, with +0.0 rows at the dropped delays; and
+    # an estimate that keeps exactly that subset (noiseless gains at or
+    # above the spur threshold) refits with it and writes +0.0 for every
+    # dropped gain
+    method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
+    ctx = H._Context(H.ExperimentConfig(method, "quasi3", (6.0,), n_c=n_c),
+                     True)
+    design, cascade, solvers = ctx.design, ctx.cascade, ctx.solvers
+    assert solvers.shape == (16, 4, design.lags.size)
+    assert not solvers.flags.writeable and not solvers[0].any()
+    rng = np.random.default_rng(n_c)
+    for mask in range(1, 16):
+        kept = [d for d in range(4) if mask >> d & 1]
+        dropped = [d for d in range(4) if d not in kept]
+        r = rng.standard_normal(design.lags.size)
+        want = np.linalg.lstsq(cascade[:, kept], r, rcond=None)[0]
+        assert np.max(np.abs(solvers[mask, kept] @ r - want)) < 1e-12
+        assert solvers[mask, dropped].tobytes() == bytes(
+            8 * len(dropped) * design.lags.size)
+        truth = np.zeros((3, 4))
+        truth[:, kept] = rng.choice([-1.0, 1.0], (3, len(kept))) * (
+            rng.uniform(0.2, 1.0, (3, len(kept))))
+        obs = (design.design @ cascade @ truth.T).T
+        gains, _ = rx.estimate_channel_ls(obs, design, solvers)
+        for row, g in zip(obs, gains):
+            r_hat = design.pinv @ row
+            want = np.linalg.lstsq(cascade[:, kept], r_hat, rcond=None)[0]
+            assert np.max(np.abs(g[kept] - want)) < 1e-12
+            assert g[dropped].tobytes() == bytes(8 * len(dropped))
 
 
 def test_ls_preconditions():
