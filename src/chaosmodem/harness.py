@@ -28,7 +28,9 @@ rate, on that rail only. That frame then acquires every grid point at
 once: frame sync, sync-grid refinement, the LS estimate and the receiver
 design run on arrays over the points. They decode and fail exactly the
 points a per-point computation does, and their estimates agree with its
-to rounding.
+to rounding. The training rails, their ``rx.LsDesign`` and the sync
+template depend on the pulse and the training length only, and every
+sweep of a process shares them.
 """
 
 from __future__ import annotations
@@ -60,8 +62,6 @@ CSV_COLUMNS = ("method", "channel", "ebn0_db", "bits", "errors", "ber", "ci95")
 # receiver has to find again by correlation
 _PAD_SYMBOLS = (2, 20)
 _SYNC_GRID_STEPS = (-2, -1, 0, 1)
-_MAX_DELAY = 3
-_LAG_BACK = 6
 # long enough to hold the whole response to a unit symbol in its middle
 _PROBE_SYMBOLS = 96
 
@@ -210,8 +210,9 @@ def _ci95(bits: int, errors: int) -> float:
 class Pulse:
     """The pulse of one linear modem at n_c samples per symbol.
 
-    A rail is shaped with the known ``tail`` appended, propagated and
-    matched-filtered; symbol m then sits at output sample lead + m * n_c.
+    A rail is shaped with the known, read-only ``tail`` appended,
+    propagated and matched-filtered; symbol m then sits at output sample
+    lead + m * n_c.
     ``energy`` is the expected sample-sum transmit energy per rail bit:
     antipodal independent symbols cancel the pulse cross terms on average,
     so it is exactly one pulse energy, free of Monte Carlo error.
@@ -232,6 +233,7 @@ class _ChaoticPulse(Pulse):
         self.n_c = n_c
         self.lead = 0
         self.tail = np.resize(np.array([1.0, -1.0]), N_P)
+        self.tail.flags.writeable = False
         g = shaping_taps(n_c)[::-1].copy()  # ddot rounds by layout
         self.energy = float(np.dot(g, g))
 
@@ -251,6 +253,7 @@ class _RrcPulse(Pulse):
         taps = bl.rrc_taps(n_c)
         self.lead = bl.SPAN * n_c
         self.tail = np.empty(0)
+        self.tail.flags.writeable = False
         self.energy = float(np.dot(taps, taps))
 
     def synth(self, symbols) -> np.ndarray:
@@ -319,28 +322,21 @@ class _Context:
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
                                else "run_static_sweep")
         self.delay = int(max(self.channel.delays))  # see _probe
-        delays = np.arange(_MAX_DELAY + 1)
         # the cascade at the past lags 1..w of the widest feedback window,
         # per candidate path delay; see _receivers
-        width = rx.decision_window(np.ones(_MAX_DELAY + 1))
+        width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
         self.feedback_table = pulse.cascade(np.arange(1, width + 1)[:, None]
-                                            - delays)
+                                            - np.arange(rx.MAX_DELAY + 1))
         self.train = np.empty((2, 0))
         if quasi:
-            self.train = np.stack(tx.qpsk_map(tx.gen_training(tx.FrameLayout(
-                config.n_training_bits, config.n_data_bits))))
             try:
-                self.design = rx.build_ls_design(self.train, _MAX_DELAY,
-                                                 _LAG_BACK)
+                self.train, self.design, self.template = _training(
+                    pulse, config.n_training_bits)
+            except np.linalg.LinAlgError:  # a ValueError, not the config's
+                raise
             except ValueError as exc:
                 raise ValueError(f"n_training_bits = {config.n_training_bits} "
                                  f"cannot estimate the channel: {exc}") from None
-            self.cascade, self.solvers = _path_model(
-                pulse, tuple(self.design.lags.tolist()))
-            # an orthonormal basis of the path model's span, against which
-            # sync-grid refinement takes its residuals
-            self.basis = np.linalg.qr(self.design.design @ self.cascade)[0]
-            self.template = pulse.template(self.train[0])
             self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                                + self.template.size)
         else:
@@ -475,16 +471,19 @@ class _Context:
 
 
 @lru_cache(maxsize=None)
-def _path_model(pulse: Pulse, lags: tuple):
-    """The LS path model of a pulse: its cascade at the design ``lags``
-    minus each candidate path delay 0.._MAX_DELAY, and the
-    ``rx.subset_solvers`` of that cascade, both read-only. They depend on
-    the pulse (one per method and n_c, see ``pulse_for``) and the lags
-    only, so the sweeps of a process share them, and a solver that cannot
-    be built fails the first sweep's context, before any frame runs."""
-    cascade = pulse.cascade(np.array(lags)[:, None] - np.arange(_MAX_DELAY + 1))
-    cascade.flags.writeable = False
-    return cascade, rx.subset_solvers(cascade)
+def _training(pulse: Pulse, n_bits: int):
+    """The training rails of ``n_bits`` bits, their ``rx.LsDesign`` for the
+    pulse and the sync template, all read-only. They depend on the pulse
+    (one per method and n_c, see ``pulse_for``) and the bit count only, so
+    the sweeps of a process share them; a model that cannot be built fails
+    the sweep's context, before any frame runs."""
+    train = np.stack(tx.qpsk_map(tx.gen_training(n_bits)))
+    train.flags.writeable = False
+    design = rx.build_ls_design(train, pulse.cascade(
+        rx.LAGS[:, None] - np.arange(rx.MAX_DELAY + 1)))
+    template = pulse.template(train[0])
+    template.flags.writeable = False
+    return train, design, template
 
 
 _CTX: Optional[_Context] = None
@@ -542,9 +541,9 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
 # ---------------------------------------------------------------- sweeps ---
 
 def _dense(paths) -> np.ndarray:
-    """The gains of each channel at delays 0.._MAX_DELAY, one row each,
+    """The gains of each channel at delays 0..rx.MAX_DELAY, one row each,
     zero where it has no path."""
-    dense = np.zeros((len(paths), _MAX_DELAY + 1))
+    dense = np.zeros((len(paths), rx.MAX_DELAY + 1))
     for row, p in zip(dense, paths):
         row[np.array(p.delays, dtype=int)] = p.gains
     return dense
@@ -552,7 +551,7 @@ def _dense(paths) -> np.ndarray:
 
 def _receivers(ctx: _Context, gains, noise_var):
     """The receivers of channels given by their gains at delays
-    0.._MAX_DELAY, shape (rows, _MAX_DELAY + 1), and the noise variances
+    0..rx.MAX_DELAY, shape (rows, rx.MAX_DELAY + 1), and the noise variances
     of the grid points, shape (rows,) or, with one gains row for every
     point, (points,): (feedback, equalizers), each None where the method
     does not read it.
@@ -633,7 +632,8 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     obs = np.concatenate([grid_sig[at] + sigma * grid_noise[at],
                           sig[1, q] + sigma * noise[1, q]], axis=2)
     flat = obs.reshape(-1, obs.shape[2])
-    resid = flat - (flat @ ctx.basis) @ ctx.basis.T
+    basis = ctx.design.basis
+    resid = flat - (flat @ basis) @ basis.T
     res = np.where(valid, np.sum(resid * resid, axis=1).reshape(cand.shape),
                    np.inf)
     good = valid & (res <= 2.0 * res.min(axis=1, keepdims=True) + 1e-12)
@@ -642,8 +642,7 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
     decoded = np.flatnonzero(hit)
-    gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design,
-                                              ctx.solvers)
+    gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design)
     failures = np.ones(n_points, dtype=np.int64)
     failures[decoded] = 0
     rms = np.full(n_points, np.nan)

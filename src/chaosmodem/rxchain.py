@@ -12,8 +12,10 @@ intersymbol interference exactly using the true symbols (analysis only),
 and the causal one that feeds back the receiver's own past decisions over
 a short window, primed by the training prefix.
 
-From the least-squares estimate on, a channel is an array of its gains at
-whole-symbol delays 0..D-1, one row per channel, plus its noise variance:
+The least-squares channel model is fixed by the constants below and built
+once per training block and pulse as an ``LsDesign``. From the estimate
+on, a channel is an array of its gains at whole-symbol
+delays 0..D-1, one row per channel, plus its noise variance:
 ``estimate_channel_ls`` returns them, and ``decision_window`` and
 ``baseline.design_mmse`` read them. A path is present exactly when its gain
 is nonzero.
@@ -30,6 +32,14 @@ from .theory import composite_response, response_decay_radius
 from .waveform import shaping_taps
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
+
+# least squares fits paths at delays 0..MAX_DELAY symbols to the composite
+# response at LAGS and drops those below SPUR_THRESHOLD of the strongest
+MAX_DELAY = 3
+LAG_BACK = 6
+LAGS = np.arange(-LAG_BACK, LAG_BACK + MAX_DELAY + 1)
+LAGS.flags.writeable = False
+SPUR_THRESHOLD = 0.05
 
 
 def matched_filter(baseband, n_c: int) -> np.ndarray:
@@ -83,80 +93,69 @@ def frame_sync(signal, template, noise, sigmas):
 
 @dataclass(frozen=True)
 class LsDesign:
-    """Precomputed least-squares machinery for a fixed training sequence.
+    """The least-squares channel model of one training block, read-only.
 
-    Stage one regresses symbol-rate observations on shifts of the training
-    to recover the composite response on integer lags; the pseudoinverse
-    is built once because the training never changes within an experiment.
-    A design over several rails stacks their regressions in rail order, so
-    one fit pools them.
+    Stage one regresses the observations at ``rows`` of each rail, in rail
+    order, on the training shifted by ``LAGS``: ``design`` and its
+    ``pinv``. Stage two fits the path gains to that response:
+    ``solvers[mask]`` is the pseudoinverse of the pulse cascade over the
+    delays d whose bit ``1 << d`` the mask sets, zero rows elsewhere.
+    ``basis`` is an orthonormal basis of the span of ``design @ cascade``.
     """
 
     pinv: np.ndarray
     rows: slice
-    lags: np.ndarray
     design: np.ndarray
+    solvers: np.ndarray
+    basis: np.ndarray
 
 
-def build_ls_design(train_syms, max_delay: int = 3, lag_back: int = 6) -> LsDesign:
-    """Design for one training rail, or for a 2-d array of equally long
-    rails (one per row) observed through the same channel."""
+def build_ls_design(train_syms, cascade) -> LsDesign:
+    """The model of one training rail, or of a 2-d array of equally long
+    rails (one per row) observed through the same channel, for a pulse
+    whose cascade at ``LAGS[i] - d`` is ``cascade[i, d]``."""
     s = np.atleast_2d(np.asarray(train_syms, dtype=float))
     n_t = s.shape[1]
-    lags = np.arange(-lag_back, lag_back + max_delay + 1)
-    n_unknown = lags.size
-    lo, hi = lag_back + max_delay, n_t - lag_back
+    n_unknown = LAGS.size
+    lo, hi = LAG_BACK + MAX_DELAY, n_t - LAG_BACK
     if hi - lo < 4 * n_unknown:
         raise ValueError(
             f"training of {n_t} symbols gives {hi - lo} usable rows; "
             f"need at least {4 * n_unknown} for {n_unknown} unknowns")
-    rows_n = np.arange(lo, hi)
-    design = s[:, rows_n[:, None] - lags[None, :]].reshape(-1, n_unknown)
-    rank = np.linalg.matrix_rank(design)
-    if rank < n_unknown:
+    design = s[:, np.arange(lo, hi)[:, None] - LAGS].reshape(-1, n_unknown)
+    if np.linalg.matrix_rank(design) < n_unknown:
         raise ValueError("training sequence is rank deficient for channel estimation")
-    return LsDesign(np.linalg.pinv(design), slice(lo, hi), lags, design)
-
-
-def subset_solvers(cascade) -> np.ndarray:
-    """Least-squares solvers of the path gains for every subset of the D
-    candidate path delays, shape (2^D, D, k), read-only. ``cascade[i, d]``
-    is the pulse cascade at design lag i minus delay d; entry ``mask``
-    keeps the delays d whose bit ``1 << d`` it sets and is
-    pinv(cascade[:, kept]) with zero rows at the dropped delays, so entry
-    0 is all zeros and entry 2^D - 1 the full fit. ``np.linalg.pinv``
-    raises ``LinAlgError`` here if a solver cannot be built."""
     c = np.asarray(cascade, dtype=float)
-    n_delays = c.shape[1]
-    solvers = np.zeros((1 << n_delays, n_delays, c.shape[0]))
-    for mask in range(1, 1 << n_delays):
-        kept = [d for d in range(n_delays) if mask >> d & 1]
+    solvers = np.zeros((1 << (MAX_DELAY + 1), MAX_DELAY + 1, n_unknown))
+    for mask in range(1, solvers.shape[0]):
+        kept = [d for d in range(MAX_DELAY + 1) if mask >> d & 1]
         solvers[mask, kept] = np.linalg.pinv(c[:, kept])
-    solvers.flags.writeable = False
-    return solvers
+    model = LsDesign(np.linalg.pinv(design), slice(lo, hi), design, solvers,
+                     np.linalg.qr(design @ c)[0])
+    for a in (model.pinv, design, solvers, model.basis):
+        a.flags.writeable = False
+    return model
 
 
-def estimate_channel_ls(obs, design: LsDesign, solvers,
-                        spur_threshold: float = 0.05):
+def estimate_channel_ls(obs, design: LsDesign):
     """Two-stage least squares: composite response on integer lags first,
     then per-path gains by matching the pulse's known cascade.
 
     ``obs`` holds, one row per observation, shape (P, m), the symbol-rate
     matched-filter outputs at ``design.rows`` of each rail, concatenated in
-    the design's rail order. ``solvers`` is ``subset_solvers`` of the
-    cascade at ``design.lags`` for candidate path delays d = 0..D-1; paths
-    below ``spur_threshold`` of the strongest recovered gain are dropped
-    and the survivors refit. Residual power from stage one estimates the
-    noise variance at the matched-filter output. Returns the gains, shape
-    (P, D), column d the gain at delay d and an exact 0.0 where a path was
-    dropped, and the noise variances, shape (P,).
+    the design's rail order. Paths below ``SPUR_THRESHOLD`` of the
+    strongest recovered gain are dropped and the survivors refit. Residual
+    power from stage one estimates the noise variance at the matched-filter
+    output. Returns the gains, shape (P, MAX_DELAY + 1), column d the gain
+    at delay d and an exact 0.0 where a path was dropped, and the noise
+    variances, shape (P,).
 
     Each stage is one stacked ``np.matmul`` of (k, 1) columns, one
     matrix-vector product per row, so every row is bitwise what a one-row
     call gives; stage one is bitwise ``design.pinv @ obs[p]``. Stage two
     fits every row with the full solver, then refits it with the solver
-    of the subset it keeps (all of them when none is dropped); its gains
-    equal a ``np.linalg.lstsq`` over the kept cascade columns to rounding.
+    of the subset it keeps; its gains equal a ``np.linalg.lstsq`` over the
+    kept cascade columns to rounding.
     """
     rows = np.asarray(obs, dtype=float)
     if rows.ndim != 2:
@@ -164,12 +163,13 @@ def estimate_channel_ls(obs, design: LsDesign, solvers,
                          f"one observation per row")
     r_hat = np.matmul(design.pinv, rows[..., None])
     resid = rows - np.matmul(design.design, r_hat)[..., 0]
-    dof = rows.shape[1] - design.lags.size
+    dof = rows.shape[1] - LAGS.size
     noise_var = np.empty(rows.shape[0])
     for p, e in enumerate(resid):
         noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
+    solvers = design.solvers
     strength = np.abs(np.matmul(solvers[-1], r_hat)[..., 0])
-    keep = strength >= spur_threshold * strength.max(axis=1, keepdims=True)
+    keep = strength >= SPUR_THRESHOLD * strength.max(axis=1, keepdims=True)
     subset = keep @ (1 << np.arange(keep.shape[1]))
     refit = np.matmul(solvers[subset], r_hat)[..., 0]
     # a dropped delay's zero row can sum to -0.0

@@ -85,13 +85,12 @@ def qpsk_map(bits) -> Tuple[np.ndarray, np.ndarray]:
     return i, q
 
 
-def gen_training(layout: FrameLayout, seed: Optional[int] = None) -> np.ndarray:
-    """Training bits for a frame: a seeded balanced pseudo-noise pattern
+def gen_training(n_bits: int, seed: Optional[int] = None) -> np.ndarray:
+    """``n_bits`` training bits: a seeded balanced pseudo-noise pattern
     (exact half/half up to one bit), reproducible from the seed alone."""
-    n = layout.n_training
     rng = np.random.default_rng(_DEFAULT_PN_SEED if seed is None else seed)
-    bits = np.zeros(n, dtype=np.int64)
-    bits[: n // 2] = 1
+    bits = np.zeros(n_bits, dtype=np.int64)
+    bits[: n_bits // 2] = 1
     return rng.permutation(bits)
 
 
@@ -104,5 +103,6 @@ def build_frame(data_bits, layout: FrameLayout,
             f"payload has {data.size} bits but the layout expects {layout.n_data}")
     if layout.n_training % 2 or layout.n_data % 2:
         raise ValueError("QPSK framing needs even training and data bit counts")
-    i, q = qpsk_map(np.concatenate([gen_training(layout, seed), data]))
+    train = gen_training(layout.n_training, seed)
+    i, q = qpsk_map(np.concatenate([train, data]))
     return SymbolFrame(i, q, layout)

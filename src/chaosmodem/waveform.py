@@ -53,11 +53,6 @@ def _tail_peak_ratios(n_max: int) -> np.ndarray:
     return head[below] / head[-1]
 
 
-def _tail_peak_ratio(n_p: int) -> float:
-    """max |p(t)| over the grid t < -n_p, relative to the global peak."""
-    return float(_tail_peak_ratios(n_p + 1)[n_p])
-
-
 def min_truncation_length(rel_tol: float = 1e-3) -> int:
     """Smallest truncation length whose discarded tail stays below
     ``rel_tol`` times the pulse peak (grid-measured)."""

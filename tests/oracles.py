@@ -20,8 +20,7 @@ import numpy as np
 from chaosmodem import baseline as bl
 from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
-from chaosmodem.harness import (_MAX_DELAY, _SYNC_GRID_STEPS, CSV_COLUMNS,
-                                BerRecord)
+from chaosmodem.harness import _SYNC_GRID_STEPS, CSV_COLUMNS, BerRecord
 from chaosmodem.theory import composite_response
 from chaosmodem.waveform import HybridTrajectory
 
@@ -246,20 +245,21 @@ def frame_sync_stream(filtered, template):
     return int(np.argmax(np.abs(num) / np.maximum(den, 1e-30)))
 
 
-def estimate_ls_loop(obs, design, cascade, spur_threshold=0.05):
+def estimate_ls_loop(obs, design, cascade):
     """``rxchain.estimate_channel_ls`` one row at a time, stage two by
     ``np.linalg.lstsq`` on the cascade and, when a path is dropped, again
-    on the kept columns. Returns the gains (P, D) and noise variances."""
+    on the kept columns; it reads only the design's ``pinv`` and
+    ``design``. Returns the gains (P, D) and noise variances."""
     rows = np.asarray(obs, dtype=float)
     gains = np.zeros((rows.shape[0], cascade.shape[1]))
     noise_var = np.empty(rows.shape[0])
-    dof = rows.shape[1] - design.lags.size
+    dof = rows.shape[1] - rx.LAGS.size
     for p, row in enumerate(rows):
         r = design.pinv @ row
         e = row - design.design @ r
         noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
         alpha = np.linalg.lstsq(cascade, r, rcond=None)[0]
-        keep = np.abs(alpha) >= spur_threshold * np.max(np.abs(alpha))
+        keep = np.abs(alpha) >= rx.SPUR_THRESHOLD * np.max(np.abs(alpha))
         if not np.all(keep):
             alpha = np.linalg.lstsq(cascade[:, keep], r, rcond=None)[0]
         gains[p, keep] = alpha
@@ -355,8 +355,8 @@ def parse_csv(path):
 
 def dense_gains(channel) -> np.ndarray:
     """The gains of a channel with ``delays`` and ``gains`` laid out at
-    whole-symbol delays 0.._MAX_DELAY, zero where it has no path."""
-    dense = np.zeros(_MAX_DELAY + 1)
+    whole-symbol delays 0..rxchain.MAX_DELAY, zero where it has no path."""
+    dense = np.zeros(rx.MAX_DELAY + 1)
     dense[np.array(channel.delays, dtype=int)] = channel.gains
     return dense
 
@@ -366,12 +366,15 @@ def acquire_loop(ctx, sent, spec, pad, w):
     rails over the full-rate sync window, then per point the formed
     stream's sync, the LS estimate by ``lstsq`` and the receiver design,
     with the residual projection built from the pseudoinverse of the path
-    model, and the feedback coefficients path by path over the estimate's
-    own delays. Returns what ``_acquire`` does: (decoded points, feedback
-    rows (points, 1, w) or None, equalizer taps (points, EQ_LENGTH) or
-    None, failures, estimate RMS)."""
+    model (the pulse's cascade at ``rxchain.LAGS``, not the design's
+    solvers or basis), and the feedback coefficients path by path over
+    the estimate's own delays. Returns what ``_acquire`` does: (decoded
+    points, feedback rows (points, 1, w) or None, equalizer taps (points,
+    EQ_LENGTH) or None, failures, estimate RMS)."""
     win_sig, win_noise = sync_window_long(ctx, sent, spec, pad, w)
-    B = ctx.design.design @ ctx.cascade
+    cascade = ctx.pulse.cascade(rx.LAGS[:, None]
+                                - np.arange(rx.MAX_DELAY + 1))
+    B = ctx.design.design @ cascade
     proj = B @ np.linalg.pinv(B)
     n_points = ctx.sigmas.size
     failures = np.zeros(n_points, dtype=np.int64)
@@ -385,7 +388,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
             failures[p] = 1
             continue
         gains, noise_var = estimate_ls_loop(picked[1][None], ctx.design,
-                                            ctx.cascade)
+                                            cascade)
         rms[p] = float(np.sqrt(np.mean((gains[0] - true_dense) ** 2)))
         decoded.append(p)
         if ctx.config.method == "rrc-mmse":

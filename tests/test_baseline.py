@@ -45,11 +45,10 @@ def test_taps_and_cascade_match_reference():
     # -reach..reach indexed by lag, over the lag tables the harness builds
     # (feedback lags 1..8 and LS lags -6..9, each minus path delays 0..3)
     # and over every lag to 2 past each end of the cascade
-    delays = np.arange(H._MAX_DELAY + 1)
-    width = rx.decision_window(np.ones(H._MAX_DELAY + 1))
-    lags = np.arange(-H._LAG_BACK, H._LAG_BACK + H._MAX_DELAY + 1)
+    delays = np.arange(rx.MAX_DELAY + 1)
+    width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
     tables = (np.arange(1, width + 1)[:, None] - delays,
-              lags[:, None] - delays, np.arange(-bl.SPAN - 2, bl.SPAN + 3))
+              rx.LAGS[:, None] - delays, np.arange(-bl.SPAN - 2, bl.SPAN + 3))
     for n_c in range(3, 17):
         want = rrc_reference(bl.ROLLOFF, bl.SPAN, n_c)
         assert bl.rrc_taps(n_c).tobytes() == want.tobytes()
@@ -121,19 +120,17 @@ def test_shape_filter_mismatch():
         bl.rrc_shape(np.ones(0), 8)
 
 
-def _rrc_estimate(y, train, pulse, spur_threshold=0.05):
+def _rrc_estimate(y, train, pulse):
     """Gains (4,) and noise variance of one LS estimate."""
-    design = rx.build_ls_design(train, max_delay=3)
-    cascade = pulse.cascade(design.lags[:, None] - np.arange(4)[None, :])
-    gains, noise_var = rx.estimate_channel_ls(
-        y[design.rows][None], design, rx.subset_solvers(cascade),
-        spur_threshold=spur_threshold)
+    design = rx.build_ls_design(
+        train, pulse.cascade(rx.LAGS[:, None] - np.arange(4)[None, :]))
+    gains, noise_var = rx.estimate_channel_ls(y[design.rows][None], design)
     return gains[0], noise_var[0]
 
 
 def test_sync_template_alignment():
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(64, 64), seed=3)
+    train = 1.0 - 2.0 * tx.gen_training(64, seed=3)
     tpl = H.pulse_for("rrc", n_c).template(train)
     assert tpl.size == train.size * n_c
     y = bl.rrc_matched_filter(bl.rrc_shape(train, n_c), n_c)
@@ -146,7 +143,7 @@ def test_sync_template_alignment():
 def test_estimate_channel_noiseless():
     n_c = 8
     rng = np.random.default_rng(21)
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 256), seed=5)
+    train = 1.0 - 2.0 * tx.gen_training(128, seed=5)
     syms = np.concatenate([train, rng.choice([-1.0, 1.0], 256)])
     x = bl.rrc_shape(syms, n_c)
     chan = x.copy()
@@ -159,9 +156,9 @@ def test_estimate_channel_noiseless():
     assert noise_var < 1e-4
 
 
-def test_estimate_channel_drops_spurs():
+def test_estimate_channel_drops_spurs(monkeypatch):
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=5)
+    train = 1.0 - 2.0 * tx.gen_training(128, seed=5)
     x = bl.rrc_shape(train, n_c)
     y = bl.rrc_matched_filter(x, n_c)[16 * n_c::n_c][:train.size]
     pulse = H.pulse_for("rrc", n_c)
@@ -170,7 +167,8 @@ def test_estimate_channel_drops_spurs():
     assert np.flatnonzero(gains).tolist() == [0]
     assert abs(gains[0] - 1.0) < 2e-3
     # with the threshold off the small lags stay, but stay small
-    gains_all, _ = _rrc_estimate(y, train, pulse, spur_threshold=0.0)
+    monkeypatch.setattr(rx, "SPUR_THRESHOLD", 0.0)
+    gains_all, _ = _rrc_estimate(y, train, pulse)
     assert np.flatnonzero(gains_all).tolist() == [0, 1, 2, 3]
     assert np.max(np.abs(gains_all[1:])) < 5e-3
 

@@ -343,11 +343,11 @@ def test_feedback_rows_match_isi_feedback_coeffs():
     # broadcast over the rails
     ctx = H._Context(small_quasi(), True)
     rng = np.random.default_rng(11)
-    subsets = [d for k in range(1, H._MAX_DELAY + 2)
-               for d in itertools.combinations(range(H._MAX_DELAY + 1), k)]
+    subsets = [d for k in range(1, rx.MAX_DELAY + 2)
+               for d in itertools.combinations(range(rx.MAX_DELAY + 1), k)]
     assert len(subsets) == 15
     for _ in range(20):
-        gains = np.zeros((len(subsets), H._MAX_DELAY + 1))
+        gains = np.zeros((len(subsets), rx.MAX_DELAY + 1))
         for row, d in zip(gains, subsets):
             row[list(d)] = rng.uniform(-1.5, 1.5, len(d))
         feedback, eqs = H._receivers(ctx, gains, np.full(len(subsets), 0.1))
@@ -359,9 +359,9 @@ def test_feedback_rows_match_isi_feedback_coeffs():
             padded = np.pad(want, (0, feedback.shape[2] - want.size))
             assert row.tobytes() == padded.tobytes()
     # a row without a path keeps the widest window, all zeros
-    feedback, _ = H._receivers(ctx, np.zeros((1, H._MAX_DELAY + 1)),
+    feedback, _ = H._receivers(ctx, np.zeros((1, rx.MAX_DELAY + 1)),
                                np.zeros(1))
-    assert feedback.shape == (1, 1, 5 + H._MAX_DELAY)
+    assert feedback.shape == (1, 1, 5 + rx.MAX_DELAY)
     assert not feedback.any()
     # a known channel's row is its preset's, one (1, 1, w) row that every
     # point and rail shares, so every point shares the decoder's first pass
@@ -374,20 +374,44 @@ def test_feedback_rows_match_isi_feedback_coeffs():
 
 
 def test_solver_failure_fails_before_any_frame(monkeypatch):
-    # the LS solvers are built with the sweep's context (cached per
-    # pulse, so the cache is emptied first): a solver that cannot be built
-    # stops the sweep before its first frame
-    def broken(cascade):
+    # the LS solvers are built with the sweep's context (cached per pulse
+    # and training length, so the cache is emptied first): a solver that
+    # cannot be built stops the sweep before its first frame
+    def broken(a):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     def frame(frame_idx):
         raise AssertionError("a frame ran")
 
-    monkeypatch.setattr(rx, "subset_solvers", broken)
+    monkeypatch.setattr(np.linalg, "pinv", broken)
     monkeypatch.setattr(H, "_frame", frame)
-    H._path_model.cache_clear()
+    H._training.cache_clear()
     with pytest.raises(np.linalg.LinAlgError):
         H.run_quasi_static(small_quasi(), jobs=1)
+
+
+def test_quasi_contexts_share_the_training_model():
+    # sweeps of one pulse and training length share the training rails,
+    # their LS model and the sync template, whatever their preset, grid
+    # and payload
+    a = H._Context(small_quasi(), True)
+    b = H._Context(small_quasi(channel="quasi3", ebn0_grid=(4.0, 8.0),
+                               n_data_bits=2048), True)
+    for name in ("train", "design", "template"):
+        assert getattr(a, name) is getattr(b, name)
+
+
+@pytest.mark.parametrize("family", ("chaotic", "rrc"))
+@pytest.mark.parametrize("n_c", (8, 4))
+def test_shared_arrays_are_read_only(family, n_c):
+    # a pulse and its training model are shared by every sweep of a
+    # process, so none of their arrays can be written
+    pulse = H.pulse_for(family, n_c)
+    train, design, template = H._training(pulse, 256)
+    arrays = [v for obj in (pulse, design) for v in vars(obj).values()
+              if isinstance(v, np.ndarray)] + [train, template]
+    assert len(arrays) == 7
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_genie_response_once_per_sweep(monkeypatch):

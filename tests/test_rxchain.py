@@ -78,7 +78,7 @@ def _training_template(train_syms, n_c):
 def test_frame_sync_exact_offset():
     n_c = 8
     rng = np.random.default_rng(11)
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
+    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
     data = rng.choice([-1.0, 1.0], 128)
     syms = np.concatenate([train, data])
     x = wf.synth_waveform(syms, n_c)
@@ -95,7 +95,7 @@ def test_frame_sync_exact_offset():
 
 def test_frame_sync_success_rate_at_6db():
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
+    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
     template = _training_template(train, n_c)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(6.0, e_b)
@@ -121,7 +121,7 @@ def test_frame_sync_batch_matches_rows():
     # silent window peaks at offset 0 without a RuntimeWarning (which the
     # test settings turn into an error)
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(128, 128), seed=3)
+    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
     template = _training_template(train, n_c)
     rng = np.random.default_rng(21)
     x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
@@ -198,13 +198,13 @@ def test_single_path_raw_sign_decisions():
     assert errors / syms.size <= 1e-3
 
 
-def _cascade(design, max_delay=3):
-    """Chaotic pulse cascade at each design lag minus each candidate delay."""
-    return th.response_r(design.lags[:, None] - np.arange(max_delay + 1.0))
+def _cascade():
+    """Chaotic pulse cascade at each LS lag minus each candidate delay."""
+    return th.response_r(rx.LAGS[:, None] - np.arange(rx.MAX_DELAY + 1.0))
 
 
-def _solvers(design):
-    return rx.subset_solvers(_cascade(design))
+def _design(train):
+    return rx.build_ls_design(train, _cascade())
 
 
 def test_ls_noiseless_two_path():
@@ -215,40 +215,40 @@ def test_ls_noiseless_two_path():
     x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
     y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
-    design = rx.build_ls_design(syms, max_delay=3)
+    design = _design(syms)
     (gains,), (noise_var,) = rx.estimate_channel_ls(ysym[design.rows][None],
-                                                    design, _solvers(design))
+                                                    design)
     assert np.flatnonzero(gains).tolist() == [0, 1]
     true = np.array([1.0, math.exp(-0.6)])
     assert np.max(np.abs(gains[:2] - true) / true) < 1e-4
     assert noise_var < 1e-4
 
 
-def test_ls_single_path_spurious_taps():
+def test_ls_single_path_spurious_taps(monkeypatch):
     n_c = 64
     rng = np.random.default_rng(5)
     syms = rng.choice([-1.0, 1.0], 160)
     x = wf.synth_waveform(syms, n_c)
     y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
-    design = rx.build_ls_design(syms, max_delay=3)
-    obs, solvers = ysym[design.rows][None], _solvers(design)
-    (raw,), _ = rx.estimate_channel_ls(obs, design, solvers,
-                                       spur_threshold=0.0)
+    design = _design(syms)
+    obs = ysym[design.rows][None]
+    (gains,), _ = rx.estimate_channel_ls(obs, design)
+    assert np.flatnonzero(gains).tolist() == [0]
+    monkeypatch.setattr(rx, "SPUR_THRESHOLD", 0.0)
+    (raw,), _ = rx.estimate_channel_ls(obs, design)
     assert abs(raw[0] - 1.0) < 0.02
     assert np.max(np.abs(raw[1:])) < 0.02
-    (gains,), _ = rx.estimate_channel_ls(obs, design, solvers)
-    assert np.flatnonzero(gains).tolist() == [0]
 
 
-def test_ls_noisy_gain_rms():
+def test_ls_noisy_gain_rms(monkeypatch):
     # 10 dB, 256 BPSK training symbols, two-path channel: pooled RMS gain
     # error stays under 5%
     n_c = 8
     spec = ch.get_preset("static2")
-    train = 1.0 - 2.0 * tx.gen_training(tx.FrameLayout(256, 2), seed=9)
-    design = rx.build_ls_design(train, max_delay=3)
-    solvers = _solvers(design)
+    train = 1.0 - 2.0 * tx.gen_training(256, seed=9)
+    design = _design(train)
+    monkeypatch.setattr(rx, "SPUR_THRESHOLD", 0.0)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(10.0, e_b)
     true = np.array([1.0, math.exp(-0.6), 0.0, 0.0])
@@ -258,8 +258,7 @@ def test_ls_noisy_gain_rms():
         x = ch.propagate(wf.synth_waveform(train, n_c), spec, n_c)
         y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c)
         ysym = y[::n_c][:train.size]
-        gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design,
-                                          solvers, spur_threshold=0.0)
+        gains, _ = rx.estimate_channel_ls(ysym[design.rows][None], design)
         sq_err.append(np.mean((gains[0] - true) ** 2))
     assert math.sqrt(float(np.mean(sq_err))) < 0.05
 
@@ -270,28 +269,26 @@ def test_ls_batch_matches_rows():
     # and a dropped path's gain is an exact zero
     rng = np.random.default_rng(31)
     train = rng.choice([-1.0, 1.0], (2, 128))
-    design = rx.build_ls_design(train)
-    cascade = _cascade(design)
-    solvers = rx.subset_solvers(cascade)
+    cascade = _cascade()
+    design = rx.build_ls_design(train, cascade)
     truth = np.array([[1.0, 0.5, 0.2, 0.0], [1.0, 0.0, 0.0, 0.0],
                       [0.7, -0.4, 0.0, 0.3], [1.0, 0.01, 0.6, 0.0]] * 4)
     obs = (design.design @ cascade @ truth.T).T
     obs += np.linspace(0.0, 0.5, len(truth))[:, None] * rng.standard_normal(
         obs.shape)
-    gains, noise_var = rx.estimate_channel_ls(obs, design, solvers)
+    gains, noise_var = rx.estimate_channel_ls(obs, design)
     assert gains.shape == truth.shape and noise_var.shape == (len(obs),)
     assert len({tuple(np.flatnonzero(g)) for g in gains}) > 1
-    dof = obs.shape[1] - design.lags.size
+    dof = obs.shape[1] - rx.LAGS.size
     for row, g, v in zip(obs, gains, noise_var):
-        (want,), (want_var,) = rx.estimate_channel_ls(row[None], design,
-                                                      solvers)
+        (want,), (want_var,) = rx.estimate_channel_ls(row[None], design)
         assert g.tobytes() == want.tobytes()
         assert v == want_var
         resid = row - design.design @ (design.pinv @ row)
         assert want_var == float(np.dot(resid, resid)) / dof
     for bad in (obs[0], obs[None]):
         with pytest.raises(ValueError, match="must be 2-d"):
-            rx.estimate_channel_ls(bad, design, solvers)
+            rx.estimate_channel_ls(bad, design)
 
 
 @pytest.mark.parametrize("family", ("chaotic", "rrc"))
@@ -305,23 +302,25 @@ def test_subset_solvers_match_lstsq(family, n_c):
     method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
     ctx = H._Context(H.ExperimentConfig(method, "quasi3", (6.0,), n_c=n_c),
                      True)
-    design, cascade, solvers = ctx.design, ctx.cascade, ctx.solvers
-    assert solvers.shape == (16, 4, design.lags.size)
+    design = ctx.design
+    solvers = design.solvers
+    cascade = ctx.pulse.cascade(rx.LAGS[:, None] - np.arange(4))
+    assert solvers.shape == (16, 4, rx.LAGS.size)
     assert not solvers.flags.writeable and not solvers[0].any()
     rng = np.random.default_rng(n_c)
     for mask in range(1, 16):
         kept = [d for d in range(4) if mask >> d & 1]
         dropped = [d for d in range(4) if d not in kept]
-        r = rng.standard_normal(design.lags.size)
+        r = rng.standard_normal(rx.LAGS.size)
         want = np.linalg.lstsq(cascade[:, kept], r, rcond=None)[0]
         assert np.max(np.abs(solvers[mask, kept] @ r - want)) < 1e-12
         assert solvers[mask, dropped].tobytes() == bytes(
-            8 * len(dropped) * design.lags.size)
+            8 * len(dropped) * rx.LAGS.size)
         truth = np.zeros((3, 4))
         truth[:, kept] = rng.choice([-1.0, 1.0], (3, len(kept))) * (
             rng.uniform(0.2, 1.0, (3, len(kept))))
         obs = (design.design @ cascade @ truth.T).T
-        gains, _ = rx.estimate_channel_ls(obs, design, solvers)
+        gains, _ = rx.estimate_channel_ls(obs, design)
         for row, g in zip(obs, gains):
             r_hat = design.pinv @ row
             want = np.linalg.lstsq(cascade[:, kept], r_hat, rcond=None)[0]
@@ -333,20 +332,28 @@ def test_ls_preconditions():
     rng = np.random.default_rng(1)
     short = rng.choice([-1.0, 1.0], 40)
     with pytest.raises(ValueError, match="usable rows"):
-        rx.build_ls_design(short, max_delay=3)
+        rx.build_ls_design(short, _cascade())
     # constant training cannot separate the lags
     with pytest.raises(ValueError, match="rank deficient"):
-        rx.build_ls_design(np.ones(256), max_delay=3)
+        rx.build_ls_design(np.ones(256), _cascade())
 
 
 def test_ls_design_stacks_rails():
     rng = np.random.default_rng(8)
     a, b = rng.choice([-1.0, 1.0], (2, 128))
-    da, db = rx.build_ls_design(a), rx.build_ls_design(b)
-    both = rx.build_ls_design(np.stack([a, b]))
+    # the design stacks the rails' regressions; pinv and basis are numpy's
+    # of it, the solvers depend on the cascade only, and all are read-only
+    cascade = _cascade()
+    da, db = _design(a), _design(b)
+    both = rx.build_ls_design(np.stack([a, b]), cascade)
     assert both.rows == da.rows
-    assert np.array_equal(both.lags, da.lags)
     assert np.array_equal(both.design, np.vstack([da.design, db.design]))
+    assert both.pinv.tobytes() == np.linalg.pinv(both.design).tobytes()
+    assert both.basis.tobytes() == np.linalg.qr(
+        both.design @ cascade)[0].tobytes()
+    assert both.solvers.tobytes() == da.solvers.tobytes()
+    for arr in (both.pinv, both.design, both.solvers, both.basis):
+        assert not arr.flags.writeable
 
 
 def test_threshold_optimal_brute_force():

@@ -1,6 +1,7 @@
 """Surface guard: every public top-level name of the package is read
-somewhere in the package or the benchmark, so code that only tests reach
-does not pile up in ``src``. An AST walk over the sources, no imports.
+somewhere in the package or the benchmark, and every private one in its
+own module, so code that only tests reach does not pile up in ``src``. An
+AST walk over the sources, no imports.
 
 A read is qualified by its module: ``rx.matched_filter`` after
 ``from . import rxchain as rx`` reads ``rxchain.matched_filter``, a bare
@@ -34,18 +35,21 @@ def _trees(directory):
                 yield name[:-3], ast.parse(fh.read())
 
 
-def _public(tree):
-    """Names a module binds at top level without a leading underscore."""
+def _top_level(tree):
+    """Names a module binds at top level, by definition or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            names = [node.name]
+            yield node.name
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = (node.targets if isinstance(node, ast.Assign)
                        else [node.target])
-            names = [t.id for t in targets if isinstance(t, ast.Name)]
-        else:
-            continue
-        yield from (n for n in names if not n.startswith("_"))
+            yield from (n.id for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
+def _public(tree):
+    """Names a module binds at top level without a leading underscore."""
+    return (n for n in _top_level(tree) if not n.startswith("_"))
 
 
 def _imports(tree, in_package):
@@ -100,3 +104,15 @@ def test_every_public_name_is_read():
     assert unread == set(ALLOWED), (
         f"read nowhere in src/ or perfbench/: {sorted(unread - set(ALLOWED))}; "
         f"allowed but now read: {sorted(set(ALLOWED) - unread)}")
+
+
+def test_every_private_name_is_read_in_its_module():
+    unread = []
+    for module, tree in _trees(PACKAGE):
+        loads = {node.id for node in ast.walk(tree)
+                 if isinstance(node, ast.Name)
+                 and isinstance(node.ctx, ast.Load)}
+        unread += [f"{module}.{name}" for name in _top_level(tree)
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in loads]
+    assert not unread, f"private names their own module never reads: {unread}"

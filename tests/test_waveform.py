@@ -59,8 +59,9 @@ def test_min_truncation_length():
     tighter = wf.min_truncation_length(rel_tol=1e-4)
     assert tighter > 9
     # returned length is minimal for its tolerance
-    assert wf._tail_peak_ratio(tighter) < 1e-4
-    assert wf._tail_peak_ratio(tighter - 1) >= 1e-4
+    ratios = wf._tail_peak_ratios(tighter + 1)
+    assert ratios[tighter] < 1e-4
+    assert ratios[tighter - 1] >= 1e-4
     with pytest.raises(ValueError):
         wf.min_truncation_length(rel_tol=0.0)
 
