@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import composite_response, response_decay_radius
+from .theory import DECAY_RADIUS, composite_response
 from .waveform import shaping_taps
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
@@ -178,12 +178,11 @@ def estimate_channel_ls(obs, design: LsDesign):
 
 def genie_response(channel):
     """The composite response ``threshold_optimal`` sums over, at lags
-    -radius..radius + tau_max, and at lag 0, of a channel with ``delays``
-    and ``gains`` such as a preset ``MultipathSpec``; it depends on the
-    channel only."""
-    radius = response_decay_radius(1e-9)
+    -DECAY_RADIUS..DECAY_RADIUS + tau_max, and at lag 0, of a channel with
+    ``delays`` and ``gains`` such as a preset ``MultipathSpec``; it depends
+    on the channel only."""
     tau_max = int(math.ceil(max(channel.delays)))
-    d = np.arange(-radius, radius + tau_max + 1, dtype=float)
+    d = np.arange(-DECAY_RADIUS, DECAY_RADIUS + tau_max + 1, dtype=float)
     return composite_response(d, channel), composite_response(0.0, channel)
 
 
@@ -194,8 +193,7 @@ def threshold_optimal(symbols, response) -> np.ndarray:
     falls below 1e-9."""
     s = np.asarray(symbols, dtype=float)
     c, c0 = response
-    radius = response_decay_radius(1e-9)
-    return np.convolve(s, c)[radius:radius + s.size] - s * c0
+    return np.convolve(s, c)[DECAY_RADIUS:DECAY_RADIUS + s.size] - s * c0
 
 
 def decision_window(gains):

@@ -20,7 +20,8 @@ and the response branches, with u = |t - tau| and D = exp(-beta u):
 
 Both are validated against brute-force numerical convolution in the test
 suite; the peak is R_PEAK = r(0) = 1 + A (2 - 2 e^-beta) ~ 1.3433. The
-error rates use the standard library's `math.erfc`.
+response is truncated at DECAY_RADIUS = 28 symbol lags, past which it
+stays below 1e-9. The error rates use the standard library's `math.erfc`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ _SQRT_PI = math.sqrt(math.pi)
 A = (OMEGA * OMEGA - 3.0 * BETA * BETA) / (4.0 * BETA * (OMEGA * OMEGA + BETA * BETA))
 B = (3.0 * OMEGA * OMEGA - BETA * BETA) / (4.0 * OMEGA * (OMEGA * OMEGA + BETA * BETA))
 R_PEAK = 1.0 + A * (2.0 - 2.0 * math.exp(-BETA))
+# the smallest lag beyond which |r| stays below 1e-9 (28), from the bound
+# |r(t)| <= e^{-beta |t|} |2 - e^-beta - e^beta| (|A| + |B|) for |t| >= 1
+DECAY_RADIUS = math.ceil(math.log(
+    abs(2.0 - math.exp(-BETA) - math.exp(BETA)) * (abs(A) + abs(B)) / 1e-9)
+    / BETA)
 
 
 def response_r(t, tau: float = 0.0, alpha: float = 1.0):
@@ -69,20 +75,6 @@ def composite_response(t, channel: MultipathSpec):
     if t.ndim == 0:
         return float(acc)
     return acc
-
-
-def response_decay_radius(tol: float) -> int:
-    """Smallest integer m >= 1 with the |t| >= 1 branch bounded below tol.
-
-    |r(t)| <= e^{-beta |t|} |2 - e^-beta - e^beta| (|A| + |B|) for |t| >= 1,
-    so the radius grows like log(1/tol)/beta.
-    """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    coef = abs(2.0 - math.exp(-BETA) - math.exp(BETA)) * (abs(A) + abs(B))
-    if coef <= tol:
-        return 1
-    return max(1, math.ceil(math.log(coef / tol) / BETA))
 
 
 def ber_optimal(P: float, sigma_w: float) -> float:

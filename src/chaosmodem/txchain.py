@@ -11,57 +11,12 @@ bit pair (b1, b2); all four rows are pinned by tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-_DEFAULT_PN_SEED = 2026
-
-
-@dataclass(frozen=True)
-class FrameLayout:
-    n_training: int
-    n_data: int
-
-    def __post_init__(self):
-        if not (isinstance(self.n_training, (int, np.integer)) and self.n_training > 0):
-            raise ValueError(f"n_training must be a positive integer, got {self.n_training}")
-        if not (isinstance(self.n_data, (int, np.integer)) and self.n_data > 0):
-            raise ValueError(f"n_data must be a positive integer, got {self.n_data}")
-
-    @property
-    def total(self) -> int:
-        return self.n_training + self.n_data
-
-
-@dataclass(frozen=True)
-class SymbolFrame:
-    """Mapped bipolar rails plus the layout they came from; each rail
-    carries half the frame bits."""
-
-    i_syms: np.ndarray
-    q_syms: np.ndarray
-    layout: FrameLayout
-
-    def __post_init__(self):
-        i = np.asarray(self.i_syms, dtype=float)
-        q = np.asarray(self.q_syms, dtype=float)
-        object.__setattr__(self, "i_syms", i)
-        object.__setattr__(self, "q_syms", q)
-        if i.shape != q.shape or i.ndim != 1:
-            raise ValueError("i/q rails must be 1-d and equally long")
-        for rail in (i, q):
-            if not np.all(np.isin(rail, (-1.0, 1.0))):
-                raise ValueError("symbol values must be -1 or +1")
-        if 2 * i.size != self.layout.total:
-            raise ValueError(
-                f"rails of {i.size} symbols do not carry the layout's "
-                f"{self.layout.total} bits at two bits per symbol")
-
-    @property
-    def n_symbols(self) -> int:
-        return int(self.i_syms.size)
+# seed of the stored pseudo-noise training pattern
+_PN_SEED = 2026
 
 
 def _check_bits(bits) -> np.ndarray:
@@ -85,24 +40,21 @@ def qpsk_map(bits) -> Tuple[np.ndarray, np.ndarray]:
     return i, q
 
 
-def gen_training(n_bits: int, seed: Optional[int] = None) -> np.ndarray:
-    """``n_bits`` training bits: a seeded balanced pseudo-noise pattern
-    (exact half/half up to one bit), reproducible from the seed alone."""
-    rng = np.random.default_rng(_DEFAULT_PN_SEED if seed is None else seed)
+def gen_training(n_bits: int) -> np.ndarray:
+    """``n_bits`` training bits: the stored balanced pseudo-noise pattern
+    (exact half/half up to one bit), the same on every call."""
     bits = np.zeros(n_bits, dtype=np.int64)
     bits[: n_bits // 2] = 1
-    return rng.permutation(bits)
+    return np.random.default_rng(_PN_SEED).permutation(bits)
 
 
-def build_frame(data_bits, layout: FrameLayout,
-                seed: Optional[int] = None) -> SymbolFrame:
-    """Assemble training + payload bits and map them onto symbol rails."""
+def build_frame(data_bits, n_training: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The (i, q) rails of ``n_training`` training bits followed by the
+    payload. Both counts must be even, so that no QPSK pair straddles the
+    boundary."""
     data = _check_bits(data_bits)
-    if data.size != layout.n_data:
+    if n_training % 2 or data.size % 2:
         raise ValueError(
-            f"payload has {data.size} bits but the layout expects {layout.n_data}")
-    if layout.n_training % 2 or layout.n_data % 2:
-        raise ValueError("QPSK framing needs even training and data bit counts")
-    train = gen_training(layout.n_training, seed)
-    i, q = qpsk_map(np.concatenate([train, data]))
-    return SymbolFrame(i, q, layout)
+            f"QPSK framing needs even training and payload bit counts, "
+            f"got {n_training} and {data.size}")
+    return qpsk_map(np.concatenate([gen_training(n_training), data]))

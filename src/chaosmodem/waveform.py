@@ -15,13 +15,15 @@ drive sign latches at derivative zero crossings. Between two crossings
 the oscillator is linear with constant coefficients, so `simulate_hybrid`
 solves it exactly, piece by piece (Corron, Blakely & Stahl, "A matched
 filter for chaos", Chaos 20, 023123, 2010), and the two constructions can
-be compared without shared code paths.
+be compared without shared code paths. `simulate_hybrid` samples on a
+fixed grid of HYBRID_DT = 1e-3 symbol periods, and ``check_conjugacy``
+integrates on one of CONJUGACY_GRID_STEP = 1e-4.
 
 Because p(t) is nonzero for all t < 1, synthesis must truncate its left
 tail, at N_P symbol periods: the shortest truncation whose discarded tail
-stays below one part in 10^3 of the pulse peak. The shaping filter is then
-a cached, read-only tap array that depends on n_c only, ``shaping_taps``,
-as the RRC comparator's is ``baseline.rrc_taps``.
+stays below TRUNCATION_TOL = 1e-3 of the pulse peak. The shaping filter
+is then a cached, read-only tap array that depends on n_c only,
+``shaping_taps``, as the RRC comparator's is ``baseline.rrc_taps``.
 """
 
 from __future__ import annotations
@@ -38,6 +40,13 @@ OMEGA = 2.0 * math.pi
 _VALIDATION_GRID_STEP = 1.0 / 512.0
 _VALIDATION_T_MIN = -40.0
 
+# the largest discarded tail, relative to the pulse peak, that N_P allows
+TRUNCATION_TOL = 1e-3
+# output grid of simulate_hybrid and quadrature grid of check_conjugacy,
+# in symbol periods
+HYBRID_DT = 1e-3
+CONJUGACY_GRID_STEP = 1e-4
+
 
 def _tail_peak_ratios(n_max: int) -> np.ndarray:
     """max |p(t)| over the grid t < -n_p, relative to the global peak, for
@@ -53,15 +62,10 @@ def _tail_peak_ratios(n_max: int) -> np.ndarray:
     return head[below] / head[-1]
 
 
-def min_truncation_length(rel_tol: float = 1e-3) -> int:
+def min_truncation_length() -> int:
     """Smallest truncation length whose discarded tail stays below
-    ``rel_tol`` times the pulse peak (grid-measured)."""
-    if rel_tol <= 0:
-        raise ValueError(f"rel_tol must be positive, got {rel_tol}")
-    below = np.flatnonzero(_tail_peak_ratios(64)[1:] < rel_tol)
-    if below.size == 0:
-        raise ValueError(f"no admissible truncation length below 64 for "
-                         f"rel_tol={rel_tol}")
+    ``TRUNCATION_TOL`` times the pulse peak (grid-measured)."""
+    below = np.flatnonzero(_tail_peak_ratios(64)[1:] < TRUNCATION_TOL)
     return int(below[0]) + 1
 
 
@@ -141,8 +145,8 @@ def _segment(a, v, tau):
     return g * (a * co + c * si), g * (v * co + q * si)
 
 
-def simulate_hybrid(x0: float, xdot0: float, duration: float,
-                    dt: float = 1e-3) -> HybridTrajectory:
+def simulate_hybrid(x0: float, xdot0: float,
+                    duration: float) -> HybridTrajectory:
     """Solve the self-excited oscillator with guard latching exactly.
 
     With the drive sign s held, x'' - 2 beta x' + (omega^2 + beta^2)(x - s)
@@ -152,15 +156,12 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float,
     The first one after t = 0 follows from one atan2; t = 0 itself is no
     event, even when x_dot0 = 0. Every later segment starts at rest, so
     its event comes exactly half a period later, at x - s -> -sqrt(2)
-    (x - s). x, x_dot and s are evaluated on the uniform dt grid over
-    [0, duration], merged with the events. The solution shares no code
-    with the superposition synthesis, which is the point: the two are
-    compared in tests as independent constructions of the same waveform.
+    (x - s). x, x_dot and s are evaluated on the uniform ``HYBRID_DT``
+    grid over [0, duration], merged with the events. The solution shares
+    no code with the superposition synthesis, which is the point: the two
+    are compared in tests as independent constructions of the same
+    waveform.
     """
-    if dt > 1e-3:
-        raise ValueError(f"dt must be <= 1e-3 symbol periods, got {dt}")
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     if duration < 1:
         raise ValueError(f"duration must be >= 1 symbol period, got {duration}")
     half = math.pi / OMEGA
@@ -184,7 +185,7 @@ def simulate_hybrid(x0: float, xdot0: float, duration: float,
         segs.append((s, a, v))
     ev_t, ev_x = np.array(ev_t), np.array(ev_x)
 
-    grid = np.arange(math.ceil(duration / dt)) * dt
+    grid = np.arange(math.ceil(duration / HYBRID_DT)) * HYBRID_DT
     times = np.union1d(np.append(grid[grid < duration], duration), ev_t)
     seg = np.searchsorted(ev_t, times, side="right")
     seg_s, seg_a, seg_v = np.array(segs).T
@@ -218,8 +219,9 @@ class ConjugacyReport:
     cond3: bool
 
 
-def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
-    """Evaluate the three conjugacy conditions on a uniform grid.
+def check_conjugacy() -> ConjugacyReport:
+    """Evaluate the three conjugacy conditions on the uniform
+    ``CONJUGACY_GRID_STEP`` grid.
 
     cond1: waveforms of distinct symbol sequences differ except on an
     isolated-zero set (sampled check over seeded random pairs).
@@ -231,20 +233,17 @@ def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
     window int_{-8}^{0} |p|, so a symbol's own period dominates what leaks
     ahead of it.
     """
-    if grid_step > 1e-3:
-        raise ValueError(f"grid_step must be <= 1e-3, got {grid_step}")
-
     def abs_p(lo, hi):
-        n = int(round((hi - lo) / grid_step))
-        t = lo + np.arange(n + 1) * grid_step
+        n = int(round((hi - lo) / CONJUGACY_GRID_STEP))
+        t = lo + np.arange(n + 1) * CONJUGACY_GRID_STEP
         return t, np.abs(eval_basis(t))
 
     t_in, v_in = abs_p(-1.0, 1.0)
-    integral_inside = 2.0 * float(np.trapezoid(v_in, dx=grid_step))
+    integral_inside = 2.0 * float(np.trapezoid(v_in, dx=CONJUGACY_GRID_STEP))
     t_out, v_out = abs_p(-8.0, 0.0)
-    integral_outside = float(np.trapezoid(v_out, dx=grid_step))
+    integral_outside = float(np.trapezoid(v_out, dx=CONJUGACY_GRID_STEP))
 
-    t_env = np.arange(_VALIDATION_T_MIN, 1.0, grid_step)
+    t_env = np.arange(_VALIDATION_T_MIN, 1.0, CONJUGACY_GRID_STEP)
     margin = 5.0 * np.exp(-BETA * np.abs(t_env)) - 2.0 * np.abs(
         eval_basis(t_env))
     cond2_margin = float(margin.min())
@@ -260,7 +259,8 @@ def check_conjugacy(grid_step: float = 1e-4) -> ConjugacyReport:
         b[flips] = -b[flips]
         # the pulse vanishes one period past each symbol, so the waveforms
         # can only differ left of the last flipped position
-        t_grid = np.arange(0.0, flips.max() + 1.0, grid_step * 10)
+        t_grid = np.arange(0.0, flips.max() + 1.0,
+                           10 * CONJUGACY_GRID_STEP)
         diff = np.abs(_superpose(a, t_grid) - _superpose(b, t_grid))
         # distinct almost everywhere: equality only near isolated zeros
         if np.mean(diff < 1e-9) > 0.02 or diff.max() < 1e-6:

@@ -110,6 +110,14 @@ def hybrid_rk4(x0, xdot0, duration, dt=1e-3, beta=LN2):
                             anchor, ev_t, ev_x)
 
 
+def pn_bits(n, seed):
+    """``n`` balanced pseudo-noise bits (half/half up to one bit) from
+    ``seed``: ``txchain.gen_training``'s pattern at any seed."""
+    bits = np.zeros(n, dtype=np.int64)
+    bits[: n // 2] = 1
+    return np.random.default_rng(seed).permutation(bits)
+
+
 def rrc_reference(rolloff, span, n_c):
     """Unit-energy root-raised-cosine taps on the grid t = k / n_c,
     |t| <= span / 2, for any rolloff and even span: the generic closed

@@ -8,8 +8,8 @@ import pytest
 from chaosmodem import baseline as bl
 from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
-from chaosmodem import txchain as tx
-from oracles import mmse_per_span, rrc_cascade_reference, rrc_reference
+from oracles import (mmse_per_span, pn_bits, rrc_cascade_reference,
+                     rrc_reference)
 
 
 def _rrc_raw(t, a):
@@ -130,7 +130,7 @@ def _rrc_estimate(y, train, pulse):
 
 def test_sync_template_alignment():
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(64, seed=3)
+    train = 1.0 - 2.0 * pn_bits(64, 3)
     tpl = H.pulse_for("rrc", n_c).template(train)
     assert tpl.size == train.size * n_c
     y = bl.rrc_matched_filter(bl.rrc_shape(train, n_c), n_c)
@@ -143,7 +143,7 @@ def test_sync_template_alignment():
 def test_estimate_channel_noiseless():
     n_c = 8
     rng = np.random.default_rng(21)
-    train = 1.0 - 2.0 * tx.gen_training(128, seed=5)
+    train = 1.0 - 2.0 * pn_bits(128, 5)
     syms = np.concatenate([train, rng.choice([-1.0, 1.0], 256)])
     x = bl.rrc_shape(syms, n_c)
     chan = x.copy()
@@ -158,7 +158,7 @@ def test_estimate_channel_noiseless():
 
 def test_estimate_channel_drops_spurs(monkeypatch):
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(128, seed=5)
+    train = 1.0 - 2.0 * pn_bits(128, 5)
     x = bl.rrc_shape(train, n_c)
     y = bl.rrc_matched_filter(x, n_c)[16 * n_c::n_c][:train.size]
     pulse = H.pulse_for("rrc", n_c)

@@ -11,10 +11,9 @@ from chaosmodem import channel as ch
 from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
-from chaosmodem import txchain as tx
 from chaosmodem import waveform as wf
 from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, dense_gains,
-                     frame_sync_stream, isi_feedback_coeffs,
+                     frame_sync_stream, isi_feedback_coeffs, pn_bits,
                      threshold_suboptimal)
 
 SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
@@ -78,7 +77,7 @@ def _training_template(train_syms, n_c):
 def test_frame_sync_exact_offset():
     n_c = 8
     rng = np.random.default_rng(11)
-    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
+    train = 1.0 - 2.0 * pn_bits(128, 3)
     data = rng.choice([-1.0, 1.0], 128)
     syms = np.concatenate([train, data])
     x = wf.synth_waveform(syms, n_c)
@@ -95,7 +94,7 @@ def test_frame_sync_exact_offset():
 
 def test_frame_sync_success_rate_at_6db():
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
+    train = 1.0 - 2.0 * pn_bits(128, 3)
     template = _training_template(train, n_c)
     e_b = n_c * RESPONSE_TABLE[0.0]
     sigma = ch.calibrate_noise(6.0, e_b)
@@ -121,7 +120,7 @@ def test_frame_sync_batch_matches_rows():
     # silent window peaks at offset 0 without a RuntimeWarning (which the
     # test settings turn into an error)
     n_c = 8
-    train = 1.0 - 2.0 * tx.gen_training(128, seed=3)
+    train = 1.0 - 2.0 * pn_bits(128, 3)
     template = _training_template(train, n_c)
     rng = np.random.default_rng(21)
     x = wf.synth_waveform(np.concatenate([train, rng.choice([-1.0, 1.0], 32)]),
@@ -246,7 +245,7 @@ def test_ls_noisy_gain_rms(monkeypatch):
     # error stays under 5%
     n_c = 8
     spec = ch.get_preset("static2")
-    train = 1.0 - 2.0 * tx.gen_training(256, seed=9)
+    train = 1.0 - 2.0 * pn_bits(256, 9)
     design = _design(train)
     monkeypatch.setattr(rx, "SPUR_THRESHOLD", 0.0)
     e_b = n_c * RESPONSE_TABLE[0.0]
@@ -359,14 +358,13 @@ def test_ls_design_stacks_rails():
 def test_threshold_optimal_brute_force():
     syms = np.array([-1.0, -1.0, 1.0, -1.0, -1.0])
     theta = rx.threshold_optimal(syms, rx.genie_response(SINGLE_PATH))
-    radius = th.response_decay_radius(1e-9)
     for n in range(syms.size):
         brute = sum(syms[m] * th.response_r(float(n - m))
                     for m in range(syms.size) if m != n)
         # brute force over the frame only; the op truncates at the decay
         # radius, far beyond the frame span here
         assert abs(theta[n] - brute) < 1e-12
-    assert radius > syms.size
+    assert th.DECAY_RADIUS > syms.size
 
 
 def test_threshold_optimal_symmetry_and_constant():

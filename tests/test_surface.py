@@ -10,9 +10,17 @@ A read is qualified by its module: ``rx.matched_filter`` after
 reads that module's name. The attribute strings the benchmark's trace
 tables (``LAYERS`` and ``ROOTS`` in ``perfbench/spans.py``) wrap count as
 reads of the module they are looked up in.
+
+Likewise every defaulted parameter of a function in ``src`` is passed, by
+keyword or by position, by some call in ``src/`` or ``perfbench/``, so a
+value only tests set does not stay a parameter. A call counts by the
+callee's final name (``rx.decode_suboptimal(...)`` and
+``decode_suboptimal(...)`` alike), and a method's positions skip
+``self``.
 """
 
 import ast
+import math
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -25,6 +33,12 @@ ALLOWED = {
                                 "waveform, compared with the superposition",
     "theory.R_PEAK": "the closed-form response peak r(0) the module "
                      "docstring quotes, checked against A3's table",
+}
+
+# defaulted parameters that stay although no call in src/ or perfbench/
+# passes them
+ALLOWED_UNSET = {
+    "cli.main.argv": "the console entry reads sys.argv, and tests pass argv",
 }
 
 
@@ -116,3 +130,66 @@ def test_every_private_name_is_read_in_its_module():
                    if name.startswith("_") and not name.startswith("__")
                    and name not in loads]
     assert not unread, f"private names their own module never reads: {unread}"
+
+
+def _functions(node, prefix="", in_class=False):
+    """(qualified name, definition, is a method) of every function under
+    ``node``, nested ones and methods included."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.FunctionDef):
+            yield prefix + child.name, child, in_class
+            yield from _functions(child, f"{prefix}{child.name}.")
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, f"{prefix}{child.name}.", True)
+        else:
+            yield from _functions(child, prefix, in_class)
+
+
+def _defaulted(fn, method):
+    """(parameter, position in a call, None if keyword-only) of each
+    defaulted parameter of one definition; a method's positions skip
+    ``self``."""
+    skip = method and not any(getattr(d, "id", None) == "staticmethod"
+                              for d in fn.decorator_list)
+    params = fn.args.posonlyargs + fn.args.args
+    for i in range(len(params) - len(fn.args.defaults), len(params)):
+        yield params[i].arg, i - skip
+    for param, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+        if default is not None:
+            yield param.arg, None
+
+
+def _passed(trees):
+    """(final callee name -> keywords passed, -> most positions passed)
+    over every call in ``trees``; ``**`` passes every keyword and ``*``
+    every position."""
+    keywords, positions = {}, {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            keywords.setdefault(name, set()).update(
+                k.arg or "**" for k in node.keywords)
+            n = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                 else len(node.args))
+            positions[name] = max(positions.get(name, 0), n)
+    return keywords, positions
+
+
+def test_every_defaulted_parameter_is_set():
+    package = list(_trees(PACKAGE))
+    keywords, positions = _passed(
+        [tree for _, tree in package] + [tree for _, tree in _trees(BENCH)])
+    unset = set()
+    for module, tree in package:
+        for qualname, fn, method in _functions(tree):
+            passed = keywords.get(fn.name, set())
+            for param, pos in _defaulted(fn, method):
+                if not (param in passed or "**" in passed or (
+                        pos is not None and positions.get(fn.name, 0) > pos)):
+                    unset.add(f"{module}.{qualname}.{param}")
+    assert unset == set(ALLOWED_UNSET), (
+        f"defaulted parameters no call in src/ or perfbench/ passes: "
+        f"{sorted(unset - set(ALLOWED_UNSET))}; allowed but now passed: "
+        f"{sorted(set(ALLOWED_UNSET) - unset)}")

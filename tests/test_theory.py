@@ -69,8 +69,8 @@ def test_composite_response_is_path_sum():
 
 
 def test_response_decay_radius_bounds_tail():
-    radius = theory.response_decay_radius(1e-9)
-    assert radius <= 40
+    radius = theory.DECAY_RADIUS
+    assert radius == 28
     t = np.arange(radius, radius + 30, dtype=float)
     assert np.max(np.abs(theory.response_r(t))) < 1e-9
 
