@@ -8,7 +8,8 @@ frame paths are checked, ``acquire_loop`` and ``mmse_per_span``, the
 per-point frame acquisition and the per-span equalizer design the batched
 ones must reproduce (with ``frame_sync_stream`` and ``estimate_ls_loop``,
 the per-stream sync and per-row ``lstsq`` estimate the first one runs),
-and ``parse_csv``, which reads the package's CSV back into its records.
+``frame_reference``, which composes them into a whole frame, and
+``parse_csv``, which reads the package's CSV back into its records.
 """
 
 import math
@@ -18,9 +19,11 @@ from types import SimpleNamespace
 import numpy as np
 
 from chaosmodem import baseline as bl
+from chaosmodem import channel as ch
 from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
-from chaosmodem.harness import _SYNC_GRID_STEPS, CSV_COLUMNS, BerRecord
+from chaosmodem.harness import (_PAD_SYMBOLS, _SYNC_GRID_STEPS, CSV_COLUMNS,
+                                BerRecord)
 from chaosmodem.theory import composite_response
 from chaosmodem.waveform import HybridTrajectory
 
@@ -341,6 +344,86 @@ def mmse_per_span(gains, noise_var, length=bl.EQ_LENGTH, delay=bl.EQ_DELAY):
             Ht @ H + sigma2[group, None, None] * np.eye(length),
             (Ht @ e_d)[..., None])[..., 0]
     return taps
+
+
+def frame_reference(ctx, frame_idx):
+    """One frame of a sweep computed the long way, for ``ctx`` a
+    ``harness._Context``: per grid point (payload errors, counted payload
+    bits, failures, estimate RMS), which the sweep sums.
+
+    The frame's three streams come from ``SeedSequence([master_seed,
+    frame_idx]).spawn(3)``: the payload bits, mapped by the QPSK table
+    after the training rails; on an estimated channel the path draw and
+    the whole-symbol pad; the noise, one draw per rail in rail order. Each
+    rail goes through ``waveform_path`` at full rate and is sampled at the
+    symbols from the true offset on. An estimated-channel frame acquires
+    by ``acquire_loop``; a known-channel frame decodes every point with
+    the receiver of its preset: ``isi_feedback_coeffs`` over the decision
+    window, ``mmse_per_span`` at the point's noise variance, or the genie
+    thresholds. Decisions come from ``dd_loop`` one rail at a time, a
+    threshold (a tie goes to +1), or one ``np.convolve`` per point and
+    rail ahead of the zero threshold. A point that fails counts every
+    payload bit in error under the pessimistic policy, and no bit under
+    the separate one."""
+    cfg = ctx.config
+    pulse, n_c, n_bits = ctx.pulse, cfg.n_c, cfg.n_data_bits
+    content, chan, noise = np.random.SeedSequence(
+        [cfg.master_seed, frame_idx]).spawn(3)
+    b = np.random.default_rng(content).integers(0, 2, n_bits)
+    b1, b2 = b[0::2], b[1::2]
+    payload = np.stack([1.0 - 2.0 * (b1 ^ b2), 1.0 - 2.0 * b1])
+    sent = np.concatenate([ctx.train, payload], axis=1)
+    n_train, n = ctx.train.shape[1], sent.shape[1]
+    spec, pad = ctx.channel, 0
+    if ctx.quasi:
+        rng = np.random.default_rng(chan)
+        gamma = ch.draw_gamma(ctx.channel, rng)
+        pad = int(rng.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
+        spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+    size = pad + propagate(pulse.synth(np.concatenate([sent[0], pulse.tail])),
+                           spec, n_c).size
+    rng = np.random.default_rng(noise)
+    w = np.stack([rng.standard_normal(size) for _ in sent])
+    rng = np.random.default_rng(noise)
+    full = [waveform_path(pulse, rail, spec, pad, rng) for rail in sent]
+    at = slice(pad + pulse.lead, pad + pulse.lead + n * n_c, n_c)
+    sig = np.array([s[at] for s, _ in full])
+    nz = np.array([z[at] for _, z in full])
+
+    method, n_points = cfg.method, ctx.sigmas.size
+    if ctx.quasi:
+        decoded, feedback, eqs, failures, rms = acquire_loop(ctx, sent, spec,
+                                                             pad, w)
+    else:
+        decoded = list(range(n_points))
+        failures = np.zeros(n_points, dtype=np.int64)
+        rms = np.full(n_points, np.nan)
+        gains = dense_gains(spec)
+        feedback = [isi_feedback_coeffs(spec, rx.decision_window(gains))[None]
+                    ] * n_points
+        eqs = mmse_per_span(gains[None], ctx.sigmas * ctx.sigmas)
+    lost = n_bits if cfg.failure_policy == "pessimistic" else 0
+    errors = np.where(failures == 1, lost, 0).astype(np.int64)
+    counted = errors.copy()
+    for j, p in enumerate(decoded):
+        counted[p] = n_bits
+        for r, rail in enumerate(sent):
+            y = sig[r] + ctx.sigmas[p] * nz[r]
+            theta = np.zeros(n)
+            if method == "chaotic-subopt":
+                dec = np.empty(n)
+                dec[:n_train] = rail[:n_train]
+                dd_loop(y, dec, feedback[j][0], n_train)
+            else:
+                if method == "chaotic-opt":
+                    theta = rx.threshold_optimal(
+                        np.concatenate([rail, pulse.tail]),
+                        rx.genie_response(spec))[:n]
+                elif method == "rrc-mmse":
+                    y = np.convolve(y, eqs[j])[bl.EQ_DELAY:bl.EQ_DELAY + n]
+                dec = np.where(y >= theta, 1.0, -1.0)
+            errors[p] += int(np.count_nonzero(dec[n_train:] != rail[n_train:]))
+    return errors, counted, failures, rms
 
 
 def parse_csv(path):

@@ -18,7 +18,8 @@ from hypothesis import strategies as st
 sys.path.insert(0, os.path.dirname(__file__))
 
 from oracles import (BER_SUB_TABLE, acquire_loop,  # noqa: E402
-                     isi_feedback_coeffs, parse_csv, waveform_path)
+                     frame_reference, isi_feedback_coeffs, parse_csv,
+                     waveform_path)
 
 import chaosmodem.channel as ch  # noqa: E402
 import chaosmodem.harness as H  # noqa: E402
@@ -273,6 +274,55 @@ def test_frame_reuses_buffers(monkeypatch, method, quasi):
         monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
         for a, b in zip(frame, H._frame(i)):
             assert a.tobytes() == b.tobytes()
+
+
+def harness_frames(monkeypatch, ctx, frames):
+    """What the harness computes for the given frames of a context."""
+    monkeypatch.setattr(H, "_CTX", ctx)
+    return [H._frame(i) for i in frames]
+
+
+# (method, preset, n_c) of the whole-frame check: every simulated method on
+# both static presets and both estimated-channel methods on both quasi
+# presets, at every n_c the pulse allows (RRC misses Nyquist at 2)
+FRAME_CASES = [("chaotic-opt", "static2", 2), ("chaotic-opt", "static3", 6),
+               ("chaotic-subopt", "static2", 3),
+               ("chaotic-subopt", "static3", 8),
+               ("chaotic-zero", "static2", 4), ("chaotic-zero", "static3", 2),
+               ("rrc-mmse", "static2", 6), ("rrc-mmse", "static3", 3),
+               ("rrc-noeq", "static2", 8), ("rrc-noeq", "static3", 4),
+               ("chaotic-subopt", "quasi2", 4), ("chaotic-subopt", "quasi3", 2),
+               ("rrc-mmse", "quasi2", 8), ("rrc-mmse", "quasi3", 3)]
+
+
+def test_frame_matches_reference(monkeypatch):
+    # every frame the harness computes gives frame_reference's errors,
+    # counted bits and failures exactly, and its estimate RMS to rounding
+    # with the same NaN positions: known-channel frames at points with
+    # errors, estimated-channel frames at points that lose sync and points
+    # that keep it, under both failure policies
+    seen = {"errors": 0, "failed": 0, "decoded": 0}
+    for method, preset, n_c in FRAME_CASES:
+        quasi = preset.startswith("quasi")
+        policies = ("pessimistic", "separate") if quasi else ("pessimistic",)
+        for policy in policies:
+            cfg = H.ExperimentConfig(
+                method, preset, (-6.0, -1.0, 4.0) if quasi else (-2.0, 4.0),
+                n_data_bits=256, n_c=n_c, master_seed=n_c,
+                genie=method == "chaotic-opt", failure_policy=policy)
+            ctx = H._Context(cfg, quasi)
+            frames = range(3)
+            for i, got in zip(frames, harness_frames(monkeypatch, ctx, frames)):
+                errors, counted, failures, rms = frame_reference(ctx, i)
+                assert got[0].tolist() == errors.tolist()
+                assert got[1].tolist() == counted.tolist()
+                assert got[2].tolist() == failures.tolist()
+                assert np.array_equal(np.isnan(got[3]), np.isnan(rms))
+                assert np.all(np.abs(got[3] - rms)[~np.isnan(rms)] <= 1e-12)
+                seen["errors"] += int(errors.sum())
+                seen["failed"] += int(failures.sum())
+                seen["decoded"] += int(np.sum(failures == 0))
+    assert all(seen.values()), seen
 
 
 def assert_same_receiver(got, want):
