@@ -351,46 +351,12 @@ class _Context:
                                       self.sigmas * self.sigmas),
                           np.zeros(n_points, dtype=np.int64),
                           np.full(n_points, np.nan))
-        self._probe(self.train.shape[1] + config.n_data_bits // 2)
-        self.frame_buffers = None
-
-    def _probe(self, n: int):
-        """Derive the symbol-rate path of frames of n-symbol rails sent
-        through ``delay`` symbols of silence, by pushing unit symbols of a
-        short probe frame through the waveform path. Shaping drops the
-        waveform before t = 0, so a rail and its tail give their
-        convolution with ``h_sym`` (``h_lag`` taps precede the symbol) plus
-        ``edge``, each early unit symbol's real response minus that
-        convolution; a symbol is early while its shaping reaches before
-        t = 0, which the delay hides from ``h_lag``. Noise is read through
-        ``mf_kernel``, the reversed MF folded into one row of n_c taps per
-        symbol period, zero-filled at the end. The delay is the preset's
-        longest path: it keeps the outputs before symbol 0 that each path
-        shift reads, and makes the probe as long as a rail through the
-        channel."""
-        pulse, n_c, delay = self.pulse, self.config.n_c, self.delay
-
-        def probe(symbols):
-            v = np.concatenate([np.zeros(delay * n_c), pulse.synth(symbols)])
-            return pulse.mf(v)[pulse.lead::n_c][:symbols.size], v.size
-
-        unit = np.eye(_PROBE_SYMBOLS)
-        mid = _PROBE_SYMBOLS // 2
-        y, size = probe(unit[mid])
-        first, last = np.flatnonzero(y)[[0, -1]]
-        self.h_sym, self.h_lag = y[first:last + 1], mid - first
-        rows = slice(self.h_lag, self.h_lag + last - mid + 1)
-        self.edge = np.stack([probe(e)[0][:rows.stop - rows.start]
-                              - np.convolve(e, self.h_sym)[rows]
-                              for e in unit[:self.h_lag + delay + 1]], axis=1)
+        (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_pad,
+         size) = _probe(pulse, self.delay)
         # shaping emits n_c samples per symbol, tail included
-        self.noise_size = size + (n + pulse.tail.size - _PROBE_SYMBOLS) * n_c
-        g = pulse.mf(np.eye(1, size, size // 2)[0])  # impulse at size // 2
-        first, last = np.flatnonzero(g)[[0, -1]]
-        kernel = g[first:last + 1][::-1]
-        self.mf_kernel = np.pad(kernel, (0, -kernel.size % n_c)).reshape(-1, n_c)
-        # output k reads the noise from k - mf_pad[0] to k + mf_pad[1]
-        self.mf_pad = (last - size // 2, size // 2 - first)
+        self.noise_size = size + (self.train.shape[1] + config.n_data_bits // 2
+                                  + pulse.tail.size - _PROBE_SYMBOLS) * n_c
+        self.frame_buffers = None
 
     def _buffers(self):
         """This process's frame buffers: the noise draw of both rails after
@@ -484,6 +450,50 @@ def _training(pulse: Pulse, n_bits: int):
     template = pulse.template(train[0])
     template.flags.writeable = False
     return train, design, template
+
+
+@lru_cache(maxsize=None)
+def _probe(pulse: Pulse, delay: int):
+    """The symbol-rate path of frames sent through ``delay`` symbols of
+    silence, derived by pushing unit symbols of a short probe frame
+    through the waveform path: (h_sym, h_lag, edge, mf_kernel, mf_pad,
+    size), all read-only, since every sweep of the pulse and delay in a
+    process shares them.
+
+    Shaping drops the waveform before t = 0, so a rail and its tail give
+    their convolution with ``h_sym`` (``h_lag`` taps precede the symbol)
+    plus ``edge``, each early unit symbol's real response minus that
+    convolution; a symbol is early while its shaping reaches before t = 0,
+    which the delay hides from ``h_lag``. Noise is read through
+    ``mf_kernel``, the reversed MF folded into one row of n_c taps per
+    symbol period, zero-filled at the end; output k reads the noise from
+    k - mf_pad[0] to k + mf_pad[1]. ``size`` is the length of the probe
+    frame's noise draw. The delay is the preset's longest path: it keeps
+    the outputs before symbol 0 that each path shift reads, and makes the
+    probe as long as a rail through the channel."""
+    n_c = pulse.n_c
+
+    def probe(symbols):
+        v = np.concatenate([np.zeros(delay * n_c), pulse.synth(symbols)])
+        return pulse.mf(v)[pulse.lead::n_c][:symbols.size], v.size
+
+    unit = np.eye(_PROBE_SYMBOLS)
+    mid = _PROBE_SYMBOLS // 2
+    y, size = probe(unit[mid])
+    first, last = np.flatnonzero(y)[[0, -1]]
+    h_sym, h_lag = y[first:last + 1], int(mid - first)
+    rows = slice(h_lag, h_lag + last - mid + 1)
+    edge = np.stack([probe(e)[0][:rows.stop - rows.start]
+                     - np.convolve(e, h_sym)[rows]
+                     for e in unit[:h_lag + delay + 1]], axis=1)
+    g = pulse.mf(np.eye(1, size, size // 2)[0])  # impulse at size // 2
+    first, last = np.flatnonzero(g)[[0, -1]]
+    kernel = g[first:last + 1][::-1]
+    mf_kernel = np.pad(kernel, (0, -kernel.size % n_c)).reshape(-1, n_c)
+    for a in (h_sym, edge, mf_kernel):
+        a.flags.writeable = False
+    return (h_sym, h_lag, edge, mf_kernel,
+            (int(last - size // 2), int(size // 2 - first)), size)
 
 
 _CTX: Optional[_Context] = None

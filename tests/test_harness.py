@@ -451,6 +451,22 @@ def test_quasi_contexts_share_the_training_model():
         assert getattr(a, name) is getattr(b, name)
 
 
+def test_contexts_share_the_probe():
+    # the symbol-rate path depends on the pulse and the preset's longest
+    # delay only: sweeps that share both share it, read-only, whatever
+    # their kind, grid and payload; the noise draw still follows the frame
+    names = ("h_sym", "h_lag", "edge", "mf_kernel", "mf_pad")
+    a = H._Context(small_static(channel="static3", n_data_bits=512), False)
+    b = H._Context(small_quasi(channel="quasi3", ebn0_grid=(4.0, 8.0)), True)
+    c = H._Context(small_static(channel="static2"), False)
+    for name in names:
+        assert getattr(a, name) is getattr(b, name)
+    assert a.edge is not c.edge
+    assert not any(getattr(a, name).flags.writeable
+                   for name in ("h_sym", "edge", "mf_kernel"))
+    assert a.noise_size < b.noise_size
+
+
 @pytest.mark.parametrize("family", ("chaotic", "rrc"))
 @pytest.mark.parametrize("n_c", (8, 4))
 def test_shared_arrays_are_read_only(family, n_c):
