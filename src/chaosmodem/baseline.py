@@ -9,7 +9,8 @@ by the equalizer is just the multipath taps themselves (Nyquist
 criterion, up to the truncation floor of the finite span), and the
 equalizer is designed from those gains at whole-symbol delays. An
 equalizer is a plain array of EQ_LENGTH taps: ``design_mmse`` returns one
-row per channel, and ``apply_equalizer`` runs one row over a rail.
+row per channel, and ``apply_equalizer`` runs each row over both rails of
+its grid point.
 """
 
 from __future__ import annotations
@@ -157,8 +158,20 @@ def design_mmse(gains, noise_var) -> np.ndarray:
 
 
 def apply_equalizer(symbols_rx, taps) -> np.ndarray:
-    """Run the FIR ``taps`` (one row of ``design_mmse``) and undo the
-    decision delay, so output n estimates symbol n. Edge symbols see a
-    partial window."""
+    """Equalize symbol-rate observations of shape (..., P, 2, n), the two
+    rails at each of P grid points, with ``taps``, one ``design_mmse`` row
+    per point, shape (P, EQ_LENGTH) or, one set per leading row, (...,
+    P, EQ_LENGTH), and undo the decision delay, so output n estimates
+    symbol n. The observations are zero-padded by the taps'
+    reach at both ends, so edge symbols see a partial window, as a full
+    convolution gives them. Every output is one product of its sliding
+    window with the reversed taps, summed by ``np.einsum``, not BLAS; it
+    equals the per-rail ``np.convolve`` to rounding."""
     y = np.asarray(symbols_rx, dtype=float)
-    return np.convolve(y, taps)[EQ_DELAY:EQ_DELAY + y.size]
+    n = y.shape[-1]
+    padded = np.zeros(y.shape[:-1] + (n + EQ_LENGTH - 1,))
+    padded[..., EQ_LENGTH - 1 - EQ_DELAY:EQ_LENGTH - 1 - EQ_DELAY + n] = y
+    window = np.lib.stride_tricks.sliding_window_view(padded, EQ_LENGTH,
+                                                      axis=-1)
+    return np.einsum("...pcki,...pi->...pck", window,
+                     np.ascontiguousarray(np.asarray(taps)[..., ::-1]))

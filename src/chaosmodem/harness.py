@@ -1,11 +1,18 @@
 """Seeded Monte Carlo experiment runner and result emission.
 
-Frames are the unit of work and of parallelism. Every frame derives its
-randomness from the three child streams of SeedSequence([master_seed,
-frame_index]) (payload bits, channel draw, noise), so a sweep is
-reproducible bit for bit at any worker count: per-frame error counts are
-integers and summation commutes. A frame builds only the streams it
-draws from; a known-channel frame never draws a channel.
+Frames are the unit of randomness; blocks of frames are the unit of work
+and of parallelism. Every frame derives its randomness from the three
+child streams of SeedSequence([master_seed, frame_index]) (payload bits,
+channel draw, noise), so a sweep is reproducible bit for bit at any
+worker count and any block size: per-frame error counts are integers
+and summation commutes. A frame builds only the streams it draws from; a
+known-channel frame never draws a channel. A block runs a fixed number
+of consecutive frames, set by the rail length only (``_BLOCK_SYMBOLS``),
+through one pass of array operations over (frames, ...): each frame
+draws into its own rows of the block's buffers in the order it would
+alone, and the block returns one row of counts per frame, in frame
+order. Acquisition still runs per frame, and the convolutions with the
+symbol-rate response and of the genie thresholds per rail.
 
 Common random numbers across the Eb/N0 grid: each frame computes the
 matched-filter outputs of its rails and of one unit-variance noise draw
@@ -29,8 +36,9 @@ once: frame sync, sync-grid refinement, the LS estimate and the receiver
 design run on arrays over the points. They decode and fail exactly the
 points a per-point computation does, and their estimates agree with its
 to rounding. The training rails, their ``rx.LsDesign`` and the sync
-template depend on the pulse and the training length only, and every
-sweep of a process shares them.
+template depend on the pulse and the training length only, and the
+symbol-rate response (``_probe``) on the pulse and the longest path
+delay only; every sweep of a process shares them.
 """
 
 from __future__ import annotations
@@ -64,6 +72,10 @@ _PAD_SYMBOLS = (2, 20)
 _SYNC_GRID_STEPS = (-2, -1, 0, 1)
 # long enough to hold the whole response to a unit symbol in its middle
 _PROBE_SYMBOLS = 96
+# a block runs max(1, _BLOCK_SYMBOLS // n) frames of n-symbol rails: enough
+# to share the fixed cost of a frame's many small numpy calls, few enough
+# that a block's buffers stay small
+_BLOCK_SYMBOLS = 4096
 
 
 @dataclass(frozen=True)
@@ -309,7 +321,7 @@ def _preset(config: ExperimentConfig, quasi: bool, sweep: str):
 class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
     a config the pipeline cannot run fails there, and it is installed as
-    is in every worker. Only its frame buffers (see ``_buffers``) change
+    is in every worker. Only its block buffers (see ``_buffers``) change
     after construction."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
@@ -343,31 +355,32 @@ class _Context:
             # channel and noise level are known: every frame gets the receiver
             # _acquire would build, every point decoded and none failed; the
             # one gains row, and so the feedback row, is every point's
-            n_points = len(self.sigmas)
             if config.method == "chaotic-opt":
                 self.genie_coeffs = rx.genie_response(self.channel)
-            self.known = (np.arange(n_points),
-                          *_receivers(self, _dense([self.channel]),
-                                      self.sigmas * self.sigmas),
-                          np.zeros(n_points, dtype=np.int64),
-                          np.full(n_points, np.nan))
+            self.known = _receivers(self, _dense([self.channel]),
+                                    self.sigmas * self.sigmas)
         (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_pad,
          size) = _probe(pulse, self.delay)
+        n = self.train.shape[1] + config.n_data_bits // 2
         # shaping emits n_c samples per symbol, tail included
-        self.noise_size = size + (self.train.shape[1] + config.n_data_bits // 2
-                                  + pulse.tail.size - _PROBE_SYMBOLS) * n_c
-        self.frame_buffers = None
+        self.noise_size = size + (n + pulse.tail.size - _PROBE_SYMBOLS) * n_c
+        self.n_frames = (config.frames if quasi
+                         else -(-config.trials // config.n_data_bits))
+        self.block = min(max(1, _BLOCK_SYMBOLS // n), self.n_frames)
+        self.block_buffers = None
 
     def _buffers(self):
-        """This process's frame buffers: the noise draw of both rails after
-        the zero margin the matched filter reads before it, sized for the
-        longest pad; the polyphase product of the noise read; and the
-        observations at every grid point. The first frame that runs in a
+        """This process's block buffers: per frame of a block, the noise
+        draw of both rails, which ends its row, after the zero margin the
+        matched filter reads before it, sized for the longest pad; and one
+        scratch array that holds first the polyphase product of the noise
+        read (see ``sampled_frames``), then, once that is summed, the
+        observations at every grid point. The first block that runs in a
         process allocates them, so the parent of a pool never does and they
-        are never pickled; every frame overwrites them. The symbol-rate
-        read of a frame must end within its own draw, which is checked
-        here once: past it lies a longer-padded frame's draw."""
-        if self.frame_buffers is None:
+        are never pickled; every block overwrites the rows of its frames.
+        The symbol-rate read of a frame must end within its own draw, which
+        is checked here once."""
+        if self.block_buffers is None:
             n = self.train.shape[1] + self.config.n_data_bits // 2
             n_rows, n_c = self.mf_kernel.shape
             lo = self.mf_pad[0]
@@ -377,48 +390,67 @@ class _Context:
             if over > 0:
                 raise RuntimeError(f"the symbol-rate noise read ends {over} "
                                    f"samples past the frame's noise draw")
-            self.frame_buffers = (
-                np.zeros((2, lo + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
-                np.empty((2, n_rows, n + n_rows - 1)),
-                np.empty((self.sigmas.size, 2, n)))
-        return self.frame_buffers
+            self.block_buffers = (
+                np.zeros((self.block, 2,
+                          lo + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
+                np.empty(self.block * 2 * max(n_rows * (n + n_rows - 1),
+                                              self.sigmas.size * n)))
+        return self.block_buffers
 
-    def sampled_frame(self, sent, spec, pad: int, rng_noise):
-        """Matched-filter outputs at the symbols, from the true offset
-        pad + lead on, of the rails ``sent`` through ``spec`` after ``pad``
-        samples of silence and of one unit-variance noise draw per rail (the
-        samples the waveform path yields there), and the full-rate draw.
-        Each path is the delayed probed response shifted by symbol lags.
-        The draw is a view of the noise buffer, valid until the next frame."""
-        n_c, n = self.config.n_c, sent.shape[1]
+    def sampled_frames(self, sent, specs, pads, rngs_noise):
+        """Matched-filter outputs at the symbols of a block of F frames,
+        each from its true offset pad + lead on: of the rails ``sent``, shape
+        (F, 2, n), through the channels ``specs`` (the preset's delays, each
+        frame's gains) after ``pads`` samples of silence, and of one
+        unit-variance noise draw per rail from each frame's generator in
+        ``rngs_noise`` (the samples the waveform path yields there); and
+        each frame's full-rate draw, shape (2, pad + noise_size). Each path
+        is the delayed probed response shifted by symbol lags. The draws are
+        views of the noise buffer, valid until the next block."""
+        n_c = self.config.n_c
+        n_f, _, n = sent.shape
         n_out = n + self.delay
-        padded, phases, _ = self._buffers()
-        n_periods = phases.shape[2]
-        lo = self.mf_pad[0]
-        w = padded[:, lo:lo + pad + self.noise_size]
-        for row in w:
-            rng_noise.standard_normal(out=row)
-        ext = np.concatenate([sent, np.tile(self.pulse.tail, (2, 1))], axis=1)
+        padded, scratch = self._buffers()
+        padded = padded[:n_f]
+        draws = []
+        for row, pad, rng in zip(padded, pads, rngs_noise):
+            # the draw ends the row, so every frame's symbol-rate read starts
+            # at the same column; before the draw lies the zero margin the
+            # matched filter reads, where a longer-padded frame drew
+            start = row.shape[1] - pad - self.noise_size
+            row[:, :start] = 0.0
+            for rail in row[:, start:]:
+                rng.standard_normal(out=rail)
+            draws.append(row[:, start:])
+        tail = self.pulse.tail
+        ext = np.concatenate(
+            [sent, np.broadcast_to(tail, (n_f, 2, tail.size))], axis=2)
         z = np.array([np.convolve(s, self.h_sym)[self.h_lag:self.h_lag + n_out]
-                      for s in ext])
-        edge = self.edge[:n_out, :ext.shape[1]]
-        z[:, :edge.shape[0]] += ext[:, :edge.shape[1]] @ edge.T
+                      for s in ext.reshape(2 * n_f, -1)]).reshape(n_f, 2, n_out)
+        edge = self.edge[:n_out, :ext.shape[2]]
+        z[..., :edge.shape[0]] += ext[..., :edge.shape[1]] @ edge.T
+        gains = np.array([spec.gains for spec in specs])
         sig = np.zeros_like(sent)
-        for g, d in zip(spec.gains, spec.delays):
+        for k, d in enumerate(self.channel.delays):
             s = self.delay - int(d)
-            sig += g * z[:, s:s + n]
+            sig += gains[:, k, None, None] * z[..., s:s + n]
         # the noise at the symbols: symbol m reads the symbol periods
         # m..m+J-1 of the draw from its offset, period m + j through kernel
         # row j; row j of ``phases`` has every period through kernel row j,
         # and its entry m + j sits at j * (n_periods + 1) + m of a flat row
-        start = pad + self.pulse.lead
-        periods = padded[:, start:start + n_periods * n_c].reshape(
-            -1, n_periods, n_c)
-        np.matmul(self.mf_kernel, periods.transpose(0, 2, 1), out=phases)
-        s0, s1, s2 = phases.strides
+        start = _PAD_SYMBOLS[1] * n_c + self.pulse.lead
+        n_rows = self.mf_kernel.shape[0]
+        n_periods = n + n_rows - 1
+        phases = scratch[:n_f * 2 * n_rows * n_periods].reshape(
+            n_f, 2, n_rows, n_periods)
+        periods = padded[..., start:start + n_periods * n_c].reshape(
+            n_f, 2, n_periods, n_c)
+        np.matmul(self.mf_kernel, periods.swapaxes(2, 3), out=phases)
+        s0, s1, s2, s3 = phases.strides
         terms = np.lib.stride_tricks.as_strided(
-            phases, phases.shape[:2] + (n,), (s0, s1 + s2, s2), writeable=False)
-        return sig, terms.sum(axis=1), w
+            phases, phases.shape[:3] + (n,), (s0, s1, s2 + s3, s3),
+            writeable=False)
+        return sig, terms.sum(axis=2), draws
 
     def sync_window(self, rail, spec, pad: int, w):
         """Full-rate matched-filter outputs (signal, noise) of one rail over
@@ -504,48 +536,53 @@ def _install(ctx: _Context):
     _CTX = ctx
 
 
-def _count_errors(ctx: _Context, ys, sent, feedback, eqs, n_train: int):
-    """Decide both rails at every grid point and count, per point, the rail
-    decisions in error past the first n_train (training) symbols.
+def _count_errors(ctx: _Context, ys, sent, feedback, eqs):
+    """Count, per frame of a block and grid point, the rail decisions in
+    error past the training symbols.
 
-    ``ys`` holds the symbol-rate observations, shape (points, 2, n), a
-    view of the context's observation buffer, valid only until the next
-    frame. ``sent`` holds the two transmitted rails, shape (2, n);
-    ``feedback`` holds the decision-feedback coefficients, shape (1, 1, w)
-    shared by every point or (points, 1, w) one row per point, either
-    shared by the two rails, and ``eqs`` the equalizer taps, one row per
-    point; both come from ``_receivers``. Every point shares a rail's
-    genie thresholds; the decision-feedback decoder takes all points and
-    rails as one batch. Error rate is counted per rail decision: each rail
-    carries one antipodal bit per symbol, as the closed forms assume.
+    ``ys`` holds the symbol-rate observations, shape (frames, points, 2,
+    n), a view of the context's observation buffer, valid only until the
+    next block. ``sent`` holds each frame's two transmitted rails, shape
+    (frames, 2, n); ``feedback`` holds the decision-feedback coefficients,
+    shape (1, 1, w) shared by every frame and point or (frames, points, 1,
+    w) one row each, either shared by the two rails, and ``eqs`` the
+    equalizer taps, shape (points, EQ_LENGTH) or (frames, points,
+    EQ_LENGTH); both come from ``_receivers``. Error rate is counted per
+    rail decision: each rail carries one antipodal bit per symbol, as the
+    closed forms assume.
 
-    The decision-feedback decoder starts from the transmitted rails. That
-    is not a genie: its result is the causal recursion's unique solution
-    whatever iterate it starts from, so ``sent`` sets only how much work
-    the decoder does. The solution differs from ``sent`` only around its
-    decision errors, so few thresholds need recomputing after the first
-    pass. From the signs of y, the default start, which are wrong at a few
-    percent of the symbols of every row, the second pass alone recomputes
-    more than half the columns of a batch. With shared feedback every
-    point also shares the first pass, which reads only ``sent``."""
-    method = ctx.config.method
+    The threshold receivers decide +1 where y >= theta (a tie goes to +1),
+    so a decision is in error exactly where that comparison differs from
+    ``sent > 0``: they count the comparison and form no decision. Every
+    point of a frame shares a rail's genie thresholds. The decision-
+    feedback decoder takes the block's frames, points and rails as one
+    batch, and starts from the transmitted rails. That is not a genie: its
+    result is the causal recursion's unique solution whatever iterate it
+    starts from, so ``sent`` sets only how much work the decoder does. The
+    solution differs from ``sent`` only around its decision errors, so few
+    thresholds need recomputing after the first pass. From the signs of y,
+    the default start, which are wrong at a few percent of the symbols of
+    every row, the second pass alone recomputes more than half the columns
+    of a batch. With shared feedback the points of a frame also share the
+    first pass, which reads only ``sent``."""
+    method, n_train = ctx.config.method, ctx.train.shape[1]
+    sent = sent[:, None]
     if method == "chaotic-subopt":
-        dec = rx.decode_suboptimal(ys, sent[:, :n_train], feedback,
-                                   guess=sent)
-    elif method == "chaotic-opt":
+        dec = rx.decode_suboptimal(ys, ctx.train, feedback, guess=sent)
+        return np.count_nonzero(dec[..., n_train:] != sent[..., n_train:],
+                                axis=(2, 3))
+    theta = 0.0
+    if method == "chaotic-opt":
         # genie: thresholds from the true symbols including the shaping tail
-        # cancel every ISI term exactly; every grid point shares them
-        theta = [rx.threshold_optimal(np.concatenate([rail, ctx.pulse.tail]),
-                                      ctx.genie_coeffs)[:rail.size]
-                 for rail in sent]
-        dec = rx.decide(ys, np.array(theta))
+        # cancel every ISI term exactly
+        rails = sent.reshape(-1, sent.shape[-1])
+        theta = np.array([rx.threshold_optimal(
+            np.concatenate([rail, ctx.pulse.tail]), ctx.genie_coeffs)[:rail.size]
+            for rail in rails]).reshape(sent.shape)
     elif method == "rrc-mmse":
-        dec = rx.decide(np.array([[bl.apply_equalizer(y, eq) for y in yp]
-                                  for yp, eq in zip(ys, eqs)]), 0.0)
-    else:
-        dec = rx.decide(ys, 0.0)
-    return np.count_nonzero(dec[..., n_train:] != sent[:, n_train:],
-                            axis=(1, 2))
+        ys = bl.apply_equalizer(ys, eqs)
+    return np.count_nonzero(((ys >= theta) != (sent > 0.0))[..., n_train:],
+                            axis=(2, 3))
 
 
 # ---------------------------------------------------------------- sweeps ---
@@ -590,12 +627,11 @@ def _receivers(ctx: _Context, gains, noise_var):
 
 
 def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
-    """The receiver of an estimated-channel frame, laid out as
-    ``_Context.known`` holds the known channel's: (decoded points, their
-    feedback rows (points, 1, w) and equalizer taps from ``_receivers``,
-    failures and estimate RMS per point). ``sig``, ``noise`` and ``w`` are
-    what ``_Context.sampled_frame`` returned for the frame. A point is
-    decoded if frame sync finds the true offset.
+    """Acquire an estimated-channel frame: (failures and estimate RMS per
+    point, and the gains rows and noise variances of the decoded points,
+    the points without a failure, for ``_receivers``). ``sig``, ``noise``
+    and ``w`` are the frame's part of what ``_Context.sampled_frames``
+    returned. A point is decoded if frame sync finds the true offset.
 
     Frame sync finds each point's coarse correlation peak in rail I over
     the full-rate window, snaps it to the symbol grid and refines it over
@@ -611,8 +647,7 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     every candidate's training observations (the candidates are whole
     symbols apart), residuals against an orthonormal basis of the path
     model, one ``rx.estimate_channel_ls`` call over the points that kept
-    their timing, whose gains rows and noise variances go to
-    ``_receivers`` as the known channel's preset row does. Rail I is
+    their timing. Rail I is
     gathered from the full-rate window's symbol grid; rail Q from the
     symbol-rate samples, which start at the true offset. A point that can
     keep its timing has the true offset among its candidates, so each is
@@ -651,57 +686,85 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     obs, res = obs[points, pick], res[points, pick]
     hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
-    decoded = np.flatnonzero(hit)
-    gains, noise_var = rx.estimate_channel_ls(obs[decoded], ctx.design)
-    failures = np.ones(n_points, dtype=np.int64)
-    failures[decoded] = 0
+    gains, noise_var = rx.estimate_channel_ls(obs[hit], ctx.design)
     rms = np.full(n_points, np.nan)
-    rms[decoded] = np.sqrt(np.mean((gains - _dense([spec])) ** 2, axis=1))
-    return (decoded, *_receivers(ctx, gains, noise_var), failures, rms)
+    rms[hit] = np.sqrt(np.mean((gains - _dense([spec])) ** 2, axis=1))
+    return (~hit).astype(np.int64), rms, gains, noise_var
 
 
-def _frame(frame_idx: int):
-    """Per grid point: payload errors, counted payload bits, failures and
-    estimate RMS of one frame. The observations and the noise draw are
-    views of the context's frame buffers, valid only until the next frame."""
+def _spread(decoded, rows) -> np.ndarray:
+    """``rows``, one per decoded (frame, point) of a block in row-major
+    order, laid out over the block's (frames, points), zero elsewhere."""
+    out = np.zeros(decoded.shape + rows.shape[1:])
+    out[decoded] = rows
+    return out
+
+
+def _block(frames: range):
+    """Per frame of the block, in frame order, and per grid point: payload
+    errors, counted payload bits, failures and estimate RMS, each shape
+    (frames, points). Every frame draws from its own streams, in the
+    order a frame alone would, into its rows of the block's buffers; the
+    frames then share every step but acquisition, which runs per frame."""
     ctx = _CTX
     cfg = ctx.config
-    rng_content, rng_noise = _frame_streams(cfg.master_seed, frame_idx,
-                                            _CONTENT, _NOISE)
-    n_train = ctx.train.shape[1]
-    # the training length is even, so the payload maps onto its own pairs
-    sent = np.empty((2, n_train + cfg.n_data_bits // 2))
-    sent[:, :n_train] = ctx.train
-    sent[:, n_train:] = tx.qpsk_map(rng_content.integers(0, 2, cfg.n_data_bits))
-    spec, pad = ctx.channel, 0
+    n_f, n_train, n_points = len(frames), ctx.train.shape[1], ctx.sigmas.size
+    bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
+    specs, pads, rngs_noise = [ctx.channel] * n_f, [0] * n_f, []
+    for f, idx in enumerate(frames):
+        rng_content, rng_noise = _frame_streams(cfg.master_seed, idx,
+                                                _CONTENT, _NOISE)
+        bits[f] = rng_content.integers(0, 2, cfg.n_data_bits)
+        rngs_noise.append(rng_noise)
+        if ctx.quasi:
+            (rng_chan,) = _frame_streams(cfg.master_seed, idx, _CHANNEL)
+            gamma = ch.draw_gamma(ctx.channel, rng_chan)
+            pads[f] = int(rng_chan.integers(_PAD_SYMBOLS[0],
+                                            _PAD_SYMBOLS[1] + 1)) * cfg.n_c
+            specs[f] = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+    # the training length is even, so each payload maps onto its own pairs
+    sent = np.empty((n_f, 2, n_train + cfg.n_data_bits // 2))
+    sent[..., :n_train] = ctx.train
+    sent[..., n_train:] = np.reshape(tx.qpsk_map(bits.ravel()),
+                                     (2, n_f, -1)).swapaxes(0, 1)
+    sig, noise, draws = ctx.sampled_frames(sent, specs, pads, rngs_noise)
     if ctx.quasi:
-        (rng_chan,) = _frame_streams(cfg.master_seed, frame_idx, _CHANNEL)
-        gamma = ch.draw_gamma(ctx.channel, rng_chan)
-        pad = int(rng_chan.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * cfg.n_c
-        spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
-    sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng_noise)
-    decoded, feedback, eqs, failures, rms = (
-        _acquire(ctx, sent, spec, pad, sig, noise, w) if ctx.quasi
-        else ctx.known)
+        failures, rms, gains, noise_var = (np.concatenate(part) for part in zip(
+            *(_acquire(ctx, sent[f], specs[f], pads[f], sig[f], noise[f],
+                       draws[f]) for f in range(n_f))))
+        failures, rms = failures.reshape(n_f, -1), rms.reshape(n_f, -1)
+        # a failed point decodes through a zero receiver, and its count is
+        # not used
+        feedback, eqs = (r if r is None else _spread(failures == 0, r)
+                         for r in _receivers(ctx, gains, noise_var))
+    else:
+        feedback, eqs = ctx.known
+        failures = np.zeros((n_f, n_points), dtype=np.int64)
+        rms = np.full((n_f, n_points), np.nan)
+    decoded = failures == 0
     # a failed point has all its payload bits in error, or none counted
     lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
-    errors, counted = lost.copy(), lost
-    if len(decoded):
-        ys = np.multiply(noise, ctx.sigmas[decoded, None, None],
-                         out=ctx._buffers()[2][:len(decoded)])
-        ys += sig
-        errors[decoded] = _count_errors(ctx, ys, sent, feedback, eqs, n_train)
-        counted[decoded] = cfg.n_data_bits
-    return errors, counted, failures, rms
+    errors = lost
+    if decoded.any():
+        ys = np.multiply(noise[:, None], ctx.sigmas[:, None, None],
+                         out=ctx._buffers()[1][:noise.size * n_points]
+                         .reshape(n_f, n_points, *noise.shape[1:]))
+        ys += sig[:, None]
+        errors = np.where(decoded, _count_errors(ctx, ys, sent, feedback, eqs),
+                          lost)
+    return errors, np.where(decoded, cfg.n_data_bits, lost), failures, rms
 
 
-def _run(config: ExperimentConfig, quasi: bool, n_frames: int, jobs: int,
+def _run(config: ExperimentConfig, quasi: bool, jobs: int,
          stats: Optional[dict] = None) -> List[BerRecord]:
     """Run a sweep's frames and sum their counts into one record per grid
     point; fill ``stats``, if given, with per-point failure counts and
     estimation RMS summaries."""
-    results = _map_frames(_frame, _Context(config, quasi), n_frames, jobs)
-    errors, counted, failures, rms_all = (np.array(r) for r in zip(*results))
+    ctx = _Context(config, quasi)
+    n_frames = ctx.n_frames
+    results = _map_blocks(_block, ctx, jobs)
+    errors, counted, failures, rms_all = (np.concatenate(r)
+                                          for r in zip(*results))
     errors, counted, failures = (np.sum(a, axis=0)
                                  for a in (errors, counted, failures))
     if stats is not None:
@@ -760,7 +823,7 @@ def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]
     if config.method == "chaotic-opt" and not config.genie:
         raise ValueError("chaotic-opt needs genie=True: the optimal "
                          "threshold uses the transmitted symbols")
-    return _run(config, False, -(-config.trials // config.n_data_bits), jobs)
+    return _run(config, False, jobs)
 
 
 def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
@@ -782,7 +845,7 @@ def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
             f"not {config.method!r}")
     if config.genie:
         raise ValueError("genie decoding is incompatible with channel estimation")
-    return _run(config, True, config.frames, jobs, stats)
+    return _run(config, True, jobs, stats)
 
 
 # ---------------------------------------------------------------- theory ---
@@ -846,15 +909,19 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
     return paths
 
 
-def _map_frames(worker, ctx: _Context, n_frames: int, jobs: int):
+def _map_blocks(worker, ctx: _Context, jobs: int):
+    """The worker's results of the sweep's blocks of ``ctx.block`` frames,
+    the last one possibly shorter, in frame order."""
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
-    # the pool forks all its workers up front, so never more than frames
-    jobs = min(jobs, n_frames)
+    blocks = [range(i, min(i + ctx.block, ctx.n_frames))
+              for i in range(0, ctx.n_frames, ctx.block)]
+    # the pool forks all its workers up front, so never more than blocks
+    jobs = min(jobs, len(blocks))
     if jobs == 1:
         _install(ctx)
-        return [worker(i) for i in range(n_frames)]
+        return [worker(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
                              initargs=(ctx,)) as pool:
-        chunk = max(1, n_frames // (4 * jobs))
-        return list(pool.map(worker, range(n_frames), chunksize=chunk))
+        chunk = max(1, len(blocks) // (4 * jobs))
+        return list(pool.map(worker, blocks, chunksize=chunk))

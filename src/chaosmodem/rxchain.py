@@ -207,12 +207,6 @@ def decision_window(gains):
     return 5 + (int(last) if np.ndim(last) == 0 else last)
 
 
-def decide(y, theta):
-    """Threshold decision, +1 or -1 as int8; boundary goes to +1."""
-    return np.where(np.asarray(y, dtype=float) >= np.asarray(theta, dtype=float),
-                    _PLUS, _MINUS)
-
-
 def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     """Decision-directed decoding of one frame or of a batch of frames.
 

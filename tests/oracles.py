@@ -205,6 +205,13 @@ class ThresholdState:
         self.window[0] = symbol
 
 
+def decide(y, theta):
+    """Threshold decision, +1 or -1 as int8; a tie goes to +1: the rule
+    every threshold receiver of the package counts its errors by."""
+    return np.where(np.asarray(y, dtype=float) >= np.asarray(theta, dtype=float),
+                    np.int8(1), np.int8(-1))
+
+
 def threshold_suboptimal(state: ThresholdState) -> float:
     """Causal threshold from the windowed past decisions."""
     return float(np.dot(state.window, state.coeffs))
@@ -421,7 +428,7 @@ def frame_reference(ctx, frame_idx):
                         rx.genie_response(spec))[:n]
                 elif method == "rrc-mmse":
                     y = np.convolve(y, eqs[j])[bl.EQ_DELAY:bl.EQ_DELAY + n]
-                dec = np.where(y >= theta, 1.0, -1.0)
+                dec = decide(y, theta)
             errors[p] += int(np.count_nonzero(dec[n_train:] != rail[n_train:]))
     return errors, counted, failures, rms
 

@@ -187,7 +187,7 @@ def test_mmse_single_path_identity():
     assert np.max(np.abs(eq - ideal)) < 1e-12
     rng = np.random.default_rng(4)
     s = rng.choice([-1.0, 1.0], 200)
-    out = bl.apply_equalizer(s, eq)
+    out = bl.apply_equalizer(s[None, None], eq[None])[0, 0]
     assert np.max(np.abs(out - s)) < 1e-12
 
 
@@ -196,7 +196,7 @@ def test_mmse_two_path_residual_isi():
     rng = np.random.default_rng(7)
     s = rng.choice([-1.0, 1.0], 20000)
     y = np.convolve(s, [1.0, 0.6])[: s.size]
-    out = bl.apply_equalizer(y, eq)
+    out = bl.apply_equalizer(y[None, None], eq[None])[0, 0]
     err = out[100:-100] - s[100:-100]
     isi_power = float(np.mean(err**2))
     assert isi_power < 0.01
@@ -205,6 +205,24 @@ def test_mmse_two_path_residual_isi():
     dev = np.convolve([1.0, 0.6], eq)
     dev[bl.EQ_DELAY] -= 1.0
     assert abs(isi_power - float(np.sum(dev ** 2))) < 5e-4
+
+
+def test_apply_equalizer_matches_convolve():
+    # each point's taps run over both rails of that point, in every frame
+    # of a leading batch, as a per-rail full convolution cut at the
+    # decision delay gives, edges included; rails shorter than the taps too
+    rng = np.random.default_rng(31)
+    for shape in ((3, 2, 40), (4, 5, 2, 257), (1, 2, 3), (2, 1, 1)):
+        y = rng.normal(size=shape)
+        taps = bl.design_mmse(rng.normal(size=(shape[-3], 3)),
+                              rng.uniform(0.01, 1.0, shape[-3]))
+        got = bl.apply_equalizer(y, taps)
+        assert got.shape == y.shape
+        n = shape[-1]
+        for idx in np.ndindex(shape[:-1]):
+            want = np.convolve(y[idx], taps[idx[-2]])[bl.EQ_DELAY:bl.EQ_DELAY + n]
+            assert np.max(np.abs(got[idx] - want)) <= 1e-15 * max(
+                1.0, np.max(np.abs(want)))
 
 
 def test_mmse_is_a_minimum():

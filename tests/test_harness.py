@@ -1,6 +1,7 @@
 """Monte Carlo harness: config validation, records, sweeps, reports."""
 
 import contextlib
+import functools
 import itertools
 import json
 import math
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import (BER_SUB_TABLE, acquire_loop,  # noqa: E402
+from oracles import (BER_SUB_TABLE, acquire_loop, decide,  # noqa: E402
                      frame_reference, isi_feedback_coeffs, parse_csv,
                      waveform_path)
 
@@ -167,11 +168,12 @@ def check_sampled_frames(family, n_c, channels):
     # a frame computes only the symbol-rate samples of its rails; they must
     # be the waveform path's samples at the true offset down to rounding,
     # from symbol 0 on (where the start-edge block acts), for the known
-    # channel at pad 0 and for random path gains at both extreme pads,
-    # frames shorter than the edge block or the sync window included; a
-    # quasi frame's full-rate sync window of rail I must be the full-rate
-    # stream bitwise, so sync sees the same bytes; and the noise generator
-    # must be left where the waveform path leaves it
+    # channel at pad 0 and for random path gains at both extreme pads, the
+    # two frames of each case in one block, frames shorter than the edge
+    # block or the sync window included; a quasi frame's full-rate sync
+    # window of rail I must be the full-rate stream bitwise, so sync sees
+    # the same bytes; and each frame's noise generator must be left where
+    # the waveform path leaves it
     method = "chaotic-subopt" if family == "chaotic" else "rrc-mmse"
     rng = np.random.default_rng(n_c)
     for channel in channels:
@@ -185,26 +187,30 @@ def check_sampled_frames(family, n_c, channels):
                 continue
             n = ctx.train.shape[1] + n_bits // 2
             assert quasi or n_bits > 8 or n < ctx.edge.shape[0]
-            for pad_symbols in H._PAD_SYMBOLS if quasi else (0,):
-                pad = pad_symbols * n_c
-                spec = ctx.channel
-                if quasi:
-                    spec = ch.MultipathSpec(spec.delays, tuple(
-                        rng.uniform(-1.0, 1.0, len(spec.delays))))
-                sent = rng.choice([-1.0, 1.0], (2, n))
-                fast, slow = np.random.default_rng(9), np.random.default_rng(9)
-                sig, noise, w = ctx.sampled_frame(sent, spec, pad, fast)
-                ref = np.array([waveform_path(ctx.pulse, rail, spec, pad, slow)
-                                for rail in sent]).transpose(1, 0, 2)
-                for got, want in zip((sig, noise), ref):
+            assert ctx.block >= 2
+            pads = [p * n_c for p in H._PAD_SYMBOLS] if quasi else [0, 0]
+            specs = [ctx.channel] * 2
+            if quasi:
+                specs = [ch.MultipathSpec(ctx.channel.delays, tuple(
+                    rng.uniform(-1.0, 1.0, len(ctx.channel.delays))))
+                    for _ in pads]
+            sent = rng.choice([-1.0, 1.0], (2, 2, n))
+            fast = [np.random.default_rng(9 + f) for f in range(2)]
+            slow = [np.random.default_rng(9 + f) for f in range(2)]
+            sig, noise, draws = ctx.sampled_frames(sent, specs, pads, fast)
+            for f, pad in enumerate(pads):
+                ref = np.array([waveform_path(ctx.pulse, rail, specs[f], pad,
+                                              slow[f])
+                                for rail in sent[f]]).transpose(1, 0, 2)
+                for got, want in zip((sig[f], noise[f]), ref):
                     want = want[:, pad + ctx.pulse.lead::n_c][:, :n]
                     assert np.max(np.abs(got - want)) < 1e-12
                 if quasi:
                     win = min(ctx.search_len + 2 * n_c, ref.shape[-1])
-                    for got, want in zip(ctx.sync_window(sent[0], spec, pad,
-                                                         w[0]), ref[:, 0]):
+                    for got, want in zip(ctx.sync_window(
+                            sent[f, 0], specs[f], pad, draws[f][0]), ref[:, 0]):
                         assert np.array_equal(got, want[:win])
-                assert fast.standard_normal() == slow.standard_normal()
+                assert fast[f].standard_normal() == slow[f].standard_normal()
 
 
 @pytest.mark.parametrize("family,n_c", [(f, n) for f in ("chaotic", "rrc")
@@ -220,24 +226,23 @@ def test_sampled_quasi_frame_matches_waveform_path(family, n_c):
 
 
 def test_sampled_frame_after_a_longer_pad():
-    # the noise buffer is shared by a context's frames; a frame after one
-    # with a longer pad leaves that frame's draw past its own, which it
-    # must not read. Its outputs and the buffer up to its own draw's end
-    # are those of a fresh context
+    # the noise buffer is shared by a context's blocks; a frame after one
+    # with a longer pad in its row leaves that frame's draw in front of its
+    # own, where the matched filter reads zeros. Its outputs and the whole
+    # buffer row are those of a fresh context
     cfg = H.ExperimentConfig("chaotic-subopt", "quasi3", (6.0,), n_c=4)
     used, fresh = H._Context(cfg, True), H._Context(cfg, True)
     rng = np.random.default_rng(5)
-    spec = ch.MultipathSpec.from_gamma(ch.draw_gamma(used.channel, rng),
-                                       used.channel.delays)
-    sent = rng.choice([-1.0, 1.0], (2, used.train.shape[1]
+    spec = [ch.MultipathSpec.from_gamma(ch.draw_gamma(used.channel, rng),
+                                        used.channel.delays)]
+    sent = rng.choice([-1.0, 1.0], (1, 2, used.train.shape[1]
                                     + cfg.n_data_bits // 2))
-    pad = 2 * cfg.n_c
-    used.sampled_frame(sent, spec, 20 * cfg.n_c, np.random.default_rng(1))
-    got = used.sampled_frame(sent, spec, pad, np.random.default_rng(2))
-    want = fresh.sampled_frame(sent, spec, pad, np.random.default_rng(2))
-    drawn = (slice(None), slice(0, used.mf_pad[0] + pad + used.noise_size))
-    for a, b in zip(got + (used._buffers()[0][drawn],),
-                    want + (fresh._buffers()[0][drawn],)):
+    pad = [2 * cfg.n_c]
+    used.sampled_frames(sent, spec, [20 * cfg.n_c], [np.random.default_rng(1)])
+    got = used.sampled_frames(sent, spec, pad, [np.random.default_rng(2)])
+    want = fresh.sampled_frames(sent, spec, pad, [np.random.default_rng(2)])
+    for a, b in zip(got[:2] + (got[2][0], used._buffers()[0][0]),
+                    want[:2] + (want[2][0], fresh._buffers()[0][0])):
         assert a.tobytes() == b.tobytes()
 
 
@@ -257,29 +262,36 @@ def test_noise_read_must_end_within_the_draw(method, n_c):
     with pytest.raises(RuntimeError, match="1 samples past"):
         ctx._buffers()
     ctx.noise_size = need
-    assert ctx._buffers()[0].shape[1] == (ctx.mf_pad[0] + need
-                                          + H._PAD_SYMBOLS[1] * n_c)
+    assert ctx._buffers()[0].shape[-1] == (ctx.mf_pad[0] + need
+                                           + H._PAD_SYMBOLS[1] * n_c)
 
 
 @pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
 @pytest.mark.parametrize("quasi", (False, True))
 def test_frame_reuses_buffers(monkeypatch, method, quasi):
-    # frames 3, 0 and 3 on one context, whose buffers the earlier frames
-    # left dirty, each give what a fresh context gives
+    # full blocks from frame 3 and from frame 0, then a short block of frame
+    # 3 alone, on one context whose buffers the earlier blocks left dirty,
+    # each give what a fresh context gives
     cfg = (small_quasi(method=method, ebn0_grid=(4.0, 6.0, 8.0))
            if quasi else small_static(method=method, n_data_bits=3840))
-    monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
-    got = [H._frame(i) for i in (3, 0, 3)]
-    for i, frame in zip((3, 0, 3), got):
+    ctx = H._Context(cfg, quasi)
+    assert ctx.block >= 2
+    blocks = (range(3, 3 + ctx.block), range(ctx.block), range(3, 4))
+    monkeypatch.setattr(H, "_CTX", ctx)
+    got = [H._block(b) for b in blocks]
+    for b, block in zip(blocks, got):
         monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
-        for a, b in zip(frame, H._frame(i)):
-            assert a.tobytes() == b.tobytes()
+        for a, want in zip(block, H._block(b)):
+            assert a.shape == (len(b), len(cfg.ebn0_grid))
+            assert a.tobytes() == want.tobytes()
 
 
 def harness_frames(monkeypatch, ctx, frames):
-    """What the harness computes for the given frames of a context."""
+    """What the harness computes for the given frames of a context, as one
+    block."""
+    assert len(frames) <= ctx.block
     monkeypatch.setattr(H, "_CTX", ctx)
-    return [H._frame(i) for i in frames]
+    return list(zip(*H._block(frames)))
 
 
 # (method, preset, n_c) of the whole-frame check: every simulated method on
@@ -368,12 +380,16 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
                 [ctx.train, rng.choice([-1.0, 1.0], (2, 32))], axis=1)
             if isinstance(case, str):
                 sent[:] = 0.0
-            sig, noise, w = ctx.sampled_frame(sent, spec, pad, rng)
+            sig, noise, (w,) = ctx.sampled_frames(sent[None], [spec], [pad],
+                                                  [rng])
+            sig, noise = sig[0], noise[0]
             if case == "silent":
                 w[:] = noise[:] = 0.0
-            got = H._acquire(ctx, sent, spec, pad, sig, noise, w)
+            failures, rms, gains, noise_var = H._acquire(ctx, sent, spec, pad,
+                                                         sig, noise, w)
+            got = (np.flatnonzero(failures == 0),
+                   *H._receivers(ctx, gains, noise_var), failures, rms)
             assert_same_receiver(got, acquire_loop(ctx, sent, spec, pad, w))
-            failures = got[3]
             seen["failed"] += int(failures.sum())
             seen["all_failed"] += bool(failures.all())
             seen["decoded"] += len(got[0])
@@ -416,7 +432,7 @@ def test_feedback_rows_match_isi_feedback_coeffs():
     # a known channel's row is its preset's, one (1, 1, w) row that every
     # point and rail shares, so every point shares the decoder's first pass
     for preset in ("static2", "static3"):
-        row = H._Context(small_static(channel=preset), False).known[1]
+        row = H._Context(small_static(channel=preset), False).known[0]
         spec = ch.get_preset(preset)
         want = isi_feedback_coeffs(spec, 5 + int(max(spec.delays)))
         assert row.shape == (1, 1, want.size)
@@ -430,11 +446,11 @@ def test_solver_failure_fails_before_any_frame(monkeypatch):
     def broken(a):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    def frame(frame_idx):
+    def block(frames):
         raise AssertionError("a frame ran")
 
     monkeypatch.setattr(np.linalg, "pinv", broken)
-    monkeypatch.setattr(H, "_frame", frame)
+    monkeypatch.setattr(H, "_block", block)
     H._training.cache_clear()
     with pytest.raises(np.linalg.LinAlgError):
         H.run_quasi_static(small_quasi(), jobs=1)
@@ -554,6 +570,49 @@ def test_quasi_sweep_stats_and_accounting():
     assert row["excluded_bits"] == 0
     assert 0 < row["est_rms_mean"] < 0.2
     assert row["est_rms_mean"] <= row["est_rms_p90"] <= row["est_rms_max"]
+
+
+@functools.lru_cache(maxsize=None)
+def threshold_context(method, quasi):
+    cfg = (small_quasi(method=method, ebn0_grid=(4.0, 8.0)) if quasi
+           else small_static(method=method, genie=method == "chaotic-opt"))
+    return H._Context(cfg, quasi)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(case=st.sampled_from([("chaotic-opt", False), ("chaotic-zero", False),
+                             ("rrc-noeq", False), ("rrc-mmse", False),
+                             ("rrc-mmse", True)]),
+       n_frames=st.integers(1, 3), n=st.integers(1, 40),
+       tie_frac=st.sampled_from([0.0, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_count_errors_is_decides_count(case, n_frames, n, tie_frac, seed):
+    # the threshold receivers count where y >= theta differs from sent > 0,
+    # with no decision formed; that is the count of decide's decisions that
+    # differ from sent past the training, exact ties y == theta (which go
+    # to +1) and zeros of either sign included. The equalizer here passes
+    # each rail through exactly
+    method, quasi = case
+    ctx = threshold_context(method, quasi)
+    rng = np.random.default_rng(seed)
+    n_train, n_points = ctx.train.shape[1], ctx.sigmas.size
+    sent = rng.choice([-1.0, 1.0], (n_frames, 2, n_train + n))
+    sent[..., :n_train] = ctx.train
+    theta = np.zeros(sent.shape)
+    if method == "chaotic-opt":
+        theta = np.array([[rx.threshold_optimal(
+            np.concatenate([rail, ctx.pulse.tail]), ctx.genie_coeffs)[:rail.size]
+            for rail in rails] for rails in sent])
+    offset = rng.normal(size=(n_frames, n_points) + sent.shape[1:])
+    tie = rng.random(offset.shape) < tie_frac
+    offset[tie] = rng.choice([0.0, -0.0], int(tie.sum()))
+    ys = theta[:, None] + offset
+    eqs = np.zeros((n_points, 15))
+    eqs[:, 7] = 1.0
+    got = H._count_errors(ctx, ys.copy(), sent, None, eqs)
+    want = np.count_nonzero((decide(ys, theta[:, None]) != sent[:, None])
+                            [..., n_train:], axis=(2, 3))
+    assert got.tolist() == want.tolist()
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -764,8 +823,10 @@ def test_jobs_below_one_rejected():
 
 
 def test_pool_sized_by_frame_count(monkeypatch):
-    # the pool forks every worker up front, so a sweep of fewer frames
-    # than jobs asks for one worker per frame; the fake runs them in turn
+    # the pool forks every worker up front, so a sweep of fewer blocks than
+    # jobs asks for one worker per block; the fake runs them in turn. Three
+    # frames of 1,000-symbol rails make one block, which needs no pool, or
+    # three blocks of one frame each
     sizes = []
 
     def fake_pool(max_workers, initializer, initargs):
@@ -776,9 +837,39 @@ def test_pool_sized_by_frame_count(monkeypatch):
 
     monkeypatch.setattr(H, "ProcessPoolExecutor", fake_pool)
     cfg = small_static(trials=6000, n_data_bits=2000)  # 3 frames
-    assert H.run_static_sweep(cfg, jobs=8) == H.run_static_sweep(cfg, jobs=1)
+    want = H.run_static_sweep(cfg, jobs=1)
+    assert H.run_static_sweep(cfg, jobs=8) == want
+    assert sizes == []
+    monkeypatch.setattr(H, "_BLOCK_SYMBOLS", 1)
+    assert H.run_static_sweep(cfg, jobs=8) == want
     H.run_static_sweep(cfg, jobs=2)
     assert sizes == [3, 2]
+
+
+@pytest.mark.parametrize("quasi", (False, True))
+@pytest.mark.parametrize("policy", ("pessimistic", "separate"))
+def test_records_do_not_depend_on_the_block_size(monkeypatch, quasi, policy):
+    # blocks of one frame, blocks that do not divide the frame count (so
+    # the last one is short), and the default blocks give the same records
+    # and stats, at one worker and at two
+    cfg = (small_quasi(channel="quasi3", ebn0_grid=(-3.0, 6.0), frames=7,
+                       n_data_bits=512, failure_policy=policy) if quasi
+           else small_static(ebn0_grid=(2.0, 6.0), trials=7 * 512,
+                             n_data_bits=512, failure_policy=policy))
+    n = 128 * quasi + 256
+
+    def sweep(block_symbols, jobs):
+        monkeypatch.setattr(H, "_BLOCK_SYMBOLS", block_symbols)
+        stats = {}
+        if quasi:
+            return H.run_quasi_static(cfg, jobs=jobs, stats=stats), stats
+        return H.run_static_sweep(cfg, jobs=jobs), stats
+
+    want = sweep(1, 1)
+    assert not quasi or want[1]["per_point"][0]["failed_frames"] > 0
+    for frames_per_block in (1, 3, 4, 7):
+        for jobs in (1, 2):
+            assert sweep(frames_per_block * n, jobs) == want
 
 
 def test_rrc_infeasible_n_c_fails_before_the_pool():

