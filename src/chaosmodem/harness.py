@@ -352,8 +352,8 @@ class _Context:
             self.search_len = ((_PAD_SYMBOLS[1] + 4) * n_c + pulse.lead
                                + self.template.size)
         else:
-            # channel and noise level are known: every frame gets the receiver
-            # _acquire would build, every point decoded and none failed; the
+            # channel and noise level are known: every frame gets an exact
+            # estimate's receiver, every point decoded and none failed; the
             # one gains row, and so the feedback row, is every point's
             if config.method == "chaotic-opt":
                 self.genie_coeffs = rx.genie_response(self.channel)
