@@ -1,72 +1,33 @@
 """Multipath channel model: tapped delay line and noise calibration.
 
-Delays are expressed in symbol periods and must land on the receiver's
-sample grid (integer multiples of 1/n_c). Path gains follow a negative
-exponential profile alpha_l = exp(-gamma * tau_l) when built from a
-damping coefficient.
+A channel is a 1-d array of path gains at whole-symbol delays: entry d
+is the gain of the path d symbol periods late, and a path is present
+exactly when its gain is nonzero. Gains built from a damping coefficient
+follow the negative exponential profile alpha_d = exp(-gamma * d); the
+static presets are such arrays, read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 
-def gains_from_gamma(gamma: float, delays: Sequence[float]) -> np.ndarray:
-    """Exponential power-delay profile alpha_l = exp(-gamma * tau_l)."""
+def gains_from_gamma(gamma: float, n_paths: int) -> np.ndarray:
+    """The exponential profile alpha_d = exp(-gamma * d), d < n_paths."""
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
-    return np.exp(-gamma * np.asarray(delays, dtype=float))
-
-
-@dataclass(frozen=True)
-class MultipathSpec:
-    """Static multipath channel: strictly increasing delays, first path at 0.
-    :meth:`from_gamma` builds one with the exponential profile."""
-
-    delays: tuple
-    gains: tuple
-
-    def __post_init__(self):
-        d = np.asarray(self.delays, dtype=float)
-        g = np.asarray(self.gains, dtype=float)
-        if d.ndim != 1 or d.size == 0 or d.size != g.size:
-            raise ValueError("delays and gains must be equal-length non-empty sequences")
-        if d[0] != 0.0:
-            raise ValueError(f"first path delay must be 0, got {d[0]}")
-        if np.any(np.diff(d) <= 0):
-            raise ValueError("delays must be strictly increasing")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
-        object.__setattr__(self, "delays", tuple(float(x) for x in d))
-        object.__setattr__(self, "gains", tuple(float(x) for x in g))
-
-    @classmethod
-    def from_gamma(cls, gamma: float, delays: Sequence[float]) -> "MultipathSpec":
-        return cls(tuple(float(x) for x in delays),
-                   tuple(gains_from_gamma(gamma, delays)))
-
-    def delay_samples(self, n_c: int) -> np.ndarray:
-        """Delays as sample counts; rejects delays off the 1/n_c grid."""
-        scaled = np.asarray(self.delays) * n_c
-        rounded = np.round(scaled)
-        if np.any(np.abs(scaled - rounded) > 1e-9):
-            bad = self.delays[int(np.argmax(np.abs(scaled - rounded)))]
-            raise ValueError(
-                f"delay {bad} symbol periods is not a multiple of 1/{n_c}"
-            )
-        return rounded.astype(int)
+    return np.exp(-gamma * np.arange(n_paths))
 
 
 @dataclass(frozen=True)
 class QuasiStaticModel:
-    """Per-frame redraw of gamma over a uniform range; delay set fixed."""
+    """Per-frame redraw of gamma over a uniform range; path count fixed."""
 
-    gamma_min: float = 0.3
-    gamma_max: float = 0.9
-    delays: tuple = (0.0, 1.0)
+    gamma_min: float
+    gamma_max: float
+    n_paths: int
 
     def __post_init__(self):
         if not 0 < self.gamma_min < self.gamma_max:
@@ -75,17 +36,16 @@ class QuasiStaticModel:
             )
 
 
-def propagate(samples: np.ndarray, spec: MultipathSpec, n_c: int) -> np.ndarray:
-    """Apply the tapped delay line. Output grows by the maximum delay.
+def propagate(samples: np.ndarray, gains, n_c: int) -> np.ndarray:
+    """Apply the tapped delay line. Output grows by the last path's delay.
 
-    out[k] = sum_l alpha_l * in[k - tau_l*n_c], with zeros assumed before
-    the start of the input.
+    out[k] = sum_d alpha_d * in[k - d*n_c], with zeros assumed before the
+    start of the input.
     """
     x = np.asarray(samples, dtype=float)
-    taps = spec.delay_samples(n_c)
-    out = np.zeros(x.size + taps[-1])
-    for alpha, d in zip(spec.gains, taps):
-        out[d:d + x.size] += alpha * x
+    out = np.zeros(x.size + (len(gains) - 1) * n_c)
+    for d, alpha in enumerate(gains):
+        out[d * n_c:d * n_c + x.size] += alpha * x
     return out
 
 
@@ -119,13 +79,15 @@ def draw_gamma(model: QuasiStaticModel, rng: np.random.Generator) -> float:
 
 
 STATIC_PRESETS = {
-    "static2": MultipathSpec.from_gamma(0.6, (0.0, 1.0)),
-    "static3": MultipathSpec.from_gamma(0.6, (0.0, 1.0, 2.0)),
+    "static2": gains_from_gamma(0.6, 2),
+    "static3": gains_from_gamma(0.6, 3),
 }
+for _gains in STATIC_PRESETS.values():
+    _gains.flags.writeable = False
 
 QUASI_PRESETS = {
-    "quasi2": QuasiStaticModel(0.3, 0.9, (0.0, 1.0)),
-    "quasi3": QuasiStaticModel(0.3, 0.9, (0.0, 1.0, 2.0)),
+    "quasi2": QuasiStaticModel(0.3, 0.9, 2),
+    "quasi3": QuasiStaticModel(0.3, 0.9, 3),
 }
 
 

@@ -24,12 +24,14 @@ Both receivers are one linear modem: a rail is shaped at n_c samples per
 symbol, propagated, matched-filtered and sampled once per symbol. The
 chaotic and RRC chains differ only in their Pulse, and the known- and
 estimated-channel sweeps only in what the receiver knows, so every frame
-runs one pipeline that computes only the samples its receiver reads: the
-sweep context sends unit symbols through the waveform path once, behind
-a pure delay of the preset's longest path, for the response at symbol
-lags; every frame applies its channel's paths to that response at symbol
-rate, and the matched filter reads its noise at the symbol instants only.
-Only over the sync window of an estimated-channel frame, where frame sync
+runs one pipeline that computes only the samples its receiver reads. A
+channel is its gains at whole-symbol delays (see ``channel``). The sweep
+context sends unit symbols through the waveform path once, behind a pure
+delay of the channel's last path, for the response at symbol lags; every
+frame sums its paths' shifts of that response at symbol rate, and the
+matched filter reads its noise at the symbol instants only. A receiver's
+response to a channel is ``rx.composite_response`` of its gains and the
+pulse's cascade. Only over the sync window of an estimated-channel frame, where frame sync
 searches rail I off the symbol grid, does the waveform path run at full
 rate, on that rail only. That frame then acquires every grid point at
 once: frame sync, sync-grid refinement, the LS estimate and the receiver
@@ -37,7 +39,7 @@ design run on arrays over the points. They decode and fail exactly the
 points a per-point computation does, and their estimates agree with its
 to rounding. The training rails, their ``rx.LsDesign`` and the sync
 template depend on the pulse and the training length only, and the
-symbol-rate response (``_probe``) on the pulse and the longest path
+symbol-rate response (``_probe``) on the pulse and the last path's
 delay only; every sweep of a process shares them.
 """
 
@@ -333,7 +335,8 @@ class _Context:
                                 for db in config.ebn0_grid])
         self.channel = _preset(config, quasi, "run_quasi_static" if quasi
                                else "run_static_sweep")
-        self.delay = int(max(self.channel.delays))  # see _probe
+        # the last path's delay; see _probe
+        self.delay = (self.channel.n_paths if quasi else self.channel.size) - 1
         # the cascade at the past lags 1..w of the widest feedback window,
         # per candidate path delay; see _receivers
         width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
@@ -356,8 +359,12 @@ class _Context:
             # estimate's receiver, every point decoded and none failed; the
             # one gains row, and so the feedback row, is every point's
             if config.method == "chaotic-opt":
-                self.genie_coeffs = rx.genie_response(self.channel)
-            self.known = _receivers(self, _dense([self.channel]),
+                lags = np.arange(-th.DECAY_RADIUS,
+                                 th.DECAY_RADIUS + self.delay + 1)
+                self.genie_coeffs = rx.composite_response(
+                    _dense(self.channel), pulse.cascade(
+                        lags[:, None] - np.arange(rx.MAX_DELAY + 1)))[0]
+            self.known = _receivers(self, _dense(self.channel),
                                     self.sigmas * self.sigmas)
         (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_pad,
          size) = _probe(pulse, self.delay)
@@ -397,16 +404,17 @@ class _Context:
                                               self.sigmas.size * n)))
         return self.block_buffers
 
-    def sampled_frames(self, sent, specs, pads, rngs_noise):
+    def sampled_frames(self, sent, chans, pads, rngs_noise):
         """Matched-filter outputs at the symbols of a block of F frames,
         each from its true offset pad + lead on: of the rails ``sent``, shape
-        (F, 2, n), through the channels ``specs`` (the preset's delays, each
-        frame's gains) after ``pads`` samples of silence, and of one
-        unit-variance noise draw per rail from each frame's generator in
-        ``rngs_noise`` (the samples the waveform path yields there); and
-        each frame's full-rate draw, shape (2, pad + noise_size). Each path
-        is the delayed probed response shifted by symbol lags. The draws are
-        views of the noise buffer, valid until the next block."""
+        (F, 2, n), through the channels ``chans``, each frame's gains at
+        delays 0..delay, shape (F, delay + 1), after ``pads`` samples of
+        silence, and of one unit-variance noise draw per rail from each
+        frame's generator in ``rngs_noise`` (the samples the waveform path
+        yields there); and each frame's full-rate draw, shape (2, pad +
+        noise_size). Path d reads the probed response, which runs ``delay``
+        symbols late, d symbols later. The draws are views of the noise
+        buffer, valid until the next block."""
         n_c = self.config.n_c
         n_f, _, n = sent.shape
         n_out = n + self.delay
@@ -429,11 +437,10 @@ class _Context:
                       for s in ext.reshape(2 * n_f, -1)]).reshape(n_f, 2, n_out)
         edge = self.edge[:n_out, :ext.shape[2]]
         z[..., :edge.shape[0]] += ext[..., :edge.shape[1]] @ edge.T
-        gains = np.array([spec.gains for spec in specs])
         sig = np.zeros_like(sent)
-        for k, d in enumerate(self.channel.delays):
-            s = self.delay - int(d)
-            sig += gains[:, k, None, None] * z[..., s:s + n]
+        for d in range(self.delay + 1):
+            s = self.delay - d
+            sig += chans[:, d, None, None] * z[..., s:s + n]
         # the noise at the symbols: symbol m reads the symbol periods
         # m..m+J-1 of the draw from its offset, period m + j through kernel
         # row j; row j of ``phases`` has every period through kernel row j,
@@ -452,7 +459,7 @@ class _Context:
             writeable=False)
         return sig, terms.sum(axis=2), draws
 
-    def sync_window(self, rail, spec, pad: int, w):
+    def sync_window(self, rail, chan, pad: int, w):
         """Full-rate matched-filter outputs (signal, noise) of one rail over
         the frame's first search_len + 2 n_c samples, which hold all
         ``_acquire`` reads at full rate, and of its noise draw ``w``,
@@ -464,7 +471,7 @@ class _Context:
         # the symbols before the cut, and those whose shaping reaches back
         shaped = -(-(cut - pad) // n_c) + self.edge.shape[1]
         x = np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
-            np.concatenate([rail, pulse.tail])[:shaped]), spec, n_c)])[:cut]
+            np.concatenate([rail, pulse.tail])[:shaped]), chan, n_c)])[:cut]
         return pulse.mf(x)[:win], pulse.mf(w[:cut])[:win]
 
 
@@ -587,12 +594,10 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs):
 
 # ---------------------------------------------------------------- sweeps ---
 
-def _dense(paths) -> np.ndarray:
-    """The gains of each channel at delays 0..rx.MAX_DELAY, one row each,
-    zero where it has no path."""
-    dense = np.zeros((len(paths), rx.MAX_DELAY + 1))
-    for row, p in zip(dense, paths):
-        row[np.array(p.delays, dtype=int)] = p.gains
+def _dense(gains) -> np.ndarray:
+    """A channel's gains as one row over delays 0..rx.MAX_DELAY."""
+    dense = np.zeros((1, rx.MAX_DELAY + 1))
+    dense[0, :len(gains)] = gains
     return dense
 
 
@@ -606,32 +611,29 @@ def _receivers(ctx: _Context, gains, noise_var):
     rrc-mmse gets its equalizer taps, one row per point, from one
     ``bl.design_mmse`` call. chaotic-subopt gets its decision-feedback
     coefficients, shape (rows, 1, w), which the decoder broadcasts over
-    the two rails: the composite response ``th.composite_response`` at
-    past lags 1..w over each row's ``rx.decision_window``, bitwise,
-    zero-filled past it to the widest window. ``ctx.feedback_table[k - 1,
-    d]`` is the pulse cascade at lag k - d; the composite response sums
-    its paths in delay order from zero, and here a missing path adds an
-    exact zero."""
+    the two rails: ``rx.composite_response`` at past lags 1..w over each
+    row's ``rx.decision_window``, zero-filled past it to the widest
+    window. ``ctx.feedback_table[k - 1, d]`` is the pulse cascade at lag
+    k - d."""
     feedback = eqs = None
     if ctx.config.method == "rrc-mmse":
         eqs = bl.design_mmse(gains, noise_var)
     elif ctx.config.method == "chaotic-subopt":
         windows = rx.decision_window(gains)
         width = int(windows.max(initial=0))
-        rows = np.zeros((gains.shape[0], width))
-        for d in range(gains.shape[1]):
-            rows = rows + gains[:, d:d + 1] * ctx.feedback_table[:width, d]
+        rows = rx.composite_response(gains, ctx.feedback_table[:width])
         rows[np.arange(width) >= windows[:, None]] = 0.0
         feedback = rows[:, None]
     return feedback, eqs
 
 
-def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
+def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     """Acquire an estimated-channel frame: (failures and estimate RMS per
     point, and the gains rows and noise variances of the decoded points,
     the points without a failure, for ``_receivers``). ``sig``, ``noise``
     and ``w`` are the frame's part of what ``_Context.sampled_frames``
-    returned. A point is decoded if frame sync finds the true offset.
+    returned, and ``chan`` its true gains. A point is decoded if frame
+    sync finds the true offset.
 
     Frame sync finds each point's coarse correlation peak in rail I over
     the full-rate window, snaps it to the symbol grid and refines it over
@@ -659,7 +661,7 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
     to rounding."""
     n_c, n_points = ctx.config.n_c, ctx.sigmas.size
     points = np.arange(n_points)
-    win_sig, win_noise = ctx.sync_window(sent[0], spec, pad, w[0])
+    win_sig, win_noise = ctx.sync_window(sent[0], chan, pad, w[0])
     ln = ctx.search_len
     coarse = rx.frame_sync(win_sig[:ln], ctx.template, win_noise[:ln],
                            ctx.sigmas)
@@ -688,7 +690,7 @@ def _acquire(ctx: _Context, sent, spec, pad: int, sig, noise, w):
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
     gains, noise_var = rx.estimate_channel_ls(obs[hit], ctx.design)
     rms = np.full(n_points, np.nan)
-    rms[hit] = np.sqrt(np.mean((gains - _dense([spec])) ** 2, axis=1))
+    rms[hit] = np.sqrt(np.mean((gains - _dense(chan)) ** 2, axis=1))
     return (~hit).astype(np.int64), rms, gains, noise_var
 
 
@@ -710,7 +712,7 @@ def _block(frames: range):
     cfg = ctx.config
     n_f, n_train, n_points = len(frames), ctx.train.shape[1], ctx.sigmas.size
     bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
-    specs, pads, rngs_noise = [ctx.channel] * n_f, [0] * n_f, []
+    chans, pads, rngs_noise = np.empty((n_f, ctx.delay + 1)), [0] * n_f, []
     for f, idx in enumerate(frames):
         rng_content, rng_noise = _frame_streams(cfg.master_seed, idx,
                                                 _CONTENT, _NOISE)
@@ -721,16 +723,18 @@ def _block(frames: range):
             gamma = ch.draw_gamma(ctx.channel, rng_chan)
             pads[f] = int(rng_chan.integers(_PAD_SYMBOLS[0],
                                             _PAD_SYMBOLS[1] + 1)) * cfg.n_c
-            specs[f] = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+            chans[f] = ch.gains_from_gamma(gamma, ctx.channel.n_paths)
+        else:
+            chans[f] = ctx.channel
     # the training length is even, so each payload maps onto its own pairs
     sent = np.empty((n_f, 2, n_train + cfg.n_data_bits // 2))
     sent[..., :n_train] = ctx.train
     sent[..., n_train:] = np.reshape(tx.qpsk_map(bits.ravel()),
                                      (2, n_f, -1)).swapaxes(0, 1)
-    sig, noise, draws = ctx.sampled_frames(sent, specs, pads, rngs_noise)
+    sig, noise, draws = ctx.sampled_frames(sent, chans, pads, rngs_noise)
     if ctx.quasi:
         failures, rms, gains, noise_var = (np.concatenate(part) for part in zip(
-            *(_acquire(ctx, sent[f], specs[f], pads[f], sig[f], noise[f],
+            *(_acquire(ctx, sent[f], chans[f], pads[f], sig[f], noise[f],
                        draws[f]) for f in range(n_f))))
         failures, rms = failures.reshape(n_f, -1), rms.reshape(n_f, -1)
         # a failed point decodes through a zero receiver, and its count is

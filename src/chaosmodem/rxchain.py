@@ -12,23 +12,23 @@ intersymbol interference exactly using the true symbols (analysis only),
 and the causal one that feeds back the receiver's own past decisions over
 a short window, primed by the training prefix.
 
-The least-squares channel model is fixed by the constants below and built
-once per training block and pulse as an ``LsDesign``. From the estimate
-on, a channel is an array of its gains at whole-symbol
-delays 0..D-1, one row per channel, plus its noise variance:
-``estimate_channel_ls`` returns them, and ``decision_window`` and
-``baseline.design_mmse`` read them. A path is present exactly when its gain
-is nonzero.
+A channel is an array of its gains at whole-symbol delays 0..D-1, as in
+``channel``, here one row per channel. ``composite_response`` sums a
+pulse's cascade over a channel's paths, for the genie response and the
+decision-feedback coefficients alike. The least-squares model is fixed
+by the constants below and built once per training block and pulse as an
+``LsDesign``; ``estimate_channel_ls`` returns gains rows and noise
+variances, which ``decision_window`` and ``baseline.design_mmse`` read. A
+path is present exactly when its gain is nonzero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .theory import DECAY_RADIUS, composite_response
+from .theory import DECAY_RADIUS
 from .waveform import shaping_taps
 
 _PLUS, _MINUS = np.int8(1), np.int8(-1)
@@ -176,24 +176,27 @@ def estimate_channel_ls(obs, design: LsDesign):
     return np.where(keep, refit, 0.0), noise_var
 
 
-def genie_response(channel):
-    """The composite response ``threshold_optimal`` sums over, at lags
-    -DECAY_RADIUS..DECAY_RADIUS + tau_max, and at lag 0, of a channel with
-    ``delays`` and ``gains`` such as a preset ``MultipathSpec``; it depends
-    on the channel only."""
-    tau_max = int(math.ceil(max(channel.delays)))
-    d = np.arange(-DECAY_RADIUS, DECAY_RADIUS + tau_max + 1, dtype=float)
-    return composite_response(d, channel), composite_response(0.0, channel)
+def composite_response(gains, cascade) -> np.ndarray:
+    """The composite responses of channels given by their gains at
+    whole-symbol delays, shape (R, D), for a pulse whose cascade at lag
+    l_i - d is ``cascade[i, d]``, shape (L, D): sum_d gains[r, d]
+    cascade[i, d], shape (R, L), accumulated over the paths in delay
+    order from zero. A missing path adds exact zeros."""
+    out = np.zeros((gains.shape[0], cascade.shape[0]))
+    for d in range(gains.shape[1]):
+        out = out + gains[:, d:d + 1] * cascade[:, d]
+    return out
 
 
 def threshold_optimal(symbols, response) -> np.ndarray:
     """Genie threshold: the full interference sum over every other symbol,
-    past and future, through the estimated paths. ``response`` is
-    ``genie_response(channel)``, truncated where the pulse autocorrelation
-    falls below 1e-9."""
+    past and future, through the channel's paths. ``response`` is the
+    channel's ``composite_response`` at lags -DECAY_RADIUS..DECAY_RADIUS +
+    its last path's delay, truncated where the pulse autocorrelation
+    falls below 1e-9; its lag-0 entry is the symbol's own term."""
     s = np.asarray(symbols, dtype=float)
-    c, c0 = response
-    return np.convolve(s, c)[DECAY_RADIUS:DECAY_RADIUS + s.size] - s * c0
+    return (np.convolve(s, response)[DECAY_RADIUS:DECAY_RADIUS + s.size]
+            - s * response[DECAY_RADIUS])
 
 
 def decision_window(gains):

@@ -3,7 +3,9 @@
 The transmit pulse p and its matched filter g(t) = p(-t) cascade into the
 correlation response r(t) = (p * g)(t), which has an exact two-branch
 closed form. Everything downstream (threshold construction, analytic BER
-for the optimal and the decision-feedback thresholds) is built from r.
+for the optimal and the decision-feedback thresholds) is built from r,
+summed over a channel's paths: a channel is its gains alpha_d at
+whole-symbol delays d (see `channel`), and path d adds alpha_d r(t - d).
 
 The oscillator is fixed at beta = ln 2 and omega = 2*pi (`waveform.BETA`,
 `waveform.OMEGA`), and the closed forms need omega = 2*pi. The derived
@@ -30,7 +32,6 @@ import math
 
 import numpy as np
 
-from .channel import MultipathSpec
 from .waveform import BETA, OMEGA
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -66,17 +67,6 @@ def response_r(t, tau: float = 0.0, alpha: float = 1.0):
     return out
 
 
-def composite_response(t, channel: MultipathSpec):
-    """Sum of per-path responses: sum_l alpha_l r(t - tau_l)."""
-    t = np.asarray(t, dtype=float)
-    acc = np.zeros(t.shape)
-    for tau, alpha in zip(channel.delays, channel.gains):
-        acc = acc + response_r(t, tau, alpha)
-    if t.ndim == 0:
-        return float(acc)
-    return acc
-
-
 def ber_optimal(P: float, sigma_w: float) -> float:
     """Error rate of the ISI-cancelling threshold: erfc(P / sqrt(2 s^2)) / 2."""
     if sigma_w <= 0:
@@ -84,30 +74,33 @@ def ber_optimal(P: float, sigma_w: float) -> float:
     return 0.5 * math.erfc(P / (math.sqrt(2.0) * sigma_w))
 
 
-def compute_signal_power(channel: MultipathSpec) -> float:
-    """Decision-point signal coefficient P = sum_l alpha_l r(tau_l)."""
+def compute_signal_power(gains) -> float:
+    """Decision-point signal coefficient P = sum_d alpha_d r(d) of a
+    channel with gains alpha_d at whole-symbol delays d."""
     return float(sum(response_r(0.0, tau, alpha)
-                     for tau, alpha in zip(channel.delays, channel.gains)))
+                     for tau, alpha in enumerate(gains)))
 
 
-def compute_isi_constant(channel: MultipathSpec) -> float:
-    """Residual-ISI constant K of the future-symbol tail.
+def compute_isi_constant(gains) -> float:
+    """Residual-ISI constant K of the future-symbol tail of a channel with
+    gains alpha_d at whole-symbol delays tau = d.
 
-    K = sum_l alpha_l (2 - e^-beta - e^beta) e^{-beta tau_l}
-        (A cos(omega tau_l) + B sin(omega tau_l)).
+    K = sum_d alpha_d (2 - e^-beta - e^beta) e^{-beta tau}
+        (A cos(omega tau) + B sin(omega tau)).
 
     The leading factor is negative; consumers take |K|.
     """
     lead = 2.0 - math.exp(-BETA) - math.exp(BETA)
     k = 0.0
-    for tau, alpha in zip(channel.delays, channel.gains):
+    for tau, alpha in enumerate(gains):
         k += alpha * lead * math.exp(-BETA * tau) * (
             A * math.cos(OMEGA * tau) + B * math.sin(OMEGA * tau))
     return float(k)
 
 
-def ber_suboptimal(channel: MultipathSpec, sigma_w: float) -> float:
-    """Error rate of the past-only decision-feedback threshold.
+def ber_suboptimal(gains, sigma_w: float) -> float:
+    """Error rate of the past-only decision-feedback threshold on a channel
+    with ``gains`` at whole-symbol delays.
 
     Averages the optimal-threshold error over the uniform residual ISI of
     the uncancelled future symbols:
@@ -122,10 +115,10 @@ def ber_suboptimal(channel: MultipathSpec, sigma_w: float) -> float:
     """
     if sigma_w <= 0:
         raise ValueError("sigma_w must be positive")
-    P = compute_signal_power(channel)
+    P = compute_signal_power(gains)
     if P <= 0:
         raise ValueError(f"P must be positive, got {P}")
-    K = compute_isi_constant(channel)
+    K = compute_isi_constant(gains)
     if abs(K) < 1e-8:
         return ber_optimal(P, sigma_w)
     s = math.sqrt(2.0) * sigma_w

@@ -14,7 +14,6 @@ the per-stream sync and per-row ``lstsq`` estimate the first one runs),
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from chaosmodem import rxchain as rx
 from chaosmodem.channel import propagate
 from chaosmodem.harness import (_PAD_SYMBOLS, _SYNC_GRID_STEPS, CSV_COLUMNS,
                                 BerRecord)
-from chaosmodem.theory import composite_response
+from chaosmodem.theory import DECAY_RADIUS, response_r
 from chaosmodem.waveform import HybridTrajectory
 
 LN2 = float(np.log(2.0))
@@ -156,11 +155,32 @@ def rrc_cascade_reference(taps, span, n_c, lags):
     return out[lags + reach]
 
 
-def isi_feedback_coeffs(estimate, window: int) -> np.ndarray:
+def composite_response(t, gains):
+    """The closed-form path sum sum_d alpha_d r(t - d) of a channel with
+    gains alpha_d at whole-symbol delays d, accumulated path by path in
+    delay order from zero; a float for scalar ``t``. The reference for
+    ``rxchain.composite_response``."""
+    t = np.asarray(t, dtype=float)
+    acc = np.zeros(t.shape)
+    for tau, alpha in enumerate(gains):
+        acc = acc + response_r(t, tau, alpha)
+    if t.ndim == 0:
+        return float(acc)
+    return acc
+
+
+def genie_response(gains):
+    """The composite response ``rxchain.threshold_optimal`` sums over, at
+    lags -DECAY_RADIUS..DECAY_RADIUS + the last path's delay."""
+    lags = np.arange(-DECAY_RADIUS, DECAY_RADIUS + len(gains), dtype=float)
+    return composite_response(lags, gains)
+
+
+def isi_feedback_coeffs(gains, window: int) -> np.ndarray:
     """Composite response at past integer lags 1..window: the decision-
     feedback coefficients, path by path through ``composite_response``."""
     k = np.arange(1, window + 1, dtype=float)
-    return composite_response(k, estimate)
+    return composite_response(k, gains)
 
 
 def brute_response(lags, step=1e-3, beta=LN2, support=40.0):
@@ -386,7 +406,7 @@ def frame_reference(ctx, frame_idx):
         rng = np.random.default_rng(chan)
         gamma = ch.draw_gamma(ctx.channel, rng)
         pad = int(rng.integers(_PAD_SYMBOLS[0], _PAD_SYMBOLS[1] + 1)) * n_c
-        spec = ch.MultipathSpec.from_gamma(gamma, ctx.channel.delays)
+        spec = ch.gains_from_gamma(gamma, ctx.channel.n_paths)
     size = pad + propagate(pulse.synth(np.concatenate([sent[0], pulse.tail])),
                            spec, n_c).size
     rng = np.random.default_rng(noise)
@@ -425,7 +445,7 @@ def frame_reference(ctx, frame_idx):
                 if method == "chaotic-opt":
                     theta = rx.threshold_optimal(
                         np.concatenate([rail, pulse.tail]),
-                        rx.genie_response(spec))[:n]
+                        genie_response(spec))[:n]
                 elif method == "rrc-mmse":
                     y = np.convolve(y, eqs[j])[bl.EQ_DELAY:bl.EQ_DELAY + n]
                 dec = decide(y, theta)
@@ -451,11 +471,11 @@ def parse_csv(path):
     return records
 
 
-def dense_gains(channel) -> np.ndarray:
-    """The gains of a channel with ``delays`` and ``gains`` laid out at
-    whole-symbol delays 0..rxchain.MAX_DELAY, zero where it has no path."""
+def dense_gains(gains) -> np.ndarray:
+    """A channel's gains at whole-symbol delays 0..rxchain.MAX_DELAY, zero
+    past its last path."""
     dense = np.zeros(rx.MAX_DELAY + 1)
-    dense[np.array(channel.delays, dtype=int)] = channel.gains
+    dense[:len(gains)] = gains
     return dense
 
 
@@ -466,7 +486,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
     with the residual projection built from the pseudoinverse of the path
     model (the pulse's cascade at ``rxchain.LAGS``, not the design's
     solvers or basis), and the feedback coefficients path by path over
-    the estimate's own delays. Returns what ``_acquire`` does: (decoded
+    the estimate's gains. Returns what ``_acquire`` does: (decoded
     points, feedback rows (points, 1, w) or None, equalizer taps (points,
     EQ_LENGTH) or None, failures, estimate RMS)."""
     win_sig, win_noise = sync_window_long(ctx, sent, spec, pad, w)
@@ -492,13 +512,8 @@ def acquire_loop(ctx, sent, spec, pad, w):
         if ctx.config.method == "rrc-mmse":
             eqs.append(bl.design_mmse(gains, noise_var)[0])
         else:
-            # a (delays, gains) pair, not a MultipathSpec: an estimate may
-            # lack the path at delay 0
-            delays = np.flatnonzero(gains[0])
-            paths = SimpleNamespace(delays=delays.astype(float),
-                                    gains=gains[0, delays])
             feedback.append(isi_feedback_coeffs(
-                paths, rx.decision_window(gains[0])))
+                gains[0], rx.decision_window(gains[0])))
     if ctx.config.method == "rrc-mmse":
         return (decoded, None, np.array(eqs).reshape(-1, bl.EQ_LENGTH),
                 failures, rms)

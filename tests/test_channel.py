@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from chaosmodem.channel import (
-    MultipathSpec,
+    STATIC_PRESETS,
     QuasiStaticModel,
     calibrate_noise,
     draw_gamma,
@@ -15,41 +15,23 @@ from chaosmodem.channel import (
 
 
 def test_gains_from_gamma_values():
-    g = gains_from_gamma(0.6, [0, 1, 2])
+    g = gains_from_gamma(0.6, 3)
     np.testing.assert_allclose(g, [1.0, 0.5488, 0.3012], atol=1e-4)
-    assert g[0] == 1.0
-    far = gains_from_gamma(50.0, [0, 1, 2])
+    assert g.shape == (3,) and g[0] == 1.0
+    assert g.tobytes() == np.exp(-0.6 * np.array([0.0, 1.0, 2.0])).tobytes()
+    far = gains_from_gamma(50.0, 3)
     assert far[0] == 1.0 and np.all(far[1:] < 1e-20)
     with pytest.raises(ValueError):
-        gains_from_gamma(0.0, [0, 1])
-
-
-def test_multipath_spec_validation():
-    spec = MultipathSpec.from_gamma(0.6, (0.0, 1.0))
-    assert np.array_equal(spec.gains, gains_from_gamma(0.6, spec.delays))
-    with pytest.raises(ValueError):
-        MultipathSpec((1.0, 2.0), (1.0, 0.5))          # first delay not 0
-    with pytest.raises(ValueError):
-        MultipathSpec((0.0, 1.0, 1.0), (1.0, 0.5, 0.2))  # not increasing
-    with pytest.raises(ValueError):
-        MultipathSpec((0.0,), (np.inf,))
-
-
-def test_delay_samples_grid():
-    spec = MultipathSpec((0.0, 0.25, 1.0), (1.0, 0.7, 0.5))
-    np.testing.assert_array_equal(spec.delay_samples(8), [0, 2, 8])
-    with pytest.raises(ValueError):
-        spec.delay_samples(2)  # 0.25 symbol is off the 1/2 grid
+        gains_from_gamma(0.0, 2)
 
 
 def test_propagate_single_path_identity():
     x = np.arange(10.0)
-    spec = MultipathSpec((0.0,), (1.0,))
-    np.testing.assert_array_equal(propagate(x, spec, 8), x)
+    np.testing.assert_array_equal(propagate(x, np.ones(1), 8), x)
 
 
 def test_propagate_impulse_two_path():
-    spec = MultipathSpec.from_gamma(0.6, (0.0, 1.0))
+    spec = gains_from_gamma(0.6, 2)
     imp = np.zeros(16)
     imp[0] = 1.0
     out = propagate(imp, spec, 8)
@@ -60,9 +42,19 @@ def test_propagate_impulse_two_path():
     assert np.all(others == 0.0)
 
 
+def test_propagate_missing_path_adds_nothing():
+    # path d runs d * n_c samples late; a zero gain is a missing path
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=20)
+    out = propagate(x, np.array([0.0, 0.0, 0.5]), 3)
+    assert out.size == 20 + 6
+    assert np.all(out[:6] == 0.0)
+    np.testing.assert_array_equal(out[6:], 0.5 * x)
+
+
 def test_propagate_linear_and_shift_invariant():
     rng = np.random.default_rng(5)
-    spec = MultipathSpec.from_gamma(0.6, (0.0, 1.0, 2.0))
+    spec = gains_from_gamma(0.6, 3)
     a = rng.normal(size=64)
     b = rng.normal(size=64)
     np.testing.assert_allclose(propagate(a + b, spec, 4),
@@ -85,7 +77,7 @@ def test_calibrate_noise():
 
 
 def test_draw_gamma_distribution():
-    model = QuasiStaticModel()
+    model = QuasiStaticModel(0.3, 0.9, 2)
     rng = np.random.default_rng(99)
     draws = np.array([draw_gamma(model, rng) for _ in range(100_000)])
     assert np.all((draws >= 0.3) & (draws <= 0.9))
@@ -93,16 +85,24 @@ def test_draw_gamma_distribution():
     assert (draw_gamma(model, np.random.default_rng(42))
             == draw_gamma(model, np.random.default_rng(42)))
     with pytest.raises(ValueError):
-        QuasiStaticModel(0.9, 0.3)
+        QuasiStaticModel(0.9, 0.3, 2)
 
 
 def test_presets():
     st2 = get_preset("static2")
-    assert st2.delays == (0.0, 1.0)
-    assert np.array_equal(st2.gains, gains_from_gamma(0.6, st2.delays))
+    assert st2.tobytes() == gains_from_gamma(0.6, 2).tobytes()
     st3 = get_preset("static3")
-    assert st3.delays == (0.0, 1.0, 2.0)
+    assert st3.tobytes() == gains_from_gamma(0.6, 3).tobytes()
     assert get_preset("quasi") == get_preset("quasi2")
-    assert get_preset("quasi3").delays == (0.0, 1.0, 2.0)
+    assert get_preset("quasi2").n_paths == 2
+    assert get_preset("quasi3") == QuasiStaticModel(0.3, 0.9, 3)
     with pytest.raises(ValueError):
         get_preset("rayleigh")
+
+
+def test_presets_are_read_only():
+    # every sweep of a process shares the static presets
+    for gains in STATIC_PRESETS.values():
+        with pytest.raises(ValueError, match="read-only"):
+            gains[0] = 0.5
+    assert STATIC_PRESETS["static2"][0] == 1.0

@@ -18,13 +18,15 @@ from hypothesis import strategies as st
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from oracles import (BER_SUB_TABLE, acquire_loop, decide,  # noqa: E402
-                     frame_reference, isi_feedback_coeffs, parse_csv,
+from oracles import (BER_SUB_TABLE, acquire_loop,  # noqa: E402
+                     composite_response, decide, frame_reference,
+                     genie_response, isi_feedback_coeffs, parse_csv,
                      waveform_path)
 
 import chaosmodem.channel as ch  # noqa: E402
 import chaosmodem.harness as H  # noqa: E402
 import chaosmodem.rxchain as rx  # noqa: E402
+import chaosmodem.theory as th  # noqa: E402
 
 
 def small_static(method="chaotic-subopt", channel="static2", **kw):
@@ -189,11 +191,8 @@ def check_sampled_frames(family, n_c, channels):
             assert quasi or n_bits > 8 or n < ctx.edge.shape[0]
             assert ctx.block >= 2
             pads = [p * n_c for p in H._PAD_SYMBOLS] if quasi else [0, 0]
-            specs = [ctx.channel] * 2
-            if quasi:
-                specs = [ch.MultipathSpec(ctx.channel.delays, tuple(
-                    rng.uniform(-1.0, 1.0, len(ctx.channel.delays))))
-                    for _ in pads]
+            specs = (rng.uniform(-1.0, 1.0, (2, ctx.delay + 1)) if quasi
+                     else np.array([ctx.channel] * 2))
             sent = rng.choice([-1.0, 1.0], (2, 2, n))
             fast = [np.random.default_rng(9 + f) for f in range(2)]
             slow = [np.random.default_rng(9 + f) for f in range(2)]
@@ -233,8 +232,8 @@ def test_sampled_frame_after_a_longer_pad():
     cfg = H.ExperimentConfig("chaotic-subopt", "quasi3", (6.0,), n_c=4)
     used, fresh = H._Context(cfg, True), H._Context(cfg, True)
     rng = np.random.default_rng(5)
-    spec = [ch.MultipathSpec.from_gamma(ch.draw_gamma(used.channel, rng),
-                                        used.channel.delays)]
+    spec = ch.gains_from_gamma(ch.draw_gamma(used.channel, rng),
+                               used.channel.n_paths)[None]
     sent = rng.choice([-1.0, 1.0], (1, 2, used.train.shape[1]
                                     + cfg.n_data_bits // 2))
     pad = [2 * cfg.n_c]
@@ -374,14 +373,14 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
                                             n_data_bits=64, n_c=n_c), True)
         for case in (0, 2, 20, 2, 9, 20, "noise", "silent"):
             pad = (2 if isinstance(case, str) else case) * n_c
-            spec = ch.MultipathSpec.from_gamma(
-                ch.draw_gamma(ctx.channel, rng), ctx.channel.delays)
+            spec = ch.gains_from_gamma(ch.draw_gamma(ctx.channel, rng),
+                                       ctx.channel.n_paths)
             sent = np.concatenate(
                 [ctx.train, rng.choice([-1.0, 1.0], (2, 32))], axis=1)
             if isinstance(case, str):
                 sent[:] = 0.0
-            sig, noise, (w,) = ctx.sampled_frames(sent[None], [spec], [pad],
-                                                  [rng])
+            sig, noise, (w,) = ctx.sampled_frames(sent[None], spec[None],
+                                                  [pad], [rng])
             sig, noise = sig[0], noise[0]
             if case == "silent":
                 w[:] = noise[:] = 0.0
@@ -420,8 +419,7 @@ def test_feedback_rows_match_isi_feedback_coeffs():
         assert eqs is None
         assert feedback.shape[:2] == (len(subsets), 1)
         for row, d, g in zip(feedback[:, 0], subsets, gains):
-            paths = SimpleNamespace(delays=d, gains=g[list(d)])
-            want = isi_feedback_coeffs(paths, 5 + max(d))
+            want = isi_feedback_coeffs(g, 5 + max(d))
             padded = np.pad(want, (0, feedback.shape[2] - want.size))
             assert row.tobytes() == padded.tobytes()
     # a row without a path keeps the widest window, all zeros
@@ -434,7 +432,7 @@ def test_feedback_rows_match_isi_feedback_coeffs():
     for preset in ("static2", "static3"):
         row = H._Context(small_static(channel=preset), False).known[0]
         spec = ch.get_preset(preset)
-        want = isi_feedback_coeffs(spec, 5 + int(max(spec.delays)))
+        want = isi_feedback_coeffs(spec, 5 + spec.size - 1)
         assert row.shape == (1, 1, want.size)
         assert row.tobytes() == want.tobytes()
 
@@ -496,9 +494,12 @@ def test_shared_arrays_are_read_only(family, n_c):
     assert not any(a.flags.writeable for a in arrays)
 
 
-def test_genie_response_once_per_sweep(monkeypatch):
-    # chaotic-opt thresholds come from the rails and the known channel, so
-    # the composite response is evaluated per sweep, not per frame or point
+def test_composite_response_once_per_context(monkeypatch):
+    # a known channel's receivers are built with the sweep context, not per
+    # block, frame or point: chaotic-opt's genie response and chaotic-
+    # subopt's feedback row are one rx.composite_response call each, at 1
+    # or 2 blocks; an estimated channel's feedback rows take one call per
+    # block, the last one short
     calls = []
     real = rx.composite_response
 
@@ -507,13 +508,34 @@ def test_genie_response_once_per_sweep(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(rx, "composite_response", counted)
-    counts = []
-    for frames in (2, 6):
-        calls.clear()
-        H.run_static_sweep(small_static(method="chaotic-opt", genie=True,
-                                        trials=frames * 2000), jobs=1)
-        counts.append(len(calls))
-    assert counts[0] == counts[1] <= 2
+    for method in ("chaotic-opt", "chaotic-subopt"):
+        for frames in (2, 6):
+            cfg = small_static(method=method, genie=method == "chaotic-opt",
+                               trials=frames * 2000)
+            assert H._Context(cfg, False).n_frames == frames
+            calls.clear()
+            H.run_static_sweep(cfg, jobs=1)
+            assert len(calls) == 1, (method, frames)
+    cfg = small_quasi(frames=13)
+    ctx = H._Context(cfg, True)
+    assert ctx.block == 6
+    calls.clear()
+    H.run_quasi_static(cfg, jobs=1)
+    assert len(calls) == 3
+
+
+def test_genie_response_matches_path_sum():
+    # chaotic-opt's genie response comes from the pulse's cascade table
+    # through rx.composite_response: the closed-form path sum bitwise, and
+    # its lag-0 entry is the scalar path sum at 0
+    for preset in ("static2", "static3"):
+        for n_c in (8, 6):
+            ctx = H._Context(small_static(method="chaotic-opt", genie=True,
+                                          channel=preset, n_c=n_c), False)
+            gains = ch.get_preset(preset)
+            assert ctx.genie_coeffs.tobytes() == genie_response(gains).tobytes()
+            assert (ctx.genie_coeffs[th.DECAY_RADIUS]
+                    == composite_response(0.0, gains))
 
 
 def test_static_sweep_method_gates():

@@ -12,11 +12,12 @@ from chaosmodem import harness as H
 from chaosmodem import rxchain as rx
 from chaosmodem import theory as th
 from chaosmodem import waveform as wf
-from oracles import (RESPONSE_TABLE, ThresholdState, dd_loop, decide,
-                     dense_gains, frame_sync_stream, isi_feedback_coeffs,
-                     pn_bits, threshold_suboptimal)
+from oracles import (RESPONSE_TABLE, ThresholdState, composite_response,
+                     dd_loop, decide, dense_gains, frame_sync_stream,
+                     genie_response, isi_feedback_coeffs, pn_bits,
+                     threshold_suboptimal)
 
-SINGLE_PATH = ch.MultipathSpec((0.0,), (1.0,))
+SINGLE_PATH = np.ones(1)
 
 
 def test_matched_filter_tap_symmetry():
@@ -355,9 +356,32 @@ def test_ls_design_stacks_rails():
         assert not arr.flags.writeable
 
 
+def test_composite_response_matches_path_sum():
+    # the one builder of composite responses, over the chaotic pulse's
+    # cascade table, is the closed-form path sum bitwise: on the presets
+    # at lags -31..31, and on random gains rows with missing (zero) paths
+    lags = np.arange(-31, 32)
+    cascade = H.pulse_for("chaotic", 8).cascade(
+        lags[:, None] - np.arange(rx.MAX_DELAY + 1))
+    for preset in ("static2", "static3"):
+        gains = ch.get_preset(preset)
+        got = rx.composite_response(dense_gains(gains)[None], cascade)
+        assert got.shape == (1, lags.size)
+        assert got[0].tobytes() == composite_response(lags, gains).tobytes()
+    rng = np.random.default_rng(21)
+    gains = rng.uniform(-1.5, 1.5, (60, rx.MAX_DELAY + 1))
+    gains[rng.random(gains.shape) < 0.4] = 0.0
+    gains[-1] = 0.0  # no path at all
+    assert not gains[:, 0].all()
+    got = rx.composite_response(gains, cascade)
+    assert got.shape == (60, lags.size)
+    for row, g in zip(got, gains):
+        assert row.tobytes() == composite_response(lags, g).tobytes()
+
+
 def test_threshold_optimal_brute_force():
     syms = np.array([-1.0, -1.0, 1.0, -1.0, -1.0])
-    theta = rx.threshold_optimal(syms, rx.genie_response(SINGLE_PATH))
+    theta = rx.threshold_optimal(syms, genie_response(SINGLE_PATH))
     for n in range(syms.size):
         brute = sum(syms[m] * th.response_r(float(n - m))
                     for m in range(syms.size) if m != n)
@@ -370,7 +394,7 @@ def test_threshold_optimal_brute_force():
 def test_threshold_optimal_symmetry_and_constant():
     spec = ch.get_preset("static2")
     ones = np.ones(80)
-    response = rx.genie_response(spec)
+    response = genie_response(spec)
     theta = rx.threshold_optimal(ones, response)
     mid = theta[35:45]
     assert np.max(np.abs(mid - mid[0])) < 1e-9
@@ -395,7 +419,7 @@ def test_threshold_suboptimal_past_half_split():
         state.push(sym)
     theta = threshold_suboptimal(state)
     brute = sum(past[k - 1] * sum(g * th.response_r(float(k - d))
-                                  for d, g in zip(spec.delays, spec.gains))
+                                  for d, g in enumerate(spec))
                 for k in range(1, w + 1))
     assert abs(theta - brute) < 1e-12
 
@@ -454,7 +478,7 @@ def test_decode_genie_noiseless_exact():
     x = ch.propagate(wf.synth_waveform(syms, n_c), spec, n_c)
     y = rx.matched_filter(x, n_c)
     ysym = y[::n_c][:syms.size]
-    dec = decide(ysym, rx.threshold_optimal(syms, rx.genie_response(spec)))
+    dec = decide(ysym, rx.threshold_optimal(syms, genie_response(spec)))
     assert np.array_equal(dec, syms)
 
 
@@ -523,10 +547,9 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
             coeffs = isi_feedback_coeffs(
                 spec, rx.decision_window(dense_gains(spec)))
             return coeffs, [coeffs] * rows
-        own = [isi_feedback_coeffs(ch.MultipathSpec(
-                   spec.delays, tuple(rng.uniform(-1.0, 1.0,
-                                                  len(spec.delays)))),
-                   int(rng.integers(0, 9))) for _ in range(rows)]
+        own = [isi_feedback_coeffs(rng.uniform(-1.0, 1.0, spec.size),
+                                   int(rng.integers(0, 9)))
+               for _ in range(rows)]
         width = max(c.size for c in own)
         return np.array([np.pad(c, (0, width - c.size)) for c in own]), own
 

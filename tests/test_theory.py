@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from chaosmodem import theory
-from chaosmodem.channel import MultipathSpec, STATIC_PRESETS
+from chaosmodem import rxchain, theory
+from chaosmodem.channel import STATIC_PRESETS
 
 from oracles import BER_SUB_TABLE, ERFC_TABLE, PRESET_P_K, RESPONSE_TABLE, brute_response
 
@@ -60,12 +60,14 @@ def test_response_matches_brute_convolution():
 
 
 def test_composite_response_is_path_sum():
+    # the library builder over the closed-form cascade at lags off the
+    # symbol grid: path d reads r at t - d
     ch = STATIC_PRESETS["static3"]
     t = np.linspace(-3, 5, 64)
-    manual = sum(theory.response_r(t, tau, a)
-                 for tau, a in zip(ch.delays, ch.gains))
-    np.testing.assert_allclose(theory.composite_response(t, ch), manual,
-                               rtol=0, atol=1e-15)
+    manual = sum(theory.response_r(t, tau, a) for tau, a in enumerate(ch))
+    got = rxchain.composite_response(
+        ch[None], theory.response_r(t[:, None] - np.arange(ch.size)))[0]
+    np.testing.assert_allclose(got, manual, rtol=0, atol=1e-15)
 
 
 def test_response_decay_radius_bounds_tail():
@@ -146,10 +148,10 @@ def test_ber_curves_monotone_in_ebn0():
 
 
 def _near_zero_isi_channel(scale=1.0):
-    # second path at tau = 0.5 with gain sqrt(2) cancels the first path's
-    # residual-ISI term exactly; scaling the gain reintroduces a controlled
-    # amount of K
-    return MultipathSpec((0.0, 0.5), (1.0, math.sqrt(2.0) * scale))
+    # second path one symbol late with gain -2 cancels the first path's
+    # residual-ISI term, since its factor e^{-beta} = 1/2, to rounding;
+    # scaling the gain reintroduces a controlled amount of K
+    return np.array([1.0, -2.0 * scale])
 
 
 def test_ber_suboptimal_small_isi_limit():
@@ -175,6 +177,6 @@ def test_ber_suboptimal_small_isi_limit():
 def test_ber_suboptimal_rejects_bad_inputs():
     # both paths inverted: the decision-point signal P is negative
     with pytest.raises(ValueError, match="P must be positive"):
-        theory.ber_suboptimal(MultipathSpec((0.0, 1.0), (-1.0, -0.5)), 0.4)
+        theory.ber_suboptimal(np.array([-1.0, -0.5]), 0.4)
     with pytest.raises(ValueError, match="sigma_w must be positive"):
         theory.ber_suboptimal(STATIC_PRESETS["static2"], 0.0)
