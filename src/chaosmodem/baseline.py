@@ -3,14 +3,14 @@ symbol-rate linear MMSE equalization.
 
 The RRC pulse has rolloff ROLLOFF and spans SPAN symbol periods, and like
 the chaotic pulse (``waveform.shaping_taps``) it is a cached, read-only
-tap array that depends on n_c only: ``rrc_taps(n_c)``. The shaper/matched-
-filter cascade is a raised cosine, so on the symbol grid the channel seen
-by the equalizer is just the multipath taps themselves (Nyquist
-criterion, up to the truncation floor of the finite span), and the
-equalizer is designed from those gains at whole-symbol delays. An
-equalizer is a plain array of EQ_LENGTH taps: ``design_mmse`` returns one
-row per channel, and ``apply_equalizer`` runs each row over both rails of
-its grid point.
+tap array that depends on n_c only: ``rrc_taps(n_c)``. The
+shaper/matched-filter cascade is a raised cosine (``symbol_cascade``), so
+on the symbol grid the channel seen by the equalizer is just the multipath
+taps themselves (Nyquist criterion, up to the truncation floor of the
+finite span), and the equalizer is designed from those gains at
+whole-symbol delays. An equalizer is a plain array of EQ_LENGTH taps:
+``design_mmse`` returns one row per channel, and ``apply_equalizer`` runs
+each row over both rails of its grid point.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def rrc_taps(n_c: int) -> np.ndarray:
         (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
         + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a)))
     h = h / math.sqrt(float(np.dot(h, h)))
-    c = _symbol_cascade(h, n_c)
+    c = symbol_cascade(h, n_c)
     worst = float(np.max(np.abs(np.delete(c, SPAN))))
     if worst >= NYQUIST_TOL * c[SPAN]:
         raise ValueError(
@@ -72,21 +72,11 @@ def rrc_taps(n_c: int) -> np.ndarray:
     return h
 
 
-def _symbol_cascade(h, n_c: int) -> np.ndarray:
-    """The cascade of taps h with their matched filter at the symbol lags
-    -SPAN..SPAN, where it is nonzero."""
-    return np.convolve(h, h[::-1])[::n_c]
-
-
-def symbol_cascade(n_c: int, lags) -> np.ndarray:
-    """Shaper * matched-filter cascade at integer symbol lags, in the shape
-    of ``lags``. Lag 0 is the energy (1 after normalization); other lags
-    are the residual ISI of the truncated raised cosine, exactly zero past
-    SPAN."""
-    lags = np.asarray(lags)
-    c = _symbol_cascade(rrc_taps(n_c), n_c)
-    return np.where(np.abs(lags) <= SPAN, c[np.clip(lags + SPAN, 0, 2 * SPAN)],
-                    0.0)
+def symbol_cascade(taps, n_c: int) -> np.ndarray:
+    """The cascade of RRC ``taps`` with their matched filter at the symbol
+    lags -SPAN..SPAN, where it is nonzero: the energy at lag 0, the
+    truncation's residual ISI elsewhere. ``rrc_taps`` checks it."""
+    return np.convolve(taps, taps[::-1])[::n_c]
 
 
 def rrc_shape(symbols, n_c: int) -> np.ndarray:

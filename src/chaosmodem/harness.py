@@ -31,7 +31,8 @@ delay of the channel's last path, for the response at symbol lags; every
 frame sums its paths' shifts of that response at symbol rate, and the
 matched filter reads its noise at the symbol instants only. A receiver's
 response to a channel is ``rx.composite_response`` of its gains and the
-pulse's cascade. Only over the sync window of an estimated-channel frame, where frame sync
+pulse's cascade, which every receiver reads through ``Pulse.cascade``.
+Only over the sync window of an estimated-channel frame, where frame sync
 searches rail I off the symbol grid, does the waveform path run at full
 rate, on that rail only. That frame then acquires every grid point at
 once: frame sync, sync-grid refinement, the LS estimate and the receiver
@@ -221,8 +222,12 @@ def _ci95(bits: int, errors: int) -> float:
 
 # ---------------------------------------------------------------- pulse ----
 
+# a cascade table holds lags +-(DECAY_RADIUS + MAX_DELAY) minus any delay
+_REACH = th.DECAY_RADIUS + 2 * rx.MAX_DELAY
+
+
 class Pulse:
-    """The pulse of one linear modem at n_c samples per symbol.
+    """The pulse of one linear modem at n_c samples per symbol, as data.
 
     A rail is shaped with the known, read-only ``tail`` appended,
     propagated and matched-filtered; symbol m then sits at output sample
@@ -230,9 +235,24 @@ class Pulse:
     ``energy`` is the expected sample-sum transmit energy per rail bit:
     antipodal independent symbols cancel the pulse cross terms on average,
     so it is exactly one pulse energy, free of Monte Carlo error.
-    Subclasses supply ``synth`` (shaping without the tail), ``mf`` and
-    ``cascade`` (the shaping/matched-filter cascade at symbol lags).
+    ``table``, read-only, is the shaping/matched-filter cascade at the
+    symbol lags -_REACH.._REACH; ``cascade`` is the one lookup into it.
+    Subclasses supply ``synth`` (shaping without the tail) and ``mf``.
     """
+
+    def __init__(self, n_c: int, taps, lead: int, tail, table):
+        self.n_c, self.lead, self.tail, self.table = n_c, lead, tail, table
+        g = taps[::-1].copy()  # ddot rounds by layout
+        self.energy = float(np.dot(g, g))
+        tail.flags.writeable = table.flags.writeable = False
+
+    def cascade(self, lags) -> np.ndarray:
+        """The cascade at lags[i] - d, shape (L, rx.MAX_DELAY + 1), for 1-d
+        integer ``lags`` and every path delay d a receiver models."""
+        at = _REACH + np.subtract.outer(lags, np.arange(rx.MAX_DELAY + 1))
+        if np.min(at, initial=0) < 0:  # a negative index would wrap
+            raise IndexError(f"a cascade lag lies below -{_REACH}")
+        return self.table[at]
 
     def template(self, train) -> np.ndarray:
         """Clean matched-filter output of a training rail shaped without
@@ -242,53 +262,36 @@ class Pulse:
             self.lead:self.lead + train.size * self.n_c]
 
 
+# each family still calls its own shaping and matched-filter functions: the
+# benchmark's tracer wraps those four names until ROADMAP item 1 frees them
 class _ChaoticPulse(Pulse):
-    def __init__(self, n_c: int):
-        self.n_c = n_c
-        self.lead = 0
-        self.tail = np.resize(np.array([1.0, -1.0]), N_P)
-        self.tail.flags.writeable = False
-        g = shaping_taps(n_c)[::-1].copy()  # ddot rounds by layout
-        self.energy = float(np.dot(g, g))
-
     def synth(self, symbols) -> np.ndarray:
         return synth_waveform(symbols, self.n_c)
 
     def mf(self, stream) -> np.ndarray:
         return rx.matched_filter(stream, self.n_c)
 
-    def cascade(self, lags) -> np.ndarray:
-        return th.response_r(lags.astype(float))
-
 
 class _RrcPulse(Pulse):
-    def __init__(self, n_c: int):
-        self.n_c = n_c
-        taps = bl.rrc_taps(n_c)
-        self.lead = bl.SPAN * n_c
-        self.tail = np.empty(0)
-        self.tail.flags.writeable = False
-        self.energy = float(np.dot(taps, taps))
-
     def synth(self, symbols) -> np.ndarray:
         return bl.rrc_shape(symbols, self.n_c)
 
     def mf(self, stream) -> np.ndarray:
         return bl.rrc_matched_filter(stream, self.n_c)
 
-    def cascade(self, lags) -> np.ndarray:
-        return bl.symbol_cascade(self.n_c, lags)
-
 
 @lru_cache(maxsize=None)
 def pulse_for(name: str, n_c: int) -> Pulse:
     """The pulse of a method (chaotic-*, theory-*, rrc-*) or of a waveform
-    family ("chaotic", "rrc")."""
+    family ("chaotic", "rrc"), its cascade r(t) or the raised cosine."""
     family = name.split("-")[0]
     if family in ("chaotic", "theory"):
-        return _ChaoticPulse(n_c)
+        return _ChaoticPulse(n_c, shaping_taps(n_c), 0, np.resize(
+            [1.0, -1.0], N_P), th.response_r(np.arange(-_REACH, _REACH + 1.0)))
     if family == "rrc":
-        return _RrcPulse(n_c)
+        taps = bl.rrc_taps(n_c)  # its cascade is zero past SPAN
+        return _RrcPulse(n_c, taps, bl.SPAN * n_c, np.empty(0), np.pad(
+            bl.symbol_cascade(taps, n_c), _REACH - bl.SPAN))
     raise ValueError(f"unknown waveform family {name!r}")
 
 
@@ -337,11 +340,6 @@ class _Context:
                                else "run_static_sweep")
         # the last path's delay; see _probe
         self.delay = (self.channel.n_paths if quasi else self.channel.size) - 1
-        # the cascade at the past lags 1..w of the widest feedback window,
-        # per candidate path delay; see _receivers
-        width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
-        self.feedback_table = pulse.cascade(np.arange(1, width + 1)[:, None]
-                                            - np.arange(rx.MAX_DELAY + 1))
         self.train = np.empty((2, 0))
         if quasi:
             try:
@@ -362,8 +360,7 @@ class _Context:
                 lags = np.arange(-th.DECAY_RADIUS,
                                  th.DECAY_RADIUS + self.delay + 1)
                 self.genie_coeffs = rx.composite_response(
-                    _dense(self.channel), pulse.cascade(
-                        lags[:, None] - np.arange(rx.MAX_DELAY + 1)))[0]
+                    _dense(self.channel), pulse.cascade(lags))[0]
             self.known = _receivers(self, _dense(self.channel),
                                     self.sigmas * self.sigmas)
         (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_pad,
@@ -484,8 +481,7 @@ def _training(pulse: Pulse, n_bits: int):
     the sweep's context, before any frame runs."""
     train = np.stack(tx.qpsk_map(tx.gen_training(n_bits)))
     train.flags.writeable = False
-    design = rx.build_ls_design(train, pulse.cascade(
-        rx.LAGS[:, None] - np.arange(rx.MAX_DELAY + 1)))
+    design = rx.build_ls_design(train, pulse.cascade(rx.LAGS))
     template = pulse.template(train[0])
     template.flags.writeable = False
     return train, design, template
@@ -613,15 +609,15 @@ def _receivers(ctx: _Context, gains, noise_var):
     coefficients, shape (rows, 1, w), which the decoder broadcasts over
     the two rails: ``rx.composite_response`` at past lags 1..w over each
     row's ``rx.decision_window``, zero-filled past it to the widest
-    window. ``ctx.feedback_table[k - 1, d]`` is the pulse cascade at lag
-    k - d."""
+    window, from the pulse's cascade at those lags."""
     feedback = eqs = None
     if ctx.config.method == "rrc-mmse":
         eqs = bl.design_mmse(gains, noise_var)
     elif ctx.config.method == "chaotic-subopt":
         windows = rx.decision_window(gains)
         width = int(windows.max(initial=0))
-        rows = rx.composite_response(gains, ctx.feedback_table[:width])
+        rows = rx.composite_response(
+            gains, ctx.pulse.cascade(np.arange(1, width + 1)))
         rows[np.arange(width) >= windows[:, None]] = 0.0
         feedback = rows[:, None]
     return feedback, eqs

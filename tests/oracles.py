@@ -145,7 +145,7 @@ def rrc_cascade_reference(taps, span, n_c, lags):
     """Cascade of ``taps`` (span * n_c + 1 of them) with their matched
     filter at integer symbol lags, in the shape of ``lags``: sampled at
     lags -reach..reach, reach the largest |lag|, zero where the cascade
-    ends, then indexed. The reference for ``baseline.symbol_cascade``."""
+    ends, then indexed. The reference for the RRC pulse's cascade table."""
     reach = int(np.max(np.abs(lags)))
     c = np.convolve(taps, taps[::-1])
     idx = span * n_c + np.arange(-reach, reach + 1) * n_c
@@ -490,8 +490,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
     points, feedback rows (points, 1, w) or None, equalizer taps (points,
     EQ_LENGTH) or None, failures, estimate RMS)."""
     win_sig, win_noise = sync_window_long(ctx, sent, spec, pad, w)
-    cascade = ctx.pulse.cascade(rx.LAGS[:, None]
-                                - np.arange(rx.MAX_DELAY + 1))
+    cascade = ctx.pulse.cascade(rx.LAGS)
     B = ctx.design.design @ cascade
     proj = B @ np.linalg.pinv(B)
     n_points = ctx.sigmas.size

@@ -41,21 +41,24 @@ def test_taps_validation():
 
 def test_taps_and_cascade_match_reference():
     # bitwise the generic formula at (ROLLOFF, SPAN), which finds its
-    # singular points by value, and the cascade bitwise its sampling at
-    # -reach..reach indexed by lag, over the lag tables the harness builds
-    # (feedback lags 1..8 and LS lags -6..9, each minus path delays 0..3)
-    # and over every lag to 2 past each end of the cascade
+    # singular points by value, and the pulse's cascade bitwise the
+    # reference's sampling at -reach..reach indexed by lag, over the lags
+    # the harness looks up (feedback lags 1..8 and LS lags -6..9) and over
+    # every lag to 2 past each end of the cascade, each minus path delays
+    # 0..3
     delays = np.arange(rx.MAX_DELAY + 1)
     width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
-    tables = (np.arange(1, width + 1)[:, None] - delays,
-              rx.LAGS[:, None] - delays, np.arange(-bl.SPAN - 2, bl.SPAN + 3))
+    tables = (np.arange(1, width + 1), rx.LAGS,
+              np.arange(-bl.SPAN - 2, bl.SPAN + 3))
     for n_c in range(3, 17):
         want = rrc_reference(bl.ROLLOFF, bl.SPAN, n_c)
         assert bl.rrc_taps(n_c).tobytes() == want.tobytes()
-        for table in tables:
-            got = bl.symbol_cascade(n_c, table)
-            ref = rrc_cascade_reference(want, bl.SPAN, n_c, table)
-            assert got.shape == table.shape
+        pulse = H.pulse_for("rrc", n_c)
+        for lags in tables:
+            got = pulse.cascade(lags)
+            ref = rrc_cascade_reference(want, bl.SPAN, n_c,
+                                        lags[:, None] - delays)
+            assert got.shape == (lags.size, delays.size)
             assert got.tobytes() == ref.tobytes()
 
 
@@ -75,13 +78,17 @@ def test_singular_point_fills():
 
 
 def test_cascade_nyquist():
-    c = bl.symbol_cascade(8, np.arange(-16, 17))
+    table = H.pulse_for("rrc", 8).table
+    reach = table.size // 2
+    c = table[reach - 16:reach + 17]
+    assert c.tobytes() == bl.symbol_cascade(bl.rrc_taps(8), 8).tobytes()
     peak = c[16]
     assert abs(peak - 1.0) < 1e-9
     off = np.abs(np.delete(c, 16))
     assert np.max(off) < 1e-3 * peak
-    # the cascade ends at SPAN symbols
-    assert np.all(bl.symbol_cascade(8, np.array([-40, -17, 17, 40])) == 0.0)
+    # the cascade ends at SPAN symbols, and the table is zero past it
+    assert np.all(table[:reach - 16] == 0.0)
+    assert np.all(table[reach + 17:] == 0.0)
     # at n_c = 2 the truncation leaves more than the tolerance, and the
     # rejection says how much; a config names the n_c it came from
     with pytest.raises(ValueError, match=r"leaves \S+ relative ISI .* limit 0.001"):
@@ -122,8 +129,7 @@ def test_shape_filter_mismatch():
 
 def _rrc_estimate(y, train, pulse):
     """Gains (4,) and noise variance of one LS estimate."""
-    design = rx.build_ls_design(
-        train, pulse.cascade(rx.LAGS[:, None] - np.arange(4)[None, :]))
+    design = rx.build_ls_design(train, pulse.cascade(rx.LAGS))
     gains, noise_var = rx.estimate_channel_ls(y[design.rows][None], design)
     return gains[0], noise_var[0]
 

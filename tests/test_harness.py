@@ -490,8 +490,40 @@ def test_shared_arrays_are_read_only(family, n_c):
     train, design, template = H._training(pulse, 256)
     arrays = [v for obj in (pulse, design) for v in vars(obj).values()
               if isinstance(v, np.ndarray)] + [train, template]
-    assert len(arrays) == 7
+    assert len(arrays) == 8
     assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("n_c", (8, 4))
+def test_chaotic_cascade_is_response_r(n_c):
+    # the table lookup is the closed form r(t) evaluated on each consumer's
+    # lag grid minus path delays 0..3, bitwise: the feedback lags 1..8, the
+    # LS lags and the genie lags of a channel reaching MAX_DELAY
+    pulse = H.pulse_for("chaotic", n_c)
+    delays = np.arange(rx.MAX_DELAY + 1)
+    width = rx.decision_window(np.ones(rx.MAX_DELAY + 1))
+    for lags in (np.arange(1, width + 1), rx.LAGS,
+                 np.arange(-th.DECAY_RADIUS,
+                           th.DECAY_RADIUS + rx.MAX_DELAY + 1)):
+        got = pulse.cascade(lags)
+        assert got.shape == (lags.size, delays.size)
+        assert got.tobytes() == th.response_r(
+            lags[:, None] - delays).tobytes()
+
+
+@pytest.mark.parametrize("family", ("chaotic", "rrc"))
+def test_cascade_lags_outside_the_table_raise(family):
+    # a lag minus a path delay below the reach would wrap to the table's
+    # far end, so it raises as one past the other end does; no lag (a
+    # block whose every point failed) gives no row
+    pulse = H.pulse_for(family, 8)
+    reach, top = H._REACH, rx.MAX_DELAY
+    assert pulse.table.size == 2 * reach + 1
+    assert pulse.cascade(np.array([top - reach, reach])).shape == (2, top + 1)
+    for lag in (top - reach - 1, -reach, reach + 1):
+        with pytest.raises(IndexError):
+            pulse.cascade(np.array([lag]))
+    assert pulse.cascade(np.arange(1, 1)).shape == (0, top + 1)
 
 
 def test_composite_response_once_per_context(monkeypatch):

@@ -304,7 +304,7 @@ def test_subset_solvers_match_lstsq(family, n_c):
                      True)
     design = ctx.design
     solvers = design.solvers
-    cascade = ctx.pulse.cascade(rx.LAGS[:, None] - np.arange(4))
+    cascade = ctx.pulse.cascade(rx.LAGS)
     assert solvers.shape == (16, 4, rx.LAGS.size)
     assert not solvers.flags.writeable and not solvers[0].any()
     rng = np.random.default_rng(n_c)
@@ -361,8 +361,7 @@ def test_composite_response_matches_path_sum():
     # cascade table, is the closed-form path sum bitwise: on the presets
     # at lags -31..31, and on random gains rows with missing (zero) paths
     lags = np.arange(-31, 32)
-    cascade = H.pulse_for("chaotic", 8).cascade(
-        lags[:, None] - np.arange(rx.MAX_DELAY + 1))
+    cascade = H.pulse_for("chaotic", 8).cascade(lags)
     for preset in ("static2", "static3"):
         gains = ch.get_preset(preset)
         got = rx.composite_response(dense_gains(gains)[None], cascade)
