@@ -7,22 +7,24 @@ ignored). Recognized keys mirror ExperimentConfig:
     method            chaotic-opt | chaotic-subopt | chaotic-zero |
                       rrc-mmse | rrc-noeq | theory-opt | theory-subopt
     channel           static2 | static3 | quasi2 | quasi3 | quasi
-    ebn0_grid         comma-separated dB values, e.g. 0,2,4,6,8,10
+    ebn0_grid         comma-separated dB values (default 0,2,4,6,8,10)
     n_training_bits   training bits per frame (default 256)
     n_data_bits       payload bits per frame (default 3840)
     trials            static stop rule: payload bits per grid point
     frames            quasi stop rule: frames per grid point
     master_seed       integer seed of the whole sweep
     n_c               samples per symbol (default 8)
-    genie             true/false (chaotic-opt only)
+    genie             true/false (true exactly for chaotic-opt)
     failure_policy    pessimistic | separate
 
-Command-line flags override file keys.
+Command-line flags override file keys; each subcommand takes only the
+flags it reads.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -31,10 +33,7 @@ from typing import Dict, List, Optional
 from . import harness
 from . import waveform as wf
 
-_DEFAULT_GRID = "0,2,4,6,8,10"
-
-_BOOL_WORDS = {"true": True, "yes": True, "1": True,
-               "false": False, "no": False, "0": False}
+_DEFAULT_GRID = (0.0, 2.0, 4.0, 6.0, 8.0, 10.0)
 
 
 def parse_config_file(path: str) -> Dict[str, str]:
@@ -56,51 +55,42 @@ def parse_config_file(path: str) -> Dict[str, str]:
     return mapping
 
 
-_INT_KEYS = ("n_training_bits", "n_data_bits", "trials", "frames",
-             "master_seed", "n_c")
-_STR_KEYS = ("method", "channel", "failure_policy")
+def _bool(value: str) -> bool:
+    word = value.lower()
+    if word not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(word)
+    return word in ("true", "yes", "1")
+
+
+# the parser of each ExperimentConfig field annotation (a string, since
+# harness postpones its annotations), and what it expects
+_PARSERS = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "tuple": (lambda v: tuple(float(g) for g in v.replace(",", " ").split()),
+              "a list of numbers"),
+    "bool": (_bool, "true or false"),
+}
 
 
 def build_config(mapping: Dict[str, str]) -> harness.ExperimentConfig:
-    """Typed ExperimentConfig from string key=value pairs."""
-    kwargs: Dict[str, object] = {}
+    """Typed ExperimentConfig from string key=value pairs, one per field."""
+    fields = dataclasses.fields(harness.ExperimentConfig)
+    types = {f.name: f.type for f in fields}
+    kwargs: Dict[str, object] = {"ebn0_grid": _DEFAULT_GRID}
     for key, value in mapping.items():
-        if key in _STR_KEYS:
-            kwargs[key] = value
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise ValueError(f"config key {key} needs an integer, got {value!r}")
-        elif key == "ebn0_grid":
-            try:
-                kwargs[key] = tuple(float(v) for v in value.replace(",", " ").split())
-            except ValueError:
-                raise ValueError(f"config key ebn0_grid is not a number list: {value!r}")
-        elif key == "genie":
-            word = value.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(f"config key genie must be true/false, got {value!r}")
-            kwargs[key] = _BOOL_WORDS[word]
-        else:
+        if key not in types:
             raise ValueError(f"unknown config key {key!r}")
-    for required in ("method", "channel"):
-        if required not in kwargs:
-            raise ValueError(f"config is missing the {required!r} key")
-    kwargs.setdefault("ebn0_grid",
-                      tuple(float(v) for v in _DEFAULT_GRID.split(",")))
+        parse, expected = _PARSERS[types[key]]
+        try:
+            kwargs[key] = parse(value)
+        except ValueError:
+            raise ValueError(f"config key {key} needs {expected}, "
+                             f"got {value!r}") from None
+    for f in fields:
+        if f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ValueError(f"config is missing the {f.name!r} key")
     return harness.ExperimentConfig(**kwargs)
-
-
-def _merged_config(args) -> harness.ExperimentConfig:
-    mapping: Dict[str, str] = {}
-    if args.config:
-        mapping.update(parse_config_file(args.config))
-    if args.seed is not None:
-        mapping["master_seed"] = str(args.seed)
-    if args.genie:
-        mapping["genie"] = "true"
-    return build_config(mapping)
 
 
 def _print_records(records) -> None:
@@ -123,28 +113,24 @@ def _emit(records, args, default_name: str) -> None:
             print(f"wrote {path}")
 
 
-def _cmd_sweep_static(args) -> int:
-    config = _merged_config(args)
-    t0 = time.perf_counter()
-    records = harness.run_static_sweep(config, jobs=args.jobs)
-    elapsed = time.perf_counter() - t0
-    _print_records(records)
-    print(f"swept {len(records)} points in {elapsed:.1f} s "
-          f"({records[0].bits} bits/point)")
-    _emit(records, args, f"{config.method}_{config.channel}.csv")
-    return 0
-
-
-def _cmd_sweep_quasi(args) -> int:
-    config = _merged_config(args)
+def _cmd_sweep(args) -> int:
+    mapping = parse_config_file(args.config) if args.config else {}
+    if args.seed is not None:
+        mapping["master_seed"] = str(args.seed)
+    if getattr(args, "genie", False):  # a sweep-static flag
+        mapping["genie"] = "true"
+    config = build_config(mapping)
+    quasi = args.command == "sweep-quasi"
     stats: dict = {}
     t0 = time.perf_counter()
-    records = harness.run_quasi_static(config, jobs=args.jobs, stats=stats)
+    records = (harness.run_quasi_static(config, jobs=args.jobs, stats=stats)
+               if quasi else harness.run_static_sweep(config, jobs=args.jobs))
     elapsed = time.perf_counter() - t0
     _print_records(records)
-    print(f"swept {len(records)} points in {elapsed:.1f} s "
-          f"({config.frames} frames/point, policy {config.failure_policy})")
-    for row in stats["per_point"]:
+    size = (f"{config.frames} frames/point, policy {config.failure_policy}"
+            if quasi else f"{records[0].bits} bits/point")
+    print(f"swept {len(records)} points in {elapsed:.1f} s ({size})")
+    for row in stats.get("per_point", ()):
         print(f"  {row['ebn0_db']:.2f} dB: {row['failed_frames']} failed frames, "
               f"est RMS mean {row['est_rms_mean']:.4f} "
               f"p90 {row['est_rms_p90']:.4f} max {row['est_rms_max']:.4f}")
@@ -154,10 +140,9 @@ def _cmd_sweep_quasi(args) -> int:
 
 def _cmd_theory(args) -> int:
     if args.config:
-        configs = [_merged_config(args)]
+        configs = [build_config(parse_config_file(args.config))]
     else:
-        grid = tuple(float(v) for v in _DEFAULT_GRID.split(","))
-        configs = [harness.ExperimentConfig(method=m, channel=c, ebn0_grid=grid)
+        configs = [build_config({"method": m, "channel": c})
                    for m in harness.THEORY_METHODS
                    for c in ("static2", "static3")]
     records: List[harness.BerRecord] = []
@@ -179,23 +164,20 @@ def _cmd_check_conjugacy(args) -> int:
     print(f"  integral |p| over [-1,1]x2: {report.integral_inside:.6f}")
     print(f"  integral |p| over [-8,0]:   {report.integral_outside:.6f}")
     print(f"  bounded-tail condition:     {'pass' if report.cond3 else 'FAIL'}")
-    ok = report.cond1 and report.cond3 and report.cond2_margin > 0
-    return 0 if ok else 1
+    return 0 if report.passed else 1
 
 
 def _cmd_selftest(args) -> int:
     failures = 0
 
-    def check(name: str, ok: bool, detail: str = "") -> None:
+    def check(name: str, ok: bool, detail: str) -> None:
         nonlocal failures
         tag = "PASS" if ok else "FAIL"
         failures += 0 if ok else 1
-        suffix = f"  ({detail})" if detail else ""
-        print(f"[{tag}] {name}{suffix}")
+        print(f"[{tag}] {name}  ({detail})")
 
     report = wf.check_conjugacy()
-    check("waveform/symbol equivalence",
-          report.cond1 and report.cond3 and report.cond2_margin > 0,
+    check("waveform/symbol equivalence", report.passed,
           f"integrals {report.integral_inside:.4f}/{report.integral_outside:.4f}")
 
     grid = (4.0, 8.0)
@@ -212,8 +194,9 @@ def _cmd_selftest(args) -> int:
         check(f"static BER near closed form at {s.ebn0_db:g} dB",
               lo <= s.ber <= hi, f"sim {s.ber:.3e} vs theory {t.ber:.3e}")
 
+    # two blocks of frames, so that two workers start a process pool
     tiny = harness.ExperimentConfig(method="chaotic-subopt", channel="quasi2",
-                                    ebn0_grid=(6.0,), frames=6,
+                                    ebn0_grid=(6.0,), frames=20,
                                     n_data_bits=512, n_training_bits=256,
                                     master_seed=7)
     a = harness.run_quasi_static(tiny, jobs=1)
@@ -226,34 +209,38 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
+    # each subcommand takes only the flags it reads
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--config", metavar="PATH",
                         help="key=value experiment description")
-    common.add_argument("--seed", type=int, metavar="N",
-                        help="override master_seed")
-    common.add_argument("--out", default=".", metavar="DIR",
+    report.add_argument("--out", default=".", metavar="DIR",
                         help="output directory (default .)")
-    common.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1)")
-    common.add_argument("--genie", action="store_true",
-                        help="genie-aided decoding (chaotic-opt only)")
-    common.add_argument("--format", choices=("csv", "plotdata", "both"),
+    report.add_argument("--format", choices=("csv", "plotdata", "both"),
                         default="csv", help="report format (default csv)")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--jobs", type=int, default=1, metavar="N",
+                         help="worker processes (default 1)")
+    sweep = argparse.ArgumentParser(add_help=False, parents=[report, workers])
+    sweep.add_argument("--seed", type=int, metavar="N",
+                       help="override master_seed")
 
     parser = argparse.ArgumentParser(
         prog="chaosmodem",
         description="Chaotic-baseband modem Monte Carlo experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("sweep-static", parents=[common],
-                   help="known-channel BER sweep").set_defaults(fn=_cmd_sweep_static)
-    sub.add_parser("sweep-quasi", parents=[common],
-                   help="estimated-channel BER sweep").set_defaults(fn=_cmd_sweep_quasi)
-    sub.add_parser("theory", parents=[common],
+    static = sub.add_parser("sweep-static", parents=[sweep],
+                            help="known-channel BER sweep")
+    static.add_argument("--genie", action="store_true",
+                        help="genie-aided decoding (chaotic-opt only)")
+    static.set_defaults(fn=_cmd_sweep)
+    sub.add_parser("sweep-quasi", parents=[sweep],
+                   help="estimated-channel BER sweep").set_defaults(fn=_cmd_sweep)
+    sub.add_parser("theory", parents=[report],
                    help="closed-form BER curves").set_defaults(fn=_cmd_theory)
-    sub.add_parser("check-conjugacy", parents=[common],
+    sub.add_parser("check-conjugacy",
                    help="waveform/symbol equivalence report").set_defaults(
                        fn=_cmd_check_conjugacy)
-    sub.add_parser("selftest", parents=[common],
+    sub.add_parser("selftest", parents=[workers],
                    help="quick end-to-end sanity battery").set_defaults(
                        fn=_cmd_selftest)
     args = parser.parse_args(argv)

@@ -151,8 +151,9 @@ class ExperimentConfig:
                 raise ValueError(f"ebn0_grid value out of range: {exc}") from None
         if not isinstance(self.genie, bool):
             raise ValueError(f"genie must be True or False, got {self.genie!r}")
-        if self.genie and self.method != "chaotic-opt":
-            raise ValueError("genie decoding exists only for chaotic-opt")
+        if self.genie != (self.method == "chaotic-opt"):
+            raise ValueError(f"genie must be true exactly for chaotic-opt, "
+                             f"got genie = {self.genie} for {self.method}")
         if self.failure_policy not in ("pessimistic", "separate"):
             raise ValueError(
                 f"failure_policy must be pessimistic or separate, got {self.failure_policy!r}")
@@ -308,16 +309,26 @@ def _frame_streams(master_seed: int, frame_idx: int, *streams: int):
         [master_seed, frame_idx], spawn_key=(k,))) for k in streams]
 
 
-def _preset(config: ExperimentConfig, quasi: bool, sweep: str):
-    """The config's channel preset, which must be quasi-static for a quasi
-    sweep and static otherwise."""
+# the methods and the channel presets each sweep entry point runs
+_SWEEPS = {"run_static_sweep": (SIM_METHODS, (*ch.STATIC_PRESETS,)),
+           "run_quasi_static": (("chaotic-subopt", "rrc-mmse"),
+                                (*ch.QUASI_PRESETS, "quasi")),
+           "run_theory_curves": (THEORY_METHODS, (*ch.STATIC_PRESETS,))}
+
+
+def _preset(config: ExperimentConfig, sweep: str):
+    """The config's channel preset, if ``sweep`` runs its method and channel."""
+    methods, channels = _SWEEPS[sweep]
+    if config.method not in methods:
+        raise ValueError(f"method = {config.method!r} does not run in {sweep}, "
+                         f"which runs {', '.join(methods[:-1])} or {methods[-1]}")
     preset = ch.get_preset(config.channel)
-    if quasi != isinstance(preset, ch.QuasiStaticModel):
-        names = [*ch.QUASI_PRESETS, "quasi"] if quasi else [*ch.STATIC_PRESETS]
-        kind = "static" if quasi else "quasi-static"
+    if config.channel not in channels:
+        kind = ("quasi-static" if isinstance(preset, ch.QuasiStaticModel)
+                else "static")
         raise ValueError(
             f"channel = {config.channel!r} is {kind}; {sweep} needs "
-            f"{', '.join(names[:-1])} or {names[-1]}")
+            f"{', '.join(channels[:-1])} or {channels[-1]}")
     return preset
 
 
@@ -330,14 +341,14 @@ class _Context:
     after construction."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
+        self.channel = _preset(config, "run_quasi_static" if quasi
+                               else "run_static_sweep")
         self.config = config
         self.quasi = quasi
         n_c = config.n_c
         self.pulse = pulse = pulse_for(config.method, n_c)
         self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy)
                                 for db in config.ebn0_grid])
-        self.channel = _preset(config, quasi, "run_quasi_static" if quasi
-                               else "run_static_sweep")
         # the last path's delay; see _probe
         self.delay = (self.channel.n_paths if quasi else self.channel.size) - 1
         self.train = np.empty((2, 0))
@@ -818,11 +829,6 @@ def run_static_sweep(config: ExperimentConfig, jobs: int = 1) -> List[BerRecord]
     per grid point. chaotic-opt requires genie=True since the exact
     threshold needs the transmitted symbols themselves.
     """
-    if config.method not in SIM_METHODS:
-        raise ValueError(f"run_static_sweep cannot run {config.method!r}")
-    if config.method == "chaotic-opt" and not config.genie:
-        raise ValueError("chaotic-opt needs genie=True: the optimal "
-                         "threshold uses the transmitted symbols")
     return _run(config, False, jobs)
 
 
@@ -839,12 +845,6 @@ def run_quasi_static(config: ExperimentConfig, jobs: int = 1,
     reported) under failure_policy="separate". Pass a dict as ``stats`` to
     receive per-point failure counts and estimation RMS summaries.
     """
-    if config.method not in ("chaotic-subopt", "rrc-mmse"):
-        raise ValueError(
-            f"run_quasi_static supports chaotic-subopt and rrc-mmse, "
-            f"not {config.method!r}")
-    if config.genie:
-        raise ValueError("genie decoding is incompatible with channel estimation")
     return _run(config, True, jobs, stats)
 
 
@@ -854,9 +854,7 @@ def run_theory_curves(config: ExperimentConfig) -> List[BerRecord]:
     """Closed-form BER over the grid, with sigma_W calibrated exactly the
     way the simulation calibrates its noise (measured waveform energy and
     measured receive-kernel energy)."""
-    if config.method not in THEORY_METHODS:
-        raise ValueError(f"run_theory_curves cannot run {config.method!r}")
-    preset = _preset(config, False, "run_theory_curves")
+    preset = _preset(config, "run_theory_curves")
     eb = pulse_for("chaotic", config.n_c).energy
     P = th.compute_signal_power(preset)
     records = []

@@ -218,6 +218,10 @@ class ConjugacyReport:
     integral_outside: float
     cond3: bool
 
+    @property
+    def passed(self) -> bool:
+        return self.cond1 and self.cond2_margin > 0 and self.cond3
+
 
 def check_conjugacy() -> ConjugacyReport:
     """Evaluate the three conjugacy conditions on the uniform

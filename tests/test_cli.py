@@ -1,16 +1,19 @@
 """Command-line front end: config parsing, typed config building, and
 subcommand wiring through main()."""
 
+import dataclasses
 import os
+import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import chaosmodem
-from chaosmodem import cli
+from chaosmodem import cli, harness
 from oracles import parse_csv
 
 
@@ -94,6 +97,27 @@ def test_build_config_rejects_bad_bool():
     with pytest.raises(ValueError, match="genie"):
         cli.build_config({"method": "chaotic-opt", "channel": "static2",
                           "genie": "maybe"})
+
+
+def test_every_config_field_is_a_config_key():
+    # each ExperimentConfig field, set off its default, passes through its
+    # config key; a field added without a key fails here
+    ref = harness.ExperimentConfig(
+        method="chaotic-opt", channel="static3", ebn0_grid=(1.0, 2.5),
+        n_training_bits=128, n_data_bits=1000, trials=7000, frames=9,
+        master_seed=5, n_c=6, genie=True, failure_policy="separate")
+    fields = dataclasses.fields(harness.ExperimentConfig)
+    assert all(getattr(ref, f.name) != f.default for f in fields)
+
+    def text(value):
+        if isinstance(value, bool):
+            return str(value).lower()
+        if isinstance(value, tuple):
+            return ",".join(map(repr, value))
+        return str(value)
+
+    mapping = {f.name: text(getattr(ref, f.name)) for f in fields}
+    assert cli.build_config(mapping) == ref
 
 
 def test_build_config_requires_method_and_channel():
@@ -232,14 +256,71 @@ def test_main_check_conjugacy_passes(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
-def test_main_selftest_passes(capsys):
+def test_main_selftest_passes(capsys, monkeypatch):
     # a chaotic-subopt static sweep against the closed form, and a quasi
-    # sweep at one and two workers
+    # sweep at one worker and through a pool of two
+    pools = []
+
+    def pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
     rc = cli.main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[FAIL]" not in out
     assert out.splitlines()[-1] == "no failures"
+    assert pools == [2]
+
+
+# the flags each subcommand takes, with a run's config; it reads them all
+SURFACE = {
+    "sweep-static": (("--config", "--seed", "--out", "--jobs", "--genie",
+                      "--format"),
+                     "method=chaotic-opt\nchannel=static2\nebn0_grid=8\n"
+                     "trials=2000\nn_data_bits=2000\n"),
+    "sweep-quasi": (("--config", "--seed", "--out", "--jobs", "--format"),
+                    QUASI_CFG),
+    "theory": (("--config", "--out", "--format"),
+               "method=theory-subopt\nchannel=static3\n"),
+    "check-conjugacy": ((), None),
+    "selftest": (("--jobs",), None),
+}
+
+
+@pytest.mark.parametrize("command", SURFACE)
+def test_subcommand_takes_only_the_flags_it_reads(tmp_path, capsys,
+                                                  monkeypatch, command):
+    flags, config = SURFACE[command]
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([command, "--help"])
+    assert exit_.value.code == 0
+    taken = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+    assert taken - {"--help"} == set(flags)
+
+    reads = set()
+
+    class Recorder:
+        def __init__(self, args):
+            self.args = args
+
+        def __getattr__(self, name):
+            reads.add(name)
+            return getattr(self.args, name)
+
+    for name in dir(cli):
+        if name.startswith("_cmd_"):
+            monkeypatch.setattr(cli, name, lambda args, fn=getattr(cli, name):
+                                fn(Recorder(args)))
+    values = {"--config": config and write(tmp_path, config), "--seed": "3",
+              "--out": str(tmp_path), "--jobs": "1", "--format": "csv"}
+    argv = [command]
+    for flag in flags:
+        argv += [flag] + ([values[flag]] if flag in values else [])
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert {flag[2:] for flag in flags} <= reads
 
 
 def test_main_missing_config_file(tmp_path, capsys):

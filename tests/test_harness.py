@@ -106,6 +106,10 @@ def test_genie_only_for_optimal():
                    "theory-opt"):
         with pytest.raises(ValueError):
             small_static(method=method, genie=True)
+    # the optimal threshold uses the transmitted symbols
+    with pytest.raises(ValueError, match="^genie must be true exactly for "
+                                         "chaotic-opt, got genie = False"):
+        small_static(method="chaotic-opt")
 
 
 def test_ber_record_consistency():
@@ -571,7 +575,8 @@ def test_genie_response_matches_path_sum():
 
 
 def test_static_sweep_method_gates():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^method = 'theory-opt' does not "
+                                         "run in run_static_sweep"):
         H.run_static_sweep(small_static(method="theory-opt"), jobs=1)
     with pytest.raises(ValueError, match="channel = 'quasi2' is quasi-static"):
         H.run_static_sweep(small_static(channel="quasi2"), jobs=1)
@@ -689,7 +694,9 @@ def test_percentile_90_is_numpys(values):
 
 def test_quasi_sweep_method_gates():
     for bad in ("chaotic-opt", "chaotic-zero", "rrc-noeq", "theory-subopt"):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^method = '{bad}' does not run "
+                                             f"in run_quasi_static, which runs "
+                                             f"chaotic-subopt or rrc-mmse$"):
             kw = {"genie": True} if bad == "chaotic-opt" else {}
             H.run_quasi_static(small_quasi(method=bad, **kw), jobs=1)
     with pytest.raises(ValueError, match="channel = 'static2' is static"):
@@ -768,8 +775,16 @@ def test_sweeps_load_no_numpy_module_beyond_random():
 
 
 def test_quasi_determinism_across_jobs():
-    cfg = small_quasi(method="rrc-mmse", channel="quasi3", frames=10)
-    assert H.run_quasi_static(cfg, jobs=1) == H.run_quasi_static(cfg, jobs=2)
+    # the second case is A9's estimated-channel sweep, at enough frames that
+    # each of its three workers runs a block
+    for cfg, jobs, n_blocks in (
+            (small_quasi(method="rrc-mmse", channel="quasi3", frames=10), 2, 2),
+            (small_quasi(frames=30, n_data_bits=512, n_training_bits=256,
+                         master_seed=17), 3, 3)):
+        ctx = H._Context(cfg, True)
+        assert -(-ctx.n_frames // ctx.block) == n_blocks
+        assert (H.run_quasi_static(cfg, jobs=1)
+                == H.run_quasi_static(cfg, jobs=jobs))
 
 
 def test_quasi_preset_alias():
@@ -804,7 +819,8 @@ def test_theory_requires_static_preset():
     with pytest.raises(ValueError, match="channel = 'quasi2' is quasi-static"):
         H.run_theory_curves(H.ExperimentConfig(
             method="theory-opt", channel="quasi2", ebn0_grid=(6.0,)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^method = 'chaotic-opt' does not "
+                                         "run in run_theory_curves"):
         H.run_theory_curves(H.ExperimentConfig(
             method="chaotic-opt", channel="static2", ebn0_grid=(6.0,),
             genie=True))
