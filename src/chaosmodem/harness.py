@@ -338,7 +338,7 @@ class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
     a config the pipeline cannot run fails there, and it is installed as
     is in every worker. Only its block buffers (see ``_buffers``) change
-    after construction."""
+    after construction; every other array it holds is read-only."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.channel = _preset(config, "run_quasi_static" if quasi
@@ -351,7 +351,7 @@ class _Context:
                                 for db in config.ebn0_grid])
         # the last path's delay; see _probe
         self.delay = (self.channel.n_paths if quasi else self.channel.size) - 1
-        self.train = np.empty((2, 0))
+        self.train, self.known = np.empty((2, 0)), None
         if quasi:
             try:
                 self.train, self.design, self.template = _training(
@@ -366,15 +366,13 @@ class _Context:
         else:
             # channel and noise level are known: every frame gets an exact
             # estimate's receiver, every point decoded and none failed; the
-            # one gains row, and so the feedback row, is every point's
-            if config.method == "chaotic-opt":
-                lags = np.arange(-th.DECAY_RADIUS,
-                                 th.DECAY_RADIUS + self.delay + 1)
-                self.genie_coeffs = rx.composite_response(
-                    _dense(self.channel), pulse.cascade(lags))[0]
-            self.known = _receivers(self, _dense(self.channel),
-                                    self.sigmas * self.sigmas)
-        (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_pad,
+            # one gains row, and so its receiver row, is every point's
+            self.known = _receiver(self, _dense(self.channel),
+                                   self.sigmas * self.sigmas)
+        for a in (self.sigmas, self.train, self.known):
+            if a is not None:
+                a.flags.writeable = False
+        (self.h_sym, self.h_lag, self.edge, self.mf_kernel, self.mf_back,
          size) = _probe(pulse, self.delay)
         n = self.train.shape[1] + config.n_data_bits // 2
         # shaping emits n_c samples per symbol, tail included
@@ -398,16 +396,15 @@ class _Context:
         if self.block_buffers is None:
             n = self.train.shape[1] + self.config.n_data_bits // 2
             n_rows, n_c = self.mf_kernel.shape
-            lo = self.mf_pad[0]
             # both ends shift with the pad
             over = (self.pulse.lead + (n + n_rows - 1) * n_c
-                    - lo - self.noise_size)
+                    - self.mf_back - self.noise_size)
             if over > 0:
                 raise RuntimeError(f"the symbol-rate noise read ends {over} "
                                    f"samples past the frame's noise draw")
             self.block_buffers = (
-                np.zeros((self.block, 2,
-                          lo + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
+                np.zeros((self.block, 2, self.mf_back
+                          + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
                 np.empty(self.block * 2 * max(n_rows * (n + n_rows - 1),
                                               self.sigmas.size * n)))
         return self.block_buffers
@@ -502,9 +499,9 @@ def _training(pulse: Pulse, n_bits: int):
 def _probe(pulse: Pulse, delay: int):
     """The symbol-rate path of frames sent through ``delay`` symbols of
     silence, derived by pushing unit symbols of a short probe frame
-    through the waveform path: (h_sym, h_lag, edge, mf_kernel, mf_pad,
-    size), all read-only, since every sweep of the pulse and delay in a
-    process shares them.
+    through the waveform path: (h_sym, h_lag, edge, mf_kernel, mf_back,
+    size), the arrays read-only, since every sweep of the pulse and delay
+    in a process shares them.
 
     Shaping drops the waveform before t = 0, so a rail and its tail give
     their convolution with ``h_sym`` (``h_lag`` taps precede the symbol)
@@ -513,10 +510,10 @@ def _probe(pulse: Pulse, delay: int):
     which the delay hides from ``h_lag``. Noise is read through
     ``mf_kernel``, the reversed MF folded into one row of n_c taps per
     symbol period, zero-filled at the end; output k reads the noise from
-    k - mf_pad[0] to k + mf_pad[1]. ``size`` is the length of the probe
-    frame's noise draw. The delay is the preset's longest path: it keeps
-    the outputs before symbol 0 that each path shift reads, and makes the
-    probe as long as a rail through the channel."""
+    k - mf_back on. ``size`` is the length of the probe frame's noise
+    draw. The delay is the preset's longest path: it keeps the outputs
+    before symbol 0 that each path shift reads, and makes the probe as
+    long as a rail through the channel."""
     n_c = pulse.n_c
 
     def probe(symbols):
@@ -538,8 +535,7 @@ def _probe(pulse: Pulse, delay: int):
     mf_kernel = np.pad(kernel, (0, -kernel.size % n_c)).reshape(-1, n_c)
     for a in (h_sym, edge, mf_kernel):
         a.flags.writeable = False
-    return (h_sym, h_lag, edge, mf_kernel,
-            (int(last - size // 2), int(size // 2 - first)), size)
+    return h_sym, h_lag, edge, mf_kernel, int(last - size // 2), size
 
 
 _CTX: Optional[_Context] = None
@@ -550,20 +546,20 @@ def _install(ctx: _Context):
     _CTX = ctx
 
 
-def _count_errors(ctx: _Context, ys, sent, feedback, eqs):
+def _count_errors(ctx: _Context, ys, sent, receiver):
     """Count, per frame of a block and grid point, the rail decisions in
     error past the training symbols.
 
     ``ys`` holds the symbol-rate observations, shape (frames, points, 2,
     n), a view of the context's observation buffer, valid only until the
     next block. ``sent`` holds each frame's two transmitted rails, shape
-    (frames, 2, n); ``feedback`` holds the decision-feedback coefficients,
-    shape (1, 1, w) shared by every frame and point or (frames, points, 1,
-    w) one row each, either shared by the two rails, and ``eqs`` the
-    equalizer taps, shape (points, EQ_LENGTH) or (frames, points,
-    EQ_LENGTH); both come from ``_receivers``. Error rate is counted per
-    rail decision: each rail carries one antipodal bit per symbol, as the
-    closed forms assume.
+    (frames, 2, n). ``receiver`` is the method's array from ``_receiver``,
+    a known channel's (``_Context.known``) for every frame, or one row per
+    frame and point of an estimated channel: feedback rows (1, 1, w) or
+    (frames, points, 1, w), shared by the two rails, or equalizer taps
+    (points, EQ_LENGTH) or (frames, points, EQ_LENGTH). Error rate is
+    counted per rail decision: each rail carries one antipodal bit per
+    symbol, as the closed forms assume.
 
     The threshold receivers decide +1 where y >= theta (a tie goes to +1),
     so a decision is in error exactly where that comparison differs from
@@ -575,14 +571,14 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs):
     starts from, so ``sent`` sets only how much work the decoder does. The
     solution differs from ``sent`` only around its decision errors, so few
     thresholds need recomputing after the first pass. From the signs of y,
-    the default start, which are wrong at a few percent of the symbols of
-    every row, the second pass alone recomputes more than half the columns
-    of a batch. With shared feedback the points of a frame also share the
-    first pass, which reads only ``sent``."""
+    which are wrong at a few percent of the symbols of every row, the
+    second pass alone recomputes more than half the columns of a batch.
+    With shared feedback the points of a frame also share the first pass,
+    which reads only ``sent``."""
     method, n_train = ctx.config.method, ctx.train.shape[1]
     sent = sent[:, None]
     if method == "chaotic-subopt":
-        dec = rx.decode_suboptimal(ys, ctx.train, feedback, guess=sent)
+        dec = rx.decode_suboptimal(ys, ctx.train, receiver, guess=sent)
         return np.count_nonzero(dec[..., n_train:] != sent[..., n_train:],
                                 axis=(2, 3))
     theta = 0.0
@@ -591,10 +587,10 @@ def _count_errors(ctx: _Context, ys, sent, feedback, eqs):
         # cancel every ISI term exactly
         rails = sent.reshape(-1, sent.shape[-1])
         theta = np.array([rx.threshold_optimal(
-            np.concatenate([rail, ctx.pulse.tail]), ctx.genie_coeffs)[:rail.size]
+            np.concatenate([rail, ctx.pulse.tail]), receiver)[:rail.size]
             for rail in rails]).reshape(sent.shape)
     elif method == "rrc-mmse":
-        ys = bl.apply_equalizer(ys, eqs)
+        ys = bl.apply_equalizer(ys, receiver)
     return np.count_nonzero(((ys >= theta) != (sent > 0.0))[..., n_train:],
                             axis=(2, 3))
 
@@ -608,36 +604,40 @@ def _dense(gains) -> np.ndarray:
     return dense
 
 
-def _receivers(ctx: _Context, gains, noise_var):
-    """The receivers of channels given by their gains at delays
-    0..rx.MAX_DELAY, shape (rows, rx.MAX_DELAY + 1), and the noise variances
-    of the grid points, shape (rows,) or, with one gains row for every
-    point, (points,): (feedback, equalizers), each None where the method
-    does not read it.
+def _receiver(ctx: _Context, gains, noise_var):
+    """The one array a method's decisions read (None for chaotic-zero and
+    rrc-noeq), for channels given by their gains at delays 0..rx.MAX_DELAY,
+    shape (rows, rx.MAX_DELAY + 1), and the noise variances of the grid
+    points, shape (rows,) or, with one gains row for every point, (points,).
 
-    rrc-mmse gets its equalizer taps, one row per point, from one
-    ``bl.design_mmse`` call. chaotic-subopt gets its decision-feedback
+    rrc-mmse: its equalizer taps, one row per point, from one
+    ``bl.design_mmse`` call. chaotic-subopt: its decision-feedback
     coefficients, shape (rows, 1, w), which the decoder broadcasts over
     the two rails: ``rx.composite_response`` at past lags 1..w over each
     row's ``rx.decision_window``, zero-filled past it to the widest
-    window, from the pulse's cascade at those lags."""
-    feedback = eqs = None
-    if ctx.config.method == "rrc-mmse":
-        eqs = bl.design_mmse(gains, noise_var)
-    elif ctx.config.method == "chaotic-subopt":
+    window. chaotic-opt, on a known channel only: the genie response of
+    its one gains row, 1-d, at lags -th.DECAY_RADIUS..th.DECAY_RADIUS +
+    the last path's delay. Each reads the pulse's cascade at its lags."""
+    method = ctx.config.method
+    if method == "rrc-mmse":
+        return bl.design_mmse(gains, noise_var)
+    if method == "chaotic-opt":
+        lags = np.arange(-th.DECAY_RADIUS, th.DECAY_RADIUS + ctx.delay + 1)
+        return rx.composite_response(gains, ctx.pulse.cascade(lags))[0]
+    if method == "chaotic-subopt":
         windows = rx.decision_window(gains)
         width = int(windows.max(initial=0))
         rows = rx.composite_response(
             gains, ctx.pulse.cascade(np.arange(1, width + 1)))
         rows[np.arange(width) >= windows[:, None]] = 0.0
-        feedback = rows[:, None]
-    return feedback, eqs
+        return rows[:, None]
+    return None
 
 
 def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     """Acquire an estimated-channel frame: (failures and estimate RMS per
     point, and the gains rows and noise variances of the decoded points,
-    the points without a failure, for ``_receivers``). ``sig``, ``noise``
+    the points without a failure, for ``_receiver``). ``sig``, ``noise``
     and ``w`` are the frame's part of what ``_Context.sampled_frames``
     returned, and ``chan`` its true gains. A point is decoded if frame
     sync finds the true offset.
@@ -653,14 +653,14 @@ def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
 
     All grid points go through this as arrays: one ``rx.frame_sync`` call
     that correlates the window's signal and noise once each, one gather of
-    every candidate's training observations (the candidates are whole
-    symbols apart), residuals against an orthonormal basis of the path
-    model, one ``rx.estimate_channel_ls`` call over the points that kept
-    their timing. Rail I is
-    gathered from the full-rate window's symbol grid; rail Q from the
+    every candidate's training observations on both rails (the candidates
+    are whole symbols apart), residuals against an orthonormal basis of
+    the path model, one ``rx.estimate_channel_ls`` call over the points
+    that kept their timing. The full-rate window feeds frame sync and
+    bounds the candidates only; both rails' observations come from the
     symbol-rate samples, which start at the true offset. A point that can
     keep its timing has the true offset among its candidates, so each is
-    at most three symbols early and every rail Q read of it lies at least
+    at most three symbols early and every read of it lies at least
     ``design.rows.start - 3`` symbols into the frame; reads outside the
     frame reach only points that fail anyway and are clipped to it. The
     decoded points and failures are those of the per-point computation
@@ -676,15 +676,13 @@ def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     cand = np.rint(coarse / n_c).astype(int)[:, None] + _SYNC_GRID_STEPS
     valid = (cand >= 0) & ((cand + ctx.train.shape[1]) * n_c
                            <= win_sig.size)
-    rows = ctx.design.rows
-    grid_sig, grid_noise = win_sig[::n_c], win_noise[::n_c]
-    at = (np.clip(cand, 0, grid_sig.size - rows.stop)[..., None]
-          + np.arange(rows.start, rows.stop))
-    # window grid index k is symbol k - (pad + lead) / n_c of the frame
-    q = np.clip(at - (pad + ctx.pulse.lead) // n_c, 0, sig.shape[1] - 1)
-    sigma = ctx.sigmas[:, None, None]
-    obs = np.concatenate([grid_sig[at] + sigma * grid_noise[at],
-                          sig[1, q] + sigma * noise[1, q]], axis=2)
+    # window offset k n_c is symbol k - (pad + lead) / n_c of the frame;
+    # entry r n + m of the flattened rails is rail r's symbol m
+    rows, n = ctx.design.rows, sig.shape[1]
+    q = np.clip((cand - (pad + ctx.pulse.lead) // n_c)[..., None]
+                + np.arange(rows.start, rows.stop), 0, n - 1)
+    q = np.concatenate([q, q + n], axis=2)
+    obs = sig.take(q) + ctx.sigmas[:, None, None] * noise.take(q)
     flat = obs.reshape(-1, obs.shape[2])
     basis = ctx.design.basis
     resid = flat - (flat @ basis) @ basis.T
@@ -746,10 +744,9 @@ def _block(frames: range):
         failures, rms = failures.reshape(n_f, -1), rms.reshape(n_f, -1)
         # a failed point decodes through a zero receiver, and its count is
         # not used
-        feedback, eqs = (r if r is None else _spread(failures == 0, r)
-                         for r in _receivers(ctx, gains, noise_var))
+        receiver = _spread(failures == 0, _receiver(ctx, gains, noise_var))
     else:
-        feedback, eqs = ctx.known
+        receiver = ctx.known
         failures = np.zeros((n_f, n_points), dtype=np.int64)
         rms = np.full((n_f, n_points), np.nan)
     decoded = failures == 0
@@ -761,7 +758,7 @@ def _block(frames: range):
                          out=ctx._buffers()[1][:noise.size * n_points]
                          .reshape(n_f, n_points, *noise.shape[1:]))
         ys += sig[:, None]
-        errors = np.where(decoded, _count_errors(ctx, ys, sent, feedback, eqs),
+        errors = np.where(decoded, _count_errors(ctx, ys, sent, receiver),
                           lost)
     return errors, np.where(decoded, cfg.n_data_bits, lost), failures, rms
 

@@ -210,7 +210,7 @@ def decision_window(gains):
     return 5 + (int(last) if np.ndim(last) == 0 else last)
 
 
-def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
+def decode_suboptimal(y_syms, train_syms, coeffs, guess) -> np.ndarray:
     """Decision-directed decoding of one frame or of a batch of frames.
 
     ``y_syms`` holds symbol-rate observations, shape (..., n): one frame
@@ -232,19 +232,18 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
     The causal recursion has exactly one solution, which is found here by
     Jacobi iteration over whole arrays rather than one symbol at a time:
     start from an initial iterate, the signs of ``guess`` (shape (..., n);
-    the observations by default; a zero counts as +1; its training part
-    is replaced by the prefix), and on each pass recompute the thresholds
-    from the previous pass's decisions. A pass decides the first symbol it
-    changes from final decisions only, so every symbol up to and including
-    the first change is final, whatever the iterate was; a pass that
-    changes nothing has reached the solution. Any guess therefore gives
-    the same result, and only the number of passes depends on it. The
-    thresholds are accumulated over k = 1..w from 0.0 in the recursion's
-    own order, and an int8 decision times a float64 coefficient is exact,
-    so they are bitwise equal to the recursion's and the decisions are
-    exact, not an approximation. Padding terms come last and add +-0.0,
-    which moves no comparison, so a padded row decides as its own window
-    does.
+    a zero counts as +1; its training part is replaced by the prefix), and
+    on each pass recompute the thresholds from the previous pass's
+    decisions. A pass decides the first symbol it changes from final
+    decisions only, so every symbol up to and including the first change
+    is final, whatever the iterate was; a pass that changes nothing has
+    reached the solution. Any guess therefore gives the same result, and
+    only the number of passes depends on it. The thresholds are
+    accumulated over k = 1..w from 0.0 in the recursion's own order, and
+    an int8 decision times a float64 coefficient is exact, so they are
+    bitwise equal to the recursion's and the decisions are exact, not an
+    approximation. Padding terms come last and add +-0.0, which moves no
+    comparison, so a padded row decides as its own window does.
 
     The first pass recomputes every threshold after the training, once per
     row of the broadcast shape of the guess, training and coefficients:
@@ -266,8 +265,7 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess=None) -> np.ndarray:
         raise ValueError("observations must be at least 1-d")
     lead, n = y.shape[:-1], y.shape[-1]
     dims = " or ".join(f"{k}-d" for k in range(1, y.ndim + 1))
-    args = {"training": train_syms, "coefficient": coeffs,
-            "guess": y if guess is None else guess}
+    args = {"training": train_syms, "coefficient": coeffs, "guess": guess}
     for name, a in args.items():
         a = args[name] = np.asarray(a, dtype=float)
         if not 1 <= a.ndim <= y.ndim:

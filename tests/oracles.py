@@ -419,16 +419,18 @@ def frame_reference(ctx, frame_idx):
 
     method, n_points = cfg.method, ctx.sigmas.size
     if ctx.quasi:
-        decoded, feedback, eqs, failures, rms = acquire_loop(ctx, sent, spec,
-                                                             pad, w)
+        decoded, receiver, failures, rms = acquire_loop(ctx, sent, spec,
+                                                        pad, w)
     else:
         decoded = list(range(n_points))
         failures = np.zeros(n_points, dtype=np.int64)
         rms = np.full(n_points, np.nan)
         gains = dense_gains(spec)
-        feedback = [isi_feedback_coeffs(spec, rx.decision_window(gains))[None]
-                    ] * n_points
-        eqs = mmse_per_span(gains[None], ctx.sigmas * ctx.sigmas)
+        if method == "chaotic-subopt":
+            receiver = [isi_feedback_coeffs(
+                spec, rx.decision_window(gains))[None]] * n_points
+        else:
+            receiver = mmse_per_span(gains[None], ctx.sigmas * ctx.sigmas)
     lost = n_bits if cfg.failure_policy == "pessimistic" else 0
     errors = np.where(failures == 1, lost, 0).astype(np.int64)
     counted = errors.copy()
@@ -440,14 +442,14 @@ def frame_reference(ctx, frame_idx):
             if method == "chaotic-subopt":
                 dec = np.empty(n)
                 dec[:n_train] = rail[:n_train]
-                dd_loop(y, dec, feedback[j][0], n_train)
+                dd_loop(y, dec, receiver[j][0], n_train)
             else:
                 if method == "chaotic-opt":
                     theta = rx.threshold_optimal(
                         np.concatenate([rail, pulse.tail]),
                         genie_response(spec))[:n]
                 elif method == "rrc-mmse":
-                    y = np.convolve(y, eqs[j])[bl.EQ_DELAY:bl.EQ_DELAY + n]
+                    y = np.convolve(y, receiver[j])[bl.EQ_DELAY:bl.EQ_DELAY + n]
                 dec = decide(y, theta)
             errors[p] += int(np.count_nonzero(dec[n_train:] != rail[n_train:]))
     return errors, counted, failures, rms
@@ -486,9 +488,9 @@ def acquire_loop(ctx, sent, spec, pad, w):
     with the residual projection built from the pseudoinverse of the path
     model (the pulse's cascade at ``rxchain.LAGS``, not the design's
     solvers or basis), and the feedback coefficients path by path over
-    the estimate's gains. Returns what ``_acquire`` does: (decoded
-    points, feedback rows (points, 1, w) or None, equalizer taps (points,
-    EQ_LENGTH) or None, failures, estimate RMS)."""
+    the estimate's gains. Returns what ``_acquire`` and ``_receiver`` do:
+    (decoded points, their receiver, failures, estimate RMS), the receiver
+    feedback rows (points, 1, w) or equalizer taps (points, EQ_LENGTH)."""
     win_sig, win_noise = sync_window_long(ctx, sent, spec, pad, w)
     cascade = ctx.pulse.cascade(rx.LAGS)
     B = ctx.design.design @ cascade
@@ -497,7 +499,7 @@ def acquire_loop(ctx, sent, spec, pad, w):
     failures = np.zeros(n_points, dtype=np.int64)
     rms = np.full(n_points, np.nan)
     true_dense = dense_gains(spec)
-    decoded, feedback, eqs = [], [], []
+    decoded, receiver = [], []
     for p, sigma in enumerate(ctx.sigmas):
         y_i, y_q = win_sig + sigma * win_noise
         picked = _sync_offset(ctx, proj, y_i, y_q)
@@ -509,18 +511,18 @@ def acquire_loop(ctx, sent, spec, pad, w):
         rms[p] = float(np.sqrt(np.mean((gains[0] - true_dense) ** 2)))
         decoded.append(p)
         if ctx.config.method == "rrc-mmse":
-            eqs.append(bl.design_mmse(gains, noise_var)[0])
+            receiver.append(bl.design_mmse(gains, noise_var)[0])
         else:
-            feedback.append(isi_feedback_coeffs(
+            receiver.append(isi_feedback_coeffs(
                 gains[0], rx.decision_window(gains[0])))
     if ctx.config.method == "rrc-mmse":
-        return (decoded, None, np.array(eqs).reshape(-1, bl.EQ_LENGTH),
+        return (decoded, np.array(receiver).reshape(-1, bl.EQ_LENGTH),
                 failures, rms)
-    rows = np.zeros((len(feedback), 1, max((c.size for c in feedback),
+    rows = np.zeros((len(receiver), 1, max((c.size for c in receiver),
                                            default=0)))
-    for row, c in zip(rows, feedback):
+    for row, c in zip(rows, receiver):
         row[0, :c.size] = c
-    return decoded, rows, None, failures, rms
+    return decoded, rows, failures, rms
 
 
 # erfc on a spread of arguments, 20 significant digits (arbitrary-precision

@@ -259,13 +259,13 @@ def test_noise_read_must_end_within_the_draw(method, n_c):
     ctx = H._Context(cfg, False)
     n = cfg.n_data_bits // 2
     n_rows = ctx.mf_kernel.shape[0]
-    need = ctx.pulse.lead + (n + n_rows - 1) * n_c - ctx.mf_pad[0]
+    need = ctx.pulse.lead + (n + n_rows - 1) * n_c - ctx.mf_back
     assert ctx.noise_size >= need
     ctx.noise_size = need - 1
     with pytest.raises(RuntimeError, match="1 samples past"):
         ctx._buffers()
     ctx.noise_size = need
-    assert ctx._buffers()[0].shape[-1] == (ctx.mf_pad[0] + need
+    assert ctx._buffers()[0].shape[-1] == (ctx.mf_back + need
                                            + H._PAD_SYMBOLS[1] * n_c)
 
 
@@ -341,17 +341,14 @@ def test_frame_matches_reference(monkeypatch):
 
 
 def assert_same_receiver(got, want):
-    # exactly the same decoded points and failures; feedback rows,
+    # exactly the same decoded points and failures; feedback rows or
     # equalizer taps and RMS within 1e-12, the RMS with the same NaN
-    # positions; a receiver the method does not read is None in both
-    decoded, rows, eqs, failures, rms = got
-    w_decoded, w_rows, w_eqs, w_failures, w_rms = want
+    # positions
+    decoded, receiver, failures, rms = got
+    w_decoded, w_receiver, w_failures, w_rms = want
     assert list(decoded) == list(w_decoded)
-    for a, b in ((rows, w_rows), (eqs, w_eqs)):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert a.shape == b.shape
-            assert np.all(np.abs(a - b) <= 1e-12)
+    assert receiver.shape == w_receiver.shape
+    assert np.all(np.abs(receiver - w_receiver) <= 1e-12)
     assert failures.dtype == w_failures.dtype
     assert failures.tobytes() == w_failures.tobytes()
     assert np.array_equal(np.isnan(rms), np.isnan(w_rms))
@@ -391,7 +388,7 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
             failures, rms, gains, noise_var = H._acquire(ctx, sent, spec, pad,
                                                          sig, noise, w)
             got = (np.flatnonzero(failures == 0),
-                   *H._receivers(ctx, gains, noise_var), failures, rms)
+                   H._receiver(ctx, gains, noise_var), failures, rms)
             assert_same_receiver(got, acquire_loop(ctx, sent, spec, pad, w))
             seen["failed"] += int(failures.sum())
             seen["all_failed"] += bool(failures.all())
@@ -405,7 +402,7 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
 
 
 def test_feedback_rows_match_isi_feedback_coeffs():
-    # _receivers sums the per-context table of the pulse cascade path by
+    # _receiver sums the per-context table of the pulse cascade path by
     # path over each gains row and gives isi_feedback_coeffs bitwise for
     # every delay subset of the candidate set, each row zero-filled past
     # its own decision window, as (rows, 1, w) for the decoder to
@@ -419,22 +416,20 @@ def test_feedback_rows_match_isi_feedback_coeffs():
         gains = np.zeros((len(subsets), rx.MAX_DELAY + 1))
         for row, d in zip(gains, subsets):
             row[list(d)] = rng.uniform(-1.5, 1.5, len(d))
-        feedback, eqs = H._receivers(ctx, gains, np.full(len(subsets), 0.1))
-        assert eqs is None
+        feedback = H._receiver(ctx, gains, np.full(len(subsets), 0.1))
         assert feedback.shape[:2] == (len(subsets), 1)
         for row, d, g in zip(feedback[:, 0], subsets, gains):
             want = isi_feedback_coeffs(g, 5 + max(d))
             padded = np.pad(want, (0, feedback.shape[2] - want.size))
             assert row.tobytes() == padded.tobytes()
     # a row without a path keeps the widest window, all zeros
-    feedback, _ = H._receivers(ctx, np.zeros((1, rx.MAX_DELAY + 1)),
-                               np.zeros(1))
+    feedback = H._receiver(ctx, np.zeros((1, rx.MAX_DELAY + 1)), np.zeros(1))
     assert feedback.shape == (1, 1, 5 + rx.MAX_DELAY)
     assert not feedback.any()
     # a known channel's row is its preset's, one (1, 1, w) row that every
     # point and rail shares, so every point shares the decoder's first pass
     for preset in ("static2", "static3"):
-        row = H._Context(small_static(channel=preset), False).known[0]
+        row = H._Context(small_static(channel=preset), False).known
         spec = ch.get_preset(preset)
         want = isi_feedback_coeffs(spec, 5 + spec.size - 1)
         assert row.shape == (1, 1, want.size)
@@ -473,7 +468,7 @@ def test_contexts_share_the_probe():
     # the symbol-rate path depends on the pulse and the preset's longest
     # delay only: sweeps that share both share it, read-only, whatever
     # their kind, grid and payload; the noise draw still follows the frame
-    names = ("h_sym", "h_lag", "edge", "mf_kernel", "mf_pad")
+    names = ("h_sym", "h_lag", "edge", "mf_kernel", "mf_back")
     a = H._Context(small_static(channel="static3", n_data_bits=512), False)
     b = H._Context(small_quasi(channel="quasi3", ebn0_grid=(4.0, 8.0)), True)
     c = H._Context(small_static(channel="static2"), False)
@@ -496,6 +491,36 @@ def test_shared_arrays_are_read_only(family, n_c):
               if isinstance(v, np.ndarray)] + [train, template]
     assert len(arrays) == 8
     assert not any(a.flags.writeable for a in arrays)
+
+
+def held_arrays(obj):
+    """Every array ``obj`` holds, through tuples, lists and attributes."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for v in obj:
+            yield from held_arrays(v)
+    elif hasattr(obj, "__dict__"):
+        for v in vars(obj).values():
+            yield from held_arrays(v)
+
+
+@pytest.mark.parametrize("method,quasi", [(m, False) for m in H.SIM_METHODS]
+                         + [("chaotic-subopt", True), ("rrc-mmse", True)])
+def test_context_arrays_are_read_only(method, quasi):
+    # only a context's block buffers change after construction: every other
+    # array it holds, its own and those it shares (the pulse, the preset,
+    # the probe, the training model), is read-only, also after a block ran
+    cfg = (small_quasi(method=method) if quasi
+           else small_static(method=method, genie=method == "chaotic-opt"))
+    ctx = H._Context(cfg, quasi)
+    H._install(ctx)
+    H._block(range(ctx.block))
+    assert ctx.block_buffers is not None
+    held = [a for name, v in vars(ctx).items() if name != "block_buffers"
+            for a in held_arrays(v)]
+    assert len(held) >= 8
+    assert not [a.shape for a in held if a.flags.writeable]
 
 
 @pytest.mark.parametrize("n_c", (8, 4))
@@ -561,16 +586,16 @@ def test_composite_response_once_per_context(monkeypatch):
 
 
 def test_genie_response_matches_path_sum():
-    # chaotic-opt's genie response comes from the pulse's cascade table
-    # through rx.composite_response: the closed-form path sum bitwise, and
-    # its lag-0 entry is the scalar path sum at 0
+    # chaotic-opt's receiver, its genie response, comes from the pulse's
+    # cascade table through rx.composite_response: the closed-form path sum
+    # bitwise, and its lag-0 entry is the scalar path sum at 0
     for preset in ("static2", "static3"):
         for n_c in (8, 6):
             ctx = H._Context(small_static(method="chaotic-opt", genie=True,
                                           channel=preset, n_c=n_c), False)
             gains = ch.get_preset(preset)
-            assert ctx.genie_coeffs.tobytes() == genie_response(gains).tobytes()
-            assert (ctx.genie_coeffs[th.DECAY_RADIUS]
+            assert ctx.known.tobytes() == genie_response(gains).tobytes()
+            assert (ctx.known[th.DECAY_RADIUS]
                     == composite_response(0.0, gains))
 
 
@@ -660,7 +685,7 @@ def test_count_errors_is_decides_count(case, n_frames, n, tie_frac, seed):
     theta = np.zeros(sent.shape)
     if method == "chaotic-opt":
         theta = np.array([[rx.threshold_optimal(
-            np.concatenate([rail, ctx.pulse.tail]), ctx.genie_coeffs)[:rail.size]
+            np.concatenate([rail, ctx.pulse.tail]), ctx.known)[:rail.size]
             for rail in rails] for rails in sent])
     offset = rng.normal(size=(n_frames, n_points) + sent.shape[1:])
     tie = rng.random(offset.shape) < tie_frac
@@ -668,7 +693,8 @@ def test_count_errors_is_decides_count(case, n_frames, n, tie_frac, seed):
     ys = theta[:, None] + offset
     eqs = np.zeros((n_points, 15))
     eqs[:, 7] = 1.0
-    got = H._count_errors(ctx, ys.copy(), sent, None, eqs)
+    got = H._count_errors(ctx, ys.copy(), sent,
+                          eqs if method == "rrc-mmse" else ctx.known)
     want = np.count_nonzero((decide(ys, theta[:, None]) != sent[:, None])
                             [..., n_train:], axis=(2, 3))
     assert got.tolist() == want.tolist()

@@ -498,7 +498,7 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     y = rx.matched_filter(x + sigma * rng.standard_normal(x.size), n_c)
     ysym = y[::n_c][:syms.size]
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
-    fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs)
+    fast = rx.decode_suboptimal(ysym, syms[:n_train], coeffs, guess=ysym)
     state = ThresholdState.fresh(coeffs)
     slow = np.empty(syms.size)
     for n in range(syms.size):
@@ -510,7 +510,7 @@ def test_decode_suboptimal_matches_state_api(preset, sigma, n_train, seed):
     assert np.array_equal(fast, slow)
     assert np.array_equal(fast[:n_train], syms[:n_train])
     with pytest.raises(ValueError):
-        rx.decode_suboptimal(ysym[:10], syms[:64], coeffs)
+        rx.decode_suboptimal(ysym[:10], syms[:64], coeffs, guess=ysym[:10])
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -533,7 +533,7 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
     # one row each (its own gains and window, zero-padded to the widest),
     # exact ties (which go to +1) and the signal-free y == 0 case where
     # each pass settles only one more symbol; from any initial iterate:
-    # the default signs of y, the symbols y was built from with random
+    # the signs of y, the symbols y was built from with random
     # flips, the loop's decisions all negated (training part included,
     # which the prefix overrides), zeros or random reals; and a (P, 2, n)
     # batch of grid points whose rails share guess and training (2, n) and
@@ -577,7 +577,7 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
         dd_loop(y[b], slow[b], own[b], n_train)
         if kind == "ties":
             assert np.array_equal(slow[b], want[b])
-    guess = {"signs": None,
+    guess = {"signs": y,
              "flips": np.where(rng.random((n_rows, n)) < 0.1, -want, want),
              "wrong": -slow,
              "zeros": np.zeros((n_rows, n)),
@@ -586,10 +586,10 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
     assert fast.shape == y.shape and fast.dtype == np.int8
     for b in range(n_rows):
         assert np.array_equal(fast[b], slow[b])
-    assert np.array_equal(rx.decode_suboptimal(y, train, coeffs), fast)
+    assert np.array_equal(rx.decode_suboptimal(y, train, coeffs, guess=y),
+                          fast)
     assert np.array_equal(rx.decode_suboptimal(
-        y[0], want[0, :n_train], own[0],
-        guess=None if guess is None else guess[0]), fast[0])
+        y[0], want[0, :n_train], own[0], guess=guess[0]), fast[0])
 
     sent = rng.choice([-1.0, 1.0], (2, n))
     ys = scale * rng.standard_normal((points, 2, n))
@@ -611,17 +611,18 @@ def test_decode_suboptimal_rejects_mismatched_rows():
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
     y = np.zeros((4, 20))
     with pytest.raises(ValueError, match="3 training rows for 4"):
-        rx.decode_suboptimal(y, np.ones((3, 5)), coeffs)
+        rx.decode_suboptimal(y, np.ones((3, 5)), coeffs, guess=y)
     with pytest.raises(ValueError, match="3 coefficient rows for 4"):
-        rx.decode_suboptimal(y, np.ones(5), np.tile(coeffs, (3, 1)))
+        rx.decode_suboptimal(y, np.ones(5), np.tile(coeffs, (3, 1)), guess=y)
     with pytest.raises(ValueError, match="training longer"):
-        rx.decode_suboptimal(y, np.ones((4, 21)), coeffs)
+        rx.decode_suboptimal(y, np.ones((4, 21)), coeffs, guess=y)
     with pytest.raises(ValueError, match="1-d or 2-d"):
-        rx.decode_suboptimal(y, np.ones((2, 2, 2)), coeffs)
+        rx.decode_suboptimal(y, np.ones((2, 2, 2)), coeffs, guess=y)
     with pytest.raises(ValueError, match="1-d or 2-d"):
-        rx.decode_suboptimal(y, np.ones(5), np.zeros((4, 1, 6)))
+        rx.decode_suboptimal(y, np.ones(5), np.zeros((4, 1, 6)), guess=y)
     with pytest.raises(ValueError, match="at least 1-d"):
-        rx.decode_suboptimal(np.float64(0.0), np.ones(0), coeffs)
+        rx.decode_suboptimal(np.float64(0.0), np.ones(0), coeffs,
+                             guess=np.float64(0.0))
     with pytest.raises(ValueError, match="guess"):
         rx.decode_suboptimal(y, np.ones(5), coeffs, guess=np.ones((4, 19)))
     with pytest.raises(ValueError, match="guess"):
@@ -629,13 +630,14 @@ def test_decode_suboptimal_rejects_mismatched_rows():
     # a (P, 2, n) batch: leading shapes must broadcast to (P, 2)
     y3 = np.zeros((3, 2, 20))
     with pytest.raises(ValueError, match="4 x 2 training rows for 3 x 2"):
-        rx.decode_suboptimal(y3, np.ones((4, 2, 5)), coeffs)
+        rx.decode_suboptimal(y3, np.ones((4, 2, 5)), coeffs, guess=y3)
     with pytest.raises(ValueError, match="3 x 3 coefficient rows for 3 x 2"):
-        rx.decode_suboptimal(y3, np.ones(5), np.zeros((3, 3, 6)))
+        rx.decode_suboptimal(y3, np.ones(5), np.zeros((3, 3, 6)), guess=y3)
     with pytest.raises(ValueError, match="3 guess rows for 3 x 2"):
         rx.decode_suboptimal(y3, np.ones(5), coeffs, guess=np.ones((3, 20)))
     with pytest.raises(ValueError, match="guess"):
         rx.decode_suboptimal(y3, np.ones(5), coeffs, guess=np.ones((2, 19)))
     with pytest.raises(ValueError, match="-1 or \\+1"):
-        rx.decode_suboptimal(y3, np.zeros(5), coeffs)
-    assert rx.decode_suboptimal(y3, np.ones((2, 5)), coeffs).shape == y3.shape
+        rx.decode_suboptimal(y3, np.zeros(5), coeffs, guess=y3)
+    assert rx.decode_suboptimal(y3, np.ones((2, 5)), coeffs,
+                                guess=y3).shape == y3.shape
