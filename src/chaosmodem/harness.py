@@ -570,9 +570,10 @@ def _count_errors(ctx: _Context, ys, sent, receiver):
     result is the causal recursion's unique solution whatever iterate it
     starts from, so ``sent`` sets only how much work the decoder does. The
     solution differs from ``sent`` only around its decision errors, so few
-    thresholds need recomputing after the first pass. From the signs of y,
-    which are wrong at a few percent of the symbols of every row, the
-    second pass alone recomputes more than half the columns of a batch.
+    (row, symbol) pairs need recomputing after the first pass: on the
+    benchmark's sweeps the second pass recomputes 2-3% of a batch's
+    symbols. From the signs of y, which are wrong at a few percent of the
+    symbols of every row, it recomputes 20-40% of them.
     With shared feedback the points of a frame also share the first pass,
     which reads only ``sent``."""
     method, n_train = ctx.config.method, ctx.train.shape[1]

@@ -24,6 +24,7 @@ path is present exactly when its gain is nonzero.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -248,17 +249,20 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess) -> np.ndarray:
     The first pass recomputes every threshold after the training, once per
     row of the broadcast shape of the guess, training and coefficients:
     a batch of grid points that shares them also shares this pass, and
-    only the comparison with y runs per point. A later pass recomputes
-    only the thresholds of the symbols up to w after a column (symbol
-    across all rows) whose decision the previous pass changed, from one
-    gathered window per row and column: any other threshold sees the same
-    window as before and repeats its decision. A pass thus costs one
-    threshold per row for each of those columns, and a good guess, one
-    that differs from the solution only around its decision errors, leaves
-    few of them. Few passes suffice when the own-symbol gain exceeds the
-    summed feedback magnitudes, as on every channel preset. The worst case
-    is unchanged: when y carries no signal (for example y == 0), each pass
-    finalizes one symbol and decoding takes n - n_train passes.
+    only the comparison with y runs per point. One comparison over every
+    row then finds the (row, symbol) pairs whose decision changed. A
+    later pass recomputes only the thresholds of the pairs up to w symbols
+    after such a pair in the same row, each from its own gathered window
+    and its row's coefficients: any other threshold sees the same window
+    as before and repeats its decision, and a change never reaches past
+    the end of its row. A pass thus costs at most w thresholds per pair
+    the previous pass changed, and only the pairs it changes go on to the
+    next. A good guess, one that differs from the solution only around
+    its decision errors, leaves few of them. Few passes suffice when the
+    own-symbol gain exceeds the summed feedback magnitudes, as on every
+    channel preset. The worst case is unchanged: when y carries no signal
+    (for example y == 0), each pass finalizes one symbol and decoding
+    takes n - n_train passes.
     """
     y = np.asarray(y_syms, dtype=float)
     if y.ndim == 0:
@@ -294,24 +298,35 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess) -> np.ndarray:
     theta = 0.0
     for k in range(1, w + 1):
         theta += d[..., w - k + n_train:w - k + n] * c[..., k - 1:k]
-    cols = np.arange(n_train, n)
-    new = np.where(y[..., n_train:] >= theta, _PLUS, _MINUS)
-    d = np.broadcast_to(d, lead + d.shape[-1:]).copy()
+    # later passes work on (row, symbol) pairs, keyed row * n + symbol, of
+    # the flat iterate; symbol m of row r sits at key + (r + 1) * w in it
+    pos = np.flatnonzero((y[..., n_train:] >= theta)
+                         != (d[..., w + n_train:] > 0))
+    row = pos // max(n - n_train, 1)
+    key = pos + (row + 1) * n_train
+    at = key + (row + 1) * w
+    flat = np.broadcast_to(d, lead + d.shape[-1:]).copy().reshape(-1)
+    y = y.reshape(-1)
+    c = np.broadcast_to(c, lead + (w,)).reshape(math.prod(lead), w).T
     lags = np.arange(1, w + 1)
-    every_row = tuple(range(len(lead)))
-    while True:
-        moved = (new != d[..., w + cols]).any(axis=every_row)
-        if not moved.any():
-            return d[..., w:]
-        d[..., w + cols] = new
-        dirty = np.zeros(n + w, dtype=bool)
-        dirty[cols[moved, None] + lags] = True
-        cols = np.flatnonzero(dirty[:n])
-        window = d[..., cols[:, None] + w - lags]
+    while key.size:
+        flat[at] = -flat[at]
+        # a change reaches the next w symbols of its own row only
+        near = (key[:, None] + lags)[(key % n)[:, None] + lags < n]
+        near.sort()  # and drop repeats: np.unique would import numpy.ma
+        first = np.ones(near.size, dtype=bool)
+        first[1:] = near[1:] != near[:-1]
+        key = near[first]
+        row = key // n
+        at = key + (row + 1) * w
+        window = flat[at - lags[:, None]]
+        coef = np.take(c, row, axis=1)
         theta = 0.0
         for k in lags:
-            theta += window[..., k - 1] * c[..., k - 1:k]
-        new = np.where(y[..., cols] >= theta, _PLUS, _MINUS)
+            theta += window[k - 1] * coef[k - 1]
+        flipped = (y[key] >= theta) != (flat[at] > 0)
+        key, at = key[flipped], at[flipped]
+    return flat.reshape(lead + (w + n,))[..., w:]
 
 
 def _rows(shape) -> str:

@@ -606,6 +606,33 @@ def test_decode_suboptimal_batch_matches_loop(preset, n_rows, n, train_frac,
         assert np.array_equal(fast.reshape(-1, n)[b], slow)
 
 
+def test_decode_suboptimal_change_stays_in_its_row():
+    # a decision that changes in the last w symbols of a row reaches only
+    # its own row. The next w symbols in the batch are the next row's
+    # training, where y contradicts the prefix, so any threshold recomputed
+    # there would flip the training echo; past the last row there is none
+    rng = np.random.default_rng(26)
+    rows, n, n_train, w = 4, 40, 6, 4
+    coeffs = rng.uniform(-0.5, 0.5, (rows, w))
+    train = rng.choice([-1.0, 1.0], (rows, n_train))
+    y = rng.standard_normal((rows, n))
+    y[:, :n_train] = -1e3 * train
+    # |y| above the summed feedback magnitudes: y alone decides the last
+    # symbol, so the first pass changes it back from the guess below
+    y[:, -1] = np.where(y[:, -1] >= 0.0, 10.0, -10.0)
+    want = np.empty((rows, n))
+    want[:, :n_train] = train
+    for b in range(rows):
+        dd_loop(y[b], want[b], coeffs[b], n_train)
+    guess = want.copy()
+    guess[:, -w:] *= -1.0
+    got = rx.decode_suboptimal(y, train, coeffs, guess=guess)
+    assert got.shape == y.shape and got.dtype == np.int8
+    for b in range(rows):
+        assert np.array_equal(got[b], want[b])
+        assert np.array_equal(got[b, :n_train], train[b])
+
+
 def test_decode_suboptimal_rejects_mismatched_rows():
     spec = ch.get_preset("static2")
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
