@@ -61,7 +61,7 @@ def rrc_taps(n_c: int) -> np.ndarray:
     h[np.abs(k) == n_c] = (a / math.sqrt(2.0)) * (
         (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
         + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a)))
-    h = h / math.sqrt(float(np.dot(h, h)))
+    h = h / math.sqrt(math.fsum(h * h))
     c = symbol_cascade(h, n_c)
     worst = float(np.max(np.abs(np.delete(c, SPAN))))
     if worst >= NYQUIST_TOL * c[SPAN]:

@@ -42,6 +42,13 @@ to rounding. The training rails, their ``rx.LsDesign`` and the sync
 template depend on the pulse and the training length only, and the
 symbol-rate response (``_probe``) on the pulse and the last path's
 delay only; every sweep of a process shares them.
+
+The CSV is also independent of the BLAS kernel: theory values are
+correctly rounded scalars (``Pulse.energy`` is a ``math.fsum``), and
+simulated values are integer counts, which the golden gate checks at its
+sizes under several kernels. ``est_rms_*`` and every intermediate array
+are not: a BLAS-backed product or correlation may round differently
+under another kernel.
 """
 
 from __future__ import annotations
@@ -243,8 +250,7 @@ class Pulse:
 
     def __init__(self, n_c: int, taps, lead: int, tail, table):
         self.n_c, self.lead, self.tail, self.table = n_c, lead, tail, table
-        g = taps[::-1].copy()  # ddot rounds by layout
-        self.energy = float(np.dot(g, g))
+        self.energy = math.fsum(taps * taps)
         tail.flags.writeable = table.flags.writeable = False
 
     def cascade(self, lags) -> np.ndarray:

@@ -138,7 +138,7 @@ def rrc_reference(rolloff, span, n_c):
         h[sing] = (a / math.sqrt(2.0)) * (
             (1.0 + 2.0 / np.pi) * math.sin(np.pi / (4.0 * a))
             + (1.0 - 2.0 / np.pi) * math.cos(np.pi / (4.0 * a)))
-    return h / math.sqrt(float(np.dot(h, h)))
+    return h / math.sqrt(math.fsum(h * h))
 
 
 def rrc_cascade_reference(taps, span, n_c, lags):

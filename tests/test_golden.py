@@ -11,9 +11,10 @@ them with
 
     PYTHONPATH=src python3 tests/bless_golden.py
 
-The simulated cases are also rerun under other OpenBLAS kernels, where
-numpy's BLAS lets ``OPENBLAS_CORETYPE`` pick one, and must give the same
-bytes there.
+Every case is also rerun under other OpenBLAS kernels, where numpy's BLAS
+lets ``OPENBLAS_CORETYPE`` pick one, and must give the same bytes there:
+the theory values are correctly rounded scalars (each pulse energy a
+``math.fsum``), and the simulated values integer counts.
 """
 
 import json
@@ -76,20 +77,15 @@ def test_golden_csv(case, tmp_path):
     assert got_bytes == want_bytes, f"{case} differs from {golden_path(case)}"
 
 
-# The theory cases are left out: their sigma comes from Pulse.energy, a
-# BLAS ddot whose rounding depends on the kernel (theory_nc8 differs under
-# Haswell, and theory_nc6 and theory_nc4 as well under Prescott). They
-# join once the energies are summed independently of the kernel.
-SIMULATED_CASES = tuple(c for c in CASES if not c.startswith("theory"))
 KERNELS = ("Haswell", "Prescott")
 
 _RERUN = """if True:
     import json, sys
     sys.path.insert(0, sys.argv[1])
     import chaosmodem.harness as H
-    from test_golden import SIMULATED_CASES, case_records, golden_path
+    from test_golden import CASES, case_records, golden_path
     differ = []
-    for case in SIMULATED_CASES:
+    for case in CASES:
         got = H.emit_csv(case_records(case), sys.argv[2] + "/" + case + ".csv")
         with open(got, "rb") as a, open(golden_path(case), "rb") as b:
             if a.read() != b.read():
@@ -105,8 +101,8 @@ def _dynamic_openblas() -> bool:
 
 
 def test_golden_csv_under_other_kernels(tmp_path):
-    # the simulated goldens are integer counts, which must not depend on
-    # the BLAS kernel: each is rerun in a fresh interpreter per kernel
+    # no golden may depend on the BLAS kernel: each is rerun in a fresh
+    # interpreter per kernel
     if not _dynamic_openblas():
         pytest.skip("numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
                     "OPENBLAS_CORETYPE selects no kernel")
