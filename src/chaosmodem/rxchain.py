@@ -302,7 +302,7 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess) -> np.ndarray:
     # the flat iterate; symbol m of row r sits at key + (r + 1) * w in it
     pos = np.flatnonzero((y[..., n_train:] >= theta)
                          != (d[..., w + n_train:] > 0))
-    row = pos // max(n - n_train, 1)
+    row = pos // (n - n_train)  # no pair, so no division, when n == n_train
     key = pos + (row + 1) * n_train
     at = key + (row + 1) * w
     flat = np.broadcast_to(d, lead + d.shape[-1:]).copy().reshape(-1)
