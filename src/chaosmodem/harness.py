@@ -73,6 +73,8 @@ SIM_METHODS = ("chaotic-opt", "chaotic-subopt", "chaotic-zero",
                "rrc-mmse", "rrc-noeq")
 THEORY_METHODS = ("theory-opt", "theory-subopt")
 METHODS = SIM_METHODS + THEORY_METHODS
+# the waveform family of each method's pulse; the theory curves are chaotic
+_FAMILY = {m: "rrc" if m.startswith("rrc-") else "chaotic" for m in METHODS}
 
 CSV_COLUMNS = ("method", "channel", "ebn0_db", "bits", "errors", "ber", "ci95")
 
@@ -147,7 +149,7 @@ class ExperimentConfig:
         if not (_is_int(self.n_c) and self.n_c >= 2):
             raise ValueError(f"n_c must be an integer >= 2, got {self.n_c}")
         try:
-            energy = pulse_for(self.method, self.n_c).energy
+            energy = pulse_for(_FAMILY[self.method], self.n_c).energy
         except ValueError as exc:
             raise ValueError(f"n_c = {self.n_c} does not suit {self.method}: "
                              f"{exc}") from None
@@ -288,18 +290,17 @@ class _RrcPulse(Pulse):
 
 
 @lru_cache(maxsize=None)
-def pulse_for(name: str, n_c: int) -> Pulse:
-    """The pulse of a method (chaotic-*, theory-*, rrc-*) or of a waveform
-    family ("chaotic", "rrc"), its cascade r(t) or the raised cosine."""
-    family = name.split("-")[0]
-    if family in ("chaotic", "theory"):
+def pulse_for(family: str, n_c: int) -> Pulse:
+    """The pulse of a waveform family, "chaotic" (cascade r(t)) or "rrc"
+    (raised cosine), which every method of the family at n_c shares."""
+    if family == "chaotic":
         return _ChaoticPulse(n_c, shaping_taps(n_c), 0, np.resize(
             [1.0, -1.0], N_P), th.response_r(np.arange(-_REACH, _REACH + 1.0)))
     if family == "rrc":
         taps = bl.rrc_taps(n_c)  # its cascade is zero past SPAN
         return _RrcPulse(n_c, taps, bl.SPAN * n_c, np.empty(0), np.pad(
             bl.symbol_cascade(taps, n_c), _REACH - bl.SPAN))
-    raise ValueError(f"unknown waveform family {name!r}")
+    raise ValueError(f"unknown waveform family {family!r}")
 
 
 # the child streams of a frame's SeedSequence([master_seed, frame_index])
@@ -352,7 +353,7 @@ class _Context:
         self.config = config
         self.quasi = quasi
         n_c = config.n_c
-        self.pulse = pulse = pulse_for(config.method, n_c)
+        self.pulse = pulse = pulse_for(_FAMILY[config.method], n_c)
         self.sigmas = np.array([ch.calibrate_noise(db, pulse.energy)
                                 for db in config.ebn0_grid])
         # the last path's delay; see _probe
@@ -472,12 +473,11 @@ class _Context:
 
     def sync_window(self, rail, chan, pad: int, w):
         """Full-rate matched-filter outputs (signal, noise) of one rail over
-        the frame's first search_len + 2 n_c samples, which hold all
-        ``_acquire`` reads at full rate, and of its noise draw ``w``,
-        bitwise: shaping the first symbols only and filtering the first
-        samples only keeps every full-overlap output."""
-        pulse, n_c = self.pulse, self.config.n_c
-        win = self.search_len + 2 * n_c
+        the frame's first search_len samples, all that ``rx.frame_sync``
+        reads, and of its noise draw ``w``, bitwise: shaping the first
+        symbols only and filtering the first samples only keeps every
+        full-overlap output."""
+        pulse, n_c, win = self.pulse, self.config.n_c, self.search_len
         cut = win + n_c  # the matched filter reads up to n_c - 1 ahead
         # the symbols before the cut, and those whose shaping reaches back
         shaped = -(-(cut - pad) // n_c) + self.edge.shape[1]
@@ -490,7 +490,7 @@ class _Context:
 def _training(pulse: Pulse, n_bits: int):
     """The training rails of ``n_bits`` bits, their ``rx.LsDesign`` for the
     pulse and the sync template, all read-only. They depend on the pulse
-    (one per method and n_c, see ``pulse_for``) and the bit count only, so
+    (one per family and n_c, see ``pulse_for``) and the bit count only, so
     the sweeps of a process share them; a model that cannot be built fails
     the sweep's context, before any frame runs."""
     train = np.stack(tx.qpsk_map(tx.gen_training(n_bits)))
@@ -659,26 +659,25 @@ def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     explain at least half of the observed training energy.
 
     All grid points go through this as arrays: one ``rx.frame_sync`` call
-    that correlates the window's signal and noise once each, one gather of
-    every candidate's training observations on both rails (the candidates
-    are whole symbols apart), residuals against an orthonormal basis of
-    the path model, one ``rx.estimate_channel_ls`` call over the points
-    that kept their timing. The full-rate window feeds frame sync and
-    bounds the candidates only; both rails' observations come from the
-    symbol-rate samples, which start at the true offset. A point that can
-    keep its timing has the true offset among its candidates, so each is
-    at most three symbols early and every read of it lies at least
+    over the window's signal and noise, one gather of every candidate's
+    training observations on both rails from the symbol-rate samples,
+    which start at the true offset (the candidates are whole symbols
+    apart), residuals against an orthonormal basis of the path model, and
+    one ``rx.estimate_channel_ls`` call over the points that kept their
+    timing. Besides frame sync, the window bounds the candidates only by
+    their training block: on a full window that rejects only candidate
+    25 + lead / n_c, whose companions all lie past the latest true offset,
+    20 + lead / n_c; on a shorter frame, blocks past its end. The coarse
+    peak's floor always passes, so every point has a best residual. A point
+    that can keep its timing has the true offset among its candidates, so
+    each is at most three symbols early and every read of it lies at least
     ``design.rows.start - 3`` symbols into the frame; reads outside the
     frame reach only points that fail anyway and are clipped to it. The
     decoded points and failures are those of the per-point computation
-    (``tests/oracles.py::acquire_loop``) and the estimates agree with it
-    to rounding."""
-    n_c, n_points = ctx.config.n_c, ctx.sigmas.size
-    points = np.arange(n_points)
+    ``tests/oracles.py::acquire_loop``; the estimates agree to rounding."""
+    n_c, points = ctx.config.n_c, np.arange(ctx.sigmas.size)
     win_sig, win_noise = ctx.sync_window(sent[0], chan, pad, w[0])
-    ln = ctx.search_len
-    coarse = rx.frame_sync(win_sig[:ln], ctx.template, win_noise[:ln],
-                           ctx.sigmas)
+    coarse = rx.frame_sync(win_sig, ctx.template, win_noise, ctx.sigmas)
     # candidate offsets in symbols, each needing the whole training block
     cand = np.rint(coarse / n_c).astype(int)[:, None] + _SYNC_GRID_STEPS
     valid = (cand >= 0) & ((cand + ctx.train.shape[1]) * n_c
@@ -698,10 +697,10 @@ def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     good = valid & (res <= 2.0 * res.min(axis=1, keepdims=True) + 1e-12)
     pick = good.shape[1] - 1 - np.argmax(good[:, ::-1], axis=1)
     obs, res = obs[points, pick], res[points, pick]
-    hit = (good.any(axis=1) & (res <= 0.5 * np.sum(obs * obs, axis=1))
+    hit = ((res <= 0.5 * np.sum(obs * obs, axis=1))
            & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
     gains, noise_var = rx.estimate_channel_ls(obs[hit], ctx.design)
-    rms = np.full(n_points, np.nan)
+    rms = np.full(points.size, np.nan)
     rms[hit] = np.sqrt(np.mean((gains - _dense(chan)) ** 2, axis=1))
     return (~hit).astype(np.int64), rms, gains, noise_var
 
@@ -777,7 +776,7 @@ def _run(config: ExperimentConfig, quasi: bool, jobs: int,
     estimation RMS summaries."""
     ctx = _Context(config, quasi)
     n_frames = ctx.n_frames
-    results = _map_blocks(_block, ctx, jobs)
+    results = _map_blocks(ctx, jobs)
     errors, counted, failures, rms_all = (np.concatenate(r)
                                           for r in zip(*results))
     errors, counted, failures = (np.sum(a, axis=0)
@@ -911,8 +910,8 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
     return paths
 
 
-def _map_blocks(worker, ctx: _Context, jobs: int):
-    """The worker's results of the sweep's blocks of ``ctx.block`` frames,
+def _map_blocks(ctx: _Context, jobs: int):
+    """``_block``'s results of the sweep's blocks of ``ctx.block`` frames,
     the last one possibly shorter, in frame order."""
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -922,8 +921,8 @@ def _map_blocks(worker, ctx: _Context, jobs: int):
     jobs = min(jobs, len(blocks))
     if jobs == 1:
         _install(ctx)
-        return [worker(b) for b in blocks]
+        return [_block(b) for b in blocks]
     with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
                              initargs=(ctx,)) as pool:
         chunk = max(1, len(blocks) // (4 * jobs))
-        return list(pool.map(worker, blocks, chunksize=chunk))
+        return list(pool.map(_block, blocks, chunksize=chunk))

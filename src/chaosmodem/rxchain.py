@@ -167,7 +167,7 @@ def estimate_channel_ls(obs, design: LsDesign):
     dof = rows.shape[1] - LAGS.size
     noise_var = np.empty(rows.shape[0])
     for p, e in enumerate(resid):
-        noise_var[p] = float(np.dot(e, e)) / max(dof, 1)
+        noise_var[p] = float(np.dot(e, e)) / dof
     solvers = design.solvers
     strength = np.abs(np.matmul(solvers[-1], r_hat)[..., 0])
     keep = strength >= SPUR_THRESHOLD * strength.max(axis=1, keepdims=True)

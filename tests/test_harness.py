@@ -209,7 +209,8 @@ def check_sampled_frames(family, n_c, channels):
                     want = want[:, pad + ctx.pulse.lead::n_c][:, :n]
                     assert np.max(np.abs(got - want)) < 1e-12
                 if quasi:
-                    win = min(ctx.search_len + 2 * n_c, ref.shape[-1])
+                    # exactly what frame sync reads, no sample more
+                    win = min(ctx.search_len, ref.shape[-1])
                     for got, want in zip(ctx.sync_window(
                             sent[f, 0], specs[f], pad, draws[f][0]), ref[:, 0]):
                         assert np.array_equal(got, want[:win])
@@ -394,9 +395,8 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
             seen["all_failed"] += bool(failures.all())
             seen["decoded"] += len(got[0])
             win_sig, win_noise = ctx.sync_window(sent[0], spec, pad, w[0])
-            ln = ctx.search_len
-            base = np.rint(rx.frame_sync(win_sig[:ln], ctx.template,
-                                         win_noise[:ln], ctx.sigmas) / n_c)
+            base = np.rint(rx.frame_sync(win_sig, ctx.template, win_noise,
+                                         ctx.sigmas) / n_c)
             seen["off_edge"] += int(np.sum(base + min(H._SYNC_GRID_STEPS) < 0))
     assert all(seen.values()), seen
 
@@ -464,7 +464,7 @@ def test_quasi_contexts_share_the_training_model():
         assert getattr(a, name) is getattr(b, name)
 
 
-def test_contexts_share_the_probe():
+def test_contexts_share_the_probe(monkeypatch):
     # the symbol-rate path depends on the pulse and the preset's longest
     # delay only: sweeps that share both share it, read-only, whatever
     # their kind, grid and payload; the noise draw still follows the frame
@@ -478,6 +478,23 @@ def test_contexts_share_the_probe():
     assert not any(getattr(a, name).flags.writeable
                    for name in ("h_sym", "edge", "mf_kernel"))
     assert a.noise_size < b.noise_size
+    # a pulse is one per waveform family and n_c: every chaotic method
+    # shares it, and so its probe, and the theory curves read it too
+    ctxs = [H._Context(small_static(method=m, genie=m == "chaotic-opt"), False)
+            for m in ("chaotic-opt", "chaotic-subopt", "chaotic-zero")]
+    for name in ("pulse", "h_sym", "edge"):
+        assert all(getattr(x, name) is getattr(c, name) for x in ctxs)
+    assert c.pulse is H.pulse_for("chaotic", 8)
+    assert H._Context(small_static(method="rrc-noeq"), False).pulse is (
+        H.pulse_for("rrc", 8))
+    read = []
+    monkeypatch.setattr(H, "pulse_for", lambda *args, f=H.pulse_for:
+                        read.append(f(*args)) or read[-1])
+    H.run_theory_curves(H.ExperimentConfig("theory-opt", "static2", (6.0,)))
+    assert read and all(p is c.pulse for p in read)
+    for name in ("ofdm", "chaotic-opt", "rrc-mmse", "theory"):
+        with pytest.raises(ValueError, match="unknown waveform family"):
+            H.pulse_for(name, 8)
 
 
 @pytest.mark.parametrize("family", ("chaotic", "rrc"))
