@@ -1,5 +1,6 @@
-"""Write the golden CSVs checked by test_golden.py. Run only when a change
-is meant to alter the sweep outputs.
+"""Write the golden CSVs and the acceptance-size counts checked by
+test_golden.py. Run only when a change is meant to alter the sweep
+outputs.
 
     PYTHONPATH=src python3 tests/bless_golden.py
 """
@@ -11,13 +12,17 @@ from chaosmodem import harness
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 
-from test_golden import CASES, GOLDEN_DIR, case_records, golden_path  # noqa: E402
+from test_golden import (ACCEPTANCE_COUNTS, CASES, GOLDEN_DIR,  # noqa: E402
+                         acceptance_counts, case_records, golden_path)
 
 
 def main() -> int:
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     for case in CASES:
         print(harness.emit_csv(case_records(case), golden_path(case)))
+    with open(ACCEPTANCE_COUNTS, "w") as fh:
+        fh.write("\n".join(acceptance_counts(os.cpu_count() or 1)) + "\n")
+    print(ACCEPTANCE_COUNTS)
     return 0
 
 

@@ -16,8 +16,16 @@ subprocess per kernel, and every line starts with the kernel's name. Where
 numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, the other kernels are skipped
 and a comment line says why. Run it on two commits and ``diff`` the
 outputs: a refactor that keeps the results prints the same lines.
+
+    PYTHONPATH=src python tests/sweep_digest.py --check > digest.txt
+
+prints the same lines and also compares every kernel's counts with
+``golden/acceptance_counts.txt``: it names on stderr the first (sweep,
+point) that moved and exits 1. The records then need no second commit;
+the stats column still does.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -27,12 +35,9 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, HERE)
 
-from test_acceptance import (MASTER_SEED, QUASI_FRAMES, QUASI_GRID,  # noqa: E402
-                             QUASI_PRESETS, STATIC_GRID, STATIC_PRESETS,
-                             STATIC_TRIALS)
-from test_golden import KERNELS, _dynamic_openblas  # noqa: E402
-
-from chaosmodem import harness  # noqa: E402
+from test_golden import (ACCEPTANCE_COUNTS, KERNELS,  # noqa: E402
+                         _dynamic_openblas, acceptance_sweeps, count_lines,
+                         first_moved, run_sweep)
 
 # each kernel's sweeps run in a fresh interpreter, since OpenBLAS reads
 # OPENBLAS_CORETYPE when it loads
@@ -42,6 +47,9 @@ _CHILD = """if True:
     import sweep_digest
     sweep_digest.run_sweeps()
 """
+
+# marks a count line among a child's digest lines
+COUNT = "count "
 
 
 def sha(value) -> str:
@@ -57,41 +65,54 @@ def digest(records) -> str:
 
 
 def run_sweeps() -> None:
-    for preset in STATIC_PRESETS:
-        for method in harness.SIM_METHODS:
-            cfg = harness.ExperimentConfig(
-                method=method, channel=preset, ebn0_grid=STATIC_GRID,
-                trials=STATIC_TRIALS, master_seed=MASTER_SEED,
-                genie=(method == "chaotic-opt"))
-            print(f"static {method} {preset} "
-                  f"{digest(harness.run_static_sweep(cfg))}", flush=True)
-    for preset in QUASI_PRESETS:
-        for method in ("chaotic-subopt", "rrc-mmse"):
-            cfg = harness.ExperimentConfig(
-                method=method, channel=preset, ebn0_grid=QUASI_GRID,
-                frames=QUASI_FRAMES, master_seed=MASTER_SEED)
-            stats: dict = {}
-            recs = harness.run_quasi_static(cfg, stats=stats)
-            print(f"quasi {method} {preset} {digest(recs)} {sha(stats)}",
-                  flush=True)
+    """Print each sweep's digest line, then its count lines marked with
+    ``COUNT``."""
+    for kind, cfg in acceptance_sweeps():
+        recs, stats = run_sweep(kind, cfg, 1)
+        line = f"{kind} {cfg.method} {cfg.channel} {digest(recs)}"
+        print(line + (f" {sha(stats)}" if stats else ""), flush=True)
+        for count in count_lines(kind, cfg, recs, stats):
+            print(COUNT + count, flush=True)
 
 
-def main() -> None:
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="also compare the counts with "
+                             "golden/acceptance_counts.txt")
+    check = parser.parse_args().check
+    if check:
+        with open(ACCEPTANCE_COUNTS) as fh:
+            want = fh.read().splitlines()
     kernels = ("default",) + KERNELS
     if not _dynamic_openblas():
         kernels = ("default",)
         print("# numpy's BLAS is not a DYNAMIC_ARCH OpenBLAS, so "
               "OPENBLAS_CORETYPE selects no kernel: default kernel only",
               flush=True)
+    status = 0
     for kernel in kernels:
         env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
         if kernel != "default":
             env["OPENBLAS_CORETYPE"] = kernel
         proc = subprocess.run([sys.executable, "-c", _CHILD, HERE], env=env,
                               stdout=subprocess.PIPE, text=True, check=True)
+        counts = []
         for line in proc.stdout.splitlines():
-            print(kernel, line, flush=True)
+            if line.startswith(COUNT):
+                counts.append(line[len(COUNT):])
+            else:
+                print(kernel, line, flush=True)
+        moved = first_moved(counts, want) if check else None
+        if moved:
+            print(f"{kernel}: counts moved: got {moved[0]!r}, want "
+                  f"{moved[1]!r}", file=sys.stderr, flush=True)
+            status = 1
+        elif check:
+            print(f"{kernel}: all {len(want)} count lines match",
+                  file=sys.stderr, flush=True)
+    return status
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -15,8 +15,13 @@ Every case is also rerun under other OpenBLAS kernels, where numpy's BLAS
 lets ``OPENBLAS_CORETYPE`` pick one, and must give the same bytes there:
 the theory values are correctly rounded scalars (each pulse energy a
 ``math.fsum``), and the simulated values integer counts.
+
+The sweeps of the acceptance battery, at its sizes and seed, are pinned
+too, by their integer counts only: ``golden/acceptance_counts.txt`` holds
+one line per (sweep, point), which ``bless_golden.py`` writes as well.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -26,6 +31,7 @@ import numpy as np
 import pytest
 
 import chaosmodem.harness as H
+import test_acceptance as A
 
 GOLDEN_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 
@@ -47,6 +53,7 @@ KINDS = {
 }
 
 CASES = tuple(f"{kind}_nc{n_c}" for kind in KINDS for n_c in N_CS)
+ACCEPTANCE_COUNTS = os.path.join(GOLDEN_DIR, "acceptance_counts.txt")
 
 
 def golden_path(case: str) -> str:
@@ -75,6 +82,65 @@ def test_golden_csv(case, tmp_path):
     with open(golden_path(case), "rb") as fh:
         want_bytes = fh.read()
     assert got_bytes == want_bytes, f"{case} differs from {golden_path(case)}"
+
+
+def acceptance_sweeps():
+    """(kind, config) of each sweep of the acceptance battery at its sizes
+    and seed: every simulated method on both static presets, then the two
+    estimated-channel methods on both quasi presets."""
+    for preset in A.STATIC_PRESETS:
+        for method in H.SIM_METHODS:
+            yield "static", H.ExperimentConfig(
+                method=method, channel=preset, ebn0_grid=A.STATIC_GRID,
+                trials=A.STATIC_TRIALS, master_seed=A.MASTER_SEED,
+                genie=method == "chaotic-opt")
+    for preset in A.QUASI_PRESETS:
+        for method in ("chaotic-subopt", "rrc-mmse"):
+            yield "quasi", H.ExperimentConfig(
+                method=method, channel=preset, ebn0_grid=A.QUASI_GRID,
+                frames=A.QUASI_FRAMES, master_seed=A.MASTER_SEED)
+
+
+def run_sweep(kind: str, config, jobs: int):
+    """A sweep's records and its stats dict, empty for a static sweep."""
+    stats: dict = {}
+    if kind == "static":
+        return H.run_static_sweep(config, jobs=jobs), stats
+    return H.run_quasi_static(config, jobs=jobs, stats=stats), stats
+
+
+def count_lines(kind: str, config, records, stats):
+    """One line per grid point: the sweep, the point, its bits and errors,
+    and for an estimated-channel sweep its failed frames and excluded
+    bits. Integers only, so no line depends on the BLAS kernel."""
+    points = stats.get("per_point", [{}] * len(records))
+    for r, point in zip(records, points):
+        extra = "".join(f" {k}={point[k]}" for k in
+                        ("failed_frames", "excluded_bits") if k in point)
+        yield (f"{kind} {config.method} {config.channel} {r.ebn0_db!r} "
+               f"bits={r.bits} errors={r.errors}{extra}")
+
+
+def acceptance_counts(jobs: int):
+    """Every line of ``acceptance_counts.txt``, recomputed."""
+    return [line for kind, config in acceptance_sweeps()
+            for line in count_lines(kind, config,
+                                    *run_sweep(kind, config, jobs))]
+
+
+def first_moved(got, want):
+    """The first (got, want) pair of lines that differ, or None; a missing
+    line reads as None."""
+    return next(((g, w) for g, w in itertools.zip_longest(got, want)
+                 if g != w), None)
+
+
+def test_acceptance_counts():
+    # at every worker the host has, so the pool runs A9's claim at full size
+    with open(ACCEPTANCE_COUNTS) as fh:
+        want = fh.read().splitlines()
+    moved = first_moved(acceptance_counts(os.cpu_count() or 1), want)
+    assert moved is None, "got {!r}, want {!r}".format(*moved)
 
 
 KERNELS = ("Haswell", "Prescott")
