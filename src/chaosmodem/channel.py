@@ -4,7 +4,8 @@ A channel is a 1-d array of path gains at whole-symbol delays: entry d
 is the gain of the path d symbol periods late, and a path is present
 exactly when its gain is nonzero. Gains built from a damping coefficient
 follow the negative exponential profile alpha_d = exp(-gamma * d); the
-static presets are such arrays, read-only.
+static presets are such arrays, read-only. ``propagate`` sums the paths
+of every stream the sweeps send, at full rate and at symbol rate alike.
 """
 
 from __future__ import annotations
@@ -37,15 +38,17 @@ class QuasiStaticModel:
 
 
 def propagate(samples: np.ndarray, gains, n_c: int) -> np.ndarray:
-    """Apply the tapped delay line. Output grows by the last path's delay.
+    """Apply the tapped delay line to streams (..., N) through one channel
+    (D,) or one per stream (..., D); output grows by the last path's delay.
 
-    out[k] = sum_d alpha_d * in[k - d*n_c], with zeros assumed before the
-    start of the input.
+    out[..., k] = sum_d alpha_d * in[..., k - d*n_c], summed in delay order
+    from zeros, with zeros assumed before the start of the input.
     """
-    x = np.asarray(samples, dtype=float)
-    out = np.zeros(x.size + (len(gains) - 1) * n_c)
-    for d, alpha in enumerate(gains):
-        out[d * n_c:d * n_c + x.size] += alpha * x
+    x, g = np.asarray(samples, dtype=float), np.asarray(gains)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-1], g.shape[:-1])
+                   + (x.shape[-1] + (g.shape[-1] - 1) * n_c,))
+    for d in range(g.shape[-1]):
+        out[..., d * n_c:d * n_c + x.shape[-1]] += g[..., d, None] * x
     return out
 
 

@@ -20,28 +20,30 @@ per rail once; the grid points then reuse both via y = signal + sigma *
 noise. That makes BER curves smooth in Eb/N0 at a fraction of the naive
 cost.
 
-Both receivers are one linear modem: a rail is shaped at n_c samples per
-symbol, propagated, matched-filtered and sampled once per symbol. The
-chaotic and RRC chains differ only in their Pulse, and the known- and
+Both receivers are one linear modem: a block's payloads are framed by
+``txchain.build_frame``, and a rail is shaped at n_c samples per symbol,
+propagated, matched-filtered and sampled once per symbol. The chaotic and
+RRC chains differ only in their Pulse, and the known- and
 estimated-channel sweeps only in what the receiver knows, so every frame
 runs one pipeline that computes only the samples its receiver reads. A
 channel is its gains at whole-symbol delays (see ``channel``). The sweep
 context sends unit symbols through the waveform path once, behind a pure
 delay of the channel's last path, for the response at symbol lags; every
-frame sums its paths' shifts of that response at symbol rate, and the
-matched filter reads its noise at the symbol instants only. A receiver's
-response to a channel is ``rx.composite_response`` of its gains and the
-pulse's cascade, which every receiver reads through ``Pulse.cascade``.
-Only over the sync window of an estimated-channel frame, where frame sync
-searches rail I off the symbol grid, does the waveform path run at full
-rate, on that rail only. That frame then acquires every grid point at
-once: frame sync, sync-grid refinement, the LS estimate and the receiver
-design run on arrays over the points. They decode and fail exactly the
-points a per-point computation does, and their estimates agree with its
-to rounding. The training rails, their ``rx.LsDesign`` and the sync
-template depend on the pulse and the training length only, and the
-symbol-rate response (``_probe``) on the pulse and the last path's
-delay only; every sweep of a process shares them.
+block sums its paths' shifts of that response with ``channel.propagate``
+at one sample per symbol, and the matched filter reads its noise at the
+symbol instants only. A receiver's response to a channel is
+``rx.composite_response`` of its gains and the pulse's cascade, which
+every receiver reads through ``Pulse.cascade``. Only over the sync window
+of an estimated-channel frame, where frame sync searches rail I off the
+symbol grid, does the waveform path run at full rate, on that rail only.
+That frame then acquires every grid point at once: frame sync, sync-grid
+refinement, the LS estimate and the receiver design run on arrays over
+the points. They decode and fail exactly the points a per-point
+computation does, and their estimates agree with its to rounding. The
+training rails, their ``rx.LsDesign`` and the sync template depend on the
+pulse and the training length only, and the symbol-rate response
+(``_probe``) on the pulse and the last path's delay only; every sweep of
+a process shares them.
 
 The CSV is also independent of the BLAS kernel: theory values are
 correctly rounded scalars (``Pulse.energy`` is a ``math.fsum``), and
@@ -424,9 +426,10 @@ class _Context:
         silence, and of one unit-variance noise draw per rail from each
         frame's generator in ``rngs_noise`` (the samples the waveform path
         yields there); and each frame's full-rate draw, shape (2, pad +
-        noise_size). Path d reads the probed response, which runs ``delay``
-        symbols late, d symbols later. The draws are views of the noise
-        buffer, valid until the next block."""
+        noise_size). ``channel.propagate`` sums the paths at one sample per
+        symbol over the probed response, which runs ``delay`` symbols late,
+        so the outputs from ``delay`` on are the frame's. The draws are
+        views of the noise buffer, valid until the next block."""
         n_c = self.config.n_c
         n_f, _, n = sent.shape
         n_out = n + self.delay
@@ -449,10 +452,7 @@ class _Context:
                       for s in ext.reshape(2 * n_f, -1)]).reshape(n_f, 2, n_out)
         edge = self.edge[:n_out, :ext.shape[2]]
         z[..., :edge.shape[0]] += ext[..., :edge.shape[1]] @ edge.T
-        sig = np.zeros_like(sent)
-        for d in range(self.delay + 1):
-            s = self.delay - d
-            sig += chans[:, d, None, None] * z[..., s:s + n]
+        sig = ch.propagate(z, chans[:, None], 1)[..., self.delay:n_out]
         # the noise at the symbols: symbol m reads the symbol periods
         # m..m+J-1 of the draw from its offset, period m + j through kernel
         # row j; row j of ``phases`` has every period through kernel row j,
@@ -721,7 +721,7 @@ def _block(frames: range):
     frames then share every step but acquisition, which runs per frame."""
     ctx = _CTX
     cfg = ctx.config
-    n_f, n_train, n_points = len(frames), ctx.train.shape[1], ctx.sigmas.size
+    n_f, n_points = len(frames), ctx.sigmas.size
     bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
     chans, pads, rngs_noise = np.empty((n_f, ctx.delay + 1)), [0] * n_f, []
     for f, idx in enumerate(frames):
@@ -737,11 +737,7 @@ def _block(frames: range):
             chans[f] = ch.gains_from_gamma(gamma, ctx.channel.n_paths)
         else:
             chans[f] = ctx.channel
-    # the training length is even, so each payload maps onto its own pairs
-    sent = np.empty((n_f, 2, n_train + cfg.n_data_bits // 2))
-    sent[..., :n_train] = ctx.train
-    sent[..., n_train:] = np.reshape(tx.qpsk_map(bits.ravel()),
-                                     (2, n_f, -1)).swapaxes(0, 1)
+    sent = tx.build_frame(bits, ctx.train)
     sig, noise, draws = ctx.sampled_frames(sent, chans, pads, rngs_noise)
     if ctx.quasi:
         failures, rms, gains, noise_var = (np.concatenate(part) for part in zip(

@@ -28,8 +28,7 @@ def test_trace_hooks_exist():
 
 def test_every_hooked_layer_runs():
     # a layer the sweeps stopped calling through its traced name reads as
-    # zero time, so tiny sweeps of every receiver must reach each one;
-    # txchain.build_frame is the one layer no sweep calls
+    # zero time, so tiny sweeps of every receiver must reach each one
     configs = (
         (harness.run_static_sweep, harness.ExperimentConfig(
             "chaotic-opt", "static3", (8.0,), n_data_bits=256, trials=256,
@@ -45,4 +44,4 @@ def test_every_hooked_layer_runs():
             sweep(config, jobs=1)
     per, _ = tracer.summary()
     idle = {name for name in spans.LAYER_NAMES if per[name][1] == 0}
-    assert idle == {"txchain.build_frame"}
+    assert idle == set()

@@ -67,6 +67,24 @@ def test_propagate_linear_and_shift_invariant():
     assert np.all(out_shift[:5] == 0.0)
 
 
+def test_propagate_batch_equals_rows():
+    # per-row gains, one row with a missing path, broadcast over two
+    # streams per row, give each row's 1-d call bitwise
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(3, 2, 40))
+    gains = np.array([gains_from_gamma(0.4, 3), [1.0, 0.0, 0.3],
+                      gains_from_gamma(0.8, 3)])
+    out = propagate(x, gains[:, None], 2)
+    assert out.shape == (3, 2, 44)
+    for stream, row, g in zip(x, out, gains):
+        for s, o in zip(stream, row):
+            assert o.tobytes() == propagate(s, g, 2).tobytes()
+    # one channel for every stream
+    shared = propagate(x, gains[1], 2)
+    for s, o in zip(x.reshape(-1, 40), shared.reshape(-1, 44)):
+        assert o.tobytes() == propagate(s, gains[1], 2).tobytes()
+
+
 def test_calibrate_noise():
     sigma = calibrate_noise(0.0, 1.0)
     assert abs(sigma ** 2 - 0.5) < 1e-12

@@ -63,25 +63,26 @@ def test_stored_pn_training():
 
 def test_build_frame_qpsk():
     rng = np.random.default_rng(8)
-    data = rng.integers(0, 2, size=3840)
-    i, q = tx.build_frame(data, 256)
-    assert i.shape == q.shape == (2048,)
-    # training occupies the first 128 symbols of each rail, the payload
-    # the rest
-    want_i, want_q = tx.qpsk_map(data)
-    assert np.array_equal(i[128:], want_i)
-    assert np.array_equal(q[128:], want_q)
-    want_i, want_q = tx.qpsk_map(tx.gen_training(256))
-    assert np.array_equal(i[:128], want_i)
-    assert np.array_equal(q[:128], want_q)
-    # an odd training or payload would share a QPSK pair across the
-    # boundary, silently so when both are odd
-    for payload, n_training in ((data[:-1], 256), (data, 255),
-                                (data[:-1], 255)):
+    data = rng.integers(0, 2, size=(3, 3840))
+    train = np.stack(tx.qpsk_map(tx.gen_training(256)))
+    frame = tx.build_frame(data[0], train)
+    # one frame is the rails of the training bits followed by the payload
+    want = np.stack(tx.qpsk_map(np.concatenate([tx.gen_training(256),
+                                                data[0]])))
+    assert frame.shape == (2, 2048)
+    assert frame.tobytes() == want.tobytes()
+    # a block frames each row as that row alone
+    block = tx.build_frame(data, train)
+    assert block.shape == (3, 2, 2048)
+    for row, bits in zip(block, data):
+        assert row.tobytes() == tx.build_frame(bits, train).tobytes()
+    # an odd payload would share a QPSK pair with the next frame's, so
+    # it fails also when the block's bit count is even
+    for payload in (data[0, :-1], data[:2, :-1]):
         with pytest.raises(ValueError, match="even"):
-            tx.build_frame(payload, n_training)
+            tx.build_frame(payload, train)
     with pytest.raises(ValueError, match="0 or 1"):
-        tx.build_frame(np.full(4, 2), 256)
+        tx.build_frame(np.full((2, 4), 2), train)
 
 
 def _shape(pulse, rail):
