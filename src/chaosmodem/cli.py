@@ -194,7 +194,8 @@ def _cmd_selftest(args) -> int:
         check(f"static BER near closed form at {s.ebn0_db:g} dB",
               lo <= s.ber <= hi, f"sim {s.ber:.3e} vs theory {t.ber:.3e}")
 
-    # two blocks of frames, so that two workers start a process pool
+    # two blocks of frames, so that the sweep runs on the process's pool of
+    # two workers, which it starts unless an earlier sweep did
     tiny = harness.ExperimentConfig(method="chaotic-subopt", channel="quasi2",
                                     ebn0_grid=(6.0,), frames=20,
                                     n_data_bits=512, n_training_bits=256,

@@ -14,6 +14,12 @@ alone, and the block returns one row of counts per frame, in frame
 order. Acquisition still runs per frame, and the convolutions with the
 symbol-rate response and of the genie thresholds per rail.
 
+A sweep's blocks run in the calling process or, at jobs > 1, in the
+process's one worker pool, which the first pooled sweep starts and every
+later sweep with as many workers reuses (see ``_map_blocks``). Each task
+carries its sweep's pickled context, which the worker installs before it
+runs the task's blocks.
+
 Common random numbers across the Eb/N0 grid: each frame computes the
 matched-filter outputs of its rails and of one unit-variance noise draw
 per rail once; the grid points then reuse both via y = signal + sigma *
@@ -55,12 +61,14 @@ under another kernel.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -345,9 +353,10 @@ def _preset(config: ExperimentConfig, sweep: str):
 
 class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
-    a config the pipeline cannot run fails there, and it is installed as
-    is in every worker. Only its block buffers (see ``_buffers``) change
-    after construction; every other array it holds is read-only."""
+    a config the pipeline cannot run fails there, and it travels pickled
+    with every pooled task, to be installed as is in the worker. Only its
+    block buffers (see ``_buffers``) change after construction; every other
+    array it holds is read-only, in a worker too."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.channel = _preset(config, "run_quasi_static" if quasi
@@ -391,15 +400,25 @@ class _Context:
         self.block = min(max(1, _BLOCK_SYMBOLS // n), self.n_frames)
         self.block_buffers = None
 
+    def __getstate__(self):
+        return {**vars(self), "block_buffers": None}
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writeable
+        vars(self).update(state)
+        for a in _held_arrays(state.values()):
+            a.flags.writeable = False
+
     def _buffers(self):
         """This process's block buffers: per frame of a block, the noise
         draw of both rails, which ends its row, after the zero margin the
         matched filter reads before it, sized for the longest pad; and one
         scratch array that holds first the polyphase product of the noise
         read (see ``sampled_frames``), then, once that is summed, the
-        observations at every grid point. The first block that runs in a
-        process allocates them, so the parent of a pool never does and they
-        are never pickled; every block overwrites the rows of its frames.
+        observations at every grid point. The first block that runs on the
+        context allocates them, so the parent of a pool never does; a
+        pickled context leaves them out, and each pooled task's copy
+        allocates its own. Every block overwrites the rows of its frames.
         The symbol-rate read of a frame must end within its own draw, which
         is checked here once."""
         if self.block_buffers is None:
@@ -484,6 +503,17 @@ class _Context:
         x = np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
             np.concatenate([rail, pulse.tail])[:shaped]), chan, n_c)])[:cut]
         return pulse.mf(x)[:win], pulse.mf(w[:cut])[:win]
+
+
+def _held_arrays(objs):
+    """Every array in ``objs``, through tuples and attributes."""
+    for v in objs:
+        if isinstance(v, np.ndarray):
+            yield v
+        elif isinstance(v, tuple):
+            yield from _held_arrays(v)
+        elif hasattr(v, "__dict__"):
+            yield from _held_arrays(vars(v).values())
 
 
 @lru_cache(maxsize=None)
@@ -906,9 +936,56 @@ def emit_plotdata(records: Sequence[BerRecord], out_dir: str) -> List[str]:
     return paths
 
 
+# the process's worker pool and its worker count, or None; see _map_blocks
+_POOL: Optional[Tuple[int, ProcessPoolExecutor]] = None
+
+
+def _drop_pool():
+    """Shut the process's worker pool down, its workers joined, if it has
+    one."""
+    global _POOL
+    if _POOL is not None:
+        pool, _POOL = _POOL[1], None
+        pool.shutdown(wait=True)
+
+
+def _pooled_block(ctx: _Context, frames: range):
+    """``_block`` in a pool worker, under the context its task carries."""
+    _install(ctx)
+    return _block(frames)
+
+
+def _pool_map(ctx: _Context, blocks, workers: int):
+    """``_block``'s results of ``blocks`` through the process's pool of
+    ``workers`` workers, started if the process has none of that size. A
+    pool that breaks is dropped."""
+    global _POOL
+    if _POOL is None or _POOL[0] != workers:
+        _drop_pool()
+        _POOL = workers, ProcessPoolExecutor(max_workers=workers)
+    chunk = max(1, len(blocks) // (4 * workers))
+    try:
+        return list(_POOL[1].map(_pooled_block, itertools.repeat(ctx), blocks,
+                                 chunksize=chunk))
+    except BrokenProcessPool:
+        _drop_pool()
+        raise
+
+
 def _map_blocks(ctx: _Context, jobs: int):
     """``_block``'s results of the sweep's blocks of ``ctx.block`` frames,
-    the last one possibly shorter, in frame order."""
+    the last one possibly shorter, in frame order.
+
+    A sweep of one block, or at jobs = 1, runs in this process. Otherwise
+    k = min(jobs, blocks) workers run it. The process keeps one pool, which
+    the first sweep that needs k workers starts and every later sweep that
+    needs k reuses; a sweep that needs another k shuts it down and starts
+    its own. Workers outlive sweeps, so nothing of a sweep is installed
+    at their start: every task carries the sweep's context, pickled, with
+    its chunk of blocks. A pool that broke before the sweep, under an
+    earlier sweep or from outside, shows up as the sweep's tasks fail; the
+    sweep then runs once more on a fresh pool. The stdlib joins the
+    workers when the process exits."""
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     blocks = [range(i, min(i + ctx.block, ctx.n_frames))
@@ -918,7 +995,10 @@ def _map_blocks(ctx: _Context, jobs: int):
     if jobs == 1:
         _install(ctx)
         return [_block(b) for b in blocks]
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_install,
-                             initargs=(ctx,)) as pool:
-        chunk = max(1, len(blocks) // (4 * jobs))
-        return list(pool.map(_block, blocks, chunksize=chunk))
+    reused = _POOL is not None and _POOL[0] == jobs
+    try:
+        return _pool_map(ctx, blocks, jobs)
+    except BrokenProcessPool:
+        if not reused:
+            raise
+    return _pool_map(ctx, blocks, jobs)

@@ -258,15 +258,20 @@ def test_main_check_conjugacy_passes(capsys):
 
 def test_main_selftest_passes(capsys, monkeypatch):
     # a chaotic-subopt static sweep against the closed form, and a quasi
-    # sweep at one worker and through a pool of two
+    # sweep at one worker and through a pool of two, which starts with no
+    # pool in the process; the pool it starts is shut down after
     pools = []
 
-    def pool(*args, **kwargs):
-        pools.append(kwargs["max_workers"])
-        return ProcessPoolExecutor(*args, **kwargs)
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
-    rc = cli.main(["selftest"])
+    monkeypatch.setattr(harness, "_POOL", None)
+    try:
+        rc = cli.main(["selftest"])
+    finally:
+        harness._drop_pool()
     out = capsys.readouterr().out
     assert rc == 0
     assert "[FAIL]" not in out

@@ -1,15 +1,15 @@
 """Monte Carlo harness: config validation, records, sweeps, reports."""
 
-import contextlib
 import functools
 import itertools
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -527,17 +527,26 @@ def held_arrays(obj):
 def test_context_arrays_are_read_only(method, quasi):
     # only a context's block buffers change after construction: every other
     # array it holds, its own and those it shares (the pulse, the preset,
-    # the probe, the training model), is read-only, also after a block ran
+    # the probe, the training model), is read-only, also after a block ran,
+    # and so in the copy a pool worker installs, which leaves the buffers
+    # behind
     cfg = (small_quasi(method=method) if quasi
            else small_static(method=method, genie=method == "chaotic-opt"))
     ctx = H._Context(cfg, quasi)
     H._install(ctx)
-    H._block(range(ctx.block))
+    want = H._block(range(ctx.block))
     assert ctx.block_buffers is not None
-    held = [a for name, v in vars(ctx).items() if name != "block_buffers"
-            for a in held_arrays(v)]
-    assert len(held) >= 8
-    assert not [a.shape for a in held if a.flags.writeable]
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy.block_buffers is None
+    H._install(copy)
+    for a, b in zip(H._block(range(ctx.block)), want):
+        assert a.tobytes() == b.tobytes()
+    for c in (ctx, copy):
+        assert c.block_buffers is not None
+        held = [a for name, v in vars(c).items() if name != "block_buffers"
+                for a in held_arrays(v)]
+        assert len(held) >= 8
+        assert not [a.shape for a in held if a.flags.writeable]
 
 
 @pytest.mark.parametrize("n_c", (8, 4))
@@ -935,28 +944,114 @@ def test_jobs_below_one_rejected():
         H.run_static_sweep(small_static(), jobs=True)
 
 
-def test_pool_sized_by_frame_count(monkeypatch):
+@pytest.fixture
+def own_pool(monkeypatch):
+    """No worker pool at the start of the test; the one it leaves is shut
+    down after it, and the process's pool, if any, put back."""
+    monkeypatch.setattr(H, "_POOL", None)
+    yield
+    H._drop_pool()
+
+
+class FakePool:
+    """A pool that runs its map in turn in this process and records its
+    start and shutdown in ``events``."""
+
+    def __init__(self, events, max_workers):
+        self.events, self.workers = events, max_workers
+        events.append(("start", max_workers))
+
+    def map(self, fn, *iterables, chunksize):
+        return map(fn, *iterables)
+
+    def shutdown(self, wait):
+        self.events.append(("shutdown", self.workers, wait))
+
+
+def test_pool_sized_by_frame_count(monkeypatch, own_pool):
     # the pool forks every worker up front, so a sweep of fewer blocks than
     # jobs asks for one worker per block; the fake runs them in turn. Three
     # frames of 1,000-symbol rails make one block, which needs no pool, or
     # three blocks of one frame each
-    sizes = []
-
-    def fake_pool(max_workers, initializer, initargs):
-        sizes.append(max_workers)
-        initializer(*initargs)
-        return contextlib.nullcontext(SimpleNamespace(
-            map=lambda fn, items, chunksize: map(fn, items)))
-
-    monkeypatch.setattr(H, "ProcessPoolExecutor", fake_pool)
+    events = []
+    monkeypatch.setattr(H, "ProcessPoolExecutor",
+                        functools.partial(FakePool, events))
     cfg = small_static(trials=6000, n_data_bits=2000)  # 3 frames
     want = H.run_static_sweep(cfg, jobs=1)
     assert H.run_static_sweep(cfg, jobs=8) == want
-    assert sizes == []
+    assert events == []
     monkeypatch.setattr(H, "_BLOCK_SYMBOLS", 1)
     assert H.run_static_sweep(cfg, jobs=8) == want
     H.run_static_sweep(cfg, jobs=2)
-    assert sizes == [3, 2]
+    assert [e[1] for e in events if e[0] == "start"] == [3, 2]
+
+
+def test_pool_serves_every_sweep_of_its_worker_count(monkeypatch, own_pool):
+    # sweeps that need the same number of workers share one pool, a sweep
+    # of one block starts none and keeps it, and a sweep that needs another
+    # number shuts it down, its workers joined, before it starts its own
+    events = []
+    monkeypatch.setattr(H, "ProcessPoolExecutor",
+                        functools.partial(FakePool, events))
+    monkeypatch.setattr(H, "_BLOCK_SYMBOLS", 1)  # a block per frame
+    cfg = small_static(trials=6000, n_data_bits=2000)  # 3 frames
+    want = H.run_static_sweep(cfg, jobs=1)
+    for jobs in (3, 8, 3):
+        assert H.run_static_sweep(cfg, jobs=jobs) == want
+    H.run_quasi_static(small_quasi(frames=3), jobs=5)
+    assert events == [("start", 3)]
+    H.run_static_sweep(small_static(trials=2000, n_data_bits=2000), jobs=8)
+    assert events == [("start", 3)]
+    assert H.run_static_sweep(cfg, jobs=2) == want
+    assert events == [("start", 3), ("shutdown", 3, True), ("start", 2)]
+
+
+def test_broken_pool_is_replaced(own_pool):
+    # a pool whose worker died between sweeps is dropped and the next
+    # pooled sweep gives the one-worker records, whether the pool was seen
+    # broken before the sweep started or only while it ran (or not before
+    # it ended, so the sweep after it starts the fresh pool)
+    cfg = small_static(trials=12000, n_data_bits=2000)  # 2 blocks
+    want = H.run_static_sweep(cfg, jobs=1)
+    assert H.run_static_sweep(cfg, jobs=2) == want
+    for seen in (True, False):
+        workers, pool = H._POOL
+        died = pool.submit(os._exit, 1)
+        if seen:
+            with pytest.raises(BrokenProcessPool):
+                died.result(timeout=60)
+        assert H.run_static_sweep(cfg, jobs=2) == want
+        with pytest.raises(BrokenProcessPool):
+            died.result(timeout=60)
+        assert H.run_static_sweep(cfg, jobs=2) == want
+        assert H._POOL[0] == workers and H._POOL[1] is not pool
+
+
+def test_pool_workers_exit_with_the_process():
+    # a process that ran pooled sweeps exits on its own, and its workers
+    # with it: a worker left holding the stdout pipe would keep
+    # subprocess.run waiting until the timeout
+    script = """if True:
+        import multiprocessing
+        from chaosmodem import harness as H
+        cfg = H.ExperimentConfig("rrc-mmse", "static2", (6.0,),
+                                 trials=12000, n_data_bits=2000)
+        want = H.run_static_sweep(cfg, jobs=1)
+        assert H.run_static_sweep(cfg, jobs=2) == want
+        assert H.run_static_sweep(cfg, jobs=2) == want
+        print(*[p.pid for p in multiprocessing.active_children()])
+    """
+    src = str(Path(H.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
 
 
 @pytest.mark.parametrize("quasi", (False, True))
