@@ -17,8 +17,8 @@ symbol-rate response and of the genie thresholds per rail.
 A sweep's blocks run in the calling process or, at jobs > 1, in the
 process's one worker pool, which the first pooled sweep starts and every
 later sweep with as many workers reuses (see ``_map_blocks``). Each task
-carries its sweep's pickled context, which the worker installs before it
-runs the task's blocks.
+carries its sweep's context, pickled, and the worker runs the task's
+blocks on that copy.
 
 Common random numbers across the Eb/N0 grid: each frame computes the
 matched-filter outputs of its rails and of one unit-variance noise draw
@@ -354,9 +354,9 @@ def _preset(config: ExperimentConfig, sweep: str):
 class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
     a config the pipeline cannot run fails there, and it travels pickled
-    with every pooled task, to be installed as is in the worker. Only its
-    block buffers (see ``_buffers``) change after construction; every other
-    array it holds is read-only, in a worker too."""
+    with every pooled task, whose blocks the worker runs on its copy. Only
+    its block buffers (see ``_buffers``) change after construction; every
+    other array it holds is read-only, in a worker too."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.channel = _preset(config, "run_quasi_static" if quasi
@@ -574,14 +574,6 @@ def _probe(pulse: Pulse, delay: int):
     return h_sym, h_lag, edge, mf_kernel, int(last - size // 2), size
 
 
-_CTX: Optional[_Context] = None
-
-
-def _install(ctx: _Context):
-    global _CTX
-    _CTX = ctx
-
-
 def _count_errors(ctx: _Context, ys, sent, receiver):
     """Count, per frame of a block and grid point, the rail decisions in
     error past the training symbols.
@@ -743,13 +735,12 @@ def _spread(decoded, rows) -> np.ndarray:
     return out
 
 
-def _block(frames: range):
+def _block(ctx: _Context, frames: range):
     """Per frame of the block, in frame order, and per grid point: payload
     errors, counted payload bits, failures and estimate RMS, each shape
     (frames, points). Every frame draws from its own streams, in the
     order a frame alone would, into its rows of the block's buffers; the
     frames then share every step but acquisition, which runs per frame."""
-    ctx = _CTX
     cfg = ctx.config
     n_f, n_points = len(frames), ctx.sigmas.size
     bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
@@ -949,29 +940,6 @@ def _drop_pool():
         pool.shutdown(wait=True)
 
 
-def _pooled_block(ctx: _Context, frames: range):
-    """``_block`` in a pool worker, under the context its task carries."""
-    _install(ctx)
-    return _block(frames)
-
-
-def _pool_map(ctx: _Context, blocks, workers: int):
-    """``_block``'s results of ``blocks`` through the process's pool of
-    ``workers`` workers, started if the process has none of that size. A
-    pool that breaks is dropped."""
-    global _POOL
-    if _POOL is None or _POOL[0] != workers:
-        _drop_pool()
-        _POOL = workers, ProcessPoolExecutor(max_workers=workers)
-    chunk = max(1, len(blocks) // (4 * workers))
-    try:
-        return list(_POOL[1].map(_pooled_block, itertools.repeat(ctx), blocks,
-                                 chunksize=chunk))
-    except BrokenProcessPool:
-        _drop_pool()
-        raise
-
-
 def _map_blocks(ctx: _Context, jobs: int):
     """``_block``'s results of the sweep's blocks of ``ctx.block`` frames,
     the last one possibly shorter, in frame order.
@@ -980,12 +948,13 @@ def _map_blocks(ctx: _Context, jobs: int):
     k = min(jobs, blocks) workers run it. The process keeps one pool, which
     the first sweep that needs k workers starts and every later sweep that
     needs k reuses; a sweep that needs another k shuts it down and starts
-    its own. Workers outlive sweeps, so nothing of a sweep is installed
-    at their start: every task carries the sweep's context, pickled, with
-    its chunk of blocks. A pool that broke before the sweep, under an
-    earlier sweep or from outside, shows up as the sweep's tasks fail; the
-    sweep then runs once more on a fresh pool. The stdlib joins the
+    its own. Workers outlive sweeps, so every task carries the sweep's
+    context, pickled, with its chunk of blocks. A pool that breaks is
+    dropped. One that broke before the sweep, under an earlier sweep or
+    from outside, shows up as the sweep's tasks fail on the reused pool;
+    the sweep then runs once more on a fresh pool. The stdlib joins the
     workers when the process exits."""
+    global _POOL
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     blocks = [range(i, min(i + ctx.block, ctx.n_frames))
@@ -993,12 +962,17 @@ def _map_blocks(ctx: _Context, jobs: int):
     # the pool forks all its workers up front, so never more than blocks
     jobs = min(jobs, len(blocks))
     if jobs == 1:
-        _install(ctx)
-        return [_block(b) for b in blocks]
-    reused = _POOL is not None and _POOL[0] == jobs
-    try:
-        return _pool_map(ctx, blocks, jobs)
-    except BrokenProcessPool:
+        return [_block(ctx, b) for b in blocks]
+    chunk = max(1, len(blocks) // (4 * jobs))
+    for _ in range(2):  # a reused pool that broke, then a fresh one
+        reused = _POOL is not None and _POOL[0] == jobs
         if not reused:
-            raise
-    return _pool_map(ctx, blocks, jobs)
+            _drop_pool()
+            _POOL = jobs, ProcessPoolExecutor(max_workers=jobs)
+        try:
+            return list(_POOL[1].map(_block, itertools.repeat(ctx), blocks,
+                                     chunksize=chunk))
+        except BrokenProcessPool:
+            _drop_pool()
+            if not reused:
+                raise

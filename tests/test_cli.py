@@ -256,7 +256,7 @@ def test_main_check_conjugacy_passes(capsys):
     assert "pass" in out and "FAIL" not in out
 
 
-def test_main_selftest_passes(capsys, monkeypatch):
+def test_main_selftest_passes(capsys, monkeypatch, own_pool):
     # a chaotic-subopt static sweep against the closed form, and a quasi
     # sweep at one worker and through a pool of two, which starts with no
     # pool in the process; the pool it starts is shut down after
@@ -267,11 +267,7 @@ def test_main_selftest_passes(capsys, monkeypatch):
         return ProcessPoolExecutor(max_workers=max_workers)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
-    monkeypatch.setattr(harness, "_POOL", None)
-    try:
-        rc = cli.main(["selftest"])
-    finally:
-        harness._drop_pool()
+    rc = cli.main(["selftest"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "[FAIL]" not in out

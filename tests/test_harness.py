@@ -272,7 +272,7 @@ def test_noise_read_must_end_within_the_draw(method, n_c):
 
 @pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
 @pytest.mark.parametrize("quasi", (False, True))
-def test_frame_reuses_buffers(monkeypatch, method, quasi):
+def test_frame_reuses_buffers(method, quasi):
     # full blocks from frame 3 and from frame 0, then a short block of frame
     # 3 alone, on one context whose buffers the earlier blocks left dirty,
     # each give what a fresh context gives
@@ -281,21 +281,18 @@ def test_frame_reuses_buffers(monkeypatch, method, quasi):
     ctx = H._Context(cfg, quasi)
     assert ctx.block >= 2
     blocks = (range(3, 3 + ctx.block), range(ctx.block), range(3, 4))
-    monkeypatch.setattr(H, "_CTX", ctx)
-    got = [H._block(b) for b in blocks]
+    got = [H._block(ctx, b) for b in blocks]
     for b, block in zip(blocks, got):
-        monkeypatch.setattr(H, "_CTX", H._Context(cfg, quasi))
-        for a, want in zip(block, H._block(b)):
+        for a, want in zip(block, H._block(H._Context(cfg, quasi), b)):
             assert a.shape == (len(b), len(cfg.ebn0_grid))
             assert a.tobytes() == want.tobytes()
 
 
-def harness_frames(monkeypatch, ctx, frames):
+def harness_frames(ctx, frames):
     """What the harness computes for the given frames of a context, as one
     block."""
     assert len(frames) <= ctx.block
-    monkeypatch.setattr(H, "_CTX", ctx)
-    return list(zip(*H._block(frames)))
+    return list(zip(*H._block(ctx, frames)))
 
 
 # (method, preset, n_c) of the whole-frame check: every simulated method on
@@ -311,7 +308,7 @@ FRAME_CASES = [("chaotic-opt", "static2", 2), ("chaotic-opt", "static3", 6),
                ("rrc-mmse", "quasi2", 8), ("rrc-mmse", "quasi3", 3)]
 
 
-def test_frame_matches_reference(monkeypatch):
+def test_frame_matches_reference():
     # every frame the harness computes gives frame_reference's errors,
     # counted bits and failures exactly, and its estimate RMS to rounding
     # with the same NaN positions: known-channel frames at points with
@@ -328,7 +325,7 @@ def test_frame_matches_reference(monkeypatch):
                 genie=method == "chaotic-opt", failure_policy=policy)
             ctx = H._Context(cfg, quasi)
             frames = range(3)
-            for i, got in zip(frames, harness_frames(monkeypatch, ctx, frames)):
+            for i, got in zip(frames, harness_frames(ctx, frames)):
                 errors, counted, failures, rms = frame_reference(ctx, i)
                 assert got[0].tolist() == errors.tolist()
                 assert got[1].tolist() == counted.tolist()
@@ -443,7 +440,7 @@ def test_solver_failure_fails_before_any_frame(monkeypatch):
     def broken(a):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    def block(frames):
+    def block(ctx, frames):
         raise AssertionError("a frame ran")
 
     monkeypatch.setattr(np.linalg, "pinv", broken)
@@ -528,18 +525,16 @@ def test_context_arrays_are_read_only(method, quasi):
     # only a context's block buffers change after construction: every other
     # array it holds, its own and those it shares (the pulse, the preset,
     # the probe, the training model), is read-only, also after a block ran,
-    # and so in the copy a pool worker installs, which leaves the buffers
-    # behind
+    # and so in the copy a pool worker runs its blocks on, which leaves the
+    # buffers behind
     cfg = (small_quasi(method=method) if quasi
            else small_static(method=method, genie=method == "chaotic-opt"))
     ctx = H._Context(cfg, quasi)
-    H._install(ctx)
-    want = H._block(range(ctx.block))
+    want = H._block(ctx, range(ctx.block))
     assert ctx.block_buffers is not None
     copy = pickle.loads(pickle.dumps(ctx))
     assert copy.block_buffers is None
-    H._install(copy)
-    for a, b in zip(H._block(range(ctx.block)), want):
+    for a, b in zip(H._block(copy, range(ctx.block)), want):
         assert a.tobytes() == b.tobytes()
     for c in (ctx, copy):
         assert c.block_buffers is not None
@@ -680,6 +675,29 @@ def test_quasi_sweep_stats_and_accounting():
     assert row["excluded_bits"] == 0
     assert 0 < row["est_rms_mean"] < 0.2
     assert row["est_rms_mean"] <= row["est_rms_p90"] <= row["est_rms_max"]
+
+
+def test_quasi_stats_summarize_the_decoded_frames():
+    # in the sync transition region, where every frame, some or none fail,
+    # the est_rms_* summary is the mean, p90 and max of the decoded frames'
+    # RMS from frame_reference, and NaN where every frame failed
+    cfg = small_quasi(channel="quasi3", ebn0_grid=(-5.0, -3.0, -1.0),
+                      n_data_bits=512)
+    stats = {}
+    H.run_quasi_static(cfg, jobs=1, stats=stats)
+    ctx = H._Context(cfg, True)
+    rms = np.array([frame_reference(ctx, f)[3] for f in range(cfg.frames)])
+    rows = stats["per_point"]
+    assert [row["failed_frames"] for row in rows] == [12, 7, 0]
+    for p, row in enumerate(rows):
+        assert row["failed_frames"] == np.count_nonzero(np.isnan(rms[:, p]))
+        ok = rms[np.isfinite(rms[:, p]), p]
+        got = [row[k] for k in ("est_rms_mean", "est_rms_p90", "est_rms_max")]
+        if not ok.size:
+            assert np.all(np.isnan(got))
+            continue
+        want = [np.mean(ok), np.percentile(ok, 90.0), np.max(ok)]
+        assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -942,15 +960,6 @@ def test_jobs_below_one_rejected():
         H.run_static_sweep(small_static(), jobs=0)
     with pytest.raises(ValueError, match="jobs"):
         H.run_static_sweep(small_static(), jobs=True)
-
-
-@pytest.fixture
-def own_pool(monkeypatch):
-    """No worker pool at the start of the test; the one it leaves is shut
-    down after it, and the process's pool, if any, put back."""
-    monkeypatch.setattr(H, "_POOL", None)
-    yield
-    H._drop_pool()
 
 
 class FakePool:
