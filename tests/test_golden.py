@@ -19,6 +19,10 @@ the theory values are correctly rounded scalars (each pulse energy a
 The sweeps of the acceptance battery, at its sizes and seed, are pinned
 too, by their integer counts only: ``golden/acceptance_counts.txt`` holds
 one line per (sweep, point), which ``bless_golden.py`` writes as well.
+So are estimated-channel sweeps in the sync transition region, where frame
+sync fails some frames of most points: ``golden/sync_transition.txt``
+holds their counts in the same form, each line led by the sweep's n_c,
+training length and failure policy.
 """
 
 import itertools
@@ -54,6 +58,12 @@ KINDS = {
 
 CASES = tuple(f"{kind}_nc{n_c}" for kind in KINDS for n_c in N_CS)
 ACCEPTANCE_COUNTS = os.path.join(GOLDEN_DIR, "acceptance_counts.txt")
+SYNC_TRANSITION = os.path.join(GOLDEN_DIR, "sync_transition.txt")
+# (n_c, training bits) of the transition sweeps: the candidate grid decides
+# frames at every one, the energy clause only at n_c 3 or 6 or with a
+# shorter training block
+SYNC_LAYOUTS = ((4, 256), (8, 256), (3, 256), (6, 160))
+SYNC_GRID = (-4.0, -3.0, -2.0, -1.0, 0.0)
 
 
 def golden_path(case: str) -> str:
@@ -128,6 +138,28 @@ def acceptance_counts(jobs: int):
                                     *run_sweep(kind, config, jobs))]
 
 
+def sync_transition_sweeps():
+    """The estimated-channel sweeps of ``sync_transition.txt``: both methods
+    on both quasi presets under both failure policies, per layout of
+    ``SYNC_LAYOUTS``, 40 frames of 256 payload bits over ``SYNC_GRID``."""
+    for (n_c, n_train), preset, method, policy in itertools.product(
+            SYNC_LAYOUTS, ("quasi2", "quasi3"), ("chaotic-subopt", "rrc-mmse"),
+            ("pessimistic", "separate")):
+        yield H.ExperimentConfig(
+            method=method, channel=preset, ebn0_grid=SYNC_GRID, frames=40,
+            n_data_bits=256, n_training_bits=n_train, n_c=n_c,
+            master_seed=SEED, failure_policy=policy)
+
+
+def sync_transition_counts():
+    """Every line of ``sync_transition.txt``, recomputed."""
+    return [f"n_c={cfg.n_c} train={cfg.n_training_bits} "
+            f"{cfg.failure_policy} {line}"
+            for cfg in sync_transition_sweeps()
+            for line in count_lines("quasi", cfg,
+                                    *run_sweep("quasi", cfg, 1))]
+
+
 def first_moved(got, want):
     """The first (got, want) pair of lines that differ, or None; a missing
     line reads as None."""
@@ -135,12 +167,22 @@ def first_moved(got, want):
                  if g != w), None)
 
 
+def check_counts(path: str, got):
+    with open(path) as fh:
+        want = fh.read().splitlines()
+    moved = first_moved(got, want)
+    assert moved is None, "got {!r}, want {!r}".format(*moved)
+
+
 def test_acceptance_counts():
     # at every worker the host has, so the pool runs A9's claim at full size
-    with open(ACCEPTANCE_COUNTS) as fh:
-        want = fh.read().splitlines()
-    moved = first_moved(acceptance_counts(os.cpu_count() or 1), want)
-    assert moved is None, "got {!r}, want {!r}".format(*moved)
+    check_counts(ACCEPTANCE_COUNTS, acceptance_counts(os.cpu_count() or 1))
+
+
+def test_sync_transition_counts():
+    # the failure path: the candidate grid and the energy clause each decide
+    # frames here, which they never do at the acceptance sizes
+    check_counts(SYNC_TRANSITION, sync_transition_counts())
 
 
 KERNELS = ("Haswell", "Prescott")
