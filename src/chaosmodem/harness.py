@@ -9,9 +9,9 @@ and summation commutes. A frame builds only the streams it draws from; a
 known-channel frame never draws a channel. A block runs a fixed number
 of consecutive frames, set by the rail length only (``_BLOCK_SYMBOLS``),
 through one pass of array operations over (frames, ...): each frame
-draws into its own rows of the block's buffers in the order it would
-alone, and the block returns one row of counts per frame, in frame
-order. Acquisition still runs per frame, and the convolutions with the
+draws its noise into its own row of the context's noise buffer in the
+order it would alone, and the block returns one row of counts per frame,
+in frame order. Acquisition still runs per frame, and the convolutions with the
 symbol-rate response and of the genie thresholds per rail.
 
 A sweep's blocks run in the calling process or, at jobs > 1, in the
@@ -355,8 +355,8 @@ class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
     a config the pipeline cannot run fails there, and it travels pickled
     with every pooled task, whose blocks the worker runs on its copy. Only
-    its block buffers (see ``_buffers``) change after construction; every
-    other array it holds is read-only, in a worker too."""
+    its noise buffer (see ``sampled_frames``) changes after construction;
+    every other array it holds is read-only, in a worker too."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.channel = _preset(config, "run_quasi_static" if quasi
@@ -398,44 +398,23 @@ class _Context:
         self.n_frames = (config.frames if quasi
                          else -(-config.trials // config.n_data_bits))
         self.block = min(max(1, _BLOCK_SYMBOLS // n), self.n_frames)
-        self.block_buffers = None
+        # a frame's symbol-rate noise read must end within its own draw;
+        # both ends shift with the pad
+        over = (pulse.lead + (n + self.mf_kernel.shape[0] - 1) * n_c
+                - self.mf_back - self.noise_size)
+        if over > 0:
+            raise RuntimeError(f"the symbol-rate noise read ends {over} "
+                               f"samples past the frame's noise draw")
+        self.noise_buffer = None
 
     def __getstate__(self):
-        return {**vars(self), "block_buffers": None}
+        return {**vars(self), "noise_buffer": None}
 
     def __setstate__(self, state):
         # unpickled arrays come back writeable
         vars(self).update(state)
         for a in _held_arrays(state.values()):
             a.flags.writeable = False
-
-    def _buffers(self):
-        """This process's block buffers: per frame of a block, the noise
-        draw of both rails, which ends its row, after the zero margin the
-        matched filter reads before it, sized for the longest pad; and one
-        scratch array that holds first the polyphase product of the noise
-        read (see ``sampled_frames``), then, once that is summed, the
-        observations at every grid point. The first block that runs on the
-        context allocates them, so the parent of a pool never does; a
-        pickled context leaves them out, and each pooled task's copy
-        allocates its own. Every block overwrites the rows of its frames.
-        The symbol-rate read of a frame must end within its own draw, which
-        is checked here once."""
-        if self.block_buffers is None:
-            n = self.train.shape[1] + self.config.n_data_bits // 2
-            n_rows, n_c = self.mf_kernel.shape
-            # both ends shift with the pad
-            over = (self.pulse.lead + (n + n_rows - 1) * n_c
-                    - self.mf_back - self.noise_size)
-            if over > 0:
-                raise RuntimeError(f"the symbol-rate noise read ends {over} "
-                                   f"samples past the frame's noise draw")
-            self.block_buffers = (
-                np.zeros((self.block, 2, self.mf_back
-                          + _PAD_SYMBOLS[1] * n_c + self.noise_size)),
-                np.empty(self.block * 2 * max(n_rows * (n + n_rows - 1),
-                                              self.sigmas.size * n)))
-        return self.block_buffers
 
     def sampled_frames(self, sent, chans, pads, rngs_noise):
         """Matched-filter outputs at the symbols of a block of F frames,
@@ -447,13 +426,23 @@ class _Context:
         yields there); and each frame's full-rate draw, shape (2, pad +
         noise_size). ``channel.propagate`` sums the paths at one sample per
         symbol over the probed response, which runs ``delay`` symbols late,
-        so the outputs from ``delay`` on are the frame's. The draws are
-        views of the noise buffer, valid until the next block."""
+        so the outputs from ``delay`` on are the frame's.
+
+        The draws are views of the context's noise buffer, valid until the
+        next block: per frame of a block, the draw of both rails, which
+        ends its row, after the zero margin the matched filter reads before
+        it, sized for the longest pad. The first block that runs on the
+        context allocates it, so the parent of a pool never does; a pickled
+        context leaves it out, and each pooled task's copy allocates its
+        own."""
         n_c = self.config.n_c
         n_f, _, n = sent.shape
         n_out = n + self.delay
-        padded, scratch = self._buffers()
-        padded = padded[:n_f]
+        if self.noise_buffer is None:
+            self.noise_buffer = np.zeros((self.block, 2, self.mf_back
+                                          + _PAD_SYMBOLS[1] * n_c
+                                          + self.noise_size))
+        padded = self.noise_buffer[:n_f]
         draws = []
         for row, pad, rng in zip(padded, pads, rngs_noise):
             # the draw ends the row, so every frame's symbol-rate read starts
@@ -479,11 +468,9 @@ class _Context:
         start = _PAD_SYMBOLS[1] * n_c + self.pulse.lead
         n_rows = self.mf_kernel.shape[0]
         n_periods = n + n_rows - 1
-        phases = scratch[:n_f * 2 * n_rows * n_periods].reshape(
-            n_f, 2, n_rows, n_periods)
         periods = padded[..., start:start + n_periods * n_c].reshape(
             n_f, 2, n_periods, n_c)
-        np.matmul(self.mf_kernel, periods.swapaxes(2, 3), out=phases)
+        phases = self.mf_kernel @ periods.swapaxes(2, 3)
         s0, s1, s2, s3 = phases.strides
         terms = np.lib.stride_tricks.as_strided(
             phases, phases.shape[:3] + (n,), (s0, s1, s2 + s3, s3),
@@ -579,8 +566,7 @@ def _count_errors(ctx: _Context, ys, sent, receiver):
     error past the training symbols.
 
     ``ys`` holds the symbol-rate observations, shape (frames, points, 2,
-    n), a view of the context's observation buffer, valid only until the
-    next block. ``sent`` holds each frame's two transmitted rails, shape
+    n). ``sent`` holds each frame's two transmitted rails, shape
     (frames, 2, n). ``receiver`` is the method's array from ``_receiver``,
     a known channel's (``_Context.known``) for every frame, or one row per
     frame and point of an estimated channel: feedback rows (1, 1, w) or
@@ -739,8 +725,9 @@ def _block(ctx: _Context, frames: range):
     """Per frame of the block, in frame order, and per grid point: payload
     errors, counted payload bits, failures and estimate RMS, each shape
     (frames, points). Every frame draws from its own streams, in the
-    order a frame alone would, into its rows of the block's buffers; the
-    frames then share every step but acquisition, which runs per frame."""
+    order a frame alone would, its noise into its row of the context's
+    noise buffer; the frames then share every step but acquisition, which
+    runs per frame."""
     cfg = ctx.config
     n_f, n_points = len(frames), ctx.sigmas.size
     bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
@@ -777,9 +764,7 @@ def _block(ctx: _Context, frames: range):
     lost = failures * cfg.n_data_bits * (cfg.failure_policy == "pessimistic")
     errors = lost
     if decoded.any():
-        ys = np.multiply(noise[:, None], ctx.sigmas[:, None, None],
-                         out=ctx._buffers()[1][:noise.size * n_points]
-                         .reshape(n_f, n_points, *noise.shape[1:]))
+        ys = noise[:, None] * ctx.sigmas[:, None, None]
         ys += sig[:, None]
         errors = np.where(decoded, _count_errors(ctx, ys, sent, receiver),
                           lost)

@@ -245,29 +245,44 @@ def test_sampled_frame_after_a_longer_pad():
     used.sampled_frames(sent, spec, [20 * cfg.n_c], [np.random.default_rng(1)])
     got = used.sampled_frames(sent, spec, pad, [np.random.default_rng(2)])
     want = fresh.sampled_frames(sent, spec, pad, [np.random.default_rng(2)])
-    for a, b in zip(got[:2] + (got[2][0], used._buffers()[0][0]),
-                    want[:2] + (want[2][0], fresh._buffers()[0][0])):
+    for a, b in zip(got[:2] + (got[2][0], used.noise_buffer[0]),
+                    want[:2] + (want[2][0], fresh.noise_buffer[0])):
         assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("method,n_c", [("chaotic-subopt", 8),
                                         ("rrc-noeq", 3)])
-def test_noise_read_must_end_within_the_draw(method, n_c):
+def test_noise_read_must_end_within_the_draw(monkeypatch, own_pool,
+                                             method, n_c):
     # the symbol-rate noise read ends a fixed distance after the pad; a
-    # draw shorter than that fails before any frame runs, and one that is
-    # just long enough does not
+    # context whose draw is shorter than that fails when it is built, in
+    # the parent of a pooled sweep before any pool starts, and one whose
+    # draw is just long enough does not
     cfg = small_static(method=method, n_c=n_c)
     ctx = H._Context(cfg, False)
     n = cfg.n_data_bits // 2
     n_rows = ctx.mf_kernel.shape[0]
     need = ctx.pulse.lead + (n + n_rows - 1) * n_c - ctx.mf_back
     assert ctx.noise_size >= need
-    ctx.noise_size = need - 1
+    probe = H._probe
+
+    def probe_short_by(k):  # the probe frame's draw k samples shorter
+        def short(*args):
+            *arrays, size = probe(*args)
+            return (*arrays, size - k)
+        monkeypatch.setattr(H, "_probe", short)
+
+    probe_short_by(ctx.noise_size - need + 1)
     with pytest.raises(RuntimeError, match="1 samples past"):
-        ctx._buffers()
-    ctx.noise_size = need
-    assert ctx._buffers()[0].shape[-1] == (ctx.mf_back + need
-                                           + H._PAD_SYMBOLS[1] * n_c)
+        H._Context(cfg, False)
+    with pytest.raises(RuntimeError, match="1 samples past"):
+        H.run_static_sweep(cfg, jobs=2)
+    assert H._POOL is None
+    probe_short_by(ctx.noise_size - need)
+    ctx = H._Context(cfg, False)
+    H._block(ctx, range(1))
+    assert ctx.noise_buffer.shape[-1] == (ctx.mf_back + need
+                                          + H._PAD_SYMBOLS[1] * n_c)
 
 
 @pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
@@ -286,6 +301,26 @@ def test_frame_reuses_buffers(method, quasi):
         for a, want in zip(block, H._block(H._Context(cfg, quasi), b)):
             assert a.shape == (len(b), len(cfg.ebn0_grid))
             assert a.tobytes() == want.tobytes()
+
+
+def test_decoder_inputs_outlive_their_block(monkeypatch):
+    # every block hands the decoder observations of its own, which no later
+    # block of the sweep overwrites
+    calls = []
+    decode = rx.decode_suboptimal
+
+    def keep(y, *args, **kw):
+        calls.append((y, y.copy()))
+        return decode(y, *args, **kw)
+
+    monkeypatch.setattr(rx, "decode_suboptimal", keep)
+    cfg = small_static(ebn0_grid=(6.0, 8.0), n_data_bits=3840,
+                       trials=6 * 3840)
+    assert H._Context(cfg, False).block == 2
+    H.run_static_sweep(cfg, jobs=1)
+    assert len(calls) == 3
+    for y, copy in calls:
+        assert y.tobytes() == copy.tobytes()
 
 
 def harness_frames(ctx, frames):
@@ -522,23 +557,23 @@ def held_arrays(obj):
 @pytest.mark.parametrize("method,quasi", [(m, False) for m in H.SIM_METHODS]
                          + [("chaotic-subopt", True), ("rrc-mmse", True)])
 def test_context_arrays_are_read_only(method, quasi):
-    # only a context's block buffers change after construction: every other
+    # only a context's noise buffer changes after construction: every other
     # array it holds, its own and those it shares (the pulse, the preset,
     # the probe, the training model), is read-only, also after a block ran,
     # and so in the copy a pool worker runs its blocks on, which leaves the
-    # buffers behind
+    # buffer behind
     cfg = (small_quasi(method=method) if quasi
            else small_static(method=method, genie=method == "chaotic-opt"))
     ctx = H._Context(cfg, quasi)
     want = H._block(ctx, range(ctx.block))
-    assert ctx.block_buffers is not None
+    assert ctx.noise_buffer is not None
     copy = pickle.loads(pickle.dumps(ctx))
-    assert copy.block_buffers is None
+    assert copy.noise_buffer is None
     for a, b in zip(H._block(copy, range(ctx.block)), want):
         assert a.tobytes() == b.tobytes()
     for c in (ctx, copy):
-        assert c.block_buffers is not None
-        held = [a for name, v in vars(c).items() if name != "block_buffers"
+        assert c.noise_buffer is not None
+        held = [a for name, v in vars(c).items() if name != "noise_buffer"
                 for a in held_arrays(v)]
         assert len(held) >= 8
         assert not [a.shape for a in held if a.flags.writeable]
