@@ -64,6 +64,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import threading
+import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -925,6 +927,16 @@ def _drop_pool():
         pool.shutdown(wait=True)
 
 
+def _watch_parent(pid: int):
+    """Pool initializer: end the worker once its parent ``pid`` is gone,
+    which the pool does not notice when the parent is killed outright."""
+    def watch():
+        while os.getppid() == pid:
+            time.sleep(1.0)
+        os._exit(1)
+    threading.Thread(target=watch, daemon=True).start()
+
+
 def _map_blocks(ctx: _Context, jobs: int):
     """``_block``'s results of the sweep's blocks of ``ctx.block`` frames,
     the last one possibly shorter, in frame order.
@@ -938,7 +950,8 @@ def _map_blocks(ctx: _Context, jobs: int):
     dropped. One that broke before the sweep, under an earlier sweep or
     from outside, shows up as the sweep's tasks fail on the reused pool;
     the sweep then runs once more on a fresh pool. The stdlib joins the
-    workers when the process exits."""
+    workers when the process exits, and a worker whose parent was killed
+    exits on its own within about a second."""
     global _POOL
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
@@ -953,7 +966,9 @@ def _map_blocks(ctx: _Context, jobs: int):
         reused = _POOL is not None and _POOL[0] == jobs
         if not reused:
             _drop_pool()
-            _POOL = jobs, ProcessPoolExecutor(max_workers=jobs)
+            _POOL = jobs, ProcessPoolExecutor(
+                max_workers=jobs, initializer=_watch_parent,
+                initargs=(os.getpid(),))
         try:
             return list(_POOL[1].map(_block, itertools.repeat(ctx), blocks,
                                      chunksize=chunk))

@@ -262,9 +262,9 @@ def test_main_selftest_passes(capsys, monkeypatch, own_pool):
     # pool in the process; the pool it starts is shut down after
     pools = []
 
-    def pool(max_workers):
+    def pool(max_workers, **kw):
         pools.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **kw)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", pool)
     rc = cli.main(["selftest"])

@@ -1,13 +1,16 @@
 """Monte Carlo harness: config validation, records, sweeps, reports."""
 
+import contextlib
 import functools
 import itertools
 import json
 import math
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -1001,7 +1004,7 @@ class FakePool:
     """A pool that runs its map in turn in this process and records its
     start and shutdown in ``events``."""
 
-    def __init__(self, events, max_workers):
+    def __init__(self, events, max_workers, initializer, initargs):
         self.events, self.workers = events, max_workers
         events.append(("start", max_workers))
 
@@ -1134,3 +1137,49 @@ def test_rrc_infeasible_n_c_fails_before_the_pool():
 def test_short_training_fails_before_the_pool():
     with pytest.raises(ValueError, match="n_training_bits"):
         H.run_quasi_static(small_quasi(n_training_bits=32), jobs=2)
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and is not a zombie, which an init
+    that reaps no orphans can leave behind."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+def test_pool_workers_exit_when_the_process_is_killed():
+    # a process killed outright runs no exit handler, so its workers stop
+    # on their own once they see it gone; any survivor is killed here
+    script = """if True:
+        import multiprocessing, time
+        from chaosmodem import harness as H
+        cfg = H.ExperimentConfig("rrc-mmse", "static2", (6.0,),
+                                 trials=12000, n_data_bits=2000)
+        H.run_static_sweep(cfg, jobs=2)
+        print(*[p.pid for p in multiprocessing.active_children()], flush=True)
+        time.sleep(60)
+    """
+    src = str(Path(H.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-c", script], text=True,
+                            stdout=subprocess.PIPE,
+                            env={**os.environ, "PYTHONPATH": path})
+    pids = []
+    try:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 2
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 15
+        while any(map(running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(running, pids))
+    finally:
+        proc.kill()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+        for pid in filter(running, pids):
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
