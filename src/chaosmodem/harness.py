@@ -11,8 +11,8 @@ of consecutive frames, set by the rail length only (``_BLOCK_SYMBOLS``),
 through one pass of array operations over (frames, ...): each frame
 draws its noise into its own row of the context's noise buffer in the
 order it would alone, and the block returns one row of counts per frame,
-in frame order. Acquisition still runs per frame, and the convolutions with the
-symbol-rate response and of the genie thresholds per rail.
+in frame order. Acquisition still runs per frame, and the convolutions
+with the symbol-rate response and of the genie thresholds per rail.
 
 A sweep's blocks run in the calling process or, at jobs > 1, in the
 process's one worker pool, which the first pooled sweep starts and every

@@ -168,6 +168,8 @@ def first_moved(got, want):
 
 
 def check_counts(path: str, got):
+    """Assert that ``got`` holds the lines of ``path``, naming the first
+    that moved."""
     with open(path) as fh:
         want = fh.read().splitlines()
     moved = first_moved(got, want)
