@@ -65,11 +65,11 @@ import itertools
 import math
 import os
 import threading
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
+from multiprocessing import connection, parent_process
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -927,14 +927,16 @@ def _drop_pool():
         pool.shutdown(wait=True)
 
 
-def _watch_parent(pid: int):
-    """Pool initializer: end the worker once its parent ``pid`` is gone,
-    which the pool does not notice when the parent is killed outright."""
-    def watch():
-        while os.getppid() == pid:
-            time.sleep(1.0)
+def _watch_parent():
+    """Pool initializer: end the worker once the pool's owner is gone, which
+    the pool misses when the owner is killed outright. The worker's pipe
+    from the owner closes then, by any start method; under fork a worker
+    started later holds it open too, so the workers end last one first."""
+    def watch(sentinel):
+        connection.wait([sentinel])
         os._exit(1)
-    threading.Thread(target=watch, daemon=True).start()
+    threading.Thread(target=watch, args=(parent_process().sentinel,),
+                     daemon=True).start()
 
 
 def _map_blocks(ctx: _Context, jobs: int):
@@ -950,14 +952,14 @@ def _map_blocks(ctx: _Context, jobs: int):
     dropped. One that broke before the sweep, under an earlier sweep or
     from outside, shows up as the sweep's tasks fail on the reused pool;
     the sweep then runs once more on a fresh pool. The stdlib joins the
-    workers when the process exits, and a worker whose parent was killed
-    exits on its own within about a second."""
+    workers when the process exits, and a worker whose owner was killed
+    exits on its own."""
     global _POOL
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")
     blocks = [range(i, min(i + ctx.block, ctx.n_frames))
               for i in range(0, ctx.n_frames, ctx.block)]
-    # the pool forks all its workers up front, so never more than blocks
+    # the pool starts all its workers up front, so never more than blocks
     jobs = min(jobs, len(blocks))
     if jobs == 1:
         return [_block(ctx, b) for b in blocks]
@@ -966,9 +968,8 @@ def _map_blocks(ctx: _Context, jobs: int):
         reused = _POOL is not None and _POOL[0] == jobs
         if not reused:
             _drop_pool()
-            _POOL = jobs, ProcessPoolExecutor(
-                max_workers=jobs, initializer=_watch_parent,
-                initargs=(os.getpid(),))
+            _POOL = jobs, ProcessPoolExecutor(max_workers=jobs,
+                                              initializer=_watch_parent)
         try:
             return list(_POOL[1].map(_block, itertools.repeat(ctx), blocks,
                                      chunksize=chunk))

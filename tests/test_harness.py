@@ -5,8 +5,10 @@ import functools
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import pickle
+import select
 import signal
 import subprocess
 import sys
@@ -1004,7 +1006,7 @@ class FakePool:
     """A pool that runs its map in turn in this process and records its
     start and shutdown in ``events``."""
 
-    def __init__(self, events, max_workers, initializer, initargs):
+    def __init__(self, events, max_workers, initializer):
         self.events, self.workers = events, max_workers
         events.append(("start", max_workers))
 
@@ -1016,7 +1018,7 @@ class FakePool:
 
 
 def test_pool_sized_by_frame_count(monkeypatch, own_pool):
-    # the pool forks every worker up front, so a sweep of fewer blocks than
+    # the pool starts every worker up front, so a sweep of fewer blocks than
     # jobs asks for one worker per block; the fake runs them in turn. Three
     # frames of 1,000-symbol rails make one block, which needs no pool, or
     # three blocks of one frame each
@@ -1149,12 +1151,19 @@ def running(pid: int) -> bool:
         return False
 
 
-def test_pool_workers_exit_when_the_process_is_killed():
+@pytest.mark.skipif(not os.path.isdir("/proc"),
+                    reason="reads worker states from /proc/<pid>/stat")
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pool_workers_exit_when_the_process_is_killed(method, tmp_path):
     # a process killed outright runs no exit handler, so its workers stop
-    # on their own once they see it gone; any survivor is killed here
-    script = """if True:
+    # on their own once they see it gone; any survivor is killed here. The
+    # pool starts its workers by the default start method, so each one the
+    # platform has is tried: under forkserver they are not the process's
+    # children but the forkserver's, which outlives it while they live
+    script = f"""if True:
         import multiprocessing, time
         from chaosmodem import harness as H
+        multiprocessing.set_start_method({method!r})
         cfg = H.ExperimentConfig("rrc-mmse", "static2", (6.0,),
                                  trials=12000, n_data_bits=2000)
         H.run_static_sweep(cfg, jobs=2)
@@ -1163,13 +1172,19 @@ def test_pool_workers_exit_when_the_process_is_killed():
     """
     src = str(Path(H.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.Popen([sys.executable, "-c", script], text=True,
-                            stdout=subprocess.PIPE,
-                            env={**os.environ, "PYTHONPATH": path})
+    # the child's stderr goes to a file: its helper processes may write to
+    # it after the test, and a failed sweep's traceback shows in the assert
+    err = tmp_path / "stderr"
+    with open(err, "w") as fh:
+        proc = subprocess.Popen([sys.executable, "-c", script], text=True,
+                                stdout=subprocess.PIPE, stderr=fh,
+                                env={**os.environ, "PYTHONPATH": path})
     pids = []
     try:
+        ready, _, _ = select.select([proc.stdout], [], [], 30)
+        assert ready, "no worker pids within 30 s\n" + err.read_text()
         pids = [int(pid) for pid in proc.stdout.readline().split()]
-        assert len(pids) == 2
+        assert len(pids) == 2, err.read_text()
         proc.kill()
         proc.wait(timeout=10)
         deadline = time.monotonic() + 15
