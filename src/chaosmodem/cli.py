@@ -197,7 +197,7 @@ def _cmd_selftest(args) -> int:
     # two blocks of frames, so that the sweep runs on the process's pool of
     # two workers, which it starts unless an earlier sweep did
     tiny = harness.ExperimentConfig(method="chaotic-subopt", channel="quasi2",
-                                    ebn0_grid=(6.0,), frames=20,
+                                    ebn0_grid=(6.0,), frames=40,
                                     n_data_bits=512, n_training_bits=256,
                                     master_seed=7)
     a = harness.run_quasi_static(tiny, jobs=1)

@@ -11,8 +11,9 @@ of consecutive frames, set by the rail length only (``_BLOCK_SYMBOLS``),
 through one pass of array operations over (frames, ...): each frame
 draws its noise into its own row of the context's noise buffer in the
 order it would alone, and the block returns one row of counts per frame,
-in frame order. Acquisition still runs per frame, and the convolutions
-with the symbol-rate response and of the genie thresholds per rail.
+in frame order. Only each frame's sync window and its correlations run
+per frame, and the convolutions with the symbol-rate response and of the
+genie thresholds per rail.
 
 A sweep's blocks run in the calling process or, at jobs > 1, in the
 process's one worker pool, which the first pooled sweep starts and every
@@ -42,14 +43,14 @@ symbol instants only. A receiver's response to a channel is
 every receiver reads through ``Pulse.cascade``. Only over the sync window
 of an estimated-channel frame, where frame sync searches rail I off the
 symbol grid, does the waveform path run at full rate, on that rail only.
-That frame then acquires every grid point at once: frame sync, sync-grid
-refinement, the LS estimate and the receiver design run on arrays over
-the points. They decode and fail exactly the points a per-point
-computation does, and their estimates agree with its to rounding. The
-training rails, their ``rx.LsDesign`` and the sync template depend on the
-pulse and the training length only, and the symbol-rate response
-(``_probe``) on the pulse and the last path's delay only; every sweep of
-a process shares them.
+The block then acquires every frame and grid point at once: frame sync,
+sync-grid refinement, the LS estimate and the receiver design run on
+arrays over (frames, points). They decode and fail exactly the points a
+per-point computation does, and their estimates agree with its to
+rounding. The training rails, their ``rx.LsDesign`` and the sync template
+depend on the pulse and the training length only, and the symbol-rate
+response (``_probe``) on the pulse and the last path's delay only; every
+sweep of a process shares them.
 
 The CSV is also independent of the BLAS kernel: theory values are
 correctly rounded scalars (``Pulse.energy`` is a ``math.fsum``), and
@@ -97,9 +98,11 @@ _SYNC_GRID_STEPS = (-2, -1, 0, 1)
 # long enough to hold the whole response to a unit symbol in its middle
 _PROBE_SYMBOLS = 96
 # a block runs max(1, _BLOCK_SYMBOLS // n) frames of n-symbol rails: enough
-# to share the fixed cost of a frame's many small numpy calls, few enough
-# that a block's buffers stay small
-_BLOCK_SYMBOLS = 4096
+# to share the fixed cost of a block's many small numpy calls (4 frames of
+# the default 2048-symbol quasi rails, 16 of 512-symbol static ones), few
+# enough that a block's buffers stay small (at 16384 the benchmark's peak
+# RSS rose by 13-18%)
+_BLOCK_SYMBOLS = 8192
 
 
 @dataclass(frozen=True)
@@ -615,9 +618,11 @@ def _count_errors(ctx: _Context, ys, sent, receiver):
 # ---------------------------------------------------------------- sweeps ---
 
 def _dense(gains) -> np.ndarray:
-    """A channel's gains as one row over delays 0..rx.MAX_DELAY."""
-    dense = np.zeros((1, rx.MAX_DELAY + 1))
-    dense[0, :len(gains)] = gains
+    """A channel's gains, or channels' gains one per row, as rows over
+    delays 0..rx.MAX_DELAY."""
+    gains = np.atleast_2d(gains)
+    dense = np.zeros((gains.shape[0], rx.MAX_DELAY + 1))
+    dense[:, :gains.shape[1]] = gains
     return dense
 
 
@@ -651,13 +656,13 @@ def _receiver(ctx: _Context, gains, noise_var):
     return None
 
 
-def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
-    """Acquire an estimated-channel frame: (failures and estimate RMS per
-    point, and the gains rows and noise variances of the decoded points,
-    the points without a failure, for ``_receiver``). ``sig``, ``noise``
-    and ``w`` are the frame's part of what ``_Context.sampled_frames``
-    returned, and ``chan`` its true gains. A point is decoded if frame
-    sync finds the true offset.
+def _acquire(ctx: _Context, sent, chans, pads, sig, noise, draws):
+    """Acquire a block of F estimated-channel frames, from its rails, true
+    gains and pads and what ``_Context.sampled_frames`` returned for them:
+    (failures and estimate RMS, each shape (F, points), and the gains rows
+    and noise variances of the decoded (frame, point) pairs, frame-major,
+    for ``_receiver``). A point is decoded if frame sync finds the true
+    offset.
 
     Frame sync finds each point's coarse correlation peak in rail I over
     the full-rate window, snaps it to the symbol grid and refines it over
@@ -668,50 +673,63 @@ def _acquire(ctx: _Context, sent, chan, pad: int, sig, noise, w):
     -1 and leaves the training energy unexplained. The winner must still
     explain at least half of the observed training energy.
 
-    All grid points go through this as arrays: one ``rx.frame_sync`` call
-    over the window's signal and noise, one gather of every candidate's
-    training observations on both rails from the symbol-rate samples,
-    which start at the true offset (the candidates are whole symbols
-    apart), residuals against an orthonormal basis of the path model, and
-    one ``rx.estimate_channel_ls`` call over the points that kept their
-    timing. Besides frame sync, the window bounds the candidates only by
-    their training block: on a full window that rejects only candidate
-    25 + lead / n_c, whose companions all lie past the latest true offset,
-    20 + lead / n_c; on a shorter frame, blocks past its end. The coarse
-    peak's floor always passes, so every point has a best residual. A point
-    that can keep its timing has the true offset among its candidates, so
-    each is at most three symbols early and every read of it lies at least
+    Each frame's window and its correlations are its own; one
+    ``rx.frame_sync`` call takes the block's windows, which differ in
+    length only where a frame is shorter than its window (those go by
+    length). The rest runs once over (frames, points, candidates): one
+    gather of every candidate's training observations on both rails from
+    the symbol-rate samples, which start at the true offset (candidates
+    are whole symbols apart), residuals against an orthonormal basis of
+    the path model, the pick, and one ``rx.estimate_channel_ls`` call over
+    the points that kept their timing. The coarse peak's own candidate is
+    never negative, so every point has a best residual. A point that can
+    keep its timing has the true offset among its candidates, so each is
+    at most three symbols early and every read of it lies at least
     ``design.rows.start - 3`` symbols into the frame; reads outside the
-    frame reach only points that fail anyway and are clipped to it. The
-    decoded points and failures are those of the per-point computation
+    frame reach only points that fail anyway and are clipped to it. A
+    window reaches at least four symbols past the true training block, so
+    a candidate whose block it cuts is more than three symbols late and
+    never shares a point with the true offset: the window bounds no
+    candidate. The decoded points and failures are those of the per-point
     ``tests/oracles.py::acquire_loop``; the estimates agree to rounding."""
-    n_c, points = ctx.config.n_c, np.arange(ctx.sigmas.size)
-    win_sig, win_noise = ctx.sync_window(sent[0], chan, pad, w[0])
-    coarse = rx.frame_sync(win_sig, ctx.template, win_noise, ctx.sigmas)
-    # candidate offsets in symbols, each needing the whole training block
-    cand = np.rint(coarse / n_c).astype(int)[:, None] + _SYNC_GRID_STEPS
-    valid = (cand >= 0) & ((cand + ctx.train.shape[1]) * n_c
-                           <= win_sig.size)
-    # window offset k n_c is symbol k - (pad + lead) / n_c of the frame;
-    # entry r n + m of the flattened rails is rail r's symbol m
-    rows, n = ctx.design.rows, sig.shape[1]
-    q = np.clip((cand - (pad + ctx.pulse.lead) // n_c)[..., None]
+    n_c, lead = ctx.config.n_c, ctx.pulse.lead
+    wins = [ctx.sync_window(rails[0], chan, pad, w[0])
+            for rails, chan, pad, w in zip(sent, chans, pads, draws)]
+    coarse = np.empty((len(wins), ctx.sigmas.size), dtype=int)
+    for size in {win.size for win, _ in wins}:
+        at = [f for f, (win, _) in enumerate(wins) if win.size == size]
+        win_sig, win_noise = (np.stack(part)
+                              for part in zip(*(wins[f] for f in at)))
+        coarse[at] = rx.frame_sync(win_sig, ctx.template, win_noise,
+                                   ctx.sigmas)
+    # candidate offsets in symbols
+    cand = np.rint(coarse / n_c).astype(int)[..., None] + _SYNC_GRID_STEPS
+    true = (np.asarray(pads) + lead) // n_c
+    # window offset k n_c is symbol k - true of its frame; entry (f 2 + r) n
+    # + m of the flattened block is frame f's rail r at symbol m
+    rows, n = ctx.design.rows, sig.shape[-1]
+    q = np.clip((cand - true[:, None, None])[..., None]
                 + np.arange(rows.start, rows.stop), 0, n - 1)
-    q = np.concatenate([q, q + n], axis=2)
+    q = (np.concatenate([q, q + n], axis=-1)
+         + (2 * n * np.arange(len(wins)))[:, None, None, None])
     obs = sig.take(q) + ctx.sigmas[:, None, None] * noise.take(q)
-    flat = obs.reshape(-1, obs.shape[2])
+    flat = obs.reshape(-1, obs.shape[-1])
     basis = ctx.design.basis
     resid = flat - (flat @ basis) @ basis.T
-    res = np.where(valid, np.sum(resid * resid, axis=1).reshape(cand.shape),
-                   np.inf)
-    good = valid & (res <= 2.0 * res.min(axis=1, keepdims=True) + 1e-12)
-    pick = good.shape[1] - 1 - np.argmax(good[:, ::-1], axis=1)
-    obs, res = obs[points, pick], res[points, pick]
-    hit = ((res <= 0.5 * np.sum(obs * obs, axis=1))
-           & (cand[points, pick] * n_c == pad + ctx.pulse.lead))
+    # an offset before the window's start is no candidate
+    res = np.where(cand >= 0, np.sum(resid * resid, axis=1).reshape(
+        cand.shape), np.inf)
+    good = res <= 2.0 * res.min(axis=2, keepdims=True) + 1e-12
+    pick = good.shape[2] - 1 - np.argmax(good[..., ::-1], axis=2,
+                                         keepdims=True)
+    obs = np.take_along_axis(obs, pick[..., None], axis=2)[:, :, 0]
+    res, cand = (np.take_along_axis(a, pick, axis=2)[..., 0]
+                 for a in (res, cand))
+    hit = (res <= 0.5 * np.sum(obs * obs, axis=-1)) & (cand == true[:, None])
     gains, noise_var = rx.estimate_channel_ls(obs[hit], ctx.design)
-    rms = np.full(points.size, np.nan)
-    rms[hit] = np.sqrt(np.mean((gains - _dense(chan)) ** 2, axis=1))
+    rms = np.full(hit.shape, np.nan)
+    frame = np.nonzero(hit)[0]
+    rms[hit] = np.sqrt(np.mean((gains - _dense(chans)[frame]) ** 2, axis=1))
     return (~hit).astype(np.int64), rms, gains, noise_var
 
 
@@ -728,8 +746,8 @@ def _block(ctx: _Context, frames: range):
     errors, counted payload bits, failures and estimate RMS, each shape
     (frames, points). Every frame draws from its own streams, in the
     order a frame alone would, its noise into its row of the context's
-    noise buffer; the frames then share every step but acquisition, which
-    runs per frame."""
+    noise buffer; the frames then share every step but their sync windows
+    (see ``_acquire``)."""
     cfg = ctx.config
     n_f, n_points = len(frames), ctx.sigmas.size
     bits = np.empty((n_f, cfg.n_data_bits), dtype=np.int64)
@@ -750,10 +768,8 @@ def _block(ctx: _Context, frames: range):
     sent = tx.build_frame(bits, ctx.train)
     sig, noise, draws = ctx.sampled_frames(sent, chans, pads, rngs_noise)
     if ctx.quasi:
-        failures, rms, gains, noise_var = (np.concatenate(part) for part in zip(
-            *(_acquire(ctx, sent[f], chans[f], pads[f], sig[f], noise[f],
-                       draws[f]) for f in range(n_f))))
-        failures, rms = failures.reshape(n_f, -1), rms.reshape(n_f, -1)
+        failures, rms, gains, noise_var = _acquire(ctx, sent, chans, pads,
+                                                   sig, noise, draws)
         # a failed point decodes through a zero receiver, and its count is
         # not used
         receiver = _spread(failures == 0, _receiver(ctx, gains, noise_var))
@@ -948,7 +964,10 @@ def _map_blocks(ctx: _Context, jobs: int):
     the first sweep that needs k workers starts and every later sweep that
     needs k reuses; a sweep that needs another k shuts it down and starts
     its own. Workers outlive sweeps, so every task carries the sweep's
-    context, pickled, with its chunk of blocks. A pool that breaks is
+    context, pickled, with its chunk of blocks. The sweep makes at most k
+    tasks, one per worker, of ceil(blocks / k) consecutive blocks each, so
+    a worker unpickles the context and allocates its noise buffer once per
+    sweep. A pool that breaks is
     dropped. One that broke before the sweep, under an earlier sweep or
     from outside, shows up as the sweep's tasks fail on the reused pool;
     the sweep then runs once more on a fresh pool. The stdlib joins the
@@ -963,7 +982,6 @@ def _map_blocks(ctx: _Context, jobs: int):
     jobs = min(jobs, len(blocks))
     if jobs == 1:
         return [_block(ctx, b) for b in blocks]
-    chunk = max(1, len(blocks) // (4 * jobs))
     for _ in range(2):  # a reused pool that broke, then a fresh one
         reused = _POOL is not None and _POOL[0] == jobs
         if not reused:
@@ -972,7 +990,7 @@ def _map_blocks(ctx: _Context, jobs: int):
                                               initializer=_watch_parent)
         try:
             return list(_POOL[1].map(_block, itertools.repeat(ctx), blocks,
-                                     chunksize=chunk))
+                                     chunksize=-(-len(blocks) // jobs)))
         except BrokenProcessPool:
             _drop_pool()
             if not reused:

@@ -65,31 +65,38 @@ def frame_sync(signal, template, noise, sigmas):
     stream, the offset that maximizes the correlation with ``template``
     normalized by the local stream norm. Returns one offset per sigma.
 
-    ``signal`` and ``noise`` are equally long 1-d streams. The streams are
-    never formed: correlation is linear, so each stream's correlation is
-    corr(signal) + sigma corr(noise), from one ``np.correlate`` of each,
-    and its window energy is S + 2 sigma X + sigma^2 N from the running
-    sums of signal^2, signal * noise and noise^2, clipped at zero against
-    rounding. Offsets agree with a correlation of each formed stream
-    except where two candidates tie to rounding.
+    ``signal`` and ``noise`` are equally long 1-d streams, or stacks of
+    them, one window per row, shape (F, L); a stack returns one row of
+    offsets per window, shape (F, sigmas), each what its row alone gives.
+    The streams are never formed: correlation is linear, so each stream's
+    correlation is corr(signal) + sigma corr(noise), from one
+    ``np.correlate`` of each row, and its window energy is S + 2 sigma X +
+    sigma^2 N from the running sums of signal^2, signal * noise and
+    noise^2, clipped at zero against rounding. Offsets agree with a
+    correlation of each formed stream except where two candidates tie to
+    rounding.
     """
     s = np.asarray(signal, dtype=float)
     n = np.asarray(noise, dtype=float)
     t = np.asarray(template, dtype=float)
-    if s.ndim != 1 or n.shape != s.shape:
+    if s.ndim not in (1, 2) or n.shape != s.shape:
         raise ValueError(f"signal {s.shape} and noise {n.shape} must be "
-                         f"equally long 1-d streams")
-    if t.size == 0 or s.size < t.size:
+                         f"equally long 1-d streams or stacks of them")
+    if t.size == 0 or s.shape[-1] < t.size:
         raise ValueError("signal shorter than the template")
+    one = s.ndim == 1
+    s, n = np.atleast_2d(s, n)
     sig = np.asarray(sigmas, dtype=float)[:, None]
-    num = (np.correlate(s, t, mode="valid")
-           + sig * np.correlate(n, t, mode="valid"))
-    csum = np.zeros((3, s.size + 1))
-    np.cumsum(np.stack([s * s, s * n, n * n]), axis=1, out=csum[:, 1:])
-    s2, sn, n2 = csum[:, t.size:] - csum[:, :-t.size]
+    corr = np.array([[np.correlate(row, t, mode="valid") for row in x]
+                     for x in (s, n)])
+    num = corr[0][:, None] + sig * corr[1][:, None]
+    csum = np.zeros((3, s.shape[0], s.shape[1] + 1))
+    np.cumsum(np.stack([s * s, s * n, n * n]), axis=2, out=csum[..., 1:])
+    s2, sn, n2 = (csum[..., t.size:] - csum[..., :-t.size])[:, :, None]
     win_energy = np.maximum(s2 + 2.0 * sig * sn + sig * sig * n2, 0.0)
     den = np.sqrt(win_energy * float(np.dot(t, t)))
-    return np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=1)
+    offsets = np.argmax(np.abs(num) / np.maximum(den, 1e-30), axis=2)
+    return offsets[0] if one else offsets
 
 
 @dataclass(frozen=True)
@@ -320,10 +327,9 @@ def decode_suboptimal(y_syms, train_syms, coeffs, guess) -> np.ndarray:
         row = key // n
         at = key + (row + 1) * w
         window = flat[at - lags[:, None]]
-        coef = np.take(c, row, axis=1)
-        theta = 0.0
-        for k in lags:
-            theta += window[k - 1] * coef[k - 1]
+        # one product, then the lag rows added in turn from 0.0, in pass 1's
+        # order (np.add.reduce would sum a lone pair's 8 lags pairwise)
+        theta = sum(window * np.take(c, row, axis=1), 0.0)
         flipped = (y[key] >= theta) != (flat[at] > 0)
         key, at = key[flipped], at[flipped]
     return flat.reshape(lead + (w + n,))[..., w:]

@@ -319,8 +319,8 @@ def test_decoder_inputs_outlive_their_block(monkeypatch):
         return decode(y, *args, **kw)
 
     monkeypatch.setattr(rx, "decode_suboptimal", keep)
-    cfg = small_static(ebn0_grid=(6.0, 8.0), n_data_bits=3840,
-                       trials=6 * 3840)
+    cfg = small_static(ebn0_grid=(6.0, 8.0), n_data_bits=7680,
+                       trials=6 * 7680)
     assert H._Context(cfg, False).block == 2
     H.run_static_sweep(cfg, jobs=1)
     assert len(calls) == 3
@@ -397,14 +397,15 @@ def assert_same_receiver(got, want):
 @pytest.mark.parametrize("channel", ("quasi2", "quasi3"))
 @pytest.mark.parametrize("n_c", (8, 6, 4))
 def test_acquire_matches_per_point_loop(method, channel, n_c):
-    # the batched acquisition must decode and fail exactly the points the
-    # per-point loop does, with its receivers to rounding (the loop forms
-    # each point's streams at full rate on both rails and solves by
-    # lstsq): on grids where every point keeps its timing and where some
-    # lose it (the failure-policy grid), at the extreme pads and at pad 0,
-    # where grid candidates fall off the window's start; and on frames
-    # whose every point fails: rails of zeros in noise, and a silent
-    # window, whose correlation peak sits at offset 0
+    # the batched acquisition, given one-frame blocks, must decode and
+    # fail exactly the points the per-point loop does, with its receivers
+    # to rounding (the loop forms each point's streams at full rate on
+    # both rails and solves by lstsq): on grids where every point keeps
+    # its timing and where some lose it (the failure-policy grid), at the
+    # extreme pads and at pad 0, where grid candidates fall off the
+    # window's start; and on frames whose every point fails: rails of
+    # zeros in noise, and a silent window, whose correlation peak sits at
+    # offset 0
     rng = np.random.default_rng([n_c, len(channel), len(method)])
     seen = {"failed": 0, "all_failed": 0, "decoded": 0, "off_edge": 0}
     for grid in ((5.0, 6.0, 7.0, 8.0), (-4.0, -3.0, -2.0, -1.0)):
@@ -423,8 +424,10 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
             sig, noise = sig[0], noise[0]
             if case == "silent":
                 w[:] = noise[:] = 0.0
-            failures, rms, gains, noise_var = H._acquire(ctx, sent, spec, pad,
-                                                         sig, noise, w)
+            failures, rms, gains, noise_var = H._acquire(
+                ctx, sent[None], spec[None], [pad], sig[None], noise[None],
+                [w])
+            failures, rms = failures[0], rms[0]
             got = (np.flatnonzero(failures == 0),
                    H._receiver(ctx, gains, noise_var), failures, rms)
             assert_same_receiver(got, acquire_loop(ctx, sent, spec, pad, w))
@@ -436,6 +439,69 @@ def test_acquire_matches_per_point_loop(method, channel, n_c):
                                          ctx.sigmas) / n_c)
             seen["off_edge"] += int(np.sum(base + min(H._SYNC_GRID_STEPS) < 0))
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
+@pytest.mark.parametrize("n_c,n_bits", [(8, 64), (3, 64), (4, 2)])
+def test_block_acquire_matches_frames_one_at_a_time(method, n_c, n_bits):
+    # a block of frames at pads of 0, 2 and 20 symbols, with one frame of
+    # zero rails in noise whose every point fails, acquires as its frames
+    # do one at a time, bit for bit: failures, RMS, the decoded pairs'
+    # gains rows frame-major, and their noise variances. Frames of one
+    # payload symbol have windows whose length follows the pad
+    cfg = H.ExperimentConfig(method, "quasi3", (-4.0, -1.0, 3.0, 8.0),
+                             n_data_bits=n_bits, n_c=n_c)
+    ctx = H._Context(cfg, True)
+    rng = np.random.default_rng([n_c, n_bits, len(method)])
+    pads = [p * n_c for p in (0, 2, 20, 2, 9, 20)]
+    chans = np.array([ch.gains_from_gamma(ch.draw_gamma(ctx.channel, rng),
+                                          ctx.channel.n_paths) for _ in pads])
+    sent = np.concatenate([np.broadcast_to(ctx.train, (len(pads),)
+                                           + ctx.train.shape),
+                           rng.choice([-1.0, 1.0], (len(pads), 2,
+                                                    n_bits // 2))], axis=2)
+    sent[4] = 0.0
+    sig, noise, draws = ctx.sampled_frames(sent, chans, pads, [rng] * 6)
+    wins = {ctx.sync_window(r[0], c, p, w[0])[0].size
+            for r, c, p, w in zip(sent, chans, pads, draws)}
+    assert (len(wins) > 1) == (n_bits == 2)
+    got = H._acquire(ctx, sent, chans, pads, sig, noise, draws)
+    one = [H._acquire(ctx, sent[f:f + 1], chans[f:f + 1], pads[f:f + 1],
+                      sig[f:f + 1], noise[f:f + 1], draws[f:f + 1])
+           for f in range(len(pads))]
+    failures = got[0]
+    assert failures[4].all()
+    rest = np.delete(failures, 4, axis=0)
+    assert rest.any() and not rest.all()
+    for a, parts in zip(got, zip(*one)):
+        b = np.concatenate(parts)
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sync_window_reaches_past_the_training_block():
+    # _acquire keeps grid candidates whose training block the sync window
+    # cuts: a window reaches at least four symbols past the true training
+    # block, so such a candidate is more than three symbols late and never
+    # shares a candidate set with the true offset. Full windows, after the
+    # longest pad, reach exactly four; a frame shorter than its window
+    # reaches further
+    reach = set()
+    for method, n_c_all in (("chaotic-subopt", (2, 3, 4, 6, 8)),
+                            ("rrc-mmse", (3, 4, 6, 8))):
+        for n_c in n_c_all:
+            for n_bits in (2, 8, 256):
+                ctx = H._Context(H.ExperimentConfig(
+                    method, "quasi3", (6.0,), n_data_bits=n_bits, n_c=n_c),
+                    True)
+                sent = np.ones(ctx.train.shape[1] + n_bits // 2)
+                for p in range(H._PAD_SYMBOLS[0], H._PAD_SYMBOLS[1] + 1):
+                    w = np.zeros(p * n_c + ctx.noise_size)
+                    win, _ = ctx.sync_window(sent, np.ones(ctx.delay + 1),
+                                             p * n_c, w)
+                    true = (p * n_c + ctx.pulse.lead) // n_c
+                    reach.add(win.size / n_c - true - ctx.train.shape[1])
+    assert min(reach) == 4.0
 
 
 def test_feedback_rows_match_isi_feedback_coeffs():
@@ -638,7 +704,7 @@ def test_composite_response_once_per_context(monkeypatch):
             calls.clear()
             H.run_static_sweep(cfg, jobs=1)
             assert len(calls) == 1, (method, frames)
-    cfg = small_quasi(frames=13)
+    cfg = small_quasi(frames=13, n_data_bits=2144)
     ctx = H._Context(cfg, True)
     assert ctx.block == 6
     calls.clear()
@@ -693,8 +759,10 @@ def test_genie_sweep_matches_frozen_theory():
 def test_static_determinism_across_jobs(tmp_path):
     # the second sweep has full-size frames, whose buffers every worker
     # allocates for itself
-    for cfg, jobs in ((small_static(trials=12000, n_data_bits=2000), 2),
-                      (small_static(trials=5 * 3840, n_data_bits=3840), 3)):
+    for cfg, jobs in ((small_static(trials=24000, n_data_bits=2000), 2),
+                      (small_static(trials=9 * 3840, n_data_bits=3840), 3)):
+        ctx = H._Context(cfg, False)
+        assert -(-ctx.n_frames // ctx.block) == jobs  # a block per worker
         a = H.run_static_sweep(cfg, jobs=1)
         b = H.run_static_sweep(cfg, jobs=jobs)
         assert a == b
@@ -888,8 +956,8 @@ def test_quasi_determinism_across_jobs():
     # the second case is A9's estimated-channel sweep, at enough frames that
     # each of its three workers runs a block
     for cfg, jobs, n_blocks in (
-            (small_quasi(method="rrc-mmse", channel="quasi3", frames=10), 2, 2),
-            (small_quasi(frames=30, n_data_bits=512, n_training_bits=256,
+            (small_quasi(method="rrc-mmse", channel="quasi3", frames=20), 2, 2),
+            (small_quasi(frames=60, n_data_bits=512, n_training_bits=256,
                          master_seed=17), 3, 3)):
         ctx = H._Context(cfg, True)
         assert -(-ctx.n_frames // ctx.block) == n_blocks
@@ -1035,6 +1103,27 @@ def test_pool_sized_by_frame_count(monkeypatch, own_pool):
     assert [e[1] for e in events if e[0] == "start"] == [3, 2]
 
 
+def test_pool_gets_one_task_per_worker(monkeypatch, own_pool):
+    # a pooled sweep hands each of its k workers one task, a chunk of
+    # ceil(blocks / k) blocks, so a worker unpickles the context and
+    # allocates its noise buffer once per sweep
+    tasks = []
+
+    class Pool(FakePool):
+        def map(self, fn, *iterables, chunksize):
+            tasks.append((self.workers, chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize)
+
+    monkeypatch.setattr(H, "ProcessPoolExecutor",
+                        functools.partial(Pool, []))
+    monkeypatch.setattr(H, "_BLOCK_SYMBOLS", 1)  # a block per frame
+    cfg = small_static(trials=14000, n_data_bits=2000)  # 7 frames
+    want = H.run_static_sweep(cfg, jobs=1)
+    for jobs in (2, 3, 7, 8):
+        assert H.run_static_sweep(cfg, jobs=jobs) == want
+    assert tasks == [(2, 4), (3, 3), (7, 1), (7, 1)]
+
+
 def test_pool_serves_every_sweep_of_its_worker_count(monkeypatch, own_pool):
     # sweeps that need the same number of workers share one pool, a sweep
     # of one block starts none and keeps it, and a sweep that needs another
@@ -1060,7 +1149,7 @@ def test_broken_pool_is_replaced(own_pool):
     # pooled sweep gives the one-worker records, whether the pool was seen
     # broken before the sweep started or only while it ran (or not before
     # it ended, so the sweep after it starts the fresh pool)
-    cfg = small_static(trials=12000, n_data_bits=2000)  # 2 blocks
+    cfg = small_static(trials=24000, n_data_bits=2000)  # 2 blocks
     want = H.run_static_sweep(cfg, jobs=1)
     assert H.run_static_sweep(cfg, jobs=2) == want
     for seen in (True, False):
@@ -1084,7 +1173,7 @@ def test_pool_workers_exit_with_the_process():
         import multiprocessing
         from chaosmodem import harness as H
         cfg = H.ExperimentConfig("rrc-mmse", "static2", (6.0,),
-                                 trials=12000, n_data_bits=2000)
+                                 trials=24000, n_data_bits=2000)
         want = H.run_static_sweep(cfg, jobs=1)
         assert H.run_static_sweep(cfg, jobs=2) == want
         assert H.run_static_sweep(cfg, jobs=2) == want
@@ -1165,7 +1254,7 @@ def test_pool_workers_exit_when_the_process_is_killed(method, tmp_path):
         from chaosmodem import harness as H
         multiprocessing.set_start_method({method!r})
         cfg = H.ExperimentConfig("rrc-mmse", "static2", (6.0,),
-                                 trials=12000, n_data_bits=2000)
+                                 trials=24000, n_data_bits=2000)
         H.run_static_sweep(cfg, jobs=2)
         print(*[p.pid for p in multiprocessing.active_children()], flush=True)
         time.sleep(60)

@@ -633,6 +633,67 @@ def test_decode_suboptimal_change_stays_in_its_row():
         assert np.array_equal(got[b, :n_train], train[b])
 
 
+def test_decode_suboptimal_lone_pair_adds_lags_in_order():
+    # a later pass that recomputes a single (row, symbol) pair adds its 8
+    # lag terms in the recursion's order. The guess is the solution with
+    # symbol n - 2 flipped, which the first pass changes back, so the
+    # second pass recomputes symbol n - 1 alone; y puts that symbol exactly
+    # on the recursion's threshold (a tie, so +1), with lag terms whose
+    # pairwise grouping ((t1 + t2) + (t3 + t4)) + ((t5 + t6) + (t7 + t8))
+    # comes out above it, so that summing them in that order decides -1
+    rng = np.random.default_rng(35)
+    w, n = 8, 12
+    for _ in range(1000):
+        coeffs = rng.uniform(-1.0, 1.0, w)
+        want = rng.choice([-1.0, 1.0], n)
+        want[-1] = 1.0
+        t = want[-2:-w - 2:-1] * coeffs  # lag k: want[n - 1 - k] c_k
+        theta = 0.0
+        for term in t:
+            theta += term
+        if ((t[0] + t[1]) + (t[2] + t[3])) + ((t[4] + t[5]) + (t[6] + t[7])) \
+                > theta:
+            break
+    else:
+        pytest.fail("no lag terms whose pairwise sum exceeds the loop's")
+    y = 1e3 * want
+    y[-1] = theta
+    loop = np.empty(n)
+    assert dd_loop(y, loop, coeffs, 0)[-1] == theta
+    assert np.array_equal(loop, want)
+    guess = want.copy()
+    guess[-2] = -guess[-2]
+    assert np.array_equal(rx.decode_suboptimal(y, want[:0], coeffs, guess),
+                          want)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(n_rows=st.integers(1, 4), n=st.integers(1, 40), w=st.integers(1, 8),
+       n_train=st.integers(0, 8), start=st.sampled_from(["signs", "reals"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_decode_suboptimal_zero_leading_coefficient(n_rows, n, w, n_train,
+                                                    start, seed):
+    # with c_1 = +-0.0 every threshold starts from a zero lag term, -0.0
+    # after a -1 decision, and with coefficients and observations of a few
+    # binary fractions many thresholds come out as exact zeros of either
+    # sign and many observations tie with them, +-0.0 included. Each row
+    # decides as the per-symbol loop does, which adds from 0.0: a zero's
+    # sign moves no comparison
+    rng = np.random.default_rng(seed)
+    n_train = min(n_train, n)
+    coeffs = rng.choice([0.0, -0.0, 0.25, -0.25, 0.5], (n_rows, w))
+    coeffs[:, 0] = rng.choice([0.0, -0.0], n_rows)
+    y = rng.choice([0.0, -0.0, 0.25, -0.25, 0.5, -0.75], (n_rows, n))
+    train = rng.choice([-1.0, 1.0], (n_rows, n_train))
+    guess = y if start == "signs" else rng.standard_normal((n_rows, n))
+    fast = rx.decode_suboptimal(y, train, coeffs, guess=guess)
+    for b in range(n_rows):
+        slow = np.empty(n)
+        slow[:n_train] = train[b]
+        dd_loop(y[b], slow, coeffs[b], n_train)
+        assert np.array_equal(fast[b], slow)
+
+
 def test_decode_suboptimal_rejects_mismatched_rows():
     spec = ch.get_preset("static2")
     coeffs = isi_feedback_coeffs(spec, rx.decision_window(dense_gains(spec)))
