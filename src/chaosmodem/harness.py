@@ -18,8 +18,8 @@ genie thresholds per rail.
 A sweep's blocks run in the calling process or, at jobs > 1, in the
 process's one worker pool, which the first pooled sweep starts and every
 later sweep with as many workers reuses (see ``_map_blocks``). Each task
-carries its sweep's context, pickled, and the worker runs the task's
-blocks on that copy.
+carries its sweep's config; the worker builds the sweep's context again
+from its own caches and runs the task's blocks on it.
 
 Common random numbers across the Eb/N0 grid: each frame computes the
 matched-filter outputs of its rails and of one unit-variance noise draw
@@ -101,7 +101,8 @@ _PROBE_SYMBOLS = 96
 # to share the fixed cost of a block's many small numpy calls (4 frames of
 # the default 2048-symbol quasi rails, 16 of 512-symbol static ones), few
 # enough that a block's buffers stay small (at 16384 the benchmark's peak
-# RSS rose by 13-18%)
+# RSS rose by 13-18% in one measurement, and by 10.4% on quasi and 11.4%
+# on static-linear in another)
 _BLOCK_SYMBOLS = 8192
 
 
@@ -287,7 +288,8 @@ class Pulse:
 
 
 # each family still calls its own shaping and matched-filter functions: the
-# benchmark's tracer wraps those four names until ROADMAP item 1 frees them
+# benchmark's tracer wraps those four names until it is retired (ROADMAP
+# item 5)
 class _ChaoticPulse(Pulse):
     def synth(self, symbols) -> np.ndarray:
         return synth_waveform(symbols, self.n_c)
@@ -358,10 +360,12 @@ def _preset(config: ExperimentConfig, sweep: str):
 
 class _Context:
     """Per-sweep state. It is built in the parent before any frame runs, so
-    a config the pipeline cannot run fails there, and it travels pickled
-    with every pooled task, whose blocks the worker runs on its copy. Only
-    its noise buffer (see ``sampled_frames``) changes after construction;
-    every other array it holds is read-only, in a worker too."""
+    a config the pipeline cannot run fails there. It pickles as its config:
+    every array it holds follows from that, so a pooled task's worker
+    builds it again from the worker's own caches (``pulse_for``,
+    ``_training``, ``_probe``). Only its noise buffer (see
+    ``sampled_frames``) changes after construction; every other array it
+    holds is read-only."""
 
     def __init__(self, config: ExperimentConfig, quasi: bool):
         self.channel = _preset(config, "run_quasi_static" if quasi
@@ -412,14 +416,8 @@ class _Context:
                                f"samples past the frame's noise draw")
         self.noise_buffer = None
 
-    def __getstate__(self):
-        return {**vars(self), "noise_buffer": None}
-
-    def __setstate__(self, state):
-        # unpickled arrays come back writeable
-        vars(self).update(state)
-        for a in _held_arrays(state.values()):
-            a.flags.writeable = False
+    def __reduce__(self):
+        return _Context, (self.config, self.quasi)
 
     def sampled_frames(self, sent, chans, pads, rngs_noise):
         """Matched-filter outputs at the symbols of a block of F frames,
@@ -437,14 +435,14 @@ class _Context:
         next block: per frame of a block, the draw of both rails, which
         ends its row, after the zero margin the matched filter reads before
         it, sized for the longest pad. The first block that runs on the
-        context allocates it, so the parent of a pool never does; a pickled
-        context leaves it out, and each pooled task's copy allocates its
-        own."""
+        context allocates it, one row per frame of that block, and a longer
+        block grows it; so the parent of a pool never allocates one, and
+        each worker's context sizes its own by the blocks it is given."""
         n_c = self.config.n_c
         n_f, _, n = sent.shape
         n_out = n + self.delay
-        if self.noise_buffer is None:
-            self.noise_buffer = np.zeros((self.block, 2, self.mf_back
+        if self.noise_buffer is None or len(self.noise_buffer) < n_f:
+            self.noise_buffer = np.zeros((n_f, 2, self.mf_back
                                           + _PAD_SYMBOLS[1] * n_c
                                           + self.noise_size))
         padded = self.noise_buffer[:n_f]
@@ -495,17 +493,6 @@ class _Context:
         x = np.concatenate([np.zeros(pad), ch.propagate(pulse.synth(
             np.concatenate([rail, pulse.tail])[:shaped]), chan, n_c)])[:cut]
         return pulse.mf(x)[:win], pulse.mf(w[:cut])[:win]
-
-
-def _held_arrays(objs):
-    """Every array in ``objs``, through tuples and attributes."""
-    for v in objs:
-        if isinstance(v, np.ndarray):
-            yield v
-        elif isinstance(v, tuple):
-            yield from _held_arrays(v)
-        elif hasattr(v, "__dict__"):
-            yield from _held_arrays(vars(v).values())
 
 
 @lru_cache(maxsize=None)
@@ -964,15 +951,16 @@ def _map_blocks(ctx: _Context, jobs: int):
     the first sweep that needs k workers starts and every later sweep that
     needs k reuses; a sweep that needs another k shuts it down and starts
     its own. Workers outlive sweeps, so every task carries the sweep's
-    context, pickled, with its chunk of blocks. The sweep makes at most k
-    tasks, one per worker, of ceil(blocks / k) consecutive blocks each, so
-    a worker unpickles the context and allocates its noise buffer once per
-    sweep. A pool that breaks is
-    dropped. One that broke before the sweep, under an earlier sweep or
-    from outside, shows up as the sweep's tasks fail on the reused pool;
-    the sweep then runs once more on a fresh pool. The stdlib joins the
-    workers when the process exits, and a worker whose owner was killed
-    exits on its own."""
+    context with its chunk of blocks, pickled as its config (see
+    ``_Context``); a chunk pickles as one object, so its blocks share the
+    one context the worker rebuilds. The sweep makes at most k tasks, one
+    per worker, of ceil(blocks / k) consecutive blocks each, so a worker
+    rebuilds the context and allocates its noise buffer once per sweep.
+    A pool that breaks is dropped. One that broke before the sweep, under
+    an earlier sweep or from outside, shows up as the sweep's tasks fail on
+    the reused pool; the sweep then runs once more on a fresh pool. The
+    stdlib joins the workers when the process exits, and a worker whose
+    owner was killed exits on its own."""
     global _POOL
     if not (_is_int(jobs) and jobs >= 1):
         raise ValueError(f"jobs must be an integer >= 1, got {jobs!r}")

@@ -13,7 +13,8 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures.process import (BrokenProcessPool,
+                                        ProcessPoolExecutor)
 from pathlib import Path
 
 import numpy as np
@@ -293,14 +294,16 @@ def test_noise_read_must_end_within_the_draw(monkeypatch, own_pool,
 @pytest.mark.parametrize("method", ("chaotic-subopt", "rrc-mmse"))
 @pytest.mark.parametrize("quasi", (False, True))
 def test_frame_reuses_buffers(method, quasi):
-    # full blocks from frame 3 and from frame 0, then a short block of frame
-    # 3 alone, on one context whose buffers the earlier blocks left dirty,
-    # each give what a fresh context gives
+    # a short block of frame 3 alone, which sizes the buffers for one
+    # frame, then full blocks from frame 3 and from frame 0, which grow
+    # them, and the short block again, on one context whose buffers the
+    # earlier blocks left dirty, each give what a fresh context gives
     cfg = (small_quasi(method=method, ebn0_grid=(4.0, 6.0, 8.0))
            if quasi else small_static(method=method, n_data_bits=3840))
     ctx = H._Context(cfg, quasi)
     assert ctx.block >= 2
-    blocks = (range(3, 3 + ctx.block), range(ctx.block), range(3, 4))
+    blocks = (range(3, 4), range(3, 3 + ctx.block), range(ctx.block),
+              range(3, 4))
     got = [H._block(ctx, b) for b in blocks]
     for b, block in zip(blocks, got):
         for a, want in zip(block, H._block(H._Context(cfg, quasi), b)):
@@ -630,16 +633,26 @@ def held_arrays(obj):
 def test_context_arrays_are_read_only(method, quasi):
     # only a context's noise buffer changes after construction: every other
     # array it holds, its own and those it shares (the pulse, the preset,
-    # the probe, the training model), is read-only, also after a block ran,
-    # and so in the copy a pool worker runs its blocks on, which leaves the
-    # buffer behind
+    # the probe, the training model), is read-only, also after a block ran.
+    # A context pickles as its config, with no array: the copy a pool
+    # worker runs its blocks on reads the shared arrays from the worker's
+    # own caches, and a chunk of blocks unpickles to one context
     cfg = (small_quasi(method=method) if quasi
            else small_static(method=method, genie=method == "chaotic-opt"))
     ctx = H._Context(cfg, quasi)
     want = H._block(ctx, range(ctx.block))
     assert ctx.noise_buffer is not None
-    copy = pickle.loads(pickle.dumps(ctx))
+    data = pickle.dumps(ctx)
+    assert b"numpy" not in data
+    copy = pickle.loads(data)
     assert copy.noise_buffer is None
+    shared = ("pulse", "h_sym", "edge", "mf_kernel") + (
+        ("design", "template") if quasi else ())
+    for name in shared:
+        assert getattr(copy, name) is getattr(ctx, name)
+    (first, _), (second, _) = pickle.loads(pickle.dumps(
+        [(ctx, range(1)), (ctx, range(1, 2))]))
+    assert first is second and first is not ctx
     for a, b in zip(H._block(copy, range(ctx.block)), want):
         assert a.tobytes() == b.tobytes()
     for c in (ctx, copy):
@@ -1105,7 +1118,7 @@ def test_pool_sized_by_frame_count(monkeypatch, own_pool):
 
 def test_pool_gets_one_task_per_worker(monkeypatch, own_pool):
     # a pooled sweep hands each of its k workers one task, a chunk of
-    # ceil(blocks / k) blocks, so a worker unpickles the context and
+    # ceil(blocks / k) blocks, so a worker rebuilds the context and
     # allocates its noise buffer once per sweep
     tasks = []
 
@@ -1287,3 +1300,30 @@ def test_pool_workers_exit_when_the_process_is_killed(method, tmp_path):
         for pid in filter(running, pids):
             with contextlib.suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
+
+
+@pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+def test_pooled_sweeps_match_one_worker_by_every_start_method(
+        monkeypatch, own_pool, method):
+    # a pooled task carries its sweep's config, and the worker rebuilds the
+    # context from its own caches: forked workers, which inherit the
+    # parent's, and workers that import the package afresh give the
+    # one-worker records and stats, also on a grid where frames fail. The
+    # parent alone cuts the blocks, here twice as long as a fresh worker's
+    # own _BLOCK_SYMBOLS would make them
+    monkeypatch.setattr(H, "ProcessPoolExecutor", functools.partial(
+        ProcessPoolExecutor, mp_context=multiprocessing.get_context(method)))
+    monkeypatch.setattr(H, "_BLOCK_SYMBOLS", 2 * H._BLOCK_SYMBOLS)
+    quasi = small_quasi(channel="quasi3", ebn0_grid=(-2.0, 6.0), frames=30)
+    static = small_static(method="chaotic-opt", channel="static3", genie=True,
+                          trials=40000)
+    for cfg, is_quasi in ((quasi, True), (static, False)):
+        ctx = H._Context(cfg, is_quasi)
+        assert -(-ctx.n_frames // ctx.block) == 2
+    want, got = {}, {}
+    one = H.run_quasi_static(quasi, jobs=1, stats=want)
+    assert 0 < want["per_point"][0]["failed_frames"] < quasi.frames
+    assert H.run_quasi_static(quasi, jobs=2, stats=got) == one
+    assert repr(got) == repr(want)
+    assert H.run_static_sweep(static, jobs=2) == H.run_static_sweep(static,
+                                                                    jobs=1)
